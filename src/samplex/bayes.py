@@ -671,60 +671,57 @@ class _IdealSampler:
         return sample_discrete(self.spec, self.source)
 
 
-def _mc_trial_reference(
+def _mc_trial(
     ideal: ProcessSpec,
     hset: HypothesisSet,
-    prior: ProbVector,
-    cfg: StoppingConfig,
-    budget: int,
-    seed: str,
-) -> Decision:
-    sampler = _IdealSampler(ideal, BitSource(seed))
-    state = PosteriorState.from_prior(hset, prior)
-    observations: list[int] = []
-    decision = check_stop(state, cfg, ())
-    for _ in range(budget):
-        if decision.terminal or decision.status is not DecisionStatus.UNDETERMINED:
-            return decision
-        sym = sampler.step()
-        observations.append(sym)
-        state = posterior_update(state, sym)
-        decision = check_stop(state, cfg, tuple(observations))
-    return decision
-
-
-def _mc_trial_fast(
-    ideal: ProcessSpec,
-    hset: HypothesisSet,
-    log_prior: tuple[float, ...],
     cfg: StoppingConfig,
     budget: int,
     seed: str,
     tables: dict,
-) -> tuple[DecisionStatus, int, bool]:
-    """Same decision sequence as the reference trial, specialized for
-    memoryless members: no per-step state objects, precomputed log
-    tables and typicality slopes."""
+) -> tuple[DecisionStatus, int]:
+    """One stopping trial from t = 1 on; the caller has already ruled
+    out a decision at t = 0.  Returns the decision and when it fell;
+    Undetermined means censored (budget or r-cap exhausted).
+
+    Makes the same decisions as stepping ``posterior_update`` and
+    ``check_stop``, without per-step state objects: the first
+    ``memory`` steps go through ``posterior_update`` while a member's
+    hidden context may still be a mixture; from then on every member's
+    context is the observed window, so each step adds one entry of the
+    precomputed log table (member -> context -> symbol).
+    """
     sampler = _IdealSampler(ideal, BitSource(seed))
     n = tables["n"]
-    logtab = tables["logtab"]  # member -> symbol -> log2 prob
+    logtab = tables["logtab"]
+    log_prior = tables["log_prior"]
     rates = tables["rates"]
     groups = tables["groups"]
     eps_p = tables["eps_p"]
     eps_q = tables["eps_q"]
     warmup = tables["warmup"]
     cap = tables["cap"]
+    memory = hset.memory
     structural = cfg.p == 1.0
     # with p = 1 and every member at full support, structural certainty
-    # can never fire, so the whole verification block is dead code
+    # can never fire after t = 0, so the whole verification block is
+    # dead code
     verify_never = structural and tables["full_support"]
 
+    state = tables["start"]
     loglik = [0.0] * n
-    scores = [lp for lp in log_prior]
+    ctx: Context = ()
+    scores = list(log_prior)
     for t in range(1, budget + 1):
         sym = sampler.step()
-        for m in range(n):
-            loglik[m] += logtab[m][sym]
+        if t <= memory:
+            state = posterior_update(state, sym)
+            loglik = list(state.loglik)
+            ctx = state.window
+        else:
+            for m in range(n):
+                loglik[m] += logtab[m][ctx][sym]
+            if memory:
+                ctx = ctx[1:] + (sym,)
         if not verify_never:
             dead = True
             for m in range(n):
@@ -732,7 +729,7 @@ def _mc_trial_fast(
                 if scores[m] > -math.inf:
                     dead = False
             if dead:
-                return DecisionStatus.FALSIFIED, t, True
+                return DecisionStatus.FALSIFIED, t
             top = max(scores)
             weights = [2.0 ** (s - top) for s in scores]
             total = math.fsum(weights)
@@ -757,16 +754,16 @@ def _mc_trial_fast(
                     if len(group) == 1
                     else DecisionStatus.PARTIALLY_IDENTIFIED
                 )
-                return status, t, True
+                return status, t
         if cfg.q > 0.0 and t >= warmup:
             if all(
                 not (-eps_q <= -loglik[i] / t - rates[i] <= eps_q)
                 for i in range(n)
             ):
-                return DecisionStatus.FALSIFIED, t, True
+                return DecisionStatus.FALSIFIED, t
         if cfg.r > 0.0 and t >= cap:
-            return DecisionStatus.UNDETERMINED, t, True
-    return DecisionStatus.UNDETERMINED, budget, False
+            return DecisionStatus.UNDETERMINED, t
+    return DecisionStatus.UNDETERMINED, budget
 
 
 def mc_sample_complexity(
@@ -777,22 +774,19 @@ def mc_sample_complexity(
     trials: int,
     seed: int | str,
     max_steps: int | None = None,
-    first_trial: int = 0,
-    _force_reference: bool = False,
 ) -> MCStoppingReport:
     """Stream symbols from the ideal through the stopping rule, many
     times, and record when and how each trial decided.
 
-    Reproducible: trial i uses the derived seed "{seed}:{i}", so
-    results are independent of sharding; ``first_trial`` lets workers
-    split the index range and merge counts.  Trials that exhaust the
-    budget (the r-cap, or max_steps when r = 0) are censored, not
-    dropped.
+    Reproducible: trial i uses the derived seed "{seed}:{i}".  Trials
+    run one after another in the calling thread; the CLI's ``--threads``
+    flag is kept for compatibility only, and results never depend on
+    it.  A decision the prior alone forces (t = 0) is the same for
+    every trial.  Trials that exhaust the budget (the r-cap, or
+    max_steps when r = 0) are censored, not dropped.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if first_trial < 0:
-        raise ValueError(f"first trial index must be >= 0, got {first_trial}")
     pv = as_probvector(prior)
     if len(pv) != len(hset):
         raise ValueError(
@@ -803,17 +797,25 @@ def mc_sample_complexity(
     if max_steps is not None:
         budget = min(budget, max_steps)
 
-    fast_ok = not _force_reference and all(
-        isinstance(m, IidSpec) for m in hset.members
-    )
-    log_prior = tuple(_log2(w) for w in pv.probs)
-    tables: dict = {}
-    if fast_ok:
+    start = PosteriorState.from_prior(hset, pv)
+    first = check_stop(start, cfg)
+    if first.terminal:
+        results = [(first.status, 0)] * trials
+    else:
+        head = hset.members[0]
+        contexts = head.contexts() if isinstance(head, MarkovSpec) else [()]
+        logtab = [
+            {
+                ctx: [_log2(p) for p in _conditional_probs(m, ctx).probs]
+                for ctx in contexts
+            }
+            for m in hset.members
+        ]
         tables = {
             "n": len(hset),
-            "logtab": [
-                [_log2(p) for p in m.dist.probs] for m in hset.members
-            ],
+            "start": start,
+            "logtab": logtab,
+            "log_prior": start.log_prior,
             "rates": hset.rates(),
             "groups": equivalence_groups(hset, cfg.eps_d),
             "eps_p": -math.log2(cfg.p) if cfg.p > 0.0 else math.inf,
@@ -825,38 +827,26 @@ def mc_sample_complexity(
             else budget + 1,
             "cap": cap,
             "full_support": all(
-                p > 0.0
-                for m in hset.members
-                for p in m.dist.probs  # type: ignore[union-attr]
+                v > -math.inf
+                for row in logtab
+                for logs in row.values()
+                for v in logs
             ),
         }
+        results = [
+            _mc_trial(ideal, hset, cfg, budget, _trial_seed(seed, i), tables)
+            for i in range(trials)
+        ]
 
     counts: dict[int, int] = {}
     censored = 0
     decisions = {s.value: 0 for s in DecisionStatus}
-    for i in range(first_trial, first_trial + trials):
-        tseed = _trial_seed(seed, i)
-        if fast_ok:
-            status, t, decided = _mc_trial_fast(
-                ideal, hset, log_prior, cfg, budget, tseed, tables
-            )
-            terminal_undetermined = (
-                decided and status is DecisionStatus.UNDETERMINED
-            )
-            if not decided or terminal_undetermined:
-                censored += 1
-                decisions[DecisionStatus.UNDETERMINED.value] += 1
-            else:
-                counts[t] = counts.get(t, 0) + 1
-                decisions[status.value] += 1
+    for status, t in results:
+        decisions[status.value] += 1
+        if status is DecisionStatus.UNDETERMINED:
+            censored += 1
         else:
-            d = _mc_trial_reference(ideal, hset, pv, cfg, budget, tseed)
-            if d.status is DecisionStatus.UNDETERMINED:
-                censored += 1
-                decisions[d.status.value] += 1
-            else:
-                counts[d.t] = counts.get(d.t, 0) + 1
-                decisions[d.status.value] += 1
+            counts[t] = counts.get(t, 0) + 1
     dist = EmpiricalSCDist(counts, trials, censored)
     return MCStoppingReport(dist, decisions, trials, seed)
 
@@ -996,59 +986,6 @@ def surprisal_moment(
     )
 
 
-def surprisal_moment_product_form(
-    ideal: ProcessSpec,
-    hset: HypothesisSet,
-    prior: ProbVector | Sequence[float],
-    t: int,
-    m: int,
-) -> float:
-    """Closed-form candidate for the m-th posterior-surprisal moment.
-
-    Stated as a product of an expectation-like factor and a factor
-    built from unweighted surprisal sums over the whole sequence space.
-    It reduces to the exact expectation at m = 1; the enumeration
-    oracle refutes it for m >= 2 (see the unit tests), so it is
-    exposed only as a cross-check target.
-    """
-    if m < 1:
-        raise ValueError(f"moment order must be >= 1, got {m}")
-    pv = as_probvector(prior)
-    idx = _member_index(ideal, hset)
-    k = hset.alphabet_size
-    if k**t > ENUM_LIMIT:
-        raise ComputationRefused(
-            f"enumerating {k}**{t} sequences exceeds the {ENUM_LIMIT} limit"
-        )
-    log_prior = tuple(_log2(w) for w in pv.probs)
-    import itertools
-
-    members = hset.members
-    info_prior = -log_prior[idx]
-    rate_h = entropy_rate(ideal)
-    sum_true = 0.0  # unweighted surprisal sum under the ideal
-    sum_pred = 0.0  # unweighted surprisal sum under the prior mixture
-    cross_t = 0.0  # t-block cross entropy, ideal against the mixture
-    for seq in itertools.product(range(k), repeat=t):
-        lp_true = -sequence_log_probability(ideal, seq)
-        mix = _logsumexp2(
-            [
-                log_prior[j] - sequence_log_probability(members[j], seq)
-                for j in range(len(members))
-            ]
-        )
-        sum_true += -lp_true
-        sum_pred += -mix
-        if lp_true > -math.inf:
-            cross_t += 2.0**lp_true * (-mix)
-    sign = (-1.0) ** m
-    first = -sign * (t * rate_h + info_prior) + sign * cross_t
-    second = -sign * (info_prior ** (m - 1) + sum_true ** (m - 1)) + sign * (
-        sum_pred ** (m - 1)
-    )
-    return first * second
-
-
 @dataclass(frozen=True)
 class SCEstimate:
     """Threshold-crossing horizon for an expected-surprisal curve.
@@ -1077,14 +1014,15 @@ def _scan_crossing(
     target: float,
     exact_fn: Callable[[int], float],
     exact_t_max: int,
-    mc_block_fn: Callable[[int], tuple[list[float], list[float]]],
+    make_mc: Callable[[], Callable[[int], tuple[list[float], list[float]]]],
     hard_max: int,
 ) -> SCEstimate:
     """Find the first t where a nonincreasing curve drops to the target.
 
-    ``exact_fn(t)`` gives exact curve values up to exact_t_max;
-    ``mc_block_fn(t_hi)`` extends Monte Carlo estimates (means, ses)
-    for horizons exact_t_max+1 .. t_hi, reusing its sequence batch.
+    ``exact_fn(t)`` gives exact curve values up to exact_t_max.  Only
+    when the scan passes that horizon is ``make_mc()`` called, once; the
+    function it returns maps t_hi to Monte Carlo estimates (means, ses)
+    for horizons 1 .. t_hi, reusing its sequence batch.
     """
     prev = exact_fn(0)
     if prev <= target:
@@ -1097,12 +1035,14 @@ def _scan_crossing(
             return SCEstimate(value, "enumeration", None, t)
         prev = cur
 
+    mc = make_mc()
     t_hi = exact_t_max
     means: list[float] = []
     ses: list[float] = []
     while t_hi < hard_max:
         t_hi = min(hard_max, max(2 * t_hi, t_hi + 16))
-        means, ses = mc_block_fn(t_hi)
+        means, ses = mc(t_hi)
+        means, ses = means[exact_t_max:], ses[exact_t_max:]
         if means[-1] + 1.96 * ses[-1] <= target:
             break
     curve = [(exact_t_max, prev, 0.0)] + [
@@ -1142,12 +1082,17 @@ def _mc_curve_sampler(
 ) -> Callable[[int], tuple[list[float], list[float]]]:
     """Monte Carlo posterior-surprisal curves, extendable in t.
 
-    Memoryless members only (the exact walk handles the rest within
-    its enumeration limit).  One batch of sequences is extended lazily
-    and reused across calls, so estimates at different horizons share
-    randomness but each is unbiased.
+    Memoryless members only: anything else is refused (the exact walk
+    handles it within its enumeration limit).  One batch of sequences
+    is extended lazily and reused across calls, so estimates at
+    different horizons share randomness but each is unbiased.
     """
     members = hset.members
+    if not all(isinstance(m, IidSpec) for m in members):
+        raise ComputationRefused(
+            "the crossing lies beyond the exact horizon and the Monte "
+            "Carlo curve supports memoryless members only"
+        )
     n = len(members)
     k = hset.alphabet_size
     logt = [[_log2(p) for p in m.dist.probs] for m in members]  # type: ignore[union-attr]
@@ -1213,7 +1158,9 @@ def expected_sc_evaluator(
     drops to -log2 p, when data comes from the ideal itself.
 
     Exact enumeration carries the curve to ``exact_t_max``; a Monte
-    Carlo extension with confidence bounds takes over beyond.  A prior
+    Carlo extension with confidence bounds takes over beyond, for
+    memoryless members only (finite-memory members whose crossing lies
+    past ``exact_t_max`` raise ComputationRefused).  A prior
     already at the threshold answers 0; a posterior ceiling below the
     threshold (duplicate of the ideal, zero prior) is reported as
     unreachable.
@@ -1241,15 +1188,12 @@ def expected_sc_evaluator(
             hset, log_prior, idx, t, lambda s: s
         )
 
-    mc = _mc_curve_sampler(
-        lambda _rng: idx, hset, log_prior, sequences, seed
-    )
+    def make_mc() -> Callable[[int], tuple[list[float], list[float]]]:
+        return _mc_curve_sampler(
+            lambda _rng: idx, hset, log_prior, sequences, seed
+        )
 
-    def mc_shifted(t_hi: int) -> tuple[list[float], list[float]]:
-        means, ses = mc(t_hi)
-        return means[exact_t_max:], ses[exact_t_max:]
-
-    return _scan_crossing(target, exact, exact_t_max, mc_shifted, _HARD_T_MAX)
+    return _scan_crossing(target, exact, exact_t_max, make_mc, _HARD_T_MAX)
 
 
 def expected_sc_predictive(
@@ -1306,13 +1250,10 @@ def expected_sc_predictive(
                 return i
         return support[-1]
 
-    mc = _mc_curve_sampler(draw, hset, log_prior, sequences, seed)
+    def make_mc() -> Callable[[int], tuple[list[float], list[float]]]:
+        return _mc_curve_sampler(draw, hset, log_prior, sequences, seed)
 
-    def mc_shifted(t_hi: int) -> tuple[list[float], list[float]]:
-        means, ses = mc(t_hi)
-        return means[exact_t_max:], ses[exact_t_max:]
-
-    return _scan_crossing(target, exact, exact_t_max, mc_shifted, _HARD_T_MAX)
+    return _scan_crossing(target, exact, exact_t_max, make_mc, _HARD_T_MAX)
 
 
 def mc_surprisal_moment_curve(

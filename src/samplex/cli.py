@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from typing import Sequence
 
@@ -57,7 +56,6 @@ from .processes import (
     spec_from_json,
 )
 from .scdist import (
-    EmpiricalSCDist,
     PairwiseSCDist,
     enumerate_orderings_oracle,
     pairwise_verification,
@@ -289,51 +287,6 @@ def _run_spread(cfg: dict, seed: int) -> dict:
     return payload
 
 
-def _sharded_mc(
-    ideal, hset, prior, scfg, trials, seed, max_steps, threads
-):
-    if threads <= 1:
-        return mc_sample_complexity(
-            ideal, hset, prior, scfg, trials, seed, max_steps=max_steps
-        )
-    bounds = [trials * k // threads for k in range(threads + 1)]
-    jobs = [
-        (bounds[k], bounds[k + 1] - bounds[k])
-        for k in range(threads)
-        if bounds[k + 1] > bounds[k]
-    ]
-    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-        parts = list(
-            pool.map(
-                lambda job: mc_sample_complexity(
-                    ideal,
-                    hset,
-                    prior,
-                    scfg,
-                    job[1],
-                    seed,
-                    max_steps=max_steps,
-                    first_trial=job[0],
-                ),
-                jobs,
-            )
-        )
-    counts: dict[int, int] = {}
-    censored = 0
-    decisions: dict[str, int] = {s.value: 0 for s in DecisionStatus}
-    for part in parts:
-        for k, v in part.dist.counts.items():
-            counts[k] = counts.get(k, 0) + v
-        censored += part.dist.censored
-        for k, v in part.decisions.items():
-            decisions[k] += v
-    from .bayes import MCStoppingReport
-
-    return MCStoppingReport(
-        EmpiricalSCDist(counts, trials, censored), decisions, trials, seed
-    )
-
-
 def _posterior_trace(ideal, hset, prior, scfg, seed, limit: int) -> list[list]:
     sampler = _IdealSampler(ideal, BitSource(f"{seed}:trace"))
     state = PosteriorState.from_prior(hset, prior)
@@ -360,7 +313,7 @@ def _mean_ci(report) -> list[float] | None:
     return [mean - half, mean + half]
 
 
-def _run_bayes(cfg: dict, seed: int, threads: int) -> dict:
+def _run_bayes(cfg: dict, seed: int) -> dict:
     ideal = spec_from_json(_normalize_process(cfg["ideal"]))
     members = tuple(
         spec_from_json(_normalize_process(h)) for h in cfg["hypotheses"]
@@ -381,8 +334,8 @@ def _run_bayes(cfg: dict, seed: int, threads: int) -> dict:
         raise ComputationRefused(
             f"{trials} x {max_steps} steps exceeds the budget {_STEP_BUDGET}"
         )
-    report = _sharded_mc(
-        ideal, hset, cfg["prior"], scfg, trials, seed, max_steps, threads
+    report = mc_sample_complexity(
+        ideal, hset, cfg["prior"], scfg, trials, seed, max_steps=max_steps
     )
     try:
         _member_index(ideal, hset)
@@ -407,7 +360,7 @@ def _run_bayes(cfg: dict, seed: int, threads: int) -> dict:
     }
 
 
-def _run_novelty(cfg: dict, seed: int, threads: int) -> dict:
+def _run_novelty(cfg: dict, seed: int) -> dict:
     ideal = spec_from_json(_normalize_process(cfg["ideal"]))
     members = tuple(
         spec_from_json(_normalize_process(h)) for h in cfg["hypotheses"]
@@ -423,8 +376,8 @@ def _run_novelty(cfg: dict, seed: int, threads: int) -> dict:
             f"{trials} x {budget} steps exceeds the budget {_STEP_BUDGET}"
         )
     uniform = [1.0 / len(members)] * len(members)
-    report = _sharded_mc(
-        ideal, hset, uniform, scfg, trials, seed, budget, threads
+    report = mc_sample_complexity(
+        ideal, hset, uniform, scfg, trials, seed, max_steps=budget
     )
     bounds = [
         falsification_bounds(ideal, m, cfg["q"]) for m in members
@@ -471,7 +424,7 @@ def _run_figure3(cfg: dict, seed: int) -> dict:
     }
 
 
-def run_experiment(cfg: dict, seed: int, threads: int = 1) -> dict:
+def run_experiment(cfg: dict, seed: int) -> dict:
     """Dispatch a validated config; returns the payload dict."""
     kind = cfg["kind"]
     if kind == "identify":
@@ -483,9 +436,9 @@ def run_experiment(cfg: dict, seed: int, threads: int = 1) -> dict:
     if kind == "spread":
         return _run_spread(cfg, seed)
     if kind == "bayes":
-        return _run_bayes(cfg, seed, threads)
+        return _run_bayes(cfg, seed)
     if kind == "novelty":
-        return _run_novelty(cfg, seed, threads)
+        return _run_novelty(cfg, seed)
     if kind == "figure3":
         return _run_figure3(cfg, seed)
     raise ConfigError(f"$.kind: unknown kind {kind!r}")
@@ -537,7 +490,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     started = time.monotonic()
     try:
-        payload = run_experiment(cfg, seed, args.threads)
+        payload = run_experiment(cfg, seed)
     except ConfigError as exc:
         print(f"config invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -672,8 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker threads sharding Monte Carlo trials "
-        "(results identical for any value)",
+        help="accepted for compatibility (must be >= 1); Monte Carlo "
+        "trials run in one thread and results never depend on it",
     )
     run.set_defaults(func=_cmd_run)
 
@@ -702,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
+    if getattr(args, "threads", 1) < 1:
         print("threads must be >= 1", file=sys.stderr)
         return EXIT_INVALID
     return args.func(args)

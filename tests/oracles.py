@@ -2,7 +2,8 @@
 
 Everything here recomputes quantities straight from their definitions
 (set comprehensions, exact rational arithmetic, full enumerations) with
-none of the library's shortcuts, so agreement is meaningful.
+none of the library's shortcuts, so agreement is meaningful.  It also
+keeps a refuted closed-form moment candidate as a cross-check target.
 """
 
 from __future__ import annotations
@@ -11,6 +12,21 @@ import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
+
+from samplex import (
+    BitSource,
+    ComputationRefused,
+    Decision,
+    DecisionStatus,
+    PosteriorState,
+    as_probvector,
+    check_stop,
+    entropy_rate,
+    posterior_update,
+    sequence_log_probability,
+)
+from samplex.bayes import _IdealSampler, _logsumexp2, _member_index
+from samplex.info import ENUM_LIMIT
 
 
 def oracle_cap(r: float) -> float:
@@ -217,3 +233,82 @@ def surprisal_moment_direct(
         post = Fraction(weights[target], sum(weights))
         total += float(p_seq) * (-math.log2(float(post))) ** m
     return total
+
+
+def surprisal_moment_product_form(ideal, hset, prior, t: int, m: int) -> float:
+    """Closed-form candidate for the m-th posterior-surprisal moment.
+
+    Stated as a product of an expectation-like factor and a factor
+    built from unweighted surprisal sums over the whole sequence space.
+    It reduces to the exact expectation at m = 1; the enumeration
+    refutes it for m >= 2 (see the unit tests), so it is kept here only
+    as a cross-check target.
+    """
+    if m < 1:
+        raise ValueError(f"moment order must be >= 1, got {m}")
+    pv = as_probvector(prior)
+    idx = _member_index(ideal, hset)
+    k = hset.alphabet_size
+    if k**t > ENUM_LIMIT:
+        raise ComputationRefused(
+            f"enumerating {k}**{t} sequences exceeds the {ENUM_LIMIT} limit"
+        )
+    log_prior = tuple(math.log2(w) if w > 0.0 else -math.inf for w in pv.probs)
+    members = hset.members
+    info_prior = -log_prior[idx]
+    rate_h = entropy_rate(ideal)
+    sum_true = 0.0  # unweighted surprisal sum under the ideal
+    sum_pred = 0.0  # unweighted surprisal sum under the prior mixture
+    cross_t = 0.0  # t-block cross entropy, ideal against the mixture
+    for seq in itertools.product(range(k), repeat=t):
+        lp_true = -sequence_log_probability(ideal, seq)
+        mix = _logsumexp2(
+            [
+                log_prior[j] - sequence_log_probability(members[j], seq)
+                for j in range(len(members))
+            ]
+        )
+        sum_true += -lp_true
+        sum_pred += -mix
+        if lp_true > -math.inf:
+            cross_t += 2.0**lp_true * (-mix)
+    sign = (-1.0) ** m
+    first = -sign * (t * rate_h + info_prior) + sign * cross_t
+    second = -sign * (info_prior ** (m - 1) + sum_true ** (m - 1)) + sign * (
+        sum_pred ** (m - 1)
+    )
+    return first * second
+
+
+def mc_trial_reference(ideal, hset, prior, cfg, budget: int, seed: str) -> Decision:
+    """One Monte Carlo stopping trial by definition: the full posterior
+    state is rebuilt and the stopping rule re-applied after every
+    symbol, starting at t = 0."""
+    sampler = _IdealSampler(ideal, BitSource(seed))
+    state = PosteriorState.from_prior(hset, prior)
+    observations: list[int] = []
+    decision = check_stop(state, cfg, ())
+    for _ in range(budget):
+        if decision.terminal or decision.status is not DecisionStatus.UNDETERMINED:
+            return decision
+        sym = sampler.step()
+        observations.append(sym)
+        state = posterior_update(state, sym)
+        decision = check_stop(state, cfg, tuple(observations))
+    return decision
+
+
+def mc_stopping_reference(
+    ideal, hset, prior, cfg, trials: int, seed, max_steps: int
+) -> tuple[dict[int, int], dict[str, int]]:
+    """Stopping-time counts of decided trials and the decision tally,
+    trial i seeded "{seed}:{i}"; undecided trials count as Undetermined."""
+    budget = int(min(max_steps, oracle_cap(cfg.r)))
+    counts: dict[int, int] = {}
+    decisions = {s.value: 0 for s in DecisionStatus}
+    for i in range(trials):
+        d = mc_trial_reference(ideal, hset, prior, cfg, budget, f"{seed}:{i}")
+        decisions[d.status.value] += 1
+        if d.status is not DecisionStatus.UNDETERMINED:
+            counts[d.t] = counts.get(d.t, 0) + 1
+    return counts, decisions

@@ -431,7 +431,7 @@ def _build_c08() -> dict:
     cfg = validate_config(
         {"kind": "figure3", "spec": [0.5, 0.5], "p": 0.7, "q": 0.6, "t_max": 10}
     )
-    payload = run_experiment(cfg, seed=0, threads=1)
+    payload = run_experiment(cfg, seed=0)
     rows = payload["table"]["rows"]
     ratio = 2.0 ** -payload["entropy_rate"]
     max_err = 0.0

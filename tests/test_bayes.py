@@ -33,13 +33,17 @@ from samplex import (
     posterior_update,
     sample_discrete,
     surprisal_moment,
-    surprisal_moment_product_form,
     typical_membership,
     typical_set_bounds,
     warmup_threshold,
 )
 
-from oracles import hand_posterior, surprisal_moment_direct
+from oracles import (
+    hand_posterior,
+    mc_stopping_reference,
+    surprisal_moment_direct,
+    surprisal_moment_product_form,
+)
 
 B5 = IidSpec.from_probs([0.5, 0.5])
 B9 = IidSpec.from_probs([0.1, 0.9])  # emits 1 with probability 0.9
@@ -333,39 +337,75 @@ class TestMCSampleComplexity:
         assert report.decisions["Verified"] == 300
         assert report.dist.censored == 0
 
-    def test_fast_and_reference_paths_agree(self):
-        scenarios = [
-            (B5, PAIR, self.CFG),
-            (B5, HypothesisSet((B9, B95)), StoppingConfig(p=1.0, q=0.5)),
-            (B9, PAIR, StoppingConfig(p=0.8, q=0.25)),
-        ]
-        for ideal, hset, cfg in scenarios:
-            fast = mc_sample_complexity(
-                ideal, hset, UNIFORM, cfg, trials=120, seed=31, max_steps=2000
-            )
-            ref = mc_sample_complexity(
-                ideal,
-                hset,
-                UNIFORM,
-                cfg,
-                trials=120,
-                seed=31,
-                max_steps=2000,
-                _force_reference=True,
-            )
-            assert fast.dist.counts == ref.dist.counts
-            assert fast.decisions == ref.decisions
+    def test_trial_loop_matches_the_oracle(self):
+        def chain(memory, zeros, init=("stationary", None)):
+            # zeros[j]: probability of a 0 after the j-th context
+            ctxs = [(0,), (1,)] if memory == 1 else [(0, 0), (0, 1), (1, 0), (1, 1)]
+            rows = {c: IidSpec.from_probs([a, 1 - a]) for c, a in zip(ctxs, zeros)}
+            return MarkovSpec(memory, rows, init)
 
-    def test_trial_blocks_merge_to_the_full_run(self):
-        whole = mc_sample_complexity(B5, PAIR, UNIFORM, self.CFG, trials=100, seed=9)
-        head = mc_sample_complexity(B5, PAIR, UNIFORM, self.CFG, trials=60, seed=9)
-        tail = mc_sample_complexity(
-            B5, PAIR, UNIFORM, self.CFG, trials=40, seed=9, first_trial=60
-        )
-        merged: dict[int, int] = dict(head.dist.counts)
-        for idx, count in tail.dist.counts.items():
-            merged[idx] = merged.get(idx, 0) + count
-        assert merged == dict(whole.dist.counts)
+        def m1(a, b, init=("stationary", None)):
+            return chain(1, (a, b), init)
+
+        close = IidSpec.from_probs([0.4375, 0.5625])
+        ones_only = IidSpec.from_probs([0.0, 1.0])
+        sticky = m1(0.125, 0.875)
+        flip = m1(0.75, 0.25)
+        no_00 = m1(0.0, 0.5)  # never emits 0 right after a 0
+        no_11 = m1(0.5, 1.0)  # never emits 1 right after a 1
+        m2a = chain(2, (0.125, 0.625, 0.5, 0.875), ("context", (0, 1)))
+        m2b = chain(2, (0.75, 0.25, 0.5, 0.125))
+        scenarios = [
+            (B5, PAIR, UNIFORM, self.CFG),
+            (B5, HypothesisSet((B9, B95)), UNIFORM, StoppingConfig(p=1.0, q=0.5)),
+            (B9, PAIR, UNIFORM, StoppingConfig(p=0.8, q=0.25)),
+            # r-caps: none, one and three observations
+            (B5, PAIR, UNIFORM, StoppingConfig(p=0.9, r=1.0)),
+            (B5, PAIR, UNIFORM, StoppingConfig(p=0.9, r=0.5)),
+            (B5, PAIR, UNIFORM, StoppingConfig(p=0.99, r=0.125)),
+            # the two near members form one group: partial identification
+            (
+                B5,
+                HypothesisSet((B5, close, B9)),
+                (0.25, 0.25, 0.5),
+                StoppingConfig(p=0.9, eps_d=0.05),
+            ),
+            # p = 1 with zero-probability symbols: certainty is reachable
+            (B5, HypothesisSet((B5, ones_only)), UNIFORM, StoppingConfig(p=1.0)),
+            (ones_only, HypothesisSet((B5, ones_only)), UNIFORM, StoppingConfig(p=1.0)),
+            # the prior alone decides at t = 0
+            (B5, PAIR, (0.95, 0.05), self.CFG),
+            (B5, PAIR, (1.0, 0.0), StoppingConfig(p=1.0)),
+            # memory 1: stationary and fixed-context starts
+            (sticky, HypothesisSet((sticky, flip)), UNIFORM, self.CFG),
+            (
+                m1(0.7, 0.4),
+                HypothesisSet((m1(0.2, 0.9), m1(0.1, 0.6))),
+                UNIFORM,
+                StoppingConfig(p=1.0, q=0.7),
+            ),
+            (
+                flip,
+                HypothesisSet((sticky, m1(0.75, 0.25, ("context", (1,))))),
+                UNIFORM,
+                StoppingConfig(p=0.8, q=0.3),
+            ),
+            (no_00, HypothesisSet((no_00, no_11)), UNIFORM, StoppingConfig(p=1.0)),
+            (sticky, HypothesisSet((sticky, flip)), (0.95, 0.05), self.CFG),
+            # memory 2, one member starting from a fixed context
+            (m2a, HypothesisSet((m2a, m2b)), UNIFORM, StoppingConfig(p=0.9, q=0.2)),
+            (m2b, HypothesisSet((m2a, m2b)), (0.3, 0.7), StoppingConfig(p=0.95, r=0.01)),
+        ]
+        for n, (ideal, hset, prior, cfg) in enumerate(scenarios):
+            got = mc_sample_complexity(
+                ideal, hset, prior, cfg, trials=40, seed=31, max_steps=300
+            )
+            counts, decisions = mc_stopping_reference(
+                ideal, hset, prior, cfg, trials=40, seed=31, max_steps=300
+            )
+            assert dict(got.dist.counts) == counts, n
+            assert got.decisions == decisions, n
+            assert got.dist.censored == decisions["Undetermined"], n
 
     def test_unreachable_certainty_censors_every_trial(self):
         report = mc_sample_complexity(

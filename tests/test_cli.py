@@ -32,6 +32,31 @@ BAYES_CFG = {
 }
 
 
+def markov1(zero_after_0: float, zero_after_1: float) -> dict:
+    return {
+        "kind": "markov",
+        "memory": 1,
+        "alphabet": 2,
+        "transitions": {
+            "0": [zero_after_0, 1 - zero_after_0],
+            "1": [zero_after_1, 1 - zero_after_1],
+        },
+    }
+
+
+def markov_bayes_cfg(ideal: dict, other: dict) -> dict:
+    return {
+        "kind": "bayes",
+        "ideal": ideal,
+        "hypotheses": [ideal, other],
+        "prior": [0.5, 0.5],
+        "p": 0.9,
+        "trials": 20,
+        "max_steps": 200,
+        "seed": 3,
+    }
+
+
 def write_config(tmp_path: Path, cfg: dict, name: str = "cfg.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -176,6 +201,15 @@ class TestExitCodes:
         assert main(["verify", "--pair", "astrology"]) == EXIT_INVALID
         assert "known pairs" in capsys.readouterr().err
 
+    def test_markov_member_far_crossing_is_refused(self, tmp_path, capsys):
+        # the members differ only after a 1, so the expected-surprisal
+        # crossing lies past the exact horizon, where the Monte Carlo
+        # curve takes memoryless members only
+        cfg = markov_bayes_cfg(markov1(0.0, 0.5), markov1(0.0, 0.375))
+        path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", path]) == EXIT_REFUSED
+        assert "refused:" in capsys.readouterr().err
+
     def test_bad_thread_count(self, tmp_path, capsys):
         path = write_config(tmp_path, BAYES_CFG)
         assert main(["run", "--config", path, "--threads", "0"]) == EXIT_INVALID
@@ -224,6 +258,14 @@ class TestDeterminism:
         assert json.dumps(a["payload"], sort_keys=True) == json.dumps(
             b["payload"], sort_keys=True
         )
+
+    def test_markov_member_separable_pair_runs(self, tmp_path):
+        cfg = markov_bayes_cfg(markov1(0.875, 0.125), markov1(0.125, 0.875))
+        record = run_to_file(tmp_path, cfg)
+        analytic = record["payload"]["analytic_expected_t"]
+        assert analytic["method"] == "enumeration"
+        assert analytic["smallest_t"] <= 16
+        assert sum(record["payload"]["decision_histogram"].values()) == 20
 
     def test_threads_do_not_change_results(self, tmp_path):
         solo = run_to_file(tmp_path, BAYES_CFG, "--threads", "1")
