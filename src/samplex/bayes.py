@@ -18,18 +18,25 @@ band form is used throughout (typical_membership reports it directly).
 
 Expected-sample-complexity threshold equations are implicit in t and
 the naive fixed-point iteration repels; the solver instead scans the
-monotone expectation curve (exact enumeration at small horizons, Monte
-Carlo beyond) for the threshold crossing.
+monotone expectation curve for the threshold crossing.  At small
+horizons the curve is exact: one walk serves every member kind by
+merging sequences into classes that every member scores alike (the
+first ``memory`` symbols, the current window, and the count of each
+(context, symbol) step), which for memoryless members are the symbol
+compositions.  A horizon with more than _CLASS_LIMIT classes is
+refused.  Beyond the exact horizon a Monte Carlo curve takes over, for
+memoryless members only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .bitstrings import resolution_cap
 from .info import (
@@ -55,6 +62,10 @@ _FLOOR_TOL = 1e-12
 _HARD_T_MAX = 100_000
 _DEFAULT_MC_SEQUENCES = 10_000
 _DEFAULT_BUDGET = 100_000
+# sequence classes one horizon of the exact surprisal walk may hold; on
+# a 4-symbol memory-2 pair, whose classes barely merge, the process
+# peaks near 51 MB (CPython 3.11) when the limit is reached
+_CLASS_LIMIT = 65_536
 
 ProcessSpec = IidSpec | MarkovSpec
 
@@ -648,20 +659,9 @@ class _IdealSampler:
     def __init__(self, spec: ProcessSpec, source: BitSource) -> None:
         self.source = source
         self.spec = spec
-        if isinstance(spec, MarkovSpec):
-            mode, payload = spec.init
-            if mode == "context":
-                self.ctx: Context = payload  # type: ignore[assignment]
-            else:
-                ctxs = spec.contexts()
-                if mode == "distribution":
-                    weights = list(as_probvector(payload).probs)  # type: ignore[arg-type]
-                else:
-                    weights = list(spec.stationary_distribution())
-                pick = sample_discrete(IidSpec.from_probs(weights), source)
-                self.ctx = ctxs[pick]
-        else:
-            self.ctx = ()
+        self.ctx: Context = (
+            spec.draw_start(source) if isinstance(spec, MarkovSpec) else ()
+        )
 
     def step(self) -> int:
         if isinstance(self.spec, MarkovSpec):
@@ -865,99 +865,100 @@ def _member_index(ideal: ProcessSpec, hset: HypothesisSet) -> int:
     )
 
 
-def _enumerate_posterior_surprisal(
-    hset: HypothesisSet,
-    log_prior: tuple[float, ...],
-    target_idx: int,
-    t: int,
-    transform: Callable[[float], float],
-) -> float:
-    """E[transform(-log2 posterior(target))] over sequences from the
-    target member, by exact enumeration.
+def _count_step(steps: tuple[int, ...], step: int) -> tuple[int, ...]:
+    """Count one more ``step`` in flat (step, count) pairs sorted by step."""
+    for j in range(0, len(steps), 2):
+        if steps[j] == step:
+            return steps[: j + 1] + (steps[j + 1] + 1,) + steps[j + 2 :]
+        if steps[j] > step:
+            return steps[:j] + (step, 1) + steps[j:]
+    return steps + (step, 1)
 
-    Memoryless binary members admit sufficient-statistic compression
-    (only the count of ones matters); anything else walks the full
-    product space, refusing beyond the enumeration limit.
+
+def _posterior_surprisal_walk(
+    hset: HypothesisSet,
+    log_prior: Sequence[float],
+    targets: Sequence[int],
+    transform: Callable[[float], float],
+) -> Iterator[list[float]]:
+    """Yield, for t = 0, 1, 2, ..., E[transform(-log2 posterior(i))]
+    over sequences of length t drawn from member i, for each target i,
+    by exact enumeration.
+
+    Sequences are merged into classes that every member scores alike:
+    the first ``memory`` symbols (which fix each chain's hidden start),
+    the current window, and the count of each (context, symbol) step
+    since then, kept as sorted (step, count) pairs with no zero counts.
+    Each class carries the number of sequences it holds; for memoryless
+    members the classes are the compositions of t.  A class is scored
+    as the prefix's ``sequence_log_probability`` plus count x
+    log-probability over its counts, and dropped once every target
+    rules it out.  Horizon t is built only when asked for, and is
+    refused (ComputationRefused) once it holds more than _CLASS_LIMIT
+    classes.
     """
     members = hset.members
     n = len(members)
     k = hset.alphabet_size
-
-    def post_surprisal(logliks: Sequence[float]) -> float:
-        scores = [log_prior[m] + logliks[m] for m in range(n)]
-        return -(scores[target_idx] - _logsumexp2(scores))
-
-    if t == 0:
-        return transform(post_surprisal([0.0] * n))
-
-    if k == 2 and all(isinstance(m, IidSpec) for m in members):
-        logt = [[_log2(p) for p in m.dist.probs] for m in members]  # type: ignore[union-attr]
-        total = 0.0
-        for ones in range(t + 1):
-            zeros = t - ones
-            lw = (
-                math.log2(math.comb(t, ones))
-                + ones * logt[target_idx][1]
-                + zeros * logt[target_idx][0]
-            )
-            if lw == -math.inf:
+    memory = hset.memory
+    head = members[0]
+    contexts = head.contexts() if isinstance(head, MarkovSpec) else [()]
+    n_ctx = len(contexts)
+    logtab = [
+        [_log2(p) for ctx in contexts for p in _conditional_probs(m, ctx).probs]
+        for m in members
+    ]
+    prefix_ll: dict[Context, list[float]] = {}
+    # class key: (first symbols, window as a context index, flat
+    # (step, count) pairs with step = context * k + symbol) -> number
+    # of sequences in the class
+    layer: dict[tuple[Context, int, tuple[int, ...]], int] = {
+        ((), 0, ()): 1
+    }
+    t = 0
+    while True:
+        totals = [0.0] * len(targets)
+        dead = []
+        for key, mult in layer.items():
+            prefix, _window, steps = key
+            if prefix not in prefix_ll:
+                prefix_ll[prefix] = [
+                    -sequence_log_probability(m, prefix) for m in members
+                ]
+            ll = list(prefix_ll[prefix])
+            for c, cnt in zip(steps[::2], steps[1::2]):
+                for m in range(n):
+                    ll[m] += cnt * logtab[m][c]
+            if all(ll[i] == -math.inf for i in targets):
+                dead.append(key)
                 continue
-            logliks = [
-                ones * logt[m][1] + zeros * logt[m][0] for m in range(n)
-            ]
-            total += 2.0**lw * transform(post_surprisal(logliks))
-        return total
-
-    if k**t > ENUM_LIMIT:
-        raise ComputationRefused(
-            f"enumerating {k}**{t} sequences exceeds the {ENUM_LIMIT} limit"
-        )
-    # joint walk: (per-member forward branches, per-member loglik, weight)
-    ideal = members[target_idx]
-    init: list[_Branches] = []
-    for m in members:
-        if isinstance(m, MarkovSpec):
-            init.append(
-                tuple(
-                    (ctx, _log2(w))
-                    for ctx, w in sorted(m.initial_mixture().items())
-                )
-            )
-        else:
-            init.append((((), 0.0),))
-
-    def walk(
-        depth: int, forward: list[_Branches], logliks: list[float]
-    ) -> float:
-        if depth == t:
-            return 2.0 ** logliks[target_idx] * transform(
-                post_surprisal(logliks)
-            )
-        total = 0.0
-        for sym in range(k):
-            nf: list[_Branches] = []
-            nl: list[float] = []
-            for m_idx, member in enumerate(members):
-                memory = _spec_memory(member)
-                merged: dict[Context, float] = {}
-                for ctx, logw in forward[m_idx]:
-                    p = _conditional_probs(member, ctx)[sym]
-                    if p == 0.0:
-                        continue
-                    nxt = _advance(ctx, sym, memory)
-                    w = logw + math.log2(p)
-                    merged[nxt] = (
-                        _logsumexp2((merged[nxt], w)) if nxt in merged else w
+            scores = [log_prior[m] + ll[m] for m in range(n)]
+            norm = _logsumexp2(scores)
+            log_mult = math.log2(mult)
+            for j, i in enumerate(targets):
+                if ll[i] > -math.inf:
+                    totals[j] += 2.0 ** (log_mult + ll[i]) * transform(
+                        -(scores[i] - norm)
                     )
-                branches = tuple(sorted(merged.items()))
-                nf.append(branches)
-                nl.append(_logsumexp2([w for _, w in branches]))
-            if nl[target_idx] == -math.inf:
-                continue
-            total += walk(depth + 1, nf, nl)
-        return total
+        yield totals
 
-    return walk(0, init, [0.0] * n)
+        t += 1
+        for key in dead:
+            del layer[key]
+        previous, layer = layer, {}
+        for (prefix, window, steps), mult in previous.items():
+            for sym in range(k):
+                step = window * k + sym
+                if len(prefix) < memory:
+                    key = (prefix + (sym,), step % n_ctx, steps)
+                else:
+                    key = (prefix, step % n_ctx, _count_step(steps, step))
+                layer[key] = layer.get(key, 0) + mult
+            if len(layer) > _CLASS_LIMIT:
+                raise ComputationRefused(
+                    f"horizon {t} holds more than {_CLASS_LIMIT} sequence "
+                    "classes"
+                )
 
 
 def surprisal_moment(
@@ -968,7 +969,9 @@ def surprisal_moment(
     m: int,
 ) -> float:
     """m-th raw moment of the posterior surprisal of the ideal member
-    after t observations drawn from it, by exact enumeration."""
+    after t observations drawn from it, by exact enumeration: horizon t
+    of the class walk, refused beyond ENUM_LIMIT sequences or beyond
+    the walk's class limit."""
     if m < 1:
         raise ValueError(f"moment order must be >= 1, got {m}")
     if t < 0:
@@ -981,9 +984,8 @@ def surprisal_moment(
     pv = as_probvector(prior)
     idx = _member_index(ideal, hset)
     log_prior = tuple(_log2(w) for w in pv.probs)
-    return _enumerate_posterior_surprisal(
-        hset, log_prior, idx, t, lambda s: s**m
-    )
+    walk = _posterior_surprisal_walk(hset, log_prior, (idx,), lambda s: s**m)
+    return next(itertools.islice(walk, t, None))[0]
 
 
 @dataclass(frozen=True)
@@ -1012,23 +1014,24 @@ class SCEstimate:
 
 def _scan_crossing(
     target: float,
-    exact_fn: Callable[[int], float],
+    exact: Iterator[float],
     exact_t_max: int,
     make_mc: Callable[[], Callable[[int], tuple[list[float], list[float]]]],
     hard_max: int,
 ) -> SCEstimate:
     """Find the first t where a nonincreasing curve drops to the target.
 
-    ``exact_fn(t)`` gives exact curve values up to exact_t_max.  Only
-    when the scan passes that horizon is ``make_mc()`` called, once; the
-    function it returns maps t_hi to Monte Carlo estimates (means, ses)
-    for horizons 1 .. t_hi, reusing its sequence batch.
+    ``exact`` yields exact curve values for t = 0, 1, 2, ...; it is read
+    up to exact_t_max.  Only when the scan passes that horizon is
+    ``make_mc()`` called, once; the function it returns maps t_hi to
+    Monte Carlo estimates (means, ses) for horizons 1 .. t_hi, reusing
+    its sequence batch.
     """
-    prev = exact_fn(0)
+    prev = next(exact)
     if prev <= target:
         return SCEstimate(0.0, "prior-threshold", None, 0)
     for t in range(1, exact_t_max + 1):
-        cur = exact_fn(t)
+        cur = next(exact)
         if cur <= target:
             frac = (prev - target) / (prev - cur) if prev > cur else 1.0
             value = (t - 1) + frac
@@ -1083,7 +1086,7 @@ def _mc_curve_sampler(
     """Monte Carlo posterior-surprisal curves, extendable in t.
 
     Memoryless members only: anything else is refused (the exact walk
-    handles it within its enumeration limit).  One batch of sequences
+    handles it within its class limit).  One batch of sequences
     is extended lazily and reused across calls, so estimates at
     different horizons share randomness but each is unbiased.
     """
@@ -1157,10 +1160,13 @@ def expected_sc_evaluator(
     """Horizon at which the ideal member's expected posterior surprisal
     drops to -log2 p, when data comes from the ideal itself.
 
-    Exact enumeration carries the curve to ``exact_t_max``; a Monte
-    Carlo extension with confidence bounds takes over beyond, for
-    memoryless members only (finite-memory members whose crossing lies
-    past ``exact_t_max`` raise ComputationRefused).  A prior
+    The exact class walk carries the curve to ``exact_t_max``, horizon
+    by horizon, and raises ComputationRefused if a horizon on the way
+    holds more than _CLASS_LIMIT sequence classes (iid members with up
+    to 6 symbols, and binary chains of memory up to 4, stay below it to
+    t = 16).  A Monte Carlo extension with confidence bounds takes over
+    beyond, for memoryless members only (finite-memory members whose
+    crossing lies past ``exact_t_max`` raise ComputationRefused).  A prior
     already at the threshold answers 0; a posterior ceiling below the
     threshold (duplicate of the ideal, zero prior) is reported as
     unreachable.
@@ -1182,11 +1188,12 @@ def expected_sc_evaluator(
         return SCEstimate(math.inf, "unreachable-threshold", None, None)
 
     log_prior = tuple(_log2(w) for w in pv.probs)
-
-    def exact(t: int) -> float:
-        return _enumerate_posterior_surprisal(
-            hset, log_prior, idx, t, lambda s: s
+    exact = (
+        values[0]
+        for values in _posterior_surprisal_walk(
+            hset, log_prior, (idx,), lambda s: s
         )
+    )
 
     def make_mc() -> Callable[[int], tuple[list[float], list[float]]]:
         return _mc_curve_sampler(
@@ -1227,15 +1234,12 @@ def expected_sc_predictive(
 
     log_prior = tuple(_log2(w) for w in pv.probs)
     support = [i for i in range(len(hset)) if pv[i] > 0.0]
-
-    def exact(t: int) -> float:
-        return math.fsum(
-            pv[i]
-            * _enumerate_posterior_surprisal(
-                hset, log_prior, i, t, lambda s: s
-            )
-            for i in support
+    exact = (
+        math.fsum(pv[i] * v for i, v in zip(support, values))
+        for values in _posterior_surprisal_walk(
+            hset, log_prior, support, lambda s: s
         )
+    )
 
     cum = []
     acc = 0.0

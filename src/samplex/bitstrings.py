@@ -17,13 +17,10 @@ comparisons, which is what the counter ``i`` reports.
 from __future__ import annotations
 
 import bisect
-import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
-
-logger = logging.getLogger(__name__)
 
 _ALPHABET = frozenset("01")
 
@@ -436,74 +433,3 @@ def identify_tree(
             IdStatus.UNDETERMINED, 0, consumed, tuple(in_play)
         )
     return IdOutcome(IdStatus.FALSIFIED, 0, consumed, ())
-
-
-def substring_identify(
-    hset: SortedHypothesisSet, query: str, start: int, length: int
-) -> IdOutcome:
-    """Identify a window of the query against the same window of members.
-
-    ``start`` is 1-based.  Members too short to cover the window drop
-    out; the surviving windows are deduplicated and sorted, so partial
-    indices refer to that derived set, not the original members.
-    """
-    _check_bits(query, "query")
-    if start < 1 or length < 1:
-        raise ValueError(
-            f"window start {start} and length {length} must be >= 1"
-        )
-    end = start - 1 + length
-    if end > len(query):
-        raise ValueError(
-            f"window [{start}, {end}] exceeds query length {len(query)}"
-        )
-    fragment = query[start - 1 : end]
-    windows = {
-        m[start - 1 : end] for m in hset.members if len(m) >= end
-    }
-    derived = SortedHypothesisSet(tuple(sorted(windows)))
-    return identify_sorted(derived, fragment, 0.0)
-
-
-def grow_known_set(
-    hset: SortedHypothesisSet, query: str
-) -> SortedHypothesisSet:
-    """Insert a (typically just-falsified) query as a new member.
-
-    Re-inserting an existing member is a no-op, logged rather than
-    raised so identification pipelines can call this unconditionally.
-    """
-    _check_bits(query, "query")
-    if not query:
-        raise ValueError("cannot insert an empty member")
-    pos = bisect.bisect_left(hset.members, query)
-    if pos < len(hset.members) and hset.members[pos] == query:
-        logger.info("grow_known_set: %r already present, set unchanged", query)
-        return hset
-    grown = hset.members[:pos] + (query,) + hset.members[pos:]
-    return SortedHypothesisSet(grown)
-
-
-def load_hypothesis_set(lines: Iterable[str]) -> SortedHypothesisSet:
-    """Read a hypothesis set from text, one member per line.
-
-    Blank lines and ``#`` comments are skipped.  A leading ``sorted``
-    header promises the members are already in order (it is an error if
-    they are not); without it the loader sorts for you.
-    """
-    entries: list[str] = []
-    claimed_sorted = False
-    first = True
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if first and line.lower() == "sorted":
-            claimed_sorted = True
-            first = False
-            continue
-        first = False
-        entries.append(line)
-    if claimed_sorted:
-        return SortedHypothesisSet(tuple(entries))
-    return SortedHypothesisSet.from_unsorted(entries)

@@ -194,9 +194,7 @@ class MarkovSpec:
     memory: int
     transitions: Mapping[Context, IidSpec]
     init: tuple[str, object]
-    _stationary_cache: dict = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.memory < 0:
@@ -302,8 +300,8 @@ class MarkovSpec:
         Damping (pi <- pi/2 + pi.P/2) removes periodicity, so the
         iteration converges for every irreducible chain.
         """
-        if "pi" in self._stationary_cache:
-            return self._stationary_cache["pi"]
+        if "pi" in self._cache:
+            return self._cache["pi"]
         self._check_ergodic()
         ctxs = self.contexts()
         index = {c: i for i, c in enumerate(ctxs)}
@@ -322,7 +320,7 @@ class MarkovSpec:
                 break
             pi = nxt
         result = tuple(pi)
-        self._stationary_cache["pi"] = result
+        self._cache["pi"] = result
         return result
 
     def _check_stationary(self, pv: ProbVector) -> None:
@@ -351,6 +349,23 @@ class MarkovSpec:
         pi = self.stationary_distribution()
         return {c: pi[i] for i, c in enumerate(ctxs) if pi[i] > 0.0}
 
+    def draw_start(self, source: BitSource) -> Context:
+        """Draw the hidden initial context that ``init`` describes.
+
+        The sampler over contexts is built once per spec and cached
+        beside the stationary law.
+        """
+        mode, payload = self.init
+        if mode == "context":
+            return payload  # type: ignore[return-value]
+        if "start" not in self._cache:
+            if mode == "distribution":
+                weights = as_probvector(payload).probs  # type: ignore[arg-type]
+            else:
+                weights = self.stationary_distribution()
+            self._cache["start"] = IidSpec.from_probs(weights)
+        return self.contexts()[sample_discrete(self._cache["start"], source)]
+
     def block_distribution(self, t: int) -> dict[tuple[int, ...], float]:
         if self.alphabet_size**t > ENUM_LIMIT:
             raise ComputationRefused(
@@ -374,28 +389,11 @@ class MarkovSpec:
         return out
 
 
-def markov_step(spec: MarkovSpec, ctx: Context) -> IidSpec:
-    """Next-symbol distribution in the given context."""
-    try:
-        return spec.transitions[ctx]
-    except KeyError:
-        raise KeyError(f"unknown context {_context_str(ctx)}") from None
-
-
 def markov_sample(spec: MarkovSpec, t: int, source: BitSource) -> tuple[int, ...]:
     """Emit t symbols.  The initial context is hidden state, not output."""
     if t < 0:
         raise ValueError(f"sample length must be >= 0, got {t}")
-    mode, payload = spec.init
-    if mode == "context":
-        ctx: Context = payload  # type: ignore[assignment]
-    else:
-        ctxs = spec.contexts()
-        if mode == "distribution":
-            weights = list(as_probvector(payload).probs)  # type: ignore[arg-type]
-        else:
-            weights = list(spec.stationary_distribution())
-        ctx = ctxs[sample_discrete(IidSpec.from_probs(weights), source)]
+    ctx = spec.draw_start(source)
     out = []
     for _ in range(t):
         sym = sample_discrete(spec.transitions[ctx], source)

@@ -235,6 +235,23 @@ def surprisal_moment_direct(
     return total
 
 
+def posterior_surprisal_reference(hset, prior, target: int, t: int, transform) -> float:
+    """E[transform(-log2 posterior(target))] over length-t sequences drawn
+    from the target member, by definition: every sequence from
+    itertools.product, scored by stepping posterior_update from the
+    prior."""
+    total = 0.0
+    for seq in itertools.product(range(hset.alphabet_size), repeat=t):
+        state = PosteriorState.from_prior(hset, prior)
+        for sym in seq:
+            state = posterior_update(state, sym)
+        if state.loglik[target] == -math.inf:
+            continue
+        surprisal = -state.log_posterior()[target]
+        total += 2.0 ** state.loglik[target] * transform(surprisal)
+    return total
+
+
 def surprisal_moment_product_form(ideal, hset, prior, t: int, m: int) -> float:
     """Closed-form candidate for the m-th posterior-surprisal moment.
 

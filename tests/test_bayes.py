@@ -27,6 +27,7 @@ from samplex import (
     expected_sc_predictive,
     falsification_bounds,
     hypothesis_count_bound,
+    markov_sample,
     mc_sample_complexity,
     mc_surprisal_moment_curve,
     posterior_predictive,
@@ -41,6 +42,7 @@ from samplex import (
 from oracles import (
     hand_posterior,
     mc_stopping_reference,
+    posterior_surprisal_reference,
     surprisal_moment_direct,
     surprisal_moment_product_form,
 )
@@ -51,6 +53,18 @@ B95 = IidSpec.from_probs([0.05, 0.95])
 MIRROR = IidSpec.from_probs([0.9, 0.1])
 PAIR = HypothesisSet((B5, B9))
 UNIFORM = (0.5, 0.5)
+
+
+def chain(memory, zeros, init=("stationary", None)):
+    """Binary chain; zeros[j] is the probability of a 0 after the j-th
+    context in lexicographic order."""
+    ctxs = [(0,), (1,)] if memory == 1 else [(0, 0), (0, 1), (1, 0), (1, 1)]
+    rows = {c: IidSpec.from_probs([a, 1 - a]) for c, a in zip(ctxs, zeros)}
+    return MarkovSpec(memory, rows, init)
+
+
+def m1(a, b, init=("stationary", None)):
+    return chain(1, (a, b), init)
 
 
 def run_posterior(hset, prior, observations):
@@ -338,15 +352,6 @@ class TestMCSampleComplexity:
         assert report.dist.censored == 0
 
     def test_trial_loop_matches_the_oracle(self):
-        def chain(memory, zeros, init=("stationary", None)):
-            # zeros[j]: probability of a 0 after the j-th context
-            ctxs = [(0,), (1,)] if memory == 1 else [(0, 0), (0, 1), (1, 0), (1, 1)]
-            rows = {c: IidSpec.from_probs([a, 1 - a]) for c, a in zip(ctxs, zeros)}
-            return MarkovSpec(memory, rows, init)
-
-        def m1(a, b, init=("stationary", None)):
-            return chain(1, (a, b), init)
-
         close = IidSpec.from_probs([0.4375, 0.5625])
         ones_only = IidSpec.from_probs([0.0, 1.0])
         sticky = m1(0.125, 0.875)
@@ -406,6 +411,21 @@ class TestMCSampleComplexity:
             assert dict(got.dist.counts) == counts, n
             assert got.decisions == decisions, n
             assert got.dist.censored == decisions["Undetermined"], n
+
+    def test_trial_sampler_draws_what_markov_sample_draws(self):
+        skewed = (0.125, 0.625, 0.5, 0.875)
+        # a start distribution must be stationary: uniform for a fair chain
+        starts = (
+            (skewed, ("stationary", None)),
+            (skewed, ("context", (1, 0))),
+            ((0.5, 0.5, 0.5, 0.5), ("distribution", (0.25, 0.25, 0.25, 0.25))),
+        )
+        for zeros, init in starts:
+            spec = chain(2, zeros, init)
+            for seed in range(5):
+                sampler = samplex.bayes._IdealSampler(spec, BitSource(seed))
+                steps = tuple(sampler.step() for _ in range(30))
+                assert steps == markov_sample(spec, 30, BitSource(seed)), init
 
     def test_unreachable_certainty_censors_every_trial(self):
         report = mc_sample_complexity(
@@ -496,6 +516,88 @@ class TestSurprisalMoments:
         assert a == b
 
 
+def _walk(hset, prior, targets, transform, t_max):
+    log_prior = [math.log2(w) if w > 0.0 else -math.inf for w in prior]
+    walk = samplex.bayes._posterior_surprisal_walk(
+        hset, log_prior, targets, transform
+    )
+    return [next(walk) for _ in range(t_max + 1)]
+
+
+def _crossing(curve, target):
+    """Interpolated first crossing of a nonincreasing curve."""
+    for t in range(1, len(curve)):
+        if curve[t] <= target:
+            return (t - 1) + (curve[t - 1] - target) / (curve[t - 1] - curve[t])
+    raise AssertionError("curve does not reach the target")
+
+
+class TestPosteriorSurprisalWalk:
+    TRANSFORMS = ((lambda s: s), (lambda s: s * s))
+
+    def check(self, hset, prior, targets, t_max=8):
+        for transform in self.TRANSFORMS:
+            curve = _walk(hset, prior, targets, transform, t_max)
+            for t, values in enumerate(curve):
+                for target, got in zip(targets, values):
+                    want = posterior_surprisal_reference(
+                        hset, prior, target, t, transform
+                    )
+                    assert got == pytest.approx(want, rel=1e-9), (target, t)
+
+    def test_binary_iid_with_a_deterministic_member(self):
+        zeros_only = IidSpec.from_probs([1.0, 0.0])
+        hset = HypothesisSet((B5, zeros_only, B9))
+        self.check(hset, (0.25, 0.25, 0.5), (0,))
+        self.check(hset, (0.25, 0.25, 0.5), (1,))
+        # a confident prior on the wrong member
+        self.check(HypothesisSet((B5, B9)), (0.05, 0.95), (0,))
+
+    def test_three_symbol_iid(self):
+        hset = HypothesisSet(
+            (
+                IidSpec.from_probs([0.25, 0.25, 0.5]),
+                IidSpec.from_probs([0.625, 0.25, 0.125]),
+                IidSpec.from_probs([0.0, 0.5, 0.5]),
+            )
+        )
+        self.check(hset, (0.3, 0.3, 0.4), (0,))
+        self.check(hset, (0.3, 0.3, 0.4), (2,))
+
+    def test_memory_one_with_every_start(self):
+        hset = HypothesisSet(
+            (
+                m1(0.2, 0.9),
+                m1(0.0, 0.6, ("context", (1,))),  # never a 0 after a 0
+                m1(0.5, 0.5, ("distribution", (0.5, 0.5))),
+            )
+        )
+        for target in range(3):
+            self.check(hset, (0.5, 0.25, 0.25), (target,))
+
+    def test_memory_two(self):
+        m2a = chain(2, (0.125, 0.625, 0.5, 0.875), ("context", (0, 1)))
+        m2b = chain(2, (0.75, 0.25, 0.5, 0.125))
+        self.check(HypothesisSet((m2a, m2b)), (0.4, 0.6), (1,))
+
+    def test_several_targets_in_one_pass(self):
+        hset = HypothesisSet((B5, B9, IidSpec.from_probs([0.0, 1.0])))
+        self.check(hset, (0.5, 0.3, 0.2), (0, 1, 2))
+        self.check(
+            HypothesisSet((m1(0.2, 0.9), m1(0.1, 0.6))), (0.5, 0.5), (0, 1)
+        )
+
+    def test_refuses_a_horizon_past_the_class_limit(self, monkeypatch):
+        monkeypatch.setattr(samplex.bayes, "_CLASS_LIMIT", 10)
+        three = HypothesisSet(
+            (IidSpec.from_probs([0.25, 0.25, 0.5]), IidSpec.from_probs([0.5, 0.25, 0.25]))
+        )
+        # compositions of t into three parts: 10 at t = 3, 15 at t = 4
+        assert len(_walk(three, UNIFORM, (0,), lambda s: s, 3)) == 4
+        with pytest.raises(ComputationRefused):
+            _walk(three, UNIFORM, (0,), lambda s: s, 4)
+
+
 class TestExpectedSampleComplexity:
     def test_pinned_crossing(self):
         est = expected_sc_evaluator(B5, PAIR, UNIFORM, 0.9)
@@ -529,6 +631,43 @@ class TestExpectedSampleComplexity:
     def test_prior_averaged_variant(self):
         est = expected_sc_predictive(PAIR, UNIFORM, 0.9)
         assert est.value == pytest.approx(13.446060752821765)
+
+    def test_zero_probability_member_gives_the_closed_form(self):
+        # only the all-zeros sequence keeps iid(1, 0) alive, so
+        # E_t = 2^-t log2(1 + 2^t)
+        zeros_only = IidSpec.from_probs([1.0, 0.0])
+        est = expected_sc_evaluator(
+            B5, HypothesisSet((B5, zeros_only)), UNIFORM, 0.9
+        )
+        curve = [2.0**-t * math.log2(1 + 2**t) for t in range(10)]
+        assert est.method == "enumeration"
+        assert est.value == pytest.approx(_crossing(curve, -math.log2(0.9)), rel=1e-12)
+        assert est.value == pytest.approx(5.088675105002863, rel=1e-12)
+
+    def test_three_symbol_pair_matches_the_multinomial_sum(self):
+        ideal = (0.25, 0.25, 0.5)
+        other = (0.625, 0.25, 0.125)
+
+        def expected_surprisal(t):
+            total = 0.0
+            for a in range(t + 1):
+                for b in range(t + 1 - a):
+                    c = t - a - b
+                    ways = math.factorial(t) // (
+                        math.factorial(a) * math.factorial(b) * math.factorial(c)
+                    )
+                    p = ideal[0] ** a * ideal[1] ** b * ideal[2] ** c
+                    q = other[0] ** a * other[1] ** b * other[2] ** c
+                    total += ways * p * math.log2(1 + q / p)
+            return total
+
+        spec = IidSpec.from_probs(ideal)
+        hset = HypothesisSet((spec, IidSpec.from_probs(other)))
+        est = expected_sc_evaluator(spec, hset, UNIFORM, 0.9)
+        curve = [expected_surprisal(t) for t in range(17)]
+        assert est.method == "enumeration"
+        assert est.value == pytest.approx(_crossing(curve, -math.log2(0.9)), rel=1e-12)
+        assert est.value == pytest.approx(13.833133838285546, rel=1e-12)
 
     def test_mc_extension_brackets_the_analytic_value(self):
         est = expected_sc_evaluator(
