@@ -18,18 +18,22 @@ band form is used throughout (typical_membership reports it directly).
 
 Expected-sample-complexity threshold equations are implicit in t and
 the naive fixed-point iteration repels; the solver instead scans the
-monotone expectation curve for the threshold crossing.  At small
-horizons the curve is exact: one walk serves every member kind by
-merging sequences into classes that every member scores alike (the
-first ``memory`` symbols, the current window, and the count of each
-(context, symbol) step), which for memoryless members are the symbol
-compositions.  A horizon with more than _CLASS_LIMIT classes is
-refused.  Beyond the exact horizon a Monte Carlo curve takes over, for
-memoryless members only.
+monotone expectation curve for the threshold crossing.  One class walk
+computes the posterior-surprisal curve and its moments.  It merges
+sequences into classes that every member scores alike (the first
+``memory`` symbols, the current window, and the count of each (context,
+symbol) step), which for memoryless members are the symbol
+compositions, and scores every class the same way.  Stepping every
+symbol gives the exact curve, refused past _CLASS_LIMIT classes per
+horizon; letting a seeded population draw its symbols gives the Monte
+Carlo curve beyond the exact horizon and the importance-sampled
+moments, for memoryless members only.
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import itertools
 import math
 import random
@@ -41,7 +45,6 @@ from typing import Callable, Iterator, Sequence
 from .bitstrings import resolution_cap
 from .info import (
     ComputationRefused,
-    ENUM_LIMIT,
     ProbVector,
     as_probvector,
     cross_entropy,
@@ -875,27 +878,48 @@ def _count_step(steps: tuple[int, ...], step: int) -> tuple[int, ...]:
     return steps + (step, 1)
 
 
-def _posterior_surprisal_walk(
+def _cumulative(probs: Sequence[float]) -> list[float]:
+    """Partial sums of every probability but the last, for ``_draw_counts``."""
+    return list(itertools.accumulate(probs[:-1]))
+
+
+def _draw_counts(rng: random.Random, cum: list[float], n: int) -> list[int]:
+    """Outcome counts of n inverse-CDF draws from ``rng``; outcome j is
+    the first with u < cum[j], else the last."""
+    counts = [0] * (len(cum) + 1)
+    draw = rng.random
+    for _ in range(n):
+        counts[bisect.bisect_right(cum, draw())] += 1
+    return counts
+
+
+def _class_walk(
     hset: HypothesisSet,
     log_prior: Sequence[float],
     targets: Sequence[int],
-    transform: Callable[[float], float],
-) -> Iterator[list[float]]:
-    """Yield, for t = 0, 1, 2, ..., E[transform(-log2 posterior(i))]
-    over sequences of length t drawn from member i, for each target i,
-    by exact enumeration.
+    population: dict[int | None, int],
+    rng: random.Random | None = None,
+) -> Iterator[list[tuple[int | None, int, list[float], list[float]]]]:
+    """Yield, for t = 0, 1, 2, ..., the sequence classes of horizon t,
+    each scored as (generator, multiplicity, log2 likelihood under every
+    member, posterior surprisal of every member).
 
-    Sequences are merged into classes that every member scores alike:
-    the first ``memory`` symbols (which fix each chain's hidden start),
-    the current window, and the count of each (context, symbol) step
-    since then, kept as sorted (step, count) pairs with no zero counts.
-    Each class carries the number of sequences it holds; for memoryless
-    members the classes are the compositions of t.  A class is scored
-    as the prefix's ``sequence_log_probability`` plus count x
-    log-probability over its counts, and dropped once every target
-    rules it out.  Horizon t is built only when asked for, and is
-    refused (ComputationRefused) once it holds more than _CLASS_LIMIT
-    classes.
+    A class holds the sequences that every member scores alike: the
+    first ``memory`` symbols (which fix each chain's hidden start), the
+    current window, and the count of each (context, symbol) step since
+    then, kept as sorted (step, count) pairs with no zero counts.  For
+    memoryless members the classes are the symbol compositions.  A class
+    is scored as the prefix's ``sequence_log_probability`` plus count x
+    log-probability over its counts, and dropped once every target rules
+    it out.
+
+    ``population`` maps a generator to its number of sequences at t = 0.
+    Without ``rng`` the walk is exact: the generator is None, every class
+    steps every symbol, and a horizon with more than _CLASS_LIMIT classes
+    is refused (ComputationRefused).  With ``rng`` the walk samples: each
+    of a class's sequences draws its next symbol from its generating
+    member, which must be memoryless.  Horizon t is built only when
+    asked for.
     """
     members = hset.members
     n = len(members)
@@ -908,19 +932,18 @@ def _posterior_surprisal_walk(
         [_log2(p) for ctx in contexts for p in _conditional_probs(m, ctx).probs]
         for m in members
     ]
+    if rng is not None:
+        cum = [_cumulative(m.dist.probs) for m in members]  # type: ignore[union-attr]
     prefix_ll: dict[Context, list[float]] = {}
-    # class key: (first symbols, window as a context index, flat
-    # (step, count) pairs with step = context * k + symbol) -> number
-    # of sequences in the class
-    layer: dict[tuple[Context, int, tuple[int, ...]], int] = {
-        ((), 0, ()): 1
-    }
-    t = 0
-    while True:
-        totals = [0.0] * len(targets)
+    # class key: (generator, first symbols, window as a context index,
+    # flat (step, count) pairs with step = context * k + symbol) ->
+    # number of sequences in the class
+    layer = {(gen, (), 0, ()): mult for gen, mult in population.items()}
+    for t in itertools.count(1):
+        scored = []
         dead = []
         for key, mult in layer.items():
-            prefix, _window, steps = key
+            gen, prefix, _window, steps = key
             if prefix not in prefix_ll:
                 prefix_ll[prefix] = [
                     -sequence_log_probability(m, prefix) for m in members
@@ -934,31 +957,52 @@ def _posterior_surprisal_walk(
                 continue
             scores = [log_prior[m] + ll[m] for m in range(n)]
             norm = _logsumexp2(scores)
-            log_mult = math.log2(mult)
-            for j, i in enumerate(targets):
-                if ll[i] > -math.inf:
-                    totals[j] += 2.0 ** (log_mult + ll[i]) * transform(
-                        -(scores[i] - norm)
-                    )
-        yield totals
+            scored.append((gen, mult, ll, [-(s - norm) for s in scores]))
+        yield scored
 
-        t += 1
         for key in dead:
             del layer[key]
         previous, layer = layer, {}
-        for (prefix, window, steps), mult in previous.items():
-            for sym in range(k):
+        for (gen, prefix, window, steps), mult in previous.items():
+            counts = (
+                [mult] * k if rng is None else _draw_counts(rng, cum[gen], mult)
+            )
+            for sym, cnt in enumerate(counts):
+                if not cnt:
+                    continue
                 step = window * k + sym
                 if len(prefix) < memory:
-                    key = (prefix + (sym,), step % n_ctx, steps)
+                    key = (gen, prefix + (sym,), step % n_ctx, steps)
                 else:
-                    key = (prefix, step % n_ctx, _count_step(steps, step))
-                layer[key] = layer.get(key, 0) + mult
-            if len(layer) > _CLASS_LIMIT:
+                    key = (gen, prefix, step % n_ctx, _count_step(steps, step))
+                layer[key] = layer.get(key, 0) + cnt
+            if rng is None and len(layer) > _CLASS_LIMIT:
                 raise ComputationRefused(
                     f"horizon {t} holds more than {_CLASS_LIMIT} sequence "
                     "classes"
                 )
+
+
+def _posterior_surprisal_walk(
+    hset: HypothesisSet,
+    log_prior: Sequence[float],
+    targets: Sequence[int],
+    transform: Callable[[float], float],
+) -> Iterator[list[float]]:
+    """Yield, for t = 0, 1, 2, ..., E[transform(-log2 posterior(i))]
+    over sequences of length t drawn from member i, for each target i,
+    by exact enumeration over the classes of ``_class_walk`` (refused
+    past its class limit)."""
+    for classes in _class_walk(hset, log_prior, targets, {None: 1}):
+        totals = [0.0] * len(targets)
+        for _gen, mult, ll, surprisal in classes:
+            log_mult = math.log2(mult)
+            for j, i in enumerate(targets):
+                if ll[i] > -math.inf:
+                    totals[j] += 2.0 ** (log_mult + ll[i]) * transform(
+                        surprisal[i]
+                    )
+        yield totals
 
 
 def surprisal_moment(
@@ -970,17 +1014,11 @@ def surprisal_moment(
 ) -> float:
     """m-th raw moment of the posterior surprisal of the ideal member
     after t observations drawn from it, by exact enumeration: horizon t
-    of the class walk, refused beyond ENUM_LIMIT sequences or beyond
-    the walk's class limit."""
+    of the class walk, refused beyond the walk's class limit."""
     if m < 1:
         raise ValueError(f"moment order must be >= 1, got {m}")
     if t < 0:
         raise ValueError(f"horizon must be >= 0, got {t}")
-    if hset.alphabet_size**t > ENUM_LIMIT:
-        raise ComputationRefused(
-            f"enumerating {hset.alphabet_size}**{t} sequences exceeds "
-            f"the {ENUM_LIMIT} limit"
-        )
     pv = as_probvector(prior)
     idx = _member_index(ideal, hset)
     log_prior = tuple(_log2(w) for w in pv.probs)
@@ -1014,61 +1052,45 @@ class SCEstimate:
 
 def _scan_crossing(
     target: float,
-    exact: Iterator[float],
-    exact_t_max: int,
-    make_mc: Callable[[], Callable[[int], tuple[list[float], list[float]]]],
+    curve: Iterator[tuple[float, float | None]],
     hard_max: int,
 ) -> SCEstimate:
     """Find the first t where a nonincreasing curve drops to the target.
 
-    ``exact`` yields exact curve values for t = 0, 1, 2, ...; it is read
-    up to exact_t_max.  Only when the scan passes that horizon is
-    ``make_mc()`` called, once; the function it returns maps t_hi to
-    Monte Carlo estimates (means, ses) for horizons 1 .. t_hi, reusing
-    its sequence batch.
+    ``curve`` yields (value, se) for t = 0, 1, 2, ...: exact values carry
+    se None, Monte Carlo values their standard error.  The scan stops at
+    the first horizon whose upper bound value + 1.96 se reaches the
+    target, or at hard_max.  A crossing at an exact value is reported as
+    enumeration; otherwise the estimate and both ends of its confidence
+    interval are first crossings of value + offset x se.
     """
-    prev = next(exact)
-    if prev <= target:
-        return SCEstimate(0.0, "prior-threshold", None, 0)
-    for t in range(1, exact_t_max + 1):
-        cur = next(exact)
-        if cur <= target:
-            frac = (prev - target) / (prev - cur) if prev > cur else 1.0
-            value = (t - 1) + frac
-            return SCEstimate(value, "enumeration", None, t)
-        prev = cur
-
-    mc = make_mc()
-    t_hi = exact_t_max
-    means: list[float] = []
-    ses: list[float] = []
-    while t_hi < hard_max:
-        t_hi = min(hard_max, max(2 * t_hi, t_hi + 16))
-        means, ses = mc(t_hi)
-        means, ses = means[exact_t_max:], ses[exact_t_max:]
-        if means[-1] + 1.96 * ses[-1] <= target:
+    points: list[tuple[float, float]] = []
+    for t, (value, se) in enumerate(curve):
+        if se is None and value <= target:
+            if t == 0:
+                return SCEstimate(0.0, "prior-threshold", None, 0)
+            prev = points[-1][0]
+            frac = (prev - target) / (prev - value) if prev > value else 1.0
+            return SCEstimate((t - 1) + frac, "enumeration", None, t)
+        points.append((value, se or 0.0))
+        if value + 1.96 * (se or 0.0) <= target or t >= hard_max:
             break
-    curve = [(exact_t_max, prev, 0.0)] + [
-        (exact_t_max + 1 + i, means[i], ses[i]) for i in range(len(means))
-    ]
 
     def crossing(offset: float) -> float | None:
-        last_t, last_v = curve[0][0], curve[0][1] + offset * curve[0][2]
-        if last_v <= target:
-            return float(last_t)
-        for tt, mean, se in curve[1:]:
+        last_v = points[0][0]
+        for t, (mean, se) in enumerate(points[1:], 1):
             v = mean + offset * se
             if v <= target:
                 frac = (last_v - target) / (last_v - v) if last_v > v else 1.0
-                return (tt - 1) + frac
-            last_t, last_v = tt, v
+                return (t - 1) + frac
+            last_v = v
         return None
 
     mid = crossing(0.0)
     lo = crossing(-1.96)
     hi = crossing(1.96)
     if mid is None:
-        tail = ", ".join(f"{v:.6g}" for _, v, _ in curve[-2:])
+        tail = ", ".join(f"{v:.6g}" for v, _ in points[-2:])
         return SCEstimate(
             math.inf, f"not-converged (last values {tail})", None, None
         )
@@ -1076,76 +1098,45 @@ def _scan_crossing(
     return SCEstimate(mid, "monte-carlo", ci, math.ceil(mid))
 
 
-def _mc_curve_sampler(
-    draw_target: Callable[[random.Random], int],
+def _surprisal_curve(
     hset: HypothesisSet,
     log_prior: tuple[float, ...],
+    weights: dict[int, float],
+    exact_t_max: int,
     sequences: int,
     seed: int | str,
-) -> Callable[[int], tuple[list[float], list[float]]]:
-    """Monte Carlo posterior-surprisal curves, extendable in t.
+) -> Iterator[tuple[float, float | None]]:
+    """Yield (value, se) for t = 0, 1, 2, ...: the expected posterior
+    surprisal of a member drawn with ``weights`` (summing to 1), on
+    sequences drawn from that member.
 
-    Memoryless members only: anything else is refused (the exact walk
-    handles it within its class limit).  One batch of sequences
-    is extended lazily and reused across calls, so estimates at
-    different horizons share randomness but each is unbiased.
+    The exact class walk gives the values (se None) up to exact_t_max,
+    or up to the first horizon past its class limit.  From there on a
+    Monte Carlo population of ``sequences`` takes over, for memoryless
+    members only: its generators are drawn with ``weights``, and a value
+    is the mean of the generator's surprisal, with its standard error.
     """
-    members = hset.members
-    if not all(isinstance(m, IidSpec) for m in members):
+    targets = list(weights)
+    t = 0
+    walk = _posterior_surprisal_walk(hset, log_prior, targets, lambda s: s)
+    # past the class limit, Monte Carlo takes over at the refused horizon t
+    with contextlib.suppress(ComputationRefused):
+        for values in itertools.islice(walk, exact_t_max + 1):
+            yield math.fsum(weights[i] * v for i, v in zip(targets, values)), None
+            t += 1
+    if not all(isinstance(m, IidSpec) for m in hset.members):
         raise ComputationRefused(
-            "the crossing lies beyond the exact horizon and the Monte "
-            "Carlo curve supports memoryless members only"
+            f"the crossing lies past horizon {t - 1}, the last exact one, "
+            "and the Monte Carlo curve supports memoryless members only"
         )
-    n = len(members)
-    k = hset.alphabet_size
-    logt = [[_log2(p) for p in m.dist.probs] for m in members]  # type: ignore[union-attr]
-    cumulative = []
-    for m in members:
-        acc, row = 0.0, []
-        for p in m.dist.probs:  # type: ignore[union-attr]
-            acc += p
-            row.append(acc)
-        cumulative.append(row)
     rng = random.Random(f"{seed}:curve")
-    targets = [draw_target(rng) for _ in range(sequences)]
-    logliks = [[0.0] * n for _ in range(sequences)]
-    done_t = 0
-    sums: list[float] = []
-    sumsq: list[float] = []
-
-    def extend(t_hi: int) -> tuple[list[float], list[float]]:
-        nonlocal done_t
-        while done_t < t_hi:
-            done_t += 1
-            total = 0.0
-            total_sq = 0.0
-            for s_idx in range(sequences):
-                c = targets[s_idx]
-                u = rng.random()
-                sym = k - 1
-                for j in range(k - 1):
-                    if u < cumulative[c][j]:
-                        sym = j
-                        break
-                ll = logliks[s_idx]
-                for mm in range(n):
-                    ll[mm] += logt[mm][sym]
-                scores = [log_prior[mm] + ll[mm] for mm in range(n)]
-                surp = -(scores[c] - _logsumexp2(scores))
-                total += surp
-                total_sq += surp * surp
-            sums.append(total)
-            sumsq.append(total_sq)
-        means = [sums[i] / sequences for i in range(t_hi)]
-        ses = [
-            math.sqrt(
-                max(0.0, sumsq[i] / sequences - means[i] ** 2) / sequences
-            )
-            for i in range(t_hi)
-        ]
-        return means, ses
-
-    return extend
+    counts = _draw_counts(rng, _cumulative(list(weights.values())), sequences)
+    population = {i: c for i, c in zip(targets, counts) if c}
+    walk = _class_walk(hset, log_prior, targets, population, rng)
+    for classes in itertools.islice(walk, t, None):
+        mean = math.fsum(m * s[g] for g, m, _, s in classes) / sequences
+        square = math.fsum(m * s[g] ** 2 for g, m, _, s in classes) / sequences
+        yield mean, math.sqrt(max(0.0, square - mean**2) / sequences)
 
 
 def expected_sc_evaluator(
@@ -1160,16 +1151,16 @@ def expected_sc_evaluator(
     """Horizon at which the ideal member's expected posterior surprisal
     drops to -log2 p, when data comes from the ideal itself.
 
-    The exact class walk carries the curve to ``exact_t_max``, horizon
-    by horizon, and raises ComputationRefused if a horizon on the way
-    holds more than _CLASS_LIMIT sequence classes (iid members with up
-    to 6 symbols, and binary chains of memory up to 4, stay below it to
-    t = 16).  A Monte Carlo extension with confidence bounds takes over
-    beyond, for memoryless members only (finite-memory members whose
-    crossing lies past ``exact_t_max`` raise ComputationRefused).  A prior
-    already at the threshold answers 0; a posterior ceiling below the
-    threshold (duplicate of the ideal, zero prior) is reported as
-    unreachable.
+    The exact class walk carries the curve to ``exact_t_max``, or to
+    the last horizon within _CLASS_LIMIT sequence classes (iid members
+    with up to 6 symbols, and binary chains of memory up to 4, stay
+    within it to t = 16).  Beyond, the same walk over a Monte Carlo
+    population of ``sequences`` gives estimates with confidence bounds,
+    for memoryless members over any alphabet; finite-memory members
+    whose crossing lies past the exact horizon raise ComputationRefused.
+    A prior already at the threshold answers 0; a posterior ceiling
+    below the threshold (duplicate of the ideal, zero prior) is reported
+    as unreachable.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"verification level must be in (0, 1], got {p!r}")
@@ -1188,19 +1179,10 @@ def expected_sc_evaluator(
         return SCEstimate(math.inf, "unreachable-threshold", None, None)
 
     log_prior = tuple(_log2(w) for w in pv.probs)
-    exact = (
-        values[0]
-        for values in _posterior_surprisal_walk(
-            hset, log_prior, (idx,), lambda s: s
-        )
+    curve = _surprisal_curve(
+        hset, log_prior, {idx: 1.0}, exact_t_max, sequences, seed
     )
-
-    def make_mc() -> Callable[[int], tuple[list[float], list[float]]]:
-        return _mc_curve_sampler(
-            lambda _rng: idx, hset, log_prior, sequences, seed
-        )
-
-    return _scan_crossing(target, exact, exact_t_max, make_mc, _HARD_T_MAX)
+    return _scan_crossing(target, curve, _HARD_T_MAX)
 
 
 def expected_sc_predictive(
@@ -1233,31 +1215,11 @@ def expected_sc_predictive(
         return SCEstimate(math.inf, "unreachable-threshold", None, None)
 
     log_prior = tuple(_log2(w) for w in pv.probs)
-    support = [i for i in range(len(hset)) if pv[i] > 0.0]
-    exact = (
-        math.fsum(pv[i] * v for i, v in zip(support, values))
-        for values in _posterior_surprisal_walk(
-            hset, log_prior, support, lambda s: s
-        )
+    weights = {i: pv[i] for i in range(len(hset)) if pv[i] > 0.0}
+    curve = _surprisal_curve(
+        hset, log_prior, weights, exact_t_max, sequences, seed
     )
-
-    cum = []
-    acc = 0.0
-    for i in support:
-        acc += pv[i]
-        cum.append((acc, i))
-
-    def draw(rng: random.Random) -> int:
-        u = rng.random()
-        for threshold, i in cum:
-            if u < threshold:
-                return i
-        return support[-1]
-
-    def make_mc() -> Callable[[int], tuple[list[float], list[float]]]:
-        return _mc_curve_sampler(draw, hset, log_prior, sequences, seed)
-
-    return _scan_crossing(target, exact, exact_t_max, make_mc, _HARD_T_MAX)
+    return _scan_crossing(target, curve, _HARD_T_MAX)
 
 
 def mc_surprisal_moment_curve(
@@ -1272,58 +1234,36 @@ def mc_surprisal_moment_curve(
     """Monte Carlo posterior-surprisal moments for every horizon up to
     t_max and every order at once, via importance sampling.
 
-    Sequences are drawn from an equal defensive mixture of the ideal
-    and the distinct set members, with exact per-prefix likelihood
-    ratios as weights, which keeps relative error on higher moments
-    far below plain sampling from the ideal.  Memoryless binary
-    members only.
+    A population of sequences is drawn from the equal defensive mixture
+    Q of the distinct set members and walked by ``_class_walk``; a class
+    is weighted by its exact likelihood ratio P_ideal / Q, which keeps
+    relative error on higher moments far below plain sampling from the
+    ideal.  Memoryless members only, over any alphabet.
     """
     if t_max < 1:
         raise ValueError(f"horizon must be >= 1, got {t_max}")
     pv = as_probvector(prior)
     idx = _member_index(ideal, hset)
-    members = hset.members
-    if not all(isinstance(m, IidSpec) for m in members):
+    if not all(isinstance(m, IidSpec) for m in hset.members):
         raise ValueError("importance-sampled moments need memoryless members")
-    n = len(members)
     log_prior = tuple(_log2(w) for w in pv.probs)
-
-    # defensive proposal: equal mixture over distinct component specs
-    comp_probs1: list[float] = []
-    for spec in (ideal, *members):
-        p1 = spec.dist[1]  # type: ignore[union-attr]
-        if all(abs(p1 - c) > 0.0 for c in comp_probs1):
-            comp_probs1.append(p1)
-    ncomp = len(comp_probs1)
-    comp_log = [
-        [_log2(1.0 - p1), _log2(p1)] for p1 in comp_probs1
-    ]
-    logt = [[_log2(p) for p in m.dist.probs] for m in members]  # type: ignore[union-attr]
-    log_ncomp = math.log2(ncomp)
+    comps = [cls[0] for cls in hset.equal_classes()]
+    log_ncomp = math.log2(len(comps))
 
     rng = random.Random(f"{seed}:moments")
-    sums: dict[tuple[int, int], float] = {
-        (t, m): 0.0 for t in range(1, t_max + 1) for m in orders
-    }
-    for _ in range(sequences):
-        c = rng.randrange(ncomp)
-        p1 = comp_probs1[c]
-        ll = [0.0] * n  # member logliks
-        qq = [0.0] * ncomp  # proposal component logliks
-        for t in range(1, t_max + 1):
-            sym = 1 if rng.random() < p1 else 0
-            for mm in range(n):
-                ll[mm] += logt[mm][sym]
-            for cc in range(ncomp):
-                qq[cc] += comp_log[cc][sym]
-            scores = [log_prior[mm] + ll[mm] for mm in range(n)]
-            surp = -(scores[idx] - _logsumexp2(scores))
+    uniform = _cumulative([1.0 / len(comps)] * len(comps))
+    population = dict(zip(comps, _draw_counts(rng, uniform, sequences)))
+    walk = _class_walk(hset, log_prior, (idx,), population, rng)
+    sums: dict[tuple[int, int], float] = {}
+    for t, classes in enumerate(itertools.islice(walk, 1, t_max + 1), 1):
+        for m in orders:
+            sums[(t, m)] = 0.0
+        for _gen, mult, ll, surprisal in classes:
             # weight = P_ideal(prefix) / Q(prefix), exact in log space
-            log_q = _logsumexp2(qq) - log_ncomp
-            log_w = ll[idx] - log_q
-            w = 2.0**log_w
+            log_q = _logsumexp2([ll[c] for c in comps]) - log_ncomp
+            w = mult * 2.0 ** (ll[idx] - log_q)
             for m in orders:
-                sums[(t, m)] += w * surp**m
+                sums[(t, m)] += w * surprisal[idx] ** m
     return {key: total / sequences for key, total in sums.items()}
 
 

@@ -45,7 +45,13 @@ from .bitstrings import (
     identify_sorted,
     identify_tree,
 )
-from .info import ComputationRefused, entropy, entropy_rate, total_variation
+from .info import (
+    ComputationRefused,
+    as_probvector,
+    entropy,
+    entropy_rate,
+    total_variation,
+)
 from .processes import (
     BitSource,
     IidSpec,
@@ -83,10 +89,16 @@ def _schema() -> dict:
     return json.loads(text)
 
 
-def _normalize_process(node: object) -> dict:
+def _process(node: object, path: str) -> IidSpec | MarkovSpec:
+    """Build the process a config node describes.  One the schema admits
+    but the model rejects (weights that do not sum to 1, a reducible
+    chain) is a config error at ``path``."""
     if isinstance(node, list):
-        return {"kind": "iid", "probs": node}
-    return node  # type: ignore[return-value]
+        node = {"kind": "iid", "probs": node}
+    try:
+        return spec_from_json(node)  # type: ignore[arg-type]
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def validate_config(cfg: object) -> dict:
@@ -198,7 +210,7 @@ def _run_scdist(cfg: dict, seed: int) -> dict:
 
 
 def _run_sample(cfg: dict, seed: int) -> dict:
-    spec = spec_from_json(_normalize_process(cfg["spec"]))
+    spec = _process(cfg["spec"], "$.spec")
     t, trials = cfg["t"], cfg["trials"]
     if t * trials > _STEP_BUDGET:
         raise ComputationRefused(
@@ -244,10 +256,14 @@ def _run_spread(cfg: dict, seed: int) -> dict:
     from .processes import SpreadCode, spread_decode, spread_encode
 
     components = tuple(
-        IidSpec.from_probs(probs) for probs in cfg["components"]
+        _process(probs, f"$.components[{i}]")
+        for i, probs in enumerate(cfg["components"])
     )
     message: str = cfg["message"]
-    code = SpreadCode(len(message), components)
+    try:
+        code = SpreadCode(len(message), components)
+    except ValueError as exc:
+        raise ConfigError(f"$.components: {exc}") from exc
     t, trials = cfg["t"], cfg["trials"]
     if t * trials > _STEP_BUDGET:
         raise ComputationRefused(
@@ -314,9 +330,10 @@ def _mean_ci(report) -> list[float] | None:
 
 
 def _run_bayes(cfg: dict, seed: int) -> dict:
-    ideal = spec_from_json(_normalize_process(cfg["ideal"]))
+    ideal = _process(cfg["ideal"], "$.ideal")
     members = tuple(
-        spec_from_json(_normalize_process(h)) for h in cfg["hypotheses"]
+        _process(h, f"$.hypotheses[{i}]")
+        for i, h in enumerate(cfg["hypotheses"])
     )
     try:
         hset = HypothesisSet(members)
@@ -328,6 +345,10 @@ def _run_bayes(cfg: dict, seed: int) -> dict:
         )
     except ValueError as exc:
         raise ConfigError(f"$: {exc}") from exc
+    try:
+        as_probvector(cfg["prior"])
+    except ValueError as exc:
+        raise ConfigError(f"$.prior: {exc}") from exc
     trials = cfg["trials"]
     max_steps = cfg.get("max_steps", 10_000)
     if trials * max_steps > _STEP_BUDGET:
@@ -345,10 +366,11 @@ def _run_bayes(cfg: dict, seed: int) -> dict:
     except ValueError:
         analytic = None
     trace = _posterior_trace(ideal, hset, cfg["prior"], scfg, seed, 50)
+    decided = report.dist.censored < trials
     return {
         "decision_histogram": report.decisions,
-        "stopping_moments": list(report.moments(4)),
-        "mean_stopping_time": report.mean(),
+        "stopping_moments": list(report.moments(4)) if decided else None,
+        "mean_stopping_time": report.mean() if decided else None,
         "censored": report.dist.censored,
         "analytic_expected_t": analytic,
         "ci": _mean_ci(report),
@@ -361,9 +383,10 @@ def _run_bayes(cfg: dict, seed: int) -> dict:
 
 
 def _run_novelty(cfg: dict, seed: int) -> dict:
-    ideal = spec_from_json(_normalize_process(cfg["ideal"]))
+    ideal = _process(cfg["ideal"], "$.ideal")
     members = tuple(
-        spec_from_json(_normalize_process(h)) for h in cfg["hypotheses"]
+        _process(h, f"$.hypotheses[{i}]")
+        for i, h in enumerate(cfg["hypotheses"])
     )
     try:
         hset = HypothesisSet(members)
@@ -406,7 +429,7 @@ def _run_novelty(cfg: dict, seed: int) -> dict:
 
 
 def _run_figure3(cfg: dict, seed: int) -> dict:
-    spec = spec_from_json(_normalize_process(cfg["spec"]))
+    spec = _process(cfg["spec"], "$.spec")
     p, q, t_max = cfg["p"], cfg["q"], cfg["t_max"]
     rate = entropy_rate(spec)
     rows = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -53,6 +54,8 @@ B95 = IidSpec.from_probs([0.05, 0.95])
 MIRROR = IidSpec.from_probs([0.9, 0.1])
 PAIR = HypothesisSet((B5, B9))
 UNIFORM = (0.5, 0.5)
+T3 = IidSpec.from_probs([0.25, 0.25, 0.5])
+THREE = HypothesisSet((T3, IidSpec.from_probs([0.625, 0.25, 0.125])))
 
 
 def chain(memory, zeros, init=("stationary", None)):
@@ -488,9 +491,20 @@ class TestSurprisalMoments:
                 want = surprisal_moment_direct(prior, probs, 0, t, m)
                 assert got == pytest.approx(want, rel=1e-9), (t, m)
 
-    def test_refuses_oversized_enumeration(self):
+    def test_refuses_oversized_enumeration(self, monkeypatch):
+        monkeypatch.setattr(samplex.bayes, "_CLASS_LIMIT", 10)
+        # compositions of t into three parts: 10 at t = 3, 15 at t = 4
+        assert surprisal_moment(T3, THREE, UNIFORM, 3, 1) > 0.0
         with pytest.raises(ComputationRefused):
-            surprisal_moment(B5, PAIR, UNIFORM, 21, 1)
+            surprisal_moment(T3, THREE, UNIFORM, 4, 1)
+
+    def test_long_horizon_needs_only_the_class_limit(self):
+        # 2**40 sequences, but only 41 classes: the all-zeros sequence
+        # alone keeps iid(1, 0) alive, so E = 2^-t log2(1 + 2^t)
+        zeros_only = IidSpec.from_probs([1.0, 0.0])
+        t = 40
+        got = surprisal_moment(B5, HypothesisSet((B5, zeros_only)), UNIFORM, t, 1)
+        assert got == pytest.approx(2.0**-t * math.log2(1 + 2**t), rel=1e-9)
 
     def test_product_form_candidate_matches_only_the_mean(self):
         for t in (2, 5, 9):
@@ -509,6 +523,15 @@ class TestSurprisalMoments:
         for t, m in ((3, 1), (6, 2)):
             exact = surprisal_moment(B5, PAIR, UNIFORM, t, m)
             assert curve[(t, m)] == pytest.approx(exact, rel=0.1)
+
+    def test_mc_curve_handles_three_symbols(self):
+        curve = mc_surprisal_moment_curve(
+            T3, THREE, UNIFORM, t_max=6, orders=(1, 2), sequences=4000, seed=9
+        )
+        for t in (3, 6):
+            for m in (1, 2):
+                exact = surprisal_moment(T3, THREE, UNIFORM, t, m)
+                assert curve[(t, m)] == pytest.approx(exact, rel=0.1), (t, m)
 
     def test_mc_curve_is_seeded(self):
         a = mc_surprisal_moment_curve(B5, PAIR, UNIFORM, 4, (1,), 500, 3)
@@ -668,6 +691,60 @@ class TestExpectedSampleComplexity:
         assert est.method == "enumeration"
         assert est.value == pytest.approx(_crossing(curve, -math.log2(0.9)), rel=1e-12)
         assert est.value == pytest.approx(13.833133838285546, rel=1e-12)
+
+    def test_hands_over_to_monte_carlo_at_the_class_limit(self, monkeypatch):
+        # the exact walk is refused at t = 4 (15 classes), far short of
+        # the crossing that test_three_symbol_pair_matches_the_multinomial_sum
+        # pins; the slack keeps a 95% interval from failing one seed in twenty
+        monkeypatch.setattr(samplex.bayes, "_CLASS_LIMIT", 10)
+        est = expected_sc_evaluator(T3, THREE, UNIFORM, 0.9)
+        assert est.method == "monte-carlo"
+        lo, hi = est.ci
+        assert lo < est.value < hi < math.inf
+        slack = 0.5
+        assert lo - slack <= 13.833133838285546 <= hi + slack
+
+    def test_scan_stops_at_the_first_upper_crossing(self):
+        def curve(points):
+            yield from points
+            raise AssertionError("read past the first upper crossing")
+
+        scan = samplex.bayes._scan_crossing
+        exact = [(1.0, None), (0.5, None), (0.05, None)]
+        assert scan(1.0, curve(exact[:1]), 100).method == "prior-threshold"
+        est = scan(0.1, curve(exact), 100)
+        assert (est.value, est.method, est.smallest_t) == (1 + 0.4 / 0.45, "enumeration", 2)
+        # Monte Carlo from t = 1 on with se 0.1: the mean crosses 0.1 at
+        # t = 2, mean - 1.96 se at t = 2, mean + 1.96 se only at t = 4
+        mc = [(1.0, None), (0.5, 0.1), (0.05, 0.1), (0.0, 0.1), (-0.2, 0.1)]
+        est = scan(0.1, curve(mc), 100)
+        assert est.method == "monte-carlo"
+        assert est.value == pytest.approx(1 + 0.4 / 0.45)
+        assert est.ci == pytest.approx((1 + 0.204 / 0.45, 3 + 0.096 / 0.2))
+        assert scan(0.1, curve(mc[:3]), 2).ci[1] == math.inf
+
+    @pytest.mark.parametrize("weights", [{0: 1.0}, {0: 0.5, 1: 0.5}])
+    def test_mc_curve_tracks_the_exact_curve(self, weights):
+        # at every horizon the Monte Carlo mean lies within 4.5 exact
+        # standard errors sqrt(Var / sequences) of the exact mean, and its
+        # own standard error within half of the exact one (the surprisal
+        # is heavy-tailed: 40 seeds gave |z| <= 3.8 and errors <= 31%)
+        sequences = 4000
+        targets = list(weights)
+
+        def exact(transform):
+            rows = _walk(PAIR, UNIFORM, targets, transform, 20)
+            return [sum(weights[i] * v for i, v in zip(targets, r)) for r in rows]
+
+        mean, square = exact(lambda s: s), exact(lambda s: s * s)
+        curve = samplex.bayes._surprisal_curve(
+            PAIR, (-1.0, -1.0), weights, 0, sequences, 5
+        )
+        assert next(curve) == (mean[0], None)
+        for t, (value, se) in enumerate(itertools.islice(curve, 20), 1):
+            exact_se = math.sqrt((square[t] - mean[t] ** 2) / sequences)
+            assert abs(value - mean[t]) <= 4.5 * exact_se, t
+            assert se == pytest.approx(exact_se, rel=0.5), t
 
     def test_mc_extension_brackets_the_analytic_value(self):
         est = expected_sc_evaluator(

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from samplex.cli import (
     EXIT_INVALID,
@@ -29,6 +32,15 @@ BAYES_CFG = {
     "trials": 300,
     "max_steps": 2000,
     "seed": 11,
+}
+
+
+SPREAD_CFG = {
+    "kind": "spread",
+    "message": "01",
+    "components": [[0.7, 0.3], [0.3, 0.7]],
+    "t": 20,
+    "trials": 2,
 }
 
 
@@ -210,6 +222,20 @@ class TestExitCodes:
         assert main(["run", "--config", path]) == EXIT_REFUSED
         assert "refused:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cfg, path",
+        [
+            ({**BAYES_CFG, "hypotheses": [[0.5, 0.5], [0.1, 0.95]]}, "$.hypotheses[1]"),
+            ({**BAYES_CFG, "ideal": markov1(0.0, 0.0)}, "$.ideal"),  # reducible
+            ({**BAYES_CFG, "prior": [0.3, 0.3]}, "$.prior"),
+            ({**SPREAD_CFG, "components": [[0.5, 0.6], [0.1, 0.9]]}, "$.components[0]"),
+            ({**SPREAD_CFG, "components": [[0.5, 0.5], [0.5, 0.5]]}, "$.components"),
+        ],
+    )
+    def test_weights_the_model_rejects_are_invalid(self, tmp_path, capsys, cfg, path):
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_INVALID
+        assert f"config invalid: {path}:" in capsys.readouterr().err
+
     def test_bad_thread_count(self, tmp_path, capsys):
         path = write_config(tmp_path, BAYES_CFG)
         assert main(["run", "--config", path, "--threads", "0"]) == EXIT_INVALID
@@ -258,6 +284,12 @@ class TestDeterminism:
         assert json.dumps(a["payload"], sort_keys=True) == json.dumps(
             b["payload"], sort_keys=True
         )
+
+    def test_every_trial_censored_leaves_the_moments_undefined(self, tmp_path):
+        record = run_to_file(tmp_path, {**BAYES_CFG, "trials": 3, "max_steps": 1})
+        assert record["payload"]["censored"] == 3
+        assert record["payload"]["stopping_moments"] is None
+        assert record["payload"]["mean_stopping_time"] is None
 
     def test_markov_member_separable_pair_runs(self, tmp_path):
         cfg = markov_bayes_cfg(markov1(0.875, 0.125), markov1(0.125, 0.875))
@@ -373,3 +405,81 @@ def test_emit_schema(capsys):
         "novelty",
         "figure3",
     }
+
+
+# Property test over small schema-valid bayes configs.  Probabilities come
+# from a coarse grid so that each example stays under a second.  The
+# slowest case is p = 1 with the ideal in the set: the expected-surprisal
+# curve reaches 0 only once every sampled posterior is exactly 1 in
+# floating point, after about 53 / D horizons for a log-likelihood ratio
+# that falls D bits per symbol.  On this grid every pair of members either
+# differs in support or falls at least 0.58 bits per symbol, so no run
+# walks past about 110 horizons (0.31 s per run measured on a 2-core
+# x86_64 host).
+_BINARY = ([0.0, 1.0], [0.5, 0.5], [0.96875, 0.03125])
+_TERNARY = (
+    [1 / 3, 1 / 3, 1 / 3],
+    [0.5, 0.5, 0.0],
+    [0.0, 0.5, 0.5],
+    [1.0, 0.0, 0.0],
+)
+
+
+def _chain(rows: tuple[list[float], list[float]]) -> dict:
+    return {
+        "kind": "markov",
+        "memory": 1,
+        "alphabet": 2,
+        "transitions": {"0": rows[0], "1": rows[1]},
+    }
+
+
+_FAMILIES = (
+    st.sampled_from(_BINARY),
+    st.sampled_from(_TERNARY),
+    st.tuples(st.sampled_from(_BINARY), st.sampled_from(_BINARY)).map(_chain),
+)
+
+
+@st.composite
+def _bayes_configs(draw) -> dict:
+    member = draw(st.sampled_from(_FAMILIES))
+    hypotheses = draw(st.lists(member, min_size=1, max_size=3))
+    n = len(hypotheses)
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if not any(weights):
+        weights = [1] * n
+    inside = draw(st.booleans())
+    return {
+        "kind": "bayes",
+        "ideal": draw(st.sampled_from(hypotheses)) if inside else draw(member),
+        "hypotheses": hypotheses,
+        "prior": [w / sum(weights) for w in weights],
+        "p": draw(st.sampled_from([0.125, 0.5, 0.75, 0.9, 1.0])),
+        "trials": draw(st.integers(1, 20)),
+        "max_steps": draw(st.integers(1, 200)),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_bayes_configs())
+def test_bayes_configs_keep_the_exit_contract(cfg):
+    payloads = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), cfg)
+        for threads in ("1", "2"):
+            out = Path(tmp) / f"out-{threads}.json"
+            code = main(
+                ["run", "--config", path, "--out", str(out), "--threads", threads]
+            )
+            assert code in (EXIT_OK, EXIT_INVALID, EXIT_REFUSED)
+            payloads.append(
+                json.loads(out.read_text())["payload"] if code == EXIT_OK else code
+            )
+    assert payloads[0] == payloads[1]
