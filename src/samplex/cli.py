@@ -92,13 +92,17 @@ def _schema() -> dict:
 def _process(node: object, path: str) -> IidSpec | MarkovSpec:
     """Build the process a config node describes.  One the schema admits
     but the model rejects (weights that do not sum to 1, a reducible
-    chain) is a config error at ``path``."""
+    chain) is a config error at ``path``.  Every kind needs a chain's
+    stationary law, so a reducible chain is refused whatever its start."""
     if isinstance(node, list):
         node = {"kind": "iid", "probs": node}
     try:
-        return spec_from_json(node)  # type: ignore[arg-type]
+        spec = spec_from_json(node)  # type: ignore[arg-type]
+        if isinstance(spec, MarkovSpec):
+            spec.stationary_distribution()
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    return spec
 
 
 def validate_config(cfg: object) -> dict:
@@ -209,7 +213,7 @@ def _run_scdist(cfg: dict, seed: int) -> dict:
     }
 
 
-def _run_sample(cfg: dict, seed: int) -> dict:
+def _run_sample(cfg: dict, seed: int, meta: dict) -> dict:
     spec = _process(cfg["spec"], "$.spec")
     t, trials = cfg["t"], cfg["trials"]
     if t * trials > _STEP_BUDGET:
@@ -228,6 +232,7 @@ def _run_sample(cfg: dict, seed: int) -> dict:
         for sym in sample:
             counts[sym] += 1
         total_bits += source.bits_consumed
+    meta.update(symbols=t * trials, fair_bits=total_bits)
     n = max(1, t * trials)
     freqs = [c / n for c in counts]
     payload = {
@@ -252,7 +257,7 @@ def _run_sample(cfg: dict, seed: int) -> dict:
     return payload
 
 
-def _run_spread(cfg: dict, seed: int) -> dict:
+def _run_spread(cfg: dict, seed: int, meta: dict) -> dict:
     from .processes import SpreadCode, spread_decode, spread_encode
 
     components = tuple(
@@ -272,9 +277,11 @@ def _run_spread(cfg: dict, seed: int) -> dict:
     msg_errors = 0
     bit_errors = 0
     conf_total = 0.0
+    total_bits = 0
     for i in range(trials):
         source = BitSource(f"{seed}:{i}")
         observed = spread_encode(code, message, t, source)
+        total_bits += source.bits_consumed
         decoded = spread_decode(code, observed)
         wrong = sum(
             1
@@ -284,6 +291,7 @@ def _run_spread(cfg: dict, seed: int) -> dict:
         bit_errors += wrong
         msg_errors += 1 if wrong else 0
         conf_total += sum(decoded.confidences) / len(message)
+    meta.update(symbols=t * trials, fair_bits=total_bits)
     payload = {
         "trials": trials,
         "t": t,
@@ -447,17 +455,23 @@ def _run_figure3(cfg: dict, seed: int) -> dict:
     }
 
 
-def run_experiment(cfg: dict, seed: int) -> dict:
-    """Dispatch a validated config; returns the payload dict."""
+def run_experiment(cfg: dict, seed: int, meta: dict | None = None) -> dict:
+    """Dispatch a validated config; returns the payload dict.
+
+    Work counters of the run (``symbols`` drawn and ``fair_bits`` read by
+    ``sample`` and ``spread``) go into ``meta`` when it is given; they
+    never enter the payload.
+    """
+    meta = {} if meta is None else meta
     kind = cfg["kind"]
     if kind == "identify":
         return _run_identify(cfg, seed)
     if kind == "scdist":
         return _run_scdist(cfg, seed)
     if kind == "sample":
-        return _run_sample(cfg, seed)
+        return _run_sample(cfg, seed, meta)
     if kind == "spread":
-        return _run_spread(cfg, seed)
+        return _run_spread(cfg, seed, meta)
     if kind == "bayes":
         return _run_bayes(cfg, seed)
     if kind == "novelty":
@@ -512,8 +526,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     started = time.monotonic()
+    meta: dict = {}
     try:
-        payload = run_experiment(cfg, seed)
+        payload = run_experiment(cfg, seed, meta)
     except ConfigError as exc:
         print(f"config invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -524,7 +539,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     record = {
         "config": {**cfg, "seed": seed},
         "payload": payload,
-        "meta": {"duration_s": duration, "version": __version__},
+        "meta": {**meta, "duration_s": duration, "version": __version__},
     }
     _write_output(record, args.format, args.out)
     return EXIT_OK
@@ -573,9 +588,24 @@ def _verify_expected_sc_mc(args) -> tuple[bool, list[str]]:
     return ok, lines
 
 
+def _spec_option(text: str | None) -> IidSpec:
+    """The iid spec a ``--spec`` JSON probability list describes."""
+    if text is None:
+        return IidSpec.from_probs([0.25, 0.75])
+    try:
+        probs = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--spec: not JSON ({exc})") from exc
+    if not isinstance(probs, list) or not all(
+        isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p)
+        for p in probs
+    ):
+        raise ConfigError(f"--spec: expected a list of probabilities, got {text!r}")
+    return _process(probs, "--spec")  # type: ignore[return-value]
+
+
 def _verify_coin_bits(args) -> tuple[bool, list[str]]:
-    probs = json.loads(args.spec) if args.spec else [0.25, 0.75]
-    spec = IidSpec.from_probs(probs)
+    spec = _spec_option(args.spec)
     trials = args.trials or 100_000
     counts = [0] * spec.alphabet_size
     total_bits = 0
@@ -617,7 +647,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_INVALID
-    ok, lines = handler(args)
+    try:
+        ok, lines = handler(args)
+    except ConfigError as exc:
+        print(f"invalid argument: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     for line in lines:
         print(line)
     print(f"verify {args.pair}: {'PASS' if ok else 'FAIL'}")

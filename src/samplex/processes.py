@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -93,8 +94,16 @@ class IidSpec:
         if not fracs:
             raise ValueError("need at least one symbol")
         head = sum(fracs[:-1], Fraction(0))
-        if head > 1:
-            raise ValueError(f"weights exceed unit mass by {float(head - 1)!r}")
+        excess = head - 1
+        if excess > Fraction(1, 1 << 40):
+            raise ValueError(f"weights exceed unit mass by {float(excess)!r}")
+        if excess > 0:
+            # rounding onto the grid pushed the head past 1 (floats that
+            # sum to 1 within tolerance): the largest cell gives it back
+            big = max(range(len(fracs) - 1), key=fracs.__getitem__)
+            fracs[big] -= excess
+            head = Fraction(1)
+            rounded = True
         tail = 1 - head
         if abs(tail - fracs[-1]) > Fraction(1, 1 << 40):
             raise ValueError(
@@ -110,6 +119,12 @@ class IidSpec:
     @property
     def alphabet_size(self) -> int:
         return len(self.dist)
+
+    @cached_property
+    def _trie(self) -> tuple[int, ...]:
+        """The refinement trie ``sample_discrete`` walks, built on the
+        first draw and kept on the spec (it takes no part in equality)."""
+        return _refinement_trie(self.boundaries)
 
     def block_distribution(self, t: int) -> dict[tuple[int, ...], float]:
         return _iid_block(self.dist, t)
@@ -134,40 +149,57 @@ def _iid_block(dist: ProbVector, t: int) -> dict[tuple[int, ...], float]:
     return seqs
 
 
-_scaled_bounds_cache: dict[tuple[Fraction, ...], tuple[int, tuple[int, ...]]] = {}
+def _refinement_trie(boundaries: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """Compile CDF boundaries into the trie of dyadic interval refinement.
 
-
-def _scaled_bounds(bounds: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
-    hit = _scaled_bounds_cache.get(bounds)
-    if hit is None:
-        dmax = max(b.denominator for b in bounds).bit_length() - 1
-        hit = (dmax, tuple(int(b * (1 << dmax)) for b in bounds))
-        _scaled_bounds_cache[bounds] = hit
-    return hit
+    Node (n, z) stands for the interval [z/2^n, (z+1)/2^n).  It is a
+    leaf, symbol j, once it fits inside the nonzero cell j, and otherwise
+    has the children (n+1, 2z) and (n+1, 2z+1).  The trie is flat: slot 0
+    holds the root, a leaf is stored as ~j (negative) and an internal node
+    as the offset o > 0 of its children's slots o and o+1.  Only intervals
+    that straddle an interior boundary stay internal, so there are at most
+    (k-1)*dmax internal nodes, where 2^dmax is the largest denominator.
+    """
+    dmax = max(b.denominator for b in boundaries).bit_length() - 1
+    unit = 1 << dmax
+    scaled = [int(b * unit) for b in boundaries]
+    cells = [
+        (j, scaled[j], scaled[j + 1])
+        for j in range(len(scaled) - 1)
+        if scaled[j] != scaled[j + 1]  # a zero-probability cell holds no interval
+    ]
+    slots = [0]
+    pending = [(0, 0, 0)]  # (slot, n, z)
+    while pending:
+        slot, n, z = pending.pop()
+        # interval endpoints as integers over 2**dmax, given n flips
+        lo = z * unit
+        hi = lo + unit
+        shift = 1 << n
+        for j, a, b in cells:
+            if lo >= a * shift and hi <= b * shift:
+                slots[slot] = ~j
+                break
+        else:
+            child = slots[slot] = len(slots)
+            slots += (0, 0)
+            pending.append((child, n + 1, z << 1))
+            pending.append((child + 1, n + 1, (z << 1) | 1))
+    return tuple(slots)
 
 
 def sample_discrete(spec: IidSpec, source: BitSource) -> int:
     """Draw one symbol by dyadic interval refinement.
 
-    Keeps the interval [z/2^n, (z+1)/2^n) and reads flips until it fits
-    inside one CDF cell.  Comparisons are exact integer arithmetic.
+    Walks the spec's refinement trie, reading one flip per level, so the
+    flips consumed are exactly those needed for the interval
+    [z/2^n, (z+1)/2^n) to fit inside one CDF cell.
     """
-    dmax, scaled = _scaled_bounds(spec.boundaries)
-    unit = 1 << dmax
-    z = 0
-    n = 0
-    while True:
-        # interval endpoints as integers over 2**dmax, given n flips
-        lo = z * unit
-        hi = lo + unit
-        shift = 1 << n
-        for j in range(len(scaled) - 1):
-            if scaled[j] == scaled[j + 1]:
-                continue  # zero-probability cell
-            if lo >= scaled[j] * shift and hi <= scaled[j + 1] * shift:
-                return j
-        z = (z << 1) | source.next_bit()
-        n += 1
+    trie = spec._trie
+    node = trie[0]
+    while node > 0:
+        node = trie[node + source.next_bit()]
+    return ~node
 
 
 def iid_sample(spec: IidSpec, t: int, source: BitSource) -> tuple[int, ...]:

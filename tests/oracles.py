@@ -116,6 +116,30 @@ def exact_expected_bits(boundaries: Sequence[Fraction]) -> Fraction:
     return total
 
 
+def sample_discrete_reference(spec, source: BitSource) -> int:
+    """One draw by dyadic interval refinement, straight from the
+    definition: keep [z/2^n, (z+1)/2^n), and before each flip rescan every
+    nonzero CDF cell for one that contains it (exact integers over
+    2^dmax).  Returns the symbol; the flips read are left on ``source``."""
+    bounds = spec.boundaries
+    dmax = max(b.denominator for b in bounds).bit_length() - 1
+    unit = 1 << dmax
+    scaled = [int(b * unit) for b in bounds]
+    z = 0
+    n = 0
+    while True:
+        lo = z * unit
+        hi = lo + unit
+        shift = 1 << n
+        for j in range(len(scaled) - 1):
+            if scaled[j] == scaled[j + 1]:
+                continue  # zero-probability cell
+            if lo >= scaled[j] * shift and hi <= scaled[j + 1] * shift:
+                return j
+        z = (z << 1) | source.next_bit()
+        n += 1
+
+
 def exact_stationary(
     rows: Sequence[Sequence[Fraction]],
 ) -> list[Fraction]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -41,6 +42,14 @@ SPREAD_CFG = {
     "components": [[0.7, 0.3], [0.3, 0.7]],
     "t": 20,
     "trials": 2,
+}
+
+SAMPLE_CFG = {
+    "kind": "sample",
+    "spec": [0.2, 0.3, 0.5],
+    "t": 50,
+    "trials": 40,
+    "seed": 9,
 }
 
 
@@ -230,6 +239,10 @@ class TestExitCodes:
             ({**BAYES_CFG, "prior": [0.3, 0.3]}, "$.prior"),
             ({**SPREAD_CFG, "components": [[0.5, 0.6], [0.1, 0.9]]}, "$.components[0]"),
             ({**SPREAD_CFG, "components": [[0.5, 0.5], [0.5, 0.5]]}, "$.components"),
+            (  # reducible, started from a fixed context
+                {**SAMPLE_CFG, "spec": {**markov1(0.0, 0.0), "init": {"context": "1"}}},
+                "$.spec",
+            ),
         ],
     )
     def test_weights_the_model_rejects_are_invalid(self, tmp_path, capsys, cfg, path):
@@ -268,6 +281,12 @@ class TestVerifyPairs:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "entropy: 1" in out
+
+    @pytest.mark.parametrize("spec", ["[0.5,0.6]", "[1.5,-0.5]", "notjson"])
+    def test_coin_bits_bad_spec_is_invalid(self, capsys, spec):
+        code = main(["verify", "--pair", "coin-bits", "--spec", spec])
+        assert code == EXIT_INVALID
+        assert "--spec" in capsys.readouterr().err
 
     def test_expected_sc_mc(self, capsys):
         code = main(["verify", "--pair", "expected-sc-mc", "--tolerance", "0.6"])
@@ -336,6 +355,30 @@ class TestOutputs:
         assert main(["run", "--config", path]) == EXIT_OK
         record = json.loads((tmp_path / "results" / "scdist.json").read_text())
         assert record["config"]["kind"] == "scdist"
+
+    # digests of the payloads as written before the meta counters existed
+    @pytest.mark.parametrize(
+        "cfg, symbols, fair_bits, digest",
+        [
+            (
+                SAMPLE_CFG, 2000, 4026,
+                "23c4eda3b86a7257dc908ffb8be5409416bc1d20fdb2143b1ddd48145eb95cc3",
+            ),
+            (
+                SPREAD_CFG, 40, 69,
+                "42468e8b90f9f80c95b9c9c864fabc6380a51a7b54996774e388737d8300d9ba",
+            ),
+        ],
+    )
+    def test_sampling_runs_count_their_work_in_meta(
+        self, tmp_path, cfg, symbols, fair_bits, digest
+    ):
+        record = run_to_file(tmp_path, cfg)
+        assert record["meta"]["symbols"] == symbols
+        assert record["meta"]["fair_bits"] == fair_bits
+        assert not {"symbols", "fair_bits"} & set(record["payload"])
+        text = json.dumps(record["payload"], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_csv_table(self, tmp_path):
         out = tmp_path / "table.csv"
@@ -470,6 +513,86 @@ def _bayes_configs(draw) -> dict:
 )
 @given(_bayes_configs())
 def test_bayes_configs_keep_the_exit_contract(cfg):
+    payloads = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), cfg)
+        for threads in ("1", "2"):
+            out = Path(tmp) / f"out-{threads}.json"
+            code = main(
+                ["run", "--config", path, "--out", str(out), "--threads", threads]
+            )
+            assert code in (EXIT_OK, EXIT_INVALID, EXIT_REFUSED)
+            payloads.append(
+                json.loads(out.read_text())["payload"] if code == EXIT_OK else code
+            )
+    assert payloads[0] == payloads[1]
+
+
+# Property test over small schema-valid sample and spread configs.  Weights
+# are small integers normalized, so zero cells and non-dyadic weights
+# (thirds, fifths) come up often; t x trials stays at most 150 symbols.
+@st.composite
+def _iid_process(draw, k: int | None = None) -> list[float]:
+    size = k if k is not None else draw(st.integers(1, 4))
+    weights = draw(
+        st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any)
+    )
+    return [w / sum(weights) for w in weights]
+
+
+@st.composite
+def _markov1_process(draw) -> dict:
+    k = draw(st.integers(2, 3))
+    init = draw(
+        st.one_of(
+            st.just("stationary"),
+            st.integers(0, k - 1).map(lambda c: {"context": str(c)}),
+        )
+    )
+    return {
+        "kind": "markov",
+        "memory": 1,
+        "alphabet": k,
+        "transitions": {str(c): draw(_iid_process(k)) for c in range(k)},
+        "init": init,
+    }
+
+
+@st.composite
+def _sample_configs(draw) -> dict:
+    return {
+        "kind": "sample",
+        "spec": draw(st.one_of(_iid_process(), _markov1_process())),
+        "t": draw(st.integers(0, 30)),
+        "trials": draw(st.integers(1, 5)),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+
+
+@st.composite
+def _spread_configs(draw) -> dict:
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 3))
+    return {
+        "kind": "spread",
+        "message": "".join(
+            draw(st.lists(st.sampled_from("0123"[:n]), min_size=1, max_size=4))
+        ),
+        "components": draw(st.lists(_iid_process(k), min_size=n, max_size=n)),
+        "t": draw(st.integers(1, 30)),
+        "trials": draw(st.integers(1, 5)),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.one_of(_sample_configs(), _spread_configs()))
+def test_sample_and_spread_configs_keep_the_exit_contract(cfg):
     payloads = []
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(Path(tmp), cfg)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,15 +35,38 @@ from samplex import (
     total_variation,
 )
 
+from samplex.info import ProbVector
+
 from oracles import (
     exact_decode_error,
     exact_expected_bits,
     exact_ml_bit_error,
     exact_stationary,
+    sample_discrete_reference,
 )
 
 FAIR = IidSpec.from_probs([0.5, 0.5])
 SKEWED = IidSpec.from_probs([0.25, 0.75])
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# memory 2 over 3 symbols: zero cells, thirds, non-dyadic and dyadic rows
+MEMORY2_CHAIN = {
+    "kind": "markov",
+    "memory": 2,
+    "alphabet": 3,
+    "transitions": {
+        "00": [0.2, 0.3, 0.5],
+        "01": [1 / 3, 1 / 3, 1 / 3],
+        "02": [0.0, 0.5, 0.5],
+        "10": [0.7, 0.0, 0.3],
+        "11": [0.125, 0.625, 0.25],
+        "12": [0.1, 0.1, 0.8],
+        "20": [0.0, 0.0, 1.0],
+        "21": [0.6, 0.4, 0.0],
+        "22": [0.25, 0.25, 0.5],
+    },
+    "init": "stationary",
+}
 
 
 def sticky_chain(stay: float) -> MarkovSpec:
@@ -97,6 +123,16 @@ class TestIidSpec:
             IidSpec.from_probs([0.5, 0.6])
         with pytest.raises(ValueError):
             IidSpec.from_probs([])
+
+    def test_rounding_past_unit_mass_is_absorbed(self):
+        # each weight rounds onto the 2**-53 grid; these three round up
+        # to a head 2**-53 past 1 although the floats sum to 1
+        weights = [0.09982704257287564, 0.8452190236076348, 0.05495393381948968, 0.0]
+        spec = IidSpec.from_probs(weights)
+        assert spec.rounded
+        assert spec.boundaries[-2] == spec.boundaries[-1] == 1
+        assert all(a <= b for a, b in zip(spec.boundaries, spec.boundaries[1:]))
+        assert spec.dist.probs == pytest.approx(weights, abs=1e-15)
 
     def test_block_distribution(self):
         block = FAIR.block_distribution(3)
@@ -157,6 +193,199 @@ class TestSampleDiscrete:
     def test_iid_sample_rejects_negative_length(self):
         with pytest.raises(ValueError):
             iid_sample(FAIR, -1, BitSource(0))
+
+
+class ScriptedSource(BitSource):
+    """Hands out a fixed list of flips and fails if asked for more."""
+
+    def __init__(self, bits):
+        super().__init__(0)
+        self._script = list(bits)
+
+    def next_bit(self):
+        if not self._script:
+            raise AssertionError("read past the scripted flips")
+        self.bits_consumed += 1
+        return self._script.pop(0)
+
+
+def _random_specs(n: int, seed: int) -> list[IidSpec]:
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(n):
+        k = rng.randint(1, 8)
+        if rng.random() < 0.5:  # dyadic: integer weights over 2**d
+            d = rng.randint(0, 12)
+            raw = [rng.randint(0, 1 << d) * (rng.random() < 0.8) for _ in range(k)]
+            if not any(raw):
+                raw[-1] = 1
+            total = sum(raw)
+            # snap every weight but the last to the 2**-d grid
+            head = [Fraction(w * (1 << d) // total, 1 << d) for w in raw[:-1]]
+            specs.append(IidSpec.from_probs(head + [1 - sum(head, Fraction(0))]))
+        else:  # floats, rounded onto the 2**-53 grid
+            raw = [rng.random() if rng.random() < 0.8 else 0.0 for _ in range(k)]
+            if not any(raw):
+                raw[0] = 1.0
+            total = math.fsum(raw)
+            specs.append(IidSpec.from_probs([w / total for w in raw]))
+    return specs
+
+
+def _chain_specs() -> list[IidSpec]:
+    chain = spec_from_json(MEMORY2_CHAIN)
+    chain.draw_start(BitSource(0))  # builds the sampler over contexts
+    return [chain.transitions[c] for c in chain.contexts()] + [chain._cache["start"]]
+
+
+DEEP = IidSpec(  # a 2**-200 cell, past what from_probs keeps unrounded
+    ProbVector((2.0**-200, 1.0)),
+    (Fraction(0), Fraction(1, 1 << 200), Fraction(1)),
+)
+
+TRIE_SPECS = {
+    "coins": [FAIR, SKEWED, IidSpec.from_probs([0.875, 0.125])],
+    "zero-cells": [
+        IidSpec.from_probs([0.0, 0.25, 0.75]),
+        IidSpec.from_probs([0.25, 0.0, 0.75]),
+        IidSpec.from_probs([0.25, 0.75, 0.0]),
+        IidSpec.from_probs([0.0, 0.5, 0.0, 0.5, 0.0]),
+    ],
+    "deterministic": [IidSpec.from_probs([1.0]), IidSpec.from_probs([0.0, 1.0])],
+    "thirds": [
+        IidSpec.from_probs([1 / 3, 1 / 3, 1 / 3]),
+        IidSpec.from_probs([Fraction(1, 3), Fraction(2, 3)]),
+    ],
+    "deep": [
+        IidSpec.from_probs([0.2, 0.8]),
+        IidSpec.from_probs([0.1, 0.2, 0.7]),
+        IidSpec.from_probs([2.0**-53, 1 - 2.0**-53]),
+        IidSpec.from_probs([Fraction(1, 1 << 200), 1 - Fraction(1, 1 << 200)]),
+        DEEP,
+    ],
+    "random": _random_specs(40, 5),
+    "memory-2-chain": _chain_specs(),
+}
+
+
+def _internal_nodes(spec: IidSpec) -> int:
+    return (len(spec._trie) - 1) // 2
+
+
+def _leaf_paths(trie, slot=0, path=()):
+    """(flips, symbol) for every leaf of a flat refinement trie."""
+    node = trie[slot]
+    if node < 0:
+        yield path, ~node
+        return
+    yield from _leaf_paths(trie, node, path + (0,))
+    yield from _leaf_paths(trie, node + 1, path + (1,))
+
+
+class TestRefinementTrie:
+    """The compiled trie against the per-flip cell scan it replaced."""
+
+    @pytest.mark.parametrize("group", TRIE_SPECS)
+    def test_draws_match_the_reference(self, group):
+        for i, spec in enumerate(TRIE_SPECS[group]):
+            fast, ref = BitSource(f"{group}:{i}"), BitSource(f"{group}:{i}")
+            for _ in range(300):
+                sym = sample_discrete(spec, fast)
+                assert sym == sample_discrete_reference(spec, ref), spec
+                assert fast.bits_consumed == ref.bits_consumed, spec
+
+    @pytest.mark.parametrize("group", TRIE_SPECS)
+    def test_every_leaf_is_where_the_reference_stops(self, group):
+        for spec in TRIE_SPECS[group]:
+            for path, symbol in _leaf_paths(spec._trie):
+                source = ScriptedSource(path)
+                assert sample_discrete_reference(spec, source) == symbol, spec
+                assert source.bits_consumed == len(path), spec
+
+    @pytest.mark.parametrize("group", TRIE_SPECS)
+    def test_internal_nodes_stay_within_the_bound(self, group):
+        for spec in TRIE_SPECS[group]:
+            interior = {b for b in spec.boundaries if 0 < b < 1}
+            dmax = max(b.denominator for b in spec.boundaries).bit_length() - 1
+            assert _internal_nodes(spec) <= len(interior) * dmax, spec
+
+    def test_trie_is_built_on_the_first_draw_and_ignored_by_equality(self):
+        spec = IidSpec.from_probs([0.2, 0.3, 0.5])
+        twin = IidSpec.from_probs([0.2, 0.3, 0.5])
+        sample_discrete(spec, BitSource(0))
+        assert "_trie" in vars(spec) and "_trie" not in vars(twin)
+        assert spec == twin and hash(spec) == hash(twin)
+
+
+class TestSeededSamplerOutput:
+    """Seeded draws pinned as integers, so a sampler change that moves
+    them fails here by name.  Trial i reads BitSource("{seed}:{i}"), as
+    the CLI does."""
+
+    @staticmethod
+    def _draw(spec, t: int, trials: int, seed: int):
+        draw = markov_sample if isinstance(spec, MarkovSpec) else iid_sample
+        counts = [0] * spec.alphabet_size
+        bits = []
+        for i in range(trials):
+            source = BitSource(f"{seed}:{i}")
+            for sym in draw(spec, t, source):
+                counts[sym] += 1
+            bits.append(source.bits_consumed)
+        return counts, bits
+
+    def test_shipped_sample_config(self):
+        cfg = json.loads((CONFIG_DIR / "sample.json").read_text())
+        spec = IidSpec.from_probs(cfg["spec"])
+        counts, bits = self._draw(spec, cfg["t"], cfg["trials"], cfg["seed"])
+        assert counts == [25258, 74742]
+        assert sum(bits) == 150393
+
+    def test_shipped_spread_config(self):
+        cfg = json.loads((CONFIG_DIR / "spread.json").read_text())
+        code = SpreadCode(
+            len(cfg["message"]),
+            tuple(IidSpec.from_probs(c) for c in cfg["components"]),
+        )
+        counts = [0, 0]
+        bits = []
+        for i in range(cfg["trials"]):
+            source = BitSource(f"{cfg['seed']}:{i}")
+            for sym in spread_encode(code, cfg["message"], cfg["t"], source):
+                counts[sym] += 1
+            bits.append(source.bits_consumed)
+        assert counts == [200030, 199970]
+        assert sum(bits) == 798736
+        assert bits == SPREAD_TRIAL_BITS
+
+    def test_seeded_markov_sample(self):
+        counts, bits = self._draw(spec_from_json(MEMORY2_CHAIN), 40, 300, 733)
+        assert counts == [3241, 3860, 4899]
+        assert sum(bits) == 22145
+
+
+# fair flips of each trial of configs/spread.json
+SPREAD_TRIAL_BITS = [
+    3938, 4133, 4006, 3973, 3948, 3982, 4030, 3917, 4107, 4038, 4002,
+    3978, 3981, 3925, 4104, 4066, 4066, 4109, 3920, 4051, 4003, 4004,
+    4010, 3938, 4037, 3873, 4073, 4023, 3970, 3953, 4026, 3918, 3981,
+    3913, 3963, 4027, 4085, 3947, 4081, 4086, 3979, 3959, 3975, 3942,
+    3971, 3919, 3988, 4063, 3997, 4000, 3975, 3973, 4090, 3917, 3957,
+    4038, 3950, 4053, 4015, 4109, 4097, 3989, 3984, 3881, 3966, 3932,
+    4018, 4000, 3923, 3978, 4083, 3949, 3936, 4032, 4053, 3937, 4039,
+    3968, 3914, 3989, 4064, 4047, 3986, 3954, 4017, 3868, 3990, 3954,
+    3856, 3955, 3884, 3944, 3987, 4103, 3896, 3938, 3996, 3937, 4066,
+    3989, 3940, 4008, 4103, 4067, 4060, 3971, 3940, 4083, 4035, 3974,
+    3924, 3874, 4071, 3923, 4065, 3982, 3954, 4061, 4019, 3886, 4005,
+    4019, 4027, 4116, 3974, 4069, 4041, 3932, 3816, 4016, 4037, 4055,
+    3966, 4033, 4039, 3946, 4099, 3991, 3970, 3899, 3971, 3993, 3979,
+    3960, 3951, 3924, 4004, 3928, 4009, 3995, 3911, 3985, 3983, 4129,
+    4023, 4003, 4026, 3927, 4031, 3897, 3858, 4030, 4052, 3878, 4032,
+    4068, 4040, 3966, 3958, 3910, 4020, 4013, 4035, 3968, 3961, 4007,
+    4136, 4082, 3891, 4084, 3982, 3931, 4049, 3997, 3990, 4031, 3996,
+    3923, 3913, 4036, 4129, 4015, 3993, 3913, 3978, 3995, 4020, 4051,
+    3996, 4036,
+]
 
 
 class TestMarkovSpec:
