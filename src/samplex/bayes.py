@@ -50,6 +50,7 @@ from .info import (
     cross_entropy,
     entropy_rate,
     relative_entropy,
+    stationary_rate,
 )
 from .processes import (
     BitSource,
@@ -84,22 +85,17 @@ def _logsumexp2(vals: Sequence[float]) -> float:
     return top + math.log2(math.fsum(2.0 ** (v - top) for v in vals))
 
 
-def _spec_memory(spec: ProcessSpec) -> int:
-    return spec.memory if isinstance(spec, MarkovSpec) else 0
-
-
 def _spec_equal(a: ProcessSpec, b: ProcessSpec) -> bool:
-    """Structural equality of process descriptions."""
-    if isinstance(a, IidSpec) and isinstance(b, IidSpec):
-        return a.dist.probs == b.dist.probs
-    if isinstance(a, MarkovSpec) and isinstance(b, MarkovSpec):
-        if a.memory != b.memory or a.init != b.init:
-            return False
-        return all(
-            a.conditional(ctx).probs == b.conditional(ctx).probs
-            for ctx in a.contexts()
-        )
-    return False
+    """Structural equality of process descriptions: specs of different
+    kinds never compare equal, and chains also compare their start."""
+    if type(a) is not type(b) or a.memory != b.memory:
+        return False
+    if getattr(a, "init", None) != getattr(b, "init", None):
+        return False
+    return all(
+        a.conditional(ctx).probs == b.conditional(ctx).probs
+        for ctx in a.contexts()
+    )
 
 
 def divergence_rate(a: ProcessSpec, b: ProcessSpec) -> float:
@@ -109,25 +105,10 @@ def divergence_rate(a: ProcessSpec, b: ProcessSpec) -> float:
     stationary context distribution; the max of the two directions is
     returned so the result is a genuine dissimilarity.
     """
-
-    def one_way(src: ProcessSpec, dst: ProcessSpec) -> float:
-        if isinstance(src, IidSpec) and isinstance(dst, IidSpec):
-            return relative_entropy(src.dist, dst.dist)
-        if isinstance(src, MarkovSpec) and isinstance(dst, MarkovSpec):
-            if src.memory != dst.memory:
-                raise ValueError(
-                    "divergence between chains of different memory is "
-                    "not defined here"
-                )
-            pi = src.stationary_distribution()
-            return math.fsum(
-                pi[i] * relative_entropy(src.conditional(c), dst.conditional(c))
-                for i, c in enumerate(src.contexts())
-                if pi[i] > 0.0
-            )
-        raise ValueError("cannot compare an iid spec with a chain directly")
-
-    return max(one_way(a, b), one_way(b, a))
+    return max(
+        stationary_rate(a, b, relative_entropy),
+        stationary_rate(b, a, relative_entropy),
+    )
 
 
 @dataclass(frozen=True)
@@ -144,7 +125,7 @@ class HypothesisSet:
         sizes = {m.alphabet_size for m in self.members}
         if len(sizes) != 1:
             raise ValueError(f"members disagree on alphabet size: {sizes}")
-        memories = {_spec_memory(m) for m in self.members}
+        memories = {m.memory for m in self.members}
         if len(memories) != 1:
             raise ValueError(
                 f"members disagree on memory length: {memories}"
@@ -165,7 +146,7 @@ class HypothesisSet:
 
     @property
     def memory(self) -> int:
-        return _spec_memory(self.members[0])
+        return self.members[0].memory
 
     def rates(self) -> tuple[float, ...]:
         if "rates" not in self._cache:
@@ -262,24 +243,19 @@ class PosteriorState:
             raise ValueError(
                 f"prior over {len(pv)} weights for {len(hset)} members"
             )
-        forward = []
-        for m in hset.members:
-            if isinstance(m, MarkovSpec):
-                forward.append(
-                    tuple(
-                        (ctx, _log2(w))
-                        for ctx, w in sorted(m.initial_mixture().items())
-                    )
-                )
-            else:
-                forward.append((((), 0.0),))
+        forward = tuple(
+            tuple(
+                (ctx, _log2(w)) for ctx, w in sorted(m.initial_mixture().items())
+            )
+            for m in hset.members
+        )
         return PosteriorState(
             hset,
             tuple(_log2(w) for w in pv.probs),
             (0.0,) * len(hset),
             0,
             (),
-            tuple(forward),
+            forward,
         )
 
     @property
@@ -309,16 +285,6 @@ class PosteriorState:
         return ProbVector(tuple(w / total for w in weights))
 
 
-def _conditional_probs(spec: ProcessSpec, ctx: Context) -> ProbVector:
-    if isinstance(spec, MarkovSpec):
-        return spec.conditional(ctx)
-    return spec.dist
-
-
-def _advance(ctx: Context, sym: int, memory: int) -> Context:
-    return (ctx + (sym,))[-memory:] if memory else ()
-
-
 def posterior_update(state: PosteriorState, symbol: int) -> PosteriorState:
     """Condition the posterior on one more observed symbol.
 
@@ -332,13 +298,12 @@ def posterior_update(state: PosteriorState, symbol: int) -> PosteriorState:
     new_loglik = []
     new_forward = []
     for m_idx, member in enumerate(hset.members):
-        memory = _spec_memory(member)
         merged: dict[Context, float] = {}
         for ctx, logw in state.forward[m_idx]:
-            p = _conditional_probs(member, ctx)[symbol]
+            p = member.conditional(ctx)[symbol]
             if p == 0.0:
                 continue
-            nxt = _advance(ctx, symbol, memory)
+            nxt = member._successor(ctx, symbol)
             w = logw + math.log2(p)
             if nxt in merged:
                 merged[nxt] = _logsumexp2((merged[nxt], w))
@@ -347,14 +312,12 @@ def posterior_update(state: PosteriorState, symbol: int) -> PosteriorState:
         branches = tuple(sorted(merged.items()))
         new_forward.append(branches)
         new_loglik.append(_logsumexp2([w for _, w in branches]))
-    memory = hset.memory
-    window = _advance(state.window, symbol, memory) if memory else ()
     return PosteriorState(
         hset,
         state.log_prior,
         tuple(new_loglik),
         state.t + 1,
-        window,
+        hset.members[0]._successor(state.window, symbol),
         tuple(new_forward),
     )
 
@@ -375,7 +338,7 @@ def posterior_predictive(state: PosteriorState) -> ProbVector:
         loglik = state.loglik[m_idx]
         for ctx, logw in state.forward[m_idx]:
             share = 2.0 ** (logw - loglik)
-            probs = _conditional_probs(member, ctx)
+            probs = member.conditional(ctx)
             for sym in range(k):
                 out[sym] += w * share * probs[sym]
     total = math.fsum(out)
@@ -469,22 +432,7 @@ def falsification_bounds(
         )
     eps = -math.log2(q)
     rate = entropy_rate(ideal)
-
-    def xrate(src: ProcessSpec, dst: ProcessSpec) -> float:
-        if isinstance(src, IidSpec) and isinstance(dst, IidSpec):
-            return cross_entropy(src.dist, dst.dist)
-        if isinstance(src, MarkovSpec) and isinstance(dst, MarkovSpec):
-            if src.memory != dst.memory:
-                raise ValueError("memory mismatch between ideal and hypothesis")
-            pi = src.stationary_distribution()
-            return math.fsum(
-                pi[i] * cross_entropy(src.conditional(c), dst.conditional(c))
-                for i, c in enumerate(src.contexts())
-                if pi[i] > 0.0
-            )
-        raise ValueError("ideal and hypothesis must be the same process kind")
-
-    cross = xrate(ideal, hypothesis)
+    cross = stationary_rate(ideal, hypothesis, cross_entropy)
     if not math.isfinite(cross):
         raise ValueError(
             "cross-entropy rate is infinite: the hypothesis assigns "
@@ -661,17 +609,14 @@ class _IdealSampler:
 
     def __init__(self, spec: ProcessSpec, source: BitSource) -> None:
         self.source = source
-        self.spec = spec
-        self.ctx: Context = (
-            spec.draw_start(source) if isinstance(spec, MarkovSpec) else ()
-        )
+        self.ctx: Context = spec.draw_start(source)
+        self._rows = spec.transitions
+        self._successor = spec._successor
 
     def step(self) -> int:
-        if isinstance(self.spec, MarkovSpec):
-            sym = sample_discrete(self.spec.transitions[self.ctx], self.source)
-            self.ctx = _advance(sym=sym, ctx=self.ctx, memory=self.spec.memory)
-            return sym
-        return sample_discrete(self.spec, self.source)
+        sym = sample_discrete(self._rows[self.ctx], self.source)
+        self.ctx = self._successor(self.ctx, sym)
+        return sym
 
 
 def _mc_trial(
@@ -805,13 +750,9 @@ def mc_sample_complexity(
     if first.terminal:
         results = [(first.status, 0)] * trials
     else:
-        head = hset.members[0]
-        contexts = head.contexts() if isinstance(head, MarkovSpec) else [()]
+        contexts = hset.members[0].contexts()
         logtab = [
-            {
-                ctx: [_log2(p) for p in _conditional_probs(m, ctx).probs]
-                for ctx in contexts
-            }
+            {ctx: [_log2(p) for p in m.conditional(ctx).probs] for ctx in contexts}
             for m in hset.members
         ]
         tables = {
@@ -925,15 +866,14 @@ def _class_walk(
     n = len(members)
     k = hset.alphabet_size
     memory = hset.memory
-    head = members[0]
-    contexts = head.contexts() if isinstance(head, MarkovSpec) else [()]
+    contexts = members[0].contexts()
     n_ctx = len(contexts)
     logtab = [
-        [_log2(p) for ctx in contexts for p in _conditional_probs(m, ctx).probs]
+        [_log2(p) for ctx in contexts for p in m.conditional(ctx).probs]
         for m in members
     ]
     if rng is not None:
-        cum = [_cumulative(m.dist.probs) for m in members]  # type: ignore[union-attr]
+        cum = [_cumulative(m.conditional(()).probs) for m in members]
     prefix_ll: dict[Context, list[float]] = {}
     # class key: (generator, first symbols, window as a context index,
     # flat (step, count) pairs with step = context * k + symbol) ->
@@ -1124,7 +1064,7 @@ def _surprisal_curve(
         for values in itertools.islice(walk, exact_t_max + 1):
             yield math.fsum(weights[i] * v for i, v in zip(targets, values)), None
             t += 1
-    if not all(isinstance(m, IidSpec) for m in hset.members):
+    if hset.memory:
         raise ComputationRefused(
             f"the crossing lies past horizon {t - 1}, the last exact one, "
             "and the Monte Carlo curve supports memoryless members only"
@@ -1244,7 +1184,7 @@ def mc_surprisal_moment_curve(
         raise ValueError(f"horizon must be >= 1, got {t_max}")
     pv = as_probvector(prior)
     idx = _member_index(ideal, hset)
-    if not all(isinstance(m, IidSpec) for m in hset.members):
+    if hset.memory:
         raise ValueError("importance-sampled moments need memoryless members")
     log_prior = tuple(_log2(w) for w in pv.probs)
     comps = [cls[0] for cls in hset.equal_classes()]

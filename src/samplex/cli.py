@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -62,6 +63,7 @@ from .processes import (
     spec_from_json,
 )
 from .scdist import (
+    _ORACLE_MAX_L,
     PairwiseSCDist,
     enumerate_orderings_oracle,
     pairwise_verification,
@@ -80,6 +82,7 @@ class ConfigError(ValueError):
     """Invalid experiment config; message carries the field path."""
 
 
+@functools.cache
 def _schema() -> dict:
     text = (
         resources.files("samplex.schema")
@@ -87,6 +90,12 @@ def _schema() -> dict:
         .read_text()
     )
     return json.loads(text)
+
+
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
+    """The schema validator, built once per process."""
+    return jsonschema.Draft202012Validator(_schema())
 
 
 def _process(node: object, path: str) -> IidSpec | MarkovSpec:
@@ -98,8 +107,7 @@ def _process(node: object, path: str) -> IidSpec | MarkovSpec:
         node = {"kind": "iid", "probs": node}
     try:
         spec = spec_from_json(node)  # type: ignore[arg-type]
-        if isinstance(spec, MarkovSpec):
-            spec.stationary_distribution()
+        spec.stationary_distribution()
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return spec
@@ -108,8 +116,7 @@ def _process(node: object, path: str) -> IidSpec | MarkovSpec:
 def validate_config(cfg: object) -> dict:
     """Schema-validate, then enforce the cross-field constraints the
     schema only documents; returns the config as a dict."""
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: e.json_path)
+    errors = sorted(_validator().iter_errors(cfg), key=lambda e: e.json_path)
     if errors:
         first = errors[0]
         raise ConfigError(f"{first.json_path}: {first.message}")
@@ -550,9 +557,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _verify_pairwise_enumeration(args) -> tuple[bool, list[str]]:
+    max_l = 8 if args.L is None else args.L
+    if max_l > _ORACLE_MAX_L:
+        raise ComputationRefused(
+            f"--L {max_l} exceeds the {_ORACLE_MAX_L}-symbol limit of the "
+            "reveal-order oracle"
+        )
     lines = []
     ok = True
-    max_l = args.L or 8
     for L in range(1, max_l + 1):
         for K in range(0, L + 1):
             dist = pairwise_verification(L) if K == 0 else PairwiseSCDist(L, K)
@@ -606,7 +618,7 @@ def _spec_option(text: str | None) -> IidSpec:
 
 def _verify_coin_bits(args) -> tuple[bool, list[str]]:
     spec = _spec_option(args.spec)
-    trials = args.trials or 100_000
+    trials = 100_000 if args.trials is None else args.trials
     counts = [0] * spec.alphabet_size
     total_bits = 0
     for i in range(trials):
@@ -652,6 +664,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"invalid argument: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except ComputationRefused as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
     for line in lines:
         print(line)
     print(f"verify {args.pair}: {'PASS' if ok else 'FAIL'}")
@@ -661,6 +676,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_emit_schema(_args: argparse.Namespace) -> int:
     print(json.dumps(_schema(), indent=2))
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -696,13 +733,20 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=None,
-        help="override the stochastic-check tolerance",
+        help="override the stochastic-check tolerance (finite, >= 0)",
     )
     verify.add_argument("--spec", default=None, help="JSON probability list")
-    verify.add_argument("--trials", type=int, default=None)
-    verify.add_argument("--L", type=int, default=None)
+    verify.add_argument(
+        "--trials", type=_positive_int, default=None, help="draws (>= 1)"
+    )
+    verify.add_argument(
+        "--L",
+        type=_positive_int,
+        default=None,
+        help=f"longest length checked (1 to {_ORACLE_MAX_L})",
+    )
     verify.set_defaults(func=_cmd_verify)
 
     schema = sub.add_parser("emit-schema", help="print the config schema")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .processes import IidSpec, MarkovSpec
@@ -206,21 +206,34 @@ def block_entropy(dist: SequenceDist) -> float:
     return -math.fsum(p * math.log2(p) for p in block.values() if p > 0.0)
 
 
+def stationary_rate(
+    src: "IidSpec | MarkovSpec",
+    dst: "IidSpec | MarkovSpec",
+    measure: Callable[[ProbVector, ProbVector], float],
+) -> float:
+    """Per-symbol rate of ``measure`` between two specs of equal memory:
+    measure(src( . | c), dst( . | c)) averaged over the contexts c with
+    the source's stationary context weights."""
+    if src.memory != dst.memory:
+        raise ValueError(
+            f"rate between specs of memory {src.memory} and {dst.memory} "
+            "is not defined here"
+        )
+    pi = src.stationary_distribution()
+    return math.fsum(
+        pi[i] * measure(src.conditional(c), dst.conditional(c))
+        for i, c in enumerate(src.contexts())
+        if pi[i] > 0.0
+    )
+
+
 def entropy_rate(spec: "IidSpec | MarkovSpec") -> float:
     """Per-symbol entropy of a memoryless or finite-memory process."""
     from .processes import IidSpec, MarkovSpec  # local: avoids import cycle
 
-    if isinstance(spec, IidSpec):
-        return entropy(spec.dist)
-    if isinstance(spec, MarkovSpec):
-        pi = spec.stationary_distribution()
-        contexts = spec.contexts()
-        return math.fsum(
-            pi[i] * entropy(spec.conditional(ctx))
-            for i, ctx in enumerate(contexts)
-            if pi[i] > 0.0
-        )
-    raise TypeError(f"unsupported process spec: {type(spec).__name__}")
+    if not isinstance(spec, (IidSpec, MarkovSpec)):
+        raise TypeError(f"unsupported process spec: {type(spec).__name__}")
+    return stationary_rate(spec, spec, lambda p, _: entropy(p))
 
 
 def total_variation(p: dict, q: dict) -> float:

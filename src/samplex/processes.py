@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .info import ComputationRefused, ENUM_LIMIT, ProbVector, as_probvector
 
@@ -76,14 +76,50 @@ def _to_dyadic(weights: Sequence[float | Fraction]) -> tuple[list[Fraction], boo
     return out, rounded
 
 
+Context = tuple[int, ...]
+
+
+class _Chain:
+    """What every process spec shares: a finite-memory chain that emits
+    each symbol from the conditional law of its context, the last
+    ``memory`` symbols, starting from ``initial_mixture()``."""
+
+    def _successor(self, ctx: Context, sym: int) -> Context:
+        return (ctx + (sym,))[-self.memory:] if self.memory else ()
+
+    def block_distribution(self, t: int) -> dict[tuple[int, ...], float]:
+        if self.alphabet_size**t > ENUM_LIMIT:
+            raise ComputationRefused(
+                f"block enumeration {self.alphabet_size}**{t} exceeds "
+                f"the {ENUM_LIMIT} limit"
+            )
+        layer: dict[tuple[tuple[int, ...], Context], float] = {
+            ((), ctx): w for ctx, w in self.initial_mixture().items()
+        }
+        for _ in range(t):
+            nxt: dict[tuple[tuple[int, ...], Context], float] = {}
+            for (seq, ctx), w in layer.items():
+                for sym, p in enumerate(self.conditional(ctx).probs):
+                    if p > 0.0:
+                        key = (seq + (sym,), self._successor(ctx, sym))
+                        nxt[key] = nxt.get(key, 0.0) + w * p
+            layer = nxt
+        out: dict[tuple[int, ...], float] = {}
+        for (seq, _ctx), w in layer.items():
+            out[seq] = out.get(seq, 0.0) + w
+        return out
+
+
 @dataclass(frozen=True)
-class IidSpec:
-    """Memoryless process over symbols 0..k-1 with dyadic probabilities.
+class IidSpec(_Chain):
+    """Memoryless process over symbols 0..k-1 with dyadic probabilities:
+    the chain of memory 0, whose one context is the empty one.
 
     ``rounded`` records whether any input weight had to be snapped to
     the dyadic grid.  The final cell is adjusted so the exact mass is 1.
     """
 
+    memory: ClassVar[int] = 0
     dist: ProbVector
     boundaries: tuple[Fraction, ...]  # len k+1, 0 == first, 1 == last
     rounded: bool = False
@@ -126,27 +162,28 @@ class IidSpec:
         first draw and kept on the spec (it takes no part in equality)."""
         return _refinement_trie(self.boundaries)
 
-    def block_distribution(self, t: int) -> dict[tuple[int, ...], float]:
-        return _iid_block(self.dist, t)
+    def contexts(self) -> list[Context]:
+        return [()]
+
+    def conditional(self, ctx: Context) -> ProbVector:
+        return self.dist
+
+    @property
+    def transitions(self) -> Mapping[Context, "IidSpec"]:
+        return {(): self}
+
+    def stationary_distribution(self) -> tuple[float, ...]:
+        return (1.0,)
+
+    def initial_mixture(self) -> dict[Context, float]:
+        return {(): 1.0}
+
+    def draw_start(self, source: BitSource) -> Context:
+        """The one context needs no draw: reads no flips."""
+        return ()
 
     def __str__(self) -> str:
         return f"iid({', '.join(f'{p:g}' for p in self.dist.probs)})"
-
-
-def _iid_block(dist: ProbVector, t: int) -> dict[tuple[int, ...], float]:
-    if len(dist) ** t > ENUM_LIMIT:
-        raise ComputationRefused(
-            f"block enumeration {len(dist)}**{t} exceeds the {ENUM_LIMIT} limit"
-        )
-    seqs: dict[tuple[int, ...], float] = {(): 1.0}
-    for _ in range(t):
-        nxt: dict[tuple[int, ...], float] = {}
-        for seq, p in seqs.items():
-            for sym, ps in enumerate(dist.probs):
-                if ps > 0.0:
-                    nxt[seq + (sym,)] = p * ps
-        seqs = nxt
-    return seqs
 
 
 def _refinement_trie(boundaries: tuple[Fraction, ...]) -> tuple[int, ...]:
@@ -208,15 +245,12 @@ def iid_sample(spec: IidSpec, t: int, source: BitSource) -> tuple[int, ...]:
     return tuple(sample_discrete(spec, source) for _ in range(t))
 
 
-Context = tuple[int, ...]
-
-
 def _context_str(ctx: Context) -> str:
     return "".join(str(s) for s in ctx) if ctx else "(empty)"
 
 
 @dataclass(frozen=True)
-class MarkovSpec:
+class MarkovSpec(_Chain):
     """Finite-memory chain: one conditional distribution per context.
 
     ``init`` is one of ``("context", ctx)``, ``("distribution", probs)``
@@ -281,9 +315,6 @@ class MarkovSpec:
 
     def conditional(self, ctx: Context) -> ProbVector:
         return self.transitions[ctx].dist
-
-    def _successor(self, ctx: Context, sym: int) -> Context:
-        return (ctx + (sym,))[-self.memory:] if self.memory else ()
 
     def _check_ergodic(self) -> None:
         ctxs = self.contexts()
@@ -398,28 +429,6 @@ class MarkovSpec:
             self._cache["start"] = IidSpec.from_probs(weights)
         return self.contexts()[sample_discrete(self._cache["start"], source)]
 
-    def block_distribution(self, t: int) -> dict[tuple[int, ...], float]:
-        if self.alphabet_size**t > ENUM_LIMIT:
-            raise ComputationRefused(
-                f"block enumeration {self.alphabet_size}**{t} exceeds "
-                f"the {ENUM_LIMIT} limit"
-            )
-        layer: dict[tuple[tuple[int, ...], Context], float] = {
-            ((), ctx): w for ctx, w in self.initial_mixture().items()
-        }
-        for _ in range(t):
-            nxt: dict[tuple[tuple[int, ...], Context], float] = {}
-            for (seq, ctx), w in layer.items():
-                for sym, p in enumerate(self.conditional(ctx).probs):
-                    if p > 0.0:
-                        key = (seq + (sym,), self._successor(ctx, sym))
-                        nxt[key] = nxt.get(key, 0.0) + w * p
-            layer = nxt
-        out: dict[tuple[int, ...], float] = {}
-        for (seq, _ctx), w in layer.items():
-            out[seq] = out.get(seq, 0.0) + w
-        return out
-
 
 def markov_sample(spec: MarkovSpec, t: int, source: BitSource) -> tuple[int, ...]:
     """Emit t symbols.  The initial context is hidden state, not output."""
@@ -437,16 +446,8 @@ def markov_sample(spec: MarkovSpec, t: int, source: BitSource) -> tuple[int, ...
 def sequence_log_probability(
     spec: IidSpec | MarkovSpec, seq: Sequence[int]
 ) -> float:
-    """-log2 P(sequence) under the spec, in bits (>= 0, +inf if impossible)."""
-    if isinstance(spec, IidSpec):
-        total = 0.0
-        for sym in seq:
-            p = spec.dist[sym]
-            if p == 0.0:
-                return math.inf
-            total -= math.log2(p)
-        return total
-    # finite-memory: log-space forward pass over the initial mixture
+    """-log2 P(sequence) under the spec, in bits (>= 0, +inf if impossible),
+    by a log-space forward pass over the initial mixture."""
     branches = []
     for ctx, w in spec.initial_mixture().items():
         ll = math.log2(w)

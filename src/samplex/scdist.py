@@ -4,16 +4,15 @@ position by position in random order.
 The pairwise family answers: two alternatives of length L disagree at K
 positions; positions are revealed uniformly at random without
 replacement; when does the first disagreement show up?  Results are
-exact rationals up to L = 20 and log-gamma floats beyond.  Enumeration
-and Monte Carlo oracles over explicit orderings provide independent
-checks on the closed forms.
+exact rationals up to L = 20 and log-gamma floats beyond.  An
+enumeration oracle over explicit orderings provides an independent
+check on the closed forms.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -226,18 +225,6 @@ class EmpiricalSCDist:
         return {i: c / self.trials for i, c in self.counts.items()}
 
 
-SCDist = Union[PairwiseSCDist, PointMassSCDist, GeometricSCDist, EmpiricalSCDist]
-
-
-def pairwise_pmf(L: int, K: int, i: int) -> Number:
-    """P(stopping index = i); zero outside 1..L-K+1 rather than an error."""
-    return PairwiseSCDist(L, K).pmf(i)
-
-
-def pairwise_cdf(L: int, K: int, i: int) -> Number:
-    return PairwiseSCDist(L, K).cdf(i)
-
-
 def partial_verification_prob(L: int, K: int, i: int) -> Number:
     """P(the first i reveals all land on agreeing positions)."""
     _check_pairwise_args(L, K)
@@ -251,17 +238,6 @@ def pairwise_verification(L: int) -> PointMassSCDist:
     if L < 1:
         raise ValueError(f"length must be >= 1, got {L}")
     return PointMassSCDist(L)
-
-
-def geometric_pmf(halt_prob: float, i: int) -> float:
-    return GeometricSCDist(halt_prob).pmf(i)
-
-
-def dist_moments(dist: SCDist, m: int) -> Number:
-    """m-th raw moment of a stopping-index distribution."""
-    if m < 1:
-        raise ValueError(f"moment order must be >= 1, got {m}")
-    return dist.moment(m)
 
 
 def _diff_positions(a: str, b: str) -> list[int]:
@@ -298,18 +274,3 @@ def enumerate_orderings_oracle(a: str, b: str) -> EmpiricalSCDist:
     for order in itertools.permutations(range(L)):
         counts[_stop_index(order, diffs)] += 1
     return EmpiricalSCDist(dict(counts), math.factorial(L))
-
-
-def mc_pairwise_oracle(
-    a: str, b: str, trials: int, seed: int | str
-) -> EmpiricalSCDist:
-    """Stopping distribution from sampled reveal orders."""
-    diffs = set(_diff_positions(a, b))
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    rng = random.Random(seed)
-    L = len(a)
-    counts: Counter[int] = Counter()
-    for _ in range(trials):
-        counts[_stop_index(rng.sample(range(L), L), diffs)] += 1
-    return EmpiricalSCDist(dict(counts), trials)

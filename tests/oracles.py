@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,6 +20,7 @@ from samplex import (
     ComputationRefused,
     Decision,
     DecisionStatus,
+    EmpiricalSCDist,
     PosteriorState,
     as_probvector,
     check_stop,
@@ -27,6 +30,7 @@ from samplex import (
 )
 from samplex.bayes import _IdealSampler, _logsumexp2, _member_index
 from samplex.info import ENUM_LIMIT
+from samplex.scdist import _diff_positions, _stop_index
 
 
 def oracle_cap(r: float) -> float:
@@ -88,6 +92,21 @@ def pairwise_stop_pmf(L: int, K: int) -> dict[int, Fraction]:
         counts[stop] = counts.get(stop, 0) + 1
     total = math.factorial(L)
     return {i: Fraction(n, total) for i, n in sorted(counts.items())}
+
+
+def mc_pairwise_oracle(
+    a: str, b: str, trials: int, seed: int | str
+) -> EmpiricalSCDist:
+    """Stopping distribution from sampled reveal orders."""
+    diffs = set(_diff_positions(a, b))
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    rng = random.Random(seed)
+    L = len(a)
+    counts: Counter[int] = Counter()
+    for _ in range(trials):
+        counts[_stop_index(rng.sample(range(L), L), diffs)] += 1
+    return EmpiricalSCDist(dict(counts), trials)
 
 
 def exact_expected_bits(boundaries: Sequence[Fraction]) -> Fraction:

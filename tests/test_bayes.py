@@ -23,17 +23,20 @@ from samplex import (
     TypicalityRegion,
     check_stop,
     divergence_rate,
+    entropy_rate,
     equivalence_groups,
     expected_sc_evaluator,
     expected_sc_predictive,
     falsification_bounds,
     hypothesis_count_bound,
+    iid_sample,
     markov_sample,
     mc_sample_complexity,
     mc_surprisal_moment_curve,
     posterior_predictive,
     posterior_update,
     sample_discrete,
+    sequence_log_probability,
     surprisal_moment,
     typical_membership,
     typical_set_bounds,
@@ -75,6 +78,65 @@ def run_posterior(hset, prior, observations):
     for sym in observations:
         state = posterior_update(state, sym)
     return state
+
+
+def repeated(spec):
+    """The memory-1 chain whose every row is ``spec``, started from its
+    stationary law: the same process as ``spec`` itself."""
+    rows = {(s,): spec for s in range(spec.alphabet_size)}
+    return MarkovSpec(1, rows, ("stationary", None))
+
+
+class TestIidIsTheMemoryZeroChain:
+    # full support: a zero cell would leave a context of the chain
+    # unreachable, and a reducible chain has no stationary law
+    CASES = [
+        (B9, B5),
+        (T3, IidSpec.from_probs([0.625, 0.25, 0.125])),
+        (IidSpec.from_probs([0.2, 0.3, 0.5]), T3),
+    ]
+
+    @pytest.mark.parametrize("spec, third", CASES)
+    def test_rates_and_bounds_agree_with_the_chain(self, spec, third):
+        chain_ = repeated(spec)
+        close = lambda a, b: math.isclose(a, b, rel_tol=0.0, abs_tol=1e-12)
+        assert close(entropy_rate(spec), entropy_rate(chain_))
+        assert close(
+            divergence_rate(spec, third),
+            divergence_rate(chain_, repeated(third)),
+        )
+        for q in (0.5, 0.9):
+            iid_bounds = falsification_bounds(spec, third, q)
+            chain_bounds = falsification_bounds(chain_, repeated(third), q)
+            assert all(map(close, iid_bounds, chain_bounds)), q
+
+    @pytest.mark.parametrize("spec, third", CASES)
+    def test_blocks_and_sequences_agree_with_the_chain(self, spec, third):
+        chain_ = repeated(spec)
+        for t in range(5):
+            iid_block = spec.block_distribution(t)
+            chain_block = chain_.block_distribution(t)
+            assert iid_block.keys() == chain_block.keys()
+            for seq, p in iid_block.items():
+                assert chain_block[seq] == pytest.approx(p, rel=0.0, abs=1e-12)
+        k = spec.alphabet_size
+        for seq in itertools.product(range(k), repeat=4):
+            got = sequence_log_probability(spec, seq)
+            want = sequence_log_probability(chain_, seq)
+            assert got == pytest.approx(want, rel=0.0, abs=1e-12), seq
+
+    def test_deterministic_processes_have_entropy_rate_plus_zero(self):
+        point = IidSpec.from_probs([0.0, 1.0])
+        for spec in (point, m1(0.0, 1.0)):  # the chain alternates
+            assert math.copysign(1.0, entropy_rate(spec)) == 1.0, spec
+
+    def test_the_start_reads_no_flips(self):
+        source = BitSource(5)
+        assert B9.draw_start(source) == ()
+        assert source.bits_consumed == 0
+        assert B9.transitions == {(): B9}
+        assert B9.initial_mixture() == {(): 1.0}
+        assert B9.stationary_distribution() == (1.0,)
 
 
 class TestDivergenceRate:
@@ -429,6 +491,13 @@ class TestMCSampleComplexity:
                 sampler = samplex.bayes._IdealSampler(spec, BitSource(seed))
                 steps = tuple(sampler.step() for _ in range(30))
                 assert steps == markov_sample(spec, 30, BitSource(seed)), init
+        for spec in (B9, T3, IidSpec.from_probs([0.2, 0.3, 0.5])):
+            for seed in range(5):
+                source, reference = BitSource(seed), BitSource(seed)
+                sampler = samplex.bayes._IdealSampler(spec, source)
+                steps = tuple(sampler.step() for _ in range(30))
+                assert steps == iid_sample(spec, 30, reference), spec
+                assert source.bits_consumed == reference.bits_consumed, spec
 
     def test_unreachable_certainty_censors_every_trial(self):
         report = mc_sample_complexity(

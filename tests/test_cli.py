@@ -65,6 +65,18 @@ def markov1(zero_after_0: float, zero_after_1: float) -> dict:
     }
 
 
+def markov2_three_symbols() -> dict:
+    rows = [[0.5, 0.25, 0.25], [0.125, 0.625, 0.25], [0.25, 0.25, 0.5]]
+    return {
+        "kind": "markov",
+        "memory": 2,
+        "alphabet": 3,
+        "transitions": {
+            f"{a}{b}": rows[(a + 2 * b) % 3] for a in range(3) for b in range(3)
+        },
+    }
+
+
 def markov_bayes_cfg(ideal: dict, other: dict) -> dict:
     return {
         "kind": "bayes",
@@ -253,6 +265,30 @@ class TestExitCodes:
         path = write_config(tmp_path, BAYES_CFG)
         assert main(["run", "--config", path, "--threads", "0"]) == EXIT_INVALID
 
+    @pytest.mark.parametrize(
+        "pair, flag, value",
+        [
+            ("coin-bits", "--trials", "-5"),
+            ("coin-bits", "--trials", "0"),
+            ("pairwise-enumeration", "--L", "0"),
+            ("pairwise-enumeration", "--L", "-3"),
+            ("coin-bits", "--tolerance", "-1"),
+            ("coin-bits", "--tolerance", "nan"),
+        ],
+    )
+    def test_bad_verify_flag_is_invalid(self, capsys, pair, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--pair", pair, flag, value])
+        assert exc.value.code == EXIT_INVALID
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_verify_length_past_the_oracle_is_refused(self, capsys):
+        code = main(["verify", "--pair", "pairwise-enumeration", "--L", "11"])
+        assert code == EXIT_REFUSED
+        captured = capsys.readouterr()
+        assert captured.err.startswith("refused: --L 11")
+        assert captured.out == ""
+
 
 class TestVerifyPairs:
     def test_pairwise_enumeration(self, capsys):
@@ -377,6 +413,50 @@ class TestOutputs:
         assert record["meta"]["symbols"] == symbols
         assert record["meta"]["fair_bits"] == fair_bits
         assert not {"symbols", "fair_bits"} & set(record["payload"])
+        text = json.dumps(record["payload"], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # digests of the payloads as written while the library still branched
+    # on iid versus chain specs
+    @pytest.mark.parametrize(
+        "cfg, digest",
+        [
+            (
+                json.loads((CONFIG_DIR / "bayes.json").read_text()),
+                "9921c6af7ec7b44b70dff4422dcb33ba42f101cbba03555dc25981e88af5f220",
+            ),
+            (
+                json.loads((CONFIG_DIR / "novelty.json").read_text()),
+                "95c3081ef9d034d9be4efc33116610f61fa5dbc45efacb15e8039ab26806012d",
+            ),
+            (
+                json.loads((CONFIG_DIR / "figure3.json").read_text()),
+                "311bc77efca37d09d4d372776252e428e53a0f0c51ee2835520550963cd04385",
+            ),
+            (
+                {"kind": "sample", "spec": markov2_three_symbols(), "t": 40,
+                 "trials": 50, "seed": 4},
+                "237a19c2a409f3a12c13c6da95fc7bea7b6366a6818318a063d1ce2ef15ffc41",
+            ),
+            (  # crosses by enumeration at t = 5
+                {**markov_bayes_cfg(markov1(0.875, 0.125), markov1(0.125, 0.875)),
+                 "q": 0.05, "trials": 40},
+                "1c97d21030789215fbfc3e033af6801ef4fe799b8507722b2fbfc3a01d2fc43f",
+            ),
+            (
+                {"kind": "novelty", "ideal": markov1(0.75, 0.25),
+                 "hypotheses": [markov1(0.25, 0.75), markov1(0.125, 0.5)],
+                 "q": 0.8, "trials": 60, "budget": 300, "seed": 8},
+                "352c6bc917a2dd66310ae32eb370cfe35a1d9dd35c05ac3e15820fb20c8dc6cc",
+            ),
+        ],
+        ids=[
+            "bayes", "novelty", "figure3",
+            "markov-sample", "markov-bayes", "markov-novelty",
+        ],
+    )
+    def test_payloads_keep_their_digests(self, tmp_path, cfg, digest):
+        record = run_to_file(tmp_path, cfg)
         text = json.dumps(record["payload"], sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 

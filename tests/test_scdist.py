@@ -13,18 +13,13 @@ from samplex import (
     PairwiseSCDist,
     PointMassSCDist,
     UndefinedMomentError,
-    dist_moments,
     enumerate_orderings_oracle,
-    geometric_pmf,
-    mc_pairwise_oracle,
-    pairwise_cdf,
-    pairwise_pmf,
     pairwise_verification,
     partial_verification_prob,
     total_variation,
 )
 
-from oracles import pairwise_stop_pmf
+from oracles import mc_pairwise_oracle, pairwise_stop_pmf
 
 
 class TestPairwiseExact:
@@ -85,8 +80,8 @@ class TestPairwiseExact:
             PairwiseSCDist(4, 0)
 
     def test_module_level_helpers_agree(self):
-        assert pairwise_pmf(4, 2, 1) == Fraction(1, 2)
-        assert pairwise_cdf(4, 2, 2) == Fraction(5, 6)
+        assert PairwiseSCDist(4, 2).pmf(1) == Fraction(1, 2)
+        assert PairwiseSCDist(4, 2).cdf(2) == Fraction(5, 6)
         assert partial_verification_prob(4, 2, 1) == Fraction(1, 2)
 
     def test_survival_to_pmf_relation(self):
@@ -129,7 +124,6 @@ class TestGeometric:
         assert dist.pmf(3) == pytest.approx(0.75**2 * 0.25)
         assert dist.cdf(2) == pytest.approx(1 - 0.75**2)
         assert dist.pmf(0) == 0.0
-        assert geometric_pmf(0.25, 3) == dist.pmf(3)
 
     def test_moments_match_closed_forms(self):
         for p in (0.1, 0.5, 0.9):
@@ -208,9 +202,3 @@ class TestOracles:
     def test_mc_oracle_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             mc_pairwise_oracle("01", "10", trials=0, seed=1)
-
-
-def test_dist_moments_helper():
-    assert dist_moments(PairwiseSCDist(4, 2), 1) == Fraction(5, 3)
-    with pytest.raises(ValueError):
-        dist_moments(PairwiseSCDist(4, 2), 0)
