@@ -15,6 +15,8 @@ band [rate - eps, rate + eps] with eps = -log2 q: the empirical-KL
 phrasing of the same idea plateaus below the slack for nearby
 alternatives and cannot reach the advertised detection rates, so the
 band form is used throughout (typical_membership reports it directly).
+The rule is written once, in ``_stopping_rule``: ``check_stop`` and
+every Monte Carlo stopping trial decide through the same function.
 
 Expected-sample-complexity threshold equations are implicit in t and
 the naive fixed-point iteration repels; the solver instead scans the
@@ -498,81 +500,97 @@ class Decision:
         }
 
 
-def _group_masses(
-    posterior: Sequence[float], groups: Sequence[Sequence[int]]
-) -> list[float]:
-    return [math.fsum(posterior[i] for i in g) for g in groups]
+_Verdict = tuple[DecisionStatus, tuple[int, ...]]
 
 
-def check_stop(
-    state: PosteriorState,
-    cfg: StoppingConfig,
-    observations: Sequence[int] = (),
-) -> Decision:
-    """Apply the stopping rule to the current posterior.
+def _stopping_rule(
+    hset: HypothesisSet, cfg: StoppingConfig, log_prior: Sequence[float]
+) -> Callable[[Sequence[float], int], _Verdict | None]:
+    """The stopping rule for one set, config and prior, as a function of
+    the per-member log2 likelihoods at time t: a terminal (status,
+    group), or None to keep observing.  ``check_stop`` and every Monte
+    Carlo trial decide through it.
 
     Verification: the heaviest dissimilarity group must hold posterior
-    mass >= p and contain a member whose per-symbol surprisal is inside
-    its typical band at level p (with p = 1 this tightens to structural
-    certainty: every outside member already at likelihood zero).
-    Falsification: after the warm-up, every member's surprisal must sit
-    outside its band at level q.  Hitting the resolution cap forces a
-    terminal Undetermined.
+    mass >= p and, after t = 0, contain a member whose per-symbol
+    surprisal is inside its typical band at level p.  With p = 1 this
+    tightens to structural certainty: every member outside the group at
+    likelihood zero.  Falsification: every member falsified, or, after
+    the warm-up, every member's surprisal outside its band at level q.
+    Hitting the resolution cap forces a terminal Undetermined.
     """
-    if observations and len(observations) != state.t:
-        raise ValueError(
-            f"{len(observations)} observations for a state at t={state.t}"
-        )
-    t = state.t
-    if state.all_falsified:
-        return Decision(DecisionStatus.FALSIFIED, (), t, None, True)
-
-    posterior = state.posterior().probs
-    groups = equivalence_groups(state.hset, cfg.eps_d)
-    rates = state.hset.rates()
-    masses = _group_masses(posterior, groups)
-    best = max(range(len(groups)), key=masses.__getitem__)
-    group = groups[best]
-
-    verified = False
-    if cfg.p == 1.0:
-        verified = all(
-            state.log_prior[i] + state.loglik[i] == -math.inf
-            for i in range(len(state.hset))
-            if i not in group
-        )
-    elif masses[best] >= cfg.p:
-        if t == 0:
-            verified = True
-        else:
-            eps_p = -math.log2(cfg.p) if cfg.p > 0.0 else math.inf
-            verified = any(
-                _surprisal_region(-state.loglik[i], t, rates[i], eps_p)
-                is TypicalityRegion.TYPICAL
-                for i in group
-            )
-    if verified:
-        status = (
-            DecisionStatus.VERIFIED
-            if len(group) == 1
-            else DecisionStatus.PARTIALLY_IDENTIFIED
-        )
-        return Decision(status, group, t, posterior, True)
-
-    if cfg.q > 0.0 and t > 0:
-        eps_q = -math.log2(cfg.q)
-        warmup = max(1, math.ceil(max(rates) + eps_q))
-        if t >= warmup and all(
-            _surprisal_region(-state.loglik[i], t, rates[i], eps_q)
-            is not TypicalityRegion.TYPICAL
-            for i in range(len(state.hset))
-        ):
-            return Decision(DecisionStatus.FALSIFIED, (), t, posterior, True)
-
+    members = range(len(hset))
+    rates = hset.rates()
+    groups = equivalence_groups(hset, cfg.eps_d)
+    eps_p = -math.log2(cfg.p) if cfg.p > 0.0 else math.inf
+    eps_q = -math.log2(cfg.q) if cfg.q > 0.0 else math.inf
+    warmup = (
+        max(1, warmup_threshold(max(rates), cfg.q)) if cfg.q > 0.0 else math.inf
+    )
     cap = resolution_cap(cfg.r)
-    if cfg.r > 0.0 and t >= cap:
-        return Decision(DecisionStatus.UNDETERMINED, (), t, posterior, True)
-    return Decision(DecisionStatus.UNDETERMINED, (), t, posterior, False)
+    live = {i for i in members if log_prior[i] > -math.inf}
+    contexts = hset.members[0].contexts()
+    # with p = 1 and every live member at full support no live likelihood
+    # ever reaches 0, so structural certainty is the prior's alone: it
+    # holds at every t exactly when the live members share one group.
+    # ``certain`` is then that group, or () when it never holds; None
+    # means the posterior must be weighed at every step.
+    certain: tuple[int, ...] | None = None
+    if cfg.p == 1.0 and all(
+        p > 0.0
+        for i in live
+        for ctx in contexts
+        for p in hset.members[i].conditional(ctx).probs
+    ):
+        certain = next((g for g in groups if live <= set(g)), ())
+
+    def verdict(group: tuple[int, ...]) -> _Verdict:
+        if len(group) == 1:
+            return DecisionStatus.VERIFIED, group
+        return DecisionStatus.PARTIALLY_IDENTIFIED, group
+
+    def decide(loglik: Sequence[float], t: int) -> _Verdict | None:
+        if certain:
+            return verdict(certain)
+        if certain is None:
+            scores = [log_prior[i] + loglik[i] for i in members]
+            top = max(scores)
+            if top == -math.inf:
+                return DecisionStatus.FALSIFIED, ()
+            weights = [2.0 ** (s - top) for s in scores]
+            total = math.fsum(weights)
+            masses = [math.fsum(weights[i] for i in g) / total for g in groups]
+            best = max(range(len(groups)), key=masses.__getitem__)
+            group = groups[best]
+            if cfg.p == 1.0:
+                if all(scores[i] == -math.inf for i in members if i not in group):
+                    return verdict(group)
+            elif masses[best] >= cfg.p and (
+                t == 0
+                or any(abs(-loglik[i] / t - rates[i]) <= eps_p for i in group)
+            ):
+                return verdict(group)
+        if t >= warmup and all(
+            abs(-loglik[i] / t - rates[i]) > eps_q for i in members
+        ):
+            return DecisionStatus.FALSIFIED, ()
+        if t >= cap:
+            return DecisionStatus.UNDETERMINED, ()
+        return None
+
+    return decide
+
+
+def check_stop(state: PosteriorState, cfg: StoppingConfig) -> Decision:
+    """Apply the stopping rule (see ``_stopping_rule``) to the current
+    posterior; the decision records the posterior unless every member
+    is falsified."""
+    decided = _stopping_rule(state.hset, cfg, state.log_prior)(
+        state.loglik, state.t
+    )
+    status, group = decided or (DecisionStatus.UNDETERMINED, ())
+    posterior = None if state.all_falsified else state.posterior().probs
+    return Decision(status, group, state.t, posterior, decided is not None)
 
 
 @dataclass(frozen=True)
@@ -621,44 +639,27 @@ class _IdealSampler:
 
 def _mc_trial(
     ideal: ProcessSpec,
-    hset: HypothesisSet,
-    cfg: StoppingConfig,
+    start: PosteriorState,
+    decide: Callable[[Sequence[float], int], _Verdict | None],
+    logtab: list[dict[Context, list[float]]],
     budget: int,
     seed: str,
-    tables: dict,
 ) -> tuple[DecisionStatus, int]:
-    """One stopping trial from t = 1 on; the caller has already ruled
-    out a decision at t = 0.  Returns the decision and when it fell;
+    """One stopping trial from t = 1 on; the caller has already asked
+    ``decide`` at t = 0.  Returns the decision and when it fell;
     Undetermined means censored (budget or r-cap exhausted).
 
-    Makes the same decisions as stepping ``posterior_update`` and
-    ``check_stop``, without per-step state objects: the first
-    ``memory`` steps go through ``posterior_update`` while a member's
-    hidden context may still be a mixture; from then on every member's
-    context is the observed window, so each step adds one entry of the
-    precomputed log table (member -> context -> symbol).
+    Steps like ``posterior_update`` without per-step state objects: the
+    first ``memory`` steps go through ``posterior_update`` while a
+    member's hidden context may still be a mixture; from then on every
+    member's context is the observed window, so each step adds one entry
+    of the precomputed log table (member -> context -> symbol).
     """
     sampler = _IdealSampler(ideal, BitSource(seed))
-    n = tables["n"]
-    logtab = tables["logtab"]
-    log_prior = tables["log_prior"]
-    rates = tables["rates"]
-    groups = tables["groups"]
-    eps_p = tables["eps_p"]
-    eps_q = tables["eps_q"]
-    warmup = tables["warmup"]
-    cap = tables["cap"]
-    memory = hset.memory
-    structural = cfg.p == 1.0
-    # with p = 1 and every member at full support, structural certainty
-    # can never fire after t = 0, so the whole verification block is
-    # dead code
-    verify_never = structural and tables["full_support"]
-
-    state = tables["start"]
-    loglik = [0.0] * n
+    memory = start.hset.memory
+    state = start
+    loglik = list(start.loglik)
     ctx: Context = ()
-    scores = list(log_prior)
     for t in range(1, budget + 1):
         sym = sampler.step()
         if t <= memory:
@@ -666,51 +667,13 @@ def _mc_trial(
             loglik = list(state.loglik)
             ctx = state.window
         else:
-            for m in range(n):
-                loglik[m] += logtab[m][ctx][sym]
+            for m, row in enumerate(logtab):
+                loglik[m] += row[ctx][sym]
             if memory:
                 ctx = ctx[1:] + (sym,)
-        if not verify_never:
-            dead = True
-            for m in range(n):
-                scores[m] = log_prior[m] + loglik[m]
-                if scores[m] > -math.inf:
-                    dead = False
-            if dead:
-                return DecisionStatus.FALSIFIED, t
-            top = max(scores)
-            weights = [2.0 ** (s - top) for s in scores]
-            total = math.fsum(weights)
-            masses = [
-                math.fsum(weights[i] for i in g) / total for g in groups
-            ]
-            best = max(range(len(groups)), key=masses.__getitem__)
-            group = groups[best]
-            if structural:
-                verified = all(
-                    scores[i] == -math.inf
-                    for i in range(n)
-                    if i not in group
-                )
-            else:
-                verified = masses[best] >= cfg.p and any(
-                    abs(-loglik[i] / t - rates[i]) <= eps_p for i in group
-                )
-            if verified:
-                status = (
-                    DecisionStatus.VERIFIED
-                    if len(group) == 1
-                    else DecisionStatus.PARTIALLY_IDENTIFIED
-                )
-                return status, t
-        if cfg.q > 0.0 and t >= warmup:
-            if all(
-                not (-eps_q <= -loglik[i] / t - rates[i] <= eps_q)
-                for i in range(n)
-            ):
-                return DecisionStatus.FALSIFIED, t
-        if cfg.r > 0.0 and t >= cap:
-            return DecisionStatus.UNDETERMINED, t
+        decided = decide(loglik, t)
+        if decided is not None:
+            return decided[0], t
     return DecisionStatus.UNDETERMINED, budget
 
 
@@ -746,39 +709,18 @@ def mc_sample_complexity(
         budget = min(budget, max_steps)
 
     start = PosteriorState.from_prior(hset, pv)
-    first = check_stop(start, cfg)
-    if first.terminal:
-        results = [(first.status, 0)] * trials
+    decide = _stopping_rule(hset, cfg, start.log_prior)
+    first = decide(start.loglik, 0)
+    if first is not None:
+        results = [(first[0], 0)] * trials
     else:
         contexts = hset.members[0].contexts()
         logtab = [
             {ctx: [_log2(p) for p in m.conditional(ctx).probs] for ctx in contexts}
             for m in hset.members
         ]
-        tables = {
-            "n": len(hset),
-            "start": start,
-            "logtab": logtab,
-            "log_prior": start.log_prior,
-            "rates": hset.rates(),
-            "groups": equivalence_groups(hset, cfg.eps_d),
-            "eps_p": -math.log2(cfg.p) if cfg.p > 0.0 else math.inf,
-            "eps_q": -math.log2(cfg.q) if cfg.q > 0.0 else math.inf,
-            "warmup": max(
-                1, math.ceil(max(hset.rates()) + (-math.log2(cfg.q)))
-            )
-            if cfg.q > 0.0
-            else budget + 1,
-            "cap": cap,
-            "full_support": all(
-                v > -math.inf
-                for row in logtab
-                for logs in row.values()
-                for v in logs
-            ),
-        }
         results = [
-            _mc_trial(ideal, hset, cfg, budget, _trial_seed(seed, i), tables)
+            _mc_trial(ideal, start, decide, logtab, budget, _trial_seed(seed, i))
             for i in range(trials)
         ]
 
@@ -1079,6 +1021,36 @@ def _surprisal_curve(
         yield mean, math.sqrt(max(0.0, square - mean**2) / sequences)
 
 
+def _sc_estimate(
+    hset: HypothesisSet,
+    pv: ProbVector,
+    weights: dict[int, float],
+    p: float,
+    exact_t_max: int,
+    sequences: int,
+    seed: int | str,
+) -> SCEstimate:
+    """Scan ``_surprisal_curve`` for its -log2 p crossing.
+
+    At p = 1 over memoryless members horizon 1 is final, and the Monte
+    Carlo curve is never asked for a 0-bit target: a live member that
+    gives mass to a symbol another live member emits keeps positive
+    likelihood on that symbol's constant run forever, so a surprisal not
+    at 0 by t = 1 never gets there.
+    """
+    log_prior = tuple(_log2(w) for w in pv.probs)
+    if p == 1.0 and not hset.memory:
+        curve = _surprisal_curve(hset, log_prior, weights, 1, sequences, seed)
+        found = _scan_crossing(0.0, curve, 1)
+        if found.smallest_t is None:
+            return SCEstimate(math.inf, "unreachable-threshold", None, None)
+        return found
+    curve = _surprisal_curve(
+        hset, log_prior, weights, exact_t_max, sequences, seed
+    )
+    return _scan_crossing(-math.log2(p), curve, _HARD_T_MAX)
+
+
 def expected_sc_evaluator(
     ideal: ProcessSpec,
     hset: HypothesisSet,
@@ -1098,9 +1070,10 @@ def expected_sc_evaluator(
     population of ``sequences`` gives estimates with confidence bounds,
     for memoryless members over any alphabet; finite-memory members
     whose crossing lies past the exact horizon raise ComputationRefused.
-    A prior already at the threshold answers 0; a posterior ceiling
-    below the threshold (duplicate of the ideal, zero prior) is reported
-    as unreachable.
+    At p = 1 memoryless members cross at t = 1 or never (the Monte
+    Carlo curve would only see rounding).  A prior already at the
+    threshold answers 0; a posterior ceiling below the threshold
+    (duplicate of the ideal, zero prior) is reported as unreachable.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"verification level must be in (0, 1], got {p!r}")
@@ -1118,11 +1091,7 @@ def expected_sc_evaluator(
     if floor > target + _FLOOR_TOL:
         return SCEstimate(math.inf, "unreachable-threshold", None, None)
 
-    log_prior = tuple(_log2(w) for w in pv.probs)
-    curve = _surprisal_curve(
-        hset, log_prior, {idx: 1.0}, exact_t_max, sequences, seed
-    )
-    return _scan_crossing(target, curve, _HARD_T_MAX)
+    return _sc_estimate(hset, pv, {idx: 1.0}, p, exact_t_max, sequences, seed)
 
 
 def expected_sc_predictive(
@@ -1154,12 +1123,8 @@ def expected_sc_predictive(
     if floor > target + _FLOOR_TOL:
         return SCEstimate(math.inf, "unreachable-threshold", None, None)
 
-    log_prior = tuple(_log2(w) for w in pv.probs)
     weights = {i: pv[i] for i in range(len(hset)) if pv[i] > 0.0}
-    curve = _surprisal_curve(
-        hset, log_prior, weights, exact_t_max, sequences, seed
-    )
-    return _scan_crossing(target, curve, _HARD_T_MAX)
+    return _sc_estimate(hset, pv, weights, p, exact_t_max, sequences, seed)
 
 
 def mc_surprisal_moment_curve(

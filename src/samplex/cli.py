@@ -37,7 +37,6 @@ from .bayes import (
     posterior_update,
     typical_set_bounds,
     _IdealSampler,
-    _member_index,
 )
 from .bitstrings import (
     SortedHypothesisSet,
@@ -323,7 +322,7 @@ def _posterior_trace(ideal, hset, prior, scfg, seed, limit: int) -> list[list]:
     state = PosteriorState.from_prior(hset, prior)
     rows: list[list] = [[0, *state.posterior().probs]]
     for _ in range(limit):
-        decision = check_stop(state, scfg, ())
+        decision = check_stop(state, scfg)
         if decision.terminal or decision.status is not DecisionStatus.UNDETERMINED:
             break
         state = posterior_update(state, sampler.step())
@@ -374,7 +373,6 @@ def _run_bayes(cfg: dict, seed: int) -> dict:
         ideal, hset, cfg["prior"], scfg, trials, seed, max_steps=max_steps
     )
     try:
-        _member_index(ideal, hset)
         analytic = expected_sc_evaluator(
             ideal, hset, cfg["prior"], cfg["p"], seed=seed
         ).to_json()

@@ -22,13 +22,21 @@ from samplex import (
     DecisionStatus,
     EmpiricalSCDist,
     PosteriorState,
+    StoppingConfig,
+    TypicalityRegion,
     as_probvector,
-    check_stop,
     entropy_rate,
+    equivalence_groups,
     posterior_update,
+    resolution_cap,
     sequence_log_probability,
 )
-from samplex.bayes import _IdealSampler, _logsumexp2, _member_index
+from samplex.bayes import (
+    _IdealSampler,
+    _logsumexp2,
+    _member_index,
+    _surprisal_region,
+)
 from samplex.info import ENUM_LIMIT
 from samplex.scdist import _diff_positions, _stop_index
 
@@ -340,21 +348,76 @@ def surprisal_moment_product_form(ideal, hset, prior, t: int, m: int) -> float:
     return first * second
 
 
+def check_stop_reference(state: PosteriorState, cfg: StoppingConfig) -> Decision:
+    """The stopping rule stated on its own, from the normalized
+    posterior and the surprisal regions: an independent copy of what
+    ``check_stop`` decides.  It may disagree with the library only at
+    floating ties (a group mass or a per-symbol surprisal within
+    rounding of its threshold), where the two arithmetics round apart."""
+    t = state.t
+    if state.all_falsified:
+        return Decision(DecisionStatus.FALSIFIED, (), t, None, True)
+
+    posterior = state.posterior().probs
+    groups = equivalence_groups(state.hset, cfg.eps_d)
+    rates = state.hset.rates()
+    masses = [math.fsum(posterior[i] for i in g) for g in groups]
+    best = max(range(len(groups)), key=masses.__getitem__)
+    group = groups[best]
+
+    verified = False
+    if cfg.p == 1.0:
+        verified = all(
+            state.log_prior[i] + state.loglik[i] == -math.inf
+            for i in range(len(state.hset))
+            if i not in group
+        )
+    elif masses[best] >= cfg.p:
+        if t == 0:
+            verified = True
+        else:
+            eps_p = -math.log2(cfg.p) if cfg.p > 0.0 else math.inf
+            verified = any(
+                _surprisal_region(-state.loglik[i], t, rates[i], eps_p)
+                is TypicalityRegion.TYPICAL
+                for i in group
+            )
+    if verified:
+        status = (
+            DecisionStatus.VERIFIED
+            if len(group) == 1
+            else DecisionStatus.PARTIALLY_IDENTIFIED
+        )
+        return Decision(status, group, t, posterior, True)
+
+    if cfg.q > 0.0 and t > 0:
+        eps_q = -math.log2(cfg.q)
+        warmup = max(1, math.ceil(max(rates) + eps_q))
+        if t >= warmup and all(
+            _surprisal_region(-state.loglik[i], t, rates[i], eps_q)
+            is not TypicalityRegion.TYPICAL
+            for i in range(len(state.hset))
+        ):
+            return Decision(DecisionStatus.FALSIFIED, (), t, posterior, True)
+
+    cap = resolution_cap(cfg.r)
+    if cfg.r > 0.0 and t >= cap:
+        return Decision(DecisionStatus.UNDETERMINED, (), t, posterior, True)
+    return Decision(DecisionStatus.UNDETERMINED, (), t, posterior, False)
+
+
 def mc_trial_reference(ideal, hset, prior, cfg, budget: int, seed: str) -> Decision:
     """One Monte Carlo stopping trial by definition: the full posterior
-    state is rebuilt and the stopping rule re-applied after every
-    symbol, starting at t = 0."""
+    state is rebuilt and the reference stopping rule re-applied after
+    every symbol, starting at t = 0."""
     sampler = _IdealSampler(ideal, BitSource(seed))
     state = PosteriorState.from_prior(hset, prior)
-    observations: list[int] = []
-    decision = check_stop(state, cfg, ())
+    decision = check_stop_reference(state, cfg)
     for _ in range(budget):
         if decision.terminal or decision.status is not DecisionStatus.UNDETERMINED:
             return decision
-        sym = sampler.step()
-        observations.append(sym)
-        state = posterior_update(state, sym)
-        decision = check_stop(state, cfg, tuple(observations))
+        state = posterior_update(state, sampler.step())
+        decision = check_stop_reference(state, cfg)
     return decision
 
 

@@ -44,6 +44,7 @@ from samplex import (
 )
 
 from oracles import (
+    check_stop_reference,
     hand_posterior,
     mc_stopping_reference,
     posterior_surprisal_reference,
@@ -234,7 +235,7 @@ class TestPosterior:
         hset = HypothesisSet((self.CERTAIN_ONE, IidSpec.from_probs([1.0, 0.0])))
         state = run_posterior(hset, UNIFORM, (1, 0))
         assert state.all_falsified
-        decision = check_stop(state, StoppingConfig(p=0.9), observations=(1, 0))
+        decision = check_stop(state, StoppingConfig(p=0.9))
         assert decision.status is DecisionStatus.FALSIFIED
         assert decision.terminal
         assert decision.group == ()
@@ -335,34 +336,27 @@ class TestStoppingRules:
         with pytest.raises(ValueError):
             StoppingConfig(r=-0.5)
 
-    def test_observation_count_must_match_state(self):
-        state = run_posterior(PAIR, UNIFORM, (1,))
-        with pytest.raises(ValueError):
-            check_stop(state, StoppingConfig(p=0.9), observations=(1, 0))
-
     def test_pinned_threshold_cases(self):
         hset = HypothesisSet((B5, IidSpec.from_probs([0.0, 1.0])))
         state = run_posterior(hset, UNIFORM, (1,))
-        eager = check_stop(state, StoppingConfig(p=0.6), observations=(1,))
+        eager = check_stop(state, StoppingConfig(p=0.6))
         assert eager.status is DecisionStatus.VERIFIED
         assert eager.group == (1,)
         assert eager.terminal
-        patient = check_stop(state, StoppingConfig(p=0.9), observations=(1,))
+        patient = check_stop(state, StoppingConfig(p=0.9))
         assert patient.status is DecisionStatus.UNDETERMINED
         assert not patient.terminal
 
     def test_confident_prior_verifies_before_any_observation(self):
         state = PosteriorState.from_prior(PAIR, (0.95, 0.05))
-        decision = check_stop(state, StoppingConfig(p=0.9), observations=())
+        decision = check_stop(state, StoppingConfig(p=0.9))
         assert decision.status is DecisionStatus.VERIFIED
         assert decision.t == 0
         assert decision.terminal
 
     def test_resolution_cap_forces_a_terminal_undetermined(self):
         state = run_posterior(PAIR, UNIFORM, (1, 1))
-        decision = check_stop(
-            state, StoppingConfig(p=0.999999, r=0.25), observations=(1, 1)
-        )
+        decision = check_stop(state, StoppingConfig(p=0.999999, r=0.25))
         assert decision.status is DecisionStatus.UNDETERMINED
         assert decision.terminal
         assert decision.t == 2
@@ -370,7 +364,7 @@ class TestStoppingRules:
     def test_identical_members_partially_identify(self):
         twins = HypothesisSet((B5, B5))
         state = run_posterior(twins, UNIFORM, (1,))
-        decision = check_stop(state, StoppingConfig(p=0.9), observations=(1,))
+        decision = check_stop(state, StoppingConfig(p=0.9))
         assert decision.status is DecisionStatus.PARTIALLY_IDENTIFIED
         assert decision.group == (0, 1)
         assert decision.terminal
@@ -378,23 +372,108 @@ class TestStoppingRules:
     def test_misspecified_data_falsifies_the_whole_set(self):
         strangers = HypothesisSet((B9, B95))
         state = PosteriorState.from_prior(strangers, UNIFORM)
-        obs = []
         decision = None
         for _ in range(50):
             state = posterior_update(state, 0)
-            obs.append(0)
-            decision = check_stop(
-                state, StoppingConfig(p=1.0, q=0.5), observations=tuple(obs)
-            )
+            decision = check_stop(state, StoppingConfig(p=1.0, q=0.5))
             if decision.terminal:
                 break
         assert decision is not None
         assert decision.status is DecisionStatus.FALSIFIED
         assert decision.terminal
 
+    def test_a_group_mass_exactly_at_p_verifies(self):
+        # the group {0, 2} holds 3/8 + 1/8 = 1/2 of the prior exactly
+        ones = IidSpec.from_probs([1.0, 0.0])
+        hset = HypothesisSet(
+            (ones, IidSpec.from_probs([0.25, 0.75]), ones, IidSpec.from_probs([0.0, 1.0]))
+        )
+        prior = (0.375, 0.375, 0.125, 0.125)
+        cfg = StoppingConfig(p=0.5)
+        decision = check_stop(PosteriorState.from_prior(hset, prior), cfg)
+        assert decision.status is DecisionStatus.PARTIALLY_IDENTIFIED
+        assert decision.group == (0, 2)
+        assert (decision.t, decision.terminal) == (0, True)
+        report = mc_sample_complexity(B5, hset, prior, cfg, trials=3, seed=1)
+        assert report.decisions["PartiallyIdentified"] == 3
+        assert report.dist.counts == {0: 3}
+
+    def test_a_certain_prior_stays_verified(self):
+        # p = 1 over members at full support: certainty comes from the
+        # prior and holds at every horizon
+        state = run_posterior(PAIR, (1.0, 0.0), (1, 0, 1))
+        decision = check_stop(state, StoppingConfig(p=1.0))
+        assert decision.status is DecisionStatus.VERIFIED
+        assert decision.group == (0,)
+        assert decision.terminal
+
+    def test_agrees_with_the_reference_rule_off_floating_ties(self):
+        # random iid sets on a 1/8 grid (zeros and duplicates included),
+        # priors, configs and observations; a state whose group mass or
+        # per-symbol surprisal lies within 1e-12 of a threshold is a
+        # floating tie, where the two arithmetics may round apart
+        rng = random.Random(0x5709)
+        grid = [j / 8 for j in range(9)]
+
+        def draw_probs(k):
+            while True:
+                probs = [rng.choice(grid) for _ in range(k - 1)]
+                if sum(probs) <= 1.0:
+                    return probs + [1.0 - sum(probs)]
+
+        def near(a, b):
+            return abs(a - b) <= 1e-12
+
+        ties = 0
+        states = 4000
+        for _ in range(states):
+            k = rng.choice((2, 3))
+            specs = [IidSpec.from_probs(draw_probs(k)) for _ in range(rng.randint(2, 4))]
+            if rng.random() < 0.2:
+                specs[-1] = specs[0]
+            hset = HypothesisSet(tuple(specs))
+            weights = [rng.randint(0, 8) for _ in specs]
+            weights[0] = weights[0] or 1
+            prior = tuple(w / sum(weights) for w in weights)
+            p = rng.choice((0.6, 0.8, 0.9, 0.95, 1.0))
+            q = rng.choice([0.0] + [x for x in (0.3, 0.5, 0.7) if x <= p])
+            cfg = StoppingConfig(
+                p=p, q=q, eps_d=rng.choice((0.0, 0.05, 0.5)), r=rng.choice((0.0, 0.125))
+            )
+            source = rng.choice(specs)
+            obs = [
+                rng.choices(range(k), weights=source.dist.probs)[0]
+                if rng.random() < 0.9
+                else rng.randrange(k)
+                for _ in range(rng.randint(0, 8))
+            ]
+            state = run_posterior(hset, prior, obs)
+            want = check_stop_reference(state, cfg)
+            if not state.all_falsified:
+                post = state.posterior().probs
+                masses = [
+                    math.fsum(post[i] for i in g)
+                    for g in equivalence_groups(hset, cfg.eps_d)
+                ]
+                edges = [-math.log2(x) for x in (p, q) if 0.0 < x < 1.0]
+                rates = hset.rates()
+                if (p < 1.0 and any(near(m, p) for m in masses)) or (
+                    state.t
+                    and any(
+                        near(-state.loglik[i] / state.t, rates[i] + s * e)
+                        for i in range(len(specs))
+                        for e in edges
+                        for s in (-1, 1)
+                    )
+                ):
+                    ties += 1
+                    continue
+            assert check_stop(state, cfg) == want, (specs, prior, cfg, obs)
+        assert ties <= states // 100
+
     def test_decision_serializes(self):
         state = run_posterior(PAIR, UNIFORM, ())
-        decision = check_stop(state, StoppingConfig(p=0.9), observations=())
+        decision = check_stop(state, StoppingConfig(p=0.9))
         data = decision.to_json()
         assert data["status"] == "Undetermined"
         assert data["t"] == 0
@@ -519,14 +598,11 @@ class TestMCSampleComplexity:
         for i in range(total):
             src = BitSource(f"77:{i}")
             state = PosteriorState.from_prior(close, UNIFORM)
-            obs: list[int] = []
             while True:
-                decision = check_stop(state, cfg, observations=tuple(obs))
+                decision = check_stop(state, cfg)
                 if decision.terminal:
                     break
-                sym = sample_discrete(B5, src)
-                obs.append(sym)
-                state = posterior_update(state, sym)
+                state = posterior_update(state, sample_discrete(B5, src))
             if decision.status is DecisionStatus.VERIFIED and decision.group == (0,):
                 correct += 1
         floor = 0.8 - 3 * math.sqrt(0.8 * 0.2 / total)
@@ -714,6 +790,41 @@ class TestExpectedSampleComplexity:
         a = expected_sc_evaluator(MIRROR, pair, UNIFORM, 0.9)
         b = expected_sc_evaluator(B9, pair, UNIFORM, 0.9)
         assert a.value == pytest.approx(b.value, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "ideal, other, method",
+        [
+            (B5, IidSpec.from_probs([0.25, 0.75]), "unreachable-threshold"),
+            (B5, IidSpec.from_probs([0.0, 1.0]), "unreachable-threshold"),
+            (IidSpec.from_probs([0.0, 1.0]), B5, "unreachable-threshold"),
+            (
+                IidSpec.from_probs([0.5, 0.5, 0.0]),
+                IidSpec.from_probs([0.0, 0.0, 1.0]),
+                "enumeration",
+            ),
+        ],
+    )
+    def test_certainty_comes_at_the_first_symbol_or_never(self, ideal, other, method):
+        # p = 1 over memoryless members: a live alternative that gives
+        # mass to a symbol the ideal emits survives that symbol's
+        # constant run forever, so horizon 1 decides
+        hset = HypothesisSet((ideal, other))
+        for est in (
+            expected_sc_evaluator(ideal, hset, UNIFORM, 1.0),
+            expected_sc_predictive(hset, UNIFORM, 1.0),
+        ):
+            assert est.method == method
+            if method == "enumeration":
+                assert (est.value, est.smallest_t) == (1.0, 1)
+            else:
+                assert (est.value, est.smallest_t) == (math.inf, None)
+
+    def test_chains_at_certainty_keep_the_exact_walk(self):
+        sticky, flip = m1(0.125, 0.875), m1(0.75, 0.25)
+        with pytest.raises(ComputationRefused):
+            expected_sc_evaluator(
+                sticky, HypothesisSet((sticky, flip)), UNIFORM, 1.0, exact_t_max=4
+            )
 
     def test_estimate_serializes(self):
         est = expected_sc_evaluator(B5, PAIR, UNIFORM, 0.9)
