@@ -39,6 +39,7 @@ import contextlib
 import itertools
 import math
 import random
+import struct
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -761,18 +762,69 @@ def _count_step(steps: tuple[int, ...], step: int) -> tuple[int, ...]:
     return steps + (step, 1)
 
 
-def _cumulative(probs: Sequence[float]) -> list[float]:
-    """Partial sums of every probability but the last, for ``_draw_counts``."""
-    return list(itertools.accumulate(probs[:-1]))
+# CPython builds random() from two consecutive 32-bit Mersenne Twister
+# words a, b as ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and
+# getrandbits(64 * n) returns the 2n words of n random() calls, first
+# word least significant, leaving the generator where those calls would.
+# So in its 8n little-endian bytes draw i's words are a = bytes 8i..8i+3
+# and b = bytes 8i+4..8i+7, and byte 8i + 3, the top byte of a, is the
+# top byte of u: u lies in [byte / 256, (byte + 1) / 256).
+_EXACT = 255  # table code: resolve the draw from all 53 bits
+_WORDS = struct.Struct("<II")
 
 
-def _draw_counts(rng: random.Random, cum: list[float], n: int) -> list[int]:
-    """Outcome counts of n inverse-CDF draws from ``rng``; outcome j is
-    the first with u < cum[j], else the last."""
-    counts = [0] * (len(cum) + 1)
-    draw = rng.random
-    for _ in range(n):
-        counts[bisect.bisect_right(cum, draw())] += 1
+class _InverseCdf:
+    """A categorical distribution compiled for ``_draw_counts``.
+
+    ``cum`` holds the partial sums of every probability but the last;
+    the outcome of a uniform u is bisect_right(cum, u).  ``table`` maps
+    the top byte of u to the outcome that every u with that byte
+    shares, or to _EXACT when a partial sum splits the byte or the
+    outcome is _EXACT or more (alphabets of 256 symbols and up);
+    ``codes`` lists the outcomes the table gives directly.
+    ``block_from`` is the least number of draws worth one block.
+    """
+
+    __slots__ = ("cum", "table", "codes", "block_from")
+
+    def __init__(self, probs: Sequence[float]) -> None:
+        self.cum = list(itertools.accumulate(probs[:-1]))
+        table = bytearray()
+        for byte in range(256):
+            first = bisect.bisect_right(self.cum, byte / 256)
+            last = bisect.bisect_right(self.cum, (byte + 1) / 256 - 2**-53)
+            table.append(first if first == last and first < _EXACT else _EXACT)
+        self.table = bytes(table)
+        self.codes = sorted(set(table) - {_EXACT})
+        # costs in draws of the random() loop (CPython 3.11, x86_64): a
+        # block costs about 5, plus 1 per counted code, plus 1/3 per
+        # draw and 6 more per draw resolved exactly
+        gain = 2 / 3 - 6 * table.count(_EXACT) / 256
+        self.block_from = (5 + len(self.codes)) / gain if gain > 0 else math.inf
+
+
+def _draw_counts(rng: random.Random, cdf: _InverseCdf, n: int) -> list[int]:
+    """Outcome counts of n inverse-CDF draws from the uniforms of n
+    ``rng.random()`` calls: outcome j is the first with u < cdf.cum[j],
+    else the last.  From ``cdf.block_from`` draws on, the uniforms come
+    from one ``getrandbits`` block, which leaves ``rng`` in the same
+    state, and are counted by their top byte."""
+    counts = [0] * (len(cdf.cum) + 1)
+    if n < cdf.block_from:
+        draw = rng.random
+        for _ in range(n):
+            counts[bisect.bisect_right(cdf.cum, draw())] += 1
+        return counts
+    raw = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+    codes = raw[3::8].translate(cdf.table)
+    for j in cdf.codes:
+        counts[j] = codes.count(j)
+    i = codes.find(_EXACT)
+    while i >= 0:
+        a, b = _WORDS.unpack_from(raw, 8 * i)
+        u = ((a >> 5) << 26 | b >> 6) / 2**53
+        counts[bisect.bisect_right(cdf.cum, u)] += 1
+        i = codes.find(_EXACT, i + 1)
     return counts
 
 
@@ -815,7 +867,7 @@ def _class_walk(
         for m in members
     ]
     if rng is not None:
-        cum = [_cumulative(m.conditional(()).probs) for m in members]
+        cdfs = [_InverseCdf(m.conditional(()).probs) for m in members]
     prefix_ll: dict[Context, list[float]] = {}
     # class key: (generator, first symbols, window as a context index,
     # flat (step, count) pairs with step = context * k + symbol) ->
@@ -847,7 +899,7 @@ def _class_walk(
         previous, layer = layer, {}
         for (gen, prefix, window, steps), mult in previous.items():
             counts = (
-                [mult] * k if rng is None else _draw_counts(rng, cum[gen], mult)
+                [mult] * k if rng is None else _draw_counts(rng, cdfs[gen], mult)
             )
             for sym, cnt in enumerate(counts):
                 if not cnt:
@@ -1012,13 +1064,21 @@ def _surprisal_curve(
             "and the Monte Carlo curve supports memoryless members only"
         )
     rng = random.Random(f"{seed}:curve")
-    counts = _draw_counts(rng, _cumulative(list(weights.values())), sequences)
+    counts = _draw_counts(rng, _InverseCdf(list(weights.values())), sequences)
     population = {i: c for i, c in zip(targets, counts) if c}
     walk = _class_walk(hset, log_prior, targets, population, rng)
     for classes in itertools.islice(walk, t, None):
         mean = math.fsum(m * s[g] for g, m, _, s in classes) / sequences
         square = math.fsum(m * s[g] ** 2 for g, m, _, s in classes) / sequences
         yield mean, math.sqrt(max(0.0, square - mean**2) / sequences)
+
+
+def _check_sequences(sequences: int) -> None:
+    if sequences < 2:
+        raise ValueError(
+            "a Monte Carlo standard error needs at least 2 sequences, "
+            f"got {sequences}"
+        )
 
 
 def _sc_estimate(
@@ -1067,9 +1127,10 @@ def expected_sc_evaluator(
     the last horizon within _CLASS_LIMIT sequence classes (iid members
     with up to 6 symbols, and binary chains of memory up to 4, stay
     within it to t = 16).  Beyond, the same walk over a Monte Carlo
-    population of ``sequences`` gives estimates with confidence bounds,
-    for memoryless members over any alphabet; finite-memory members
-    whose crossing lies past the exact horizon raise ComputationRefused.
+    population of ``sequences`` (at least 2, for a standard error) gives
+    estimates with confidence bounds, for memoryless members over any
+    alphabet; finite-memory members whose crossing lies past the exact
+    horizon raise ComputationRefused.
     At p = 1 memoryless members cross at t = 1 or never (the Monte
     Carlo curve would only see rounding).  A prior already at the
     threshold answers 0; a posterior ceiling below the threshold
@@ -1077,6 +1138,7 @@ def expected_sc_evaluator(
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"verification level must be in (0, 1], got {p!r}")
+    _check_sequences(sequences)
     pv = as_probvector(prior)
     idx = _member_index(ideal, hset)
     target = -math.log2(p)
@@ -1107,6 +1169,7 @@ def expected_sc_predictive(
     against the same -log2 p threshold."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"verification level must be in (0, 1], got {p!r}")
+    _check_sequences(sequences)
     pv = as_probvector(prior)
     if len(pv) != len(hset):
         raise ValueError(
@@ -1147,6 +1210,8 @@ def mc_surprisal_moment_curve(
     """
     if t_max < 1:
         raise ValueError(f"horizon must be >= 1, got {t_max}")
+    if sequences < 1:
+        raise ValueError(f"need at least 1 sequence, got {sequences}")
     pv = as_probvector(prior)
     idx = _member_index(ideal, hset)
     if hset.memory:
@@ -1156,7 +1221,7 @@ def mc_surprisal_moment_curve(
     log_ncomp = math.log2(len(comps))
 
     rng = random.Random(f"{seed}:moments")
-    uniform = _cumulative([1.0 / len(comps)] * len(comps))
+    uniform = _InverseCdf([1.0 / len(comps)] * len(comps))
     population = dict(zip(comps, _draw_counts(rng, uniform, sequences)))
     walk = _class_walk(hset, log_prior, (idx,), population, rng)
     sums: dict[tuple[int, int], float] = {}

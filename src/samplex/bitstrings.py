@@ -376,7 +376,10 @@ def build_context_tree(
     for idx, m in enumerate(items, start=1):
         node = root
         for sym in m:
-            node = node.children.setdefault(sym, _TreeNode())
+            child = node.children.get(sym)
+            if child is None:
+                child = node.children[sym] = _TreeNode()
+            node = child
         node.terminal = idx
     return ContextTree(root, len(items))
 

@@ -11,6 +11,7 @@ and the toolkit version.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -317,6 +318,14 @@ def _run_spread(cfg: dict, seed: int, meta: dict) -> dict:
     return payload
 
 
+@contextlib.contextmanager
+def _phase(meta: dict, key: str):
+    """Record the seconds the block takes in ``meta[key]``."""
+    started = time.perf_counter()
+    yield
+    meta[key] = time.perf_counter() - started
+
+
 def _posterior_trace(ideal, hset, prior, scfg, seed, limit: int) -> list[list]:
     sampler = _IdealSampler(ideal, BitSource(f"{seed}:trace"))
     state = PosteriorState.from_prior(hset, prior)
@@ -343,7 +352,7 @@ def _mean_ci(report) -> list[float] | None:
     return [mean - half, mean + half]
 
 
-def _run_bayes(cfg: dict, seed: int) -> dict:
+def _run_bayes(cfg: dict, seed: int, meta: dict) -> dict:
     ideal = _process(cfg["ideal"], "$.ideal")
     members = tuple(
         _process(h, f"$.hypotheses[{i}]")
@@ -369,16 +378,19 @@ def _run_bayes(cfg: dict, seed: int) -> dict:
         raise ComputationRefused(
             f"{trials} x {max_steps} steps exceeds the budget {_STEP_BUDGET}"
         )
-    report = mc_sample_complexity(
-        ideal, hset, cfg["prior"], scfg, trials, seed, max_steps=max_steps
-    )
-    try:
-        analytic = expected_sc_evaluator(
-            ideal, hset, cfg["prior"], cfg["p"], seed=seed
-        ).to_json()
-    except ValueError:
-        analytic = None
-    trace = _posterior_trace(ideal, hset, cfg["prior"], scfg, seed, 50)
+    with _phase(meta, "trials_s"):
+        report = mc_sample_complexity(
+            ideal, hset, cfg["prior"], scfg, trials, seed, max_steps=max_steps
+        )
+    with _phase(meta, "evaluator_s"):
+        try:
+            analytic = expected_sc_evaluator(
+                ideal, hset, cfg["prior"], cfg["p"], seed=seed
+            ).to_json()
+        except ValueError:
+            analytic = None
+    with _phase(meta, "trace_s"):
+        trace = _posterior_trace(ideal, hset, cfg["prior"], scfg, seed, 50)
     decided = report.dist.censored < trials
     return {
         "decision_histogram": report.decisions,
@@ -395,7 +407,7 @@ def _run_bayes(cfg: dict, seed: int) -> dict:
     }
 
 
-def _run_novelty(cfg: dict, seed: int) -> dict:
+def _run_novelty(cfg: dict, seed: int, meta: dict) -> dict:
     ideal = _process(cfg["ideal"], "$.ideal")
     members = tuple(
         _process(h, f"$.hypotheses[{i}]")
@@ -412,12 +424,14 @@ def _run_novelty(cfg: dict, seed: int) -> dict:
             f"{trials} x {budget} steps exceeds the budget {_STEP_BUDGET}"
         )
     uniform = [1.0 / len(members)] * len(members)
-    report = mc_sample_complexity(
-        ideal, hset, uniform, scfg, trials, seed, max_steps=budget
-    )
-    bounds = [
-        falsification_bounds(ideal, m, cfg["q"]) for m in members
-    ]
+    with _phase(meta, "trials_s"):
+        report = mc_sample_complexity(
+            ideal, hset, uniform, scfg, trials, seed, max_steps=budget
+        )
+    with _phase(meta, "bounds_s"):
+        bounds = [
+            falsification_bounds(ideal, m, cfg["q"]) for m in members
+        ]
     combined = [max(b[0] for b in bounds), max(b[1] for b in bounds)]
     falsified = report.decisions[DecisionStatus.FALSIFIED.value]
     times = sorted(
@@ -464,7 +478,9 @@ def run_experiment(cfg: dict, seed: int, meta: dict | None = None) -> dict:
     """Dispatch a validated config; returns the payload dict.
 
     Work counters of the run (``symbols`` drawn and ``fair_bits`` read by
-    ``sample`` and ``spread``) go into ``meta`` when it is given; they
+    ``sample`` and ``spread``) and per-phase seconds (``bayes``:
+    ``trials_s``, ``evaluator_s``, ``trace_s``; ``novelty``:
+    ``trials_s``, ``bounds_s``) go into ``meta`` when it is given; they
     never enter the payload.
     """
     meta = {} if meta is None else meta
@@ -478,9 +494,9 @@ def run_experiment(cfg: dict, seed: int, meta: dict | None = None) -> dict:
     if kind == "spread":
         return _run_spread(cfg, seed, meta)
     if kind == "bayes":
-        return _run_bayes(cfg, seed)
+        return _run_bayes(cfg, seed, meta)
     if kind == "novelty":
-        return _run_novelty(cfg, seed)
+        return _run_novelty(cfg, seed, meta)
     if kind == "figure3":
         return _run_figure3(cfg, seed)
     raise ConfigError(f"$.kind: unknown kind {kind!r}")

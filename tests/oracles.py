@@ -8,6 +8,7 @@ keeps a refuted closed-form moment candidate as a cross-check target.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -165,6 +166,17 @@ def sample_discrete_reference(spec, source: BitSource) -> int:
                 return j
         z = (z << 1) | source.next_bit()
         n += 1
+
+
+def draw_counts_reference(rng: random.Random, cum: list[float], n: int) -> list[int]:
+    """Outcome counts of n inverse-CDF draws from ``rng``, one
+    ``rng.random()`` per draw; outcome j is the first with u < cum[j],
+    else the last."""
+    counts = [0] * (len(cum) + 1)
+    draw = rng.random
+    for _ in range(n):
+        counts[bisect.bisect_right(cum, draw())] += 1
+    return counts
 
 
 def exact_stationary(

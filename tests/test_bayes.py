@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -45,6 +46,7 @@ from samplex import (
 
 from oracles import (
     check_stop_reference,
+    draw_counts_reference,
     hand_posterior,
     mc_stopping_reference,
     posterior_surprisal_reference,
@@ -471,6 +473,57 @@ class TestStoppingRules:
             assert check_stop(state, cfg) == want, (specs, prior, cfg, obs)
         assert ties <= states // 100
 
+    @staticmethod
+    def band_edge_state(eps, side, inside):
+        """A PAIR state at t = 64 whose member 0 has per-symbol surprisal
+        1e-4 bits inside or outside the edge rate + side x eps of its
+        band; member 1 sits a bit per symbol above its rate, outside
+        every band used here, and holds posterior mass under 2^-17."""
+        rates = PAIR.rates()
+        offset = eps - 1e-4 if inside else eps + 1e-4
+        t = 64
+        loglik = (-t * (rates[0] + side * offset), -t * (rates[1] + 1.0))
+        return dataclasses.replace(
+            PosteriorState.from_prior(PAIR, UNIFORM), loglik=loglik, t=t
+        )
+
+    @pytest.mark.parametrize("side", (-1, 1), ids=("lower", "upper"))
+    @pytest.mark.parametrize("inside", (True, False), ids=("inside", "outside"))
+    def test_the_q_band_edge_decides_falsification(self, side, inside):
+        # p = 1 over full-support members never verifies, so the q band
+        # alone decides
+        cfg = StoppingConfig(p=1.0, q=0.9)
+        state = self.band_edge_state(-math.log2(cfg.q), side, inside)
+        decision = check_stop(state, cfg)
+        assert decision == check_stop_reference(state, cfg)
+        if inside:
+            assert (decision.status, decision.terminal) == (
+                DecisionStatus.UNDETERMINED, False
+            )
+        else:
+            assert (decision.status, decision.terminal) == (
+                DecisionStatus.FALSIFIED, True
+            )
+
+    @pytest.mark.parametrize("side", (-1, 1), ids=("lower", "upper"))
+    @pytest.mark.parametrize("inside", (True, False), ids=("inside", "outside"))
+    def test_the_p_band_edge_decides_verification(self, side, inside):
+        # member 0 holds far more than p of the posterior and q = 0, so
+        # its p band alone decides
+        cfg = StoppingConfig(p=0.9)
+        state = self.band_edge_state(-math.log2(cfg.p), side, inside)
+        assert state.posterior()[0] > 0.9999
+        decision = check_stop(state, cfg)
+        assert decision == check_stop_reference(state, cfg)
+        if inside:
+            assert (decision.status, decision.group, decision.terminal) == (
+                DecisionStatus.VERIFIED, (0,), True
+            )
+        else:
+            assert (decision.status, decision.terminal) == (
+                DecisionStatus.UNDETERMINED, False
+            )
+
     def test_decision_serializes(self):
         state = run_posterior(PAIR, UNIFORM, ())
         decision = check_stop(state, StoppingConfig(p=0.9))
@@ -682,6 +735,92 @@ class TestSurprisalMoments:
         a = mc_surprisal_moment_curve(B5, PAIR, UNIFORM, 4, (1,), 500, 3)
         b = mc_surprisal_moment_curve(B5, PAIR, UNIFORM, 4, (1,), 500, 3)
         assert a == b
+
+
+class _Words:
+    """A stand-in generator that hands out given 32-bit words the way
+    CPython's Mersenne Twister hands out its own: ``random()`` reads two,
+    ``getrandbits(32 k)`` reads k, first word least significant."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def random(self):
+        a, b = self.words.pop(0), self.words.pop(0)
+        return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
+
+    def getrandbits(self, k):
+        assert k % 32 == 0
+        taken, self.words = self.words[: k // 32], self.words[k // 32 :]
+        return sum(w << (32 * i) for i, w in enumerate(taken))
+
+
+def _words_of(u):
+    """The two words whose ``random()`` is u (a multiple of 2^-53), with
+    every bit that ``random()`` drops set."""
+    v = int(u * 2**53)
+    return [(v >> 26) << 5 | 0x1F, (v & (2**26 - 1)) << 6 | 0x3F]
+
+
+def _random_law(k, seed):
+    rng = random.Random(seed)
+    weights = [rng.expovariate(1.0) for _ in range(k)]
+    return tuple(w / sum(weights) for w in weights)
+
+
+class TestDrawCounts:
+    LAWS = [
+        (0.5, 0.5),
+        (0.25, 0.75),
+        (0.3, 0.7),
+        (1 / 3, 2 / 3),
+        (2**-60, 1 - 2**-60),
+        (1e-300, 1.0),
+        (1 - 2**-53, 2**-53),
+        (0.2, 0.0, 0.3, 0.0, 0.5),  # zero-probability symbols
+        (0.1, 0.2, 0.7000000000000001, 0.0),  # partial sums reach 1.0
+        (0.9, 0.1 + 2**-52, 0.0),  # partial sums pass 1.0
+        *(_random_law(k, seed) for k in range(3, 9) for seed in (1, 2)),
+        (1 / 300,) * 300,  # every top byte split
+        (0.95,) + (0.05 / 299,) * 299,  # 299 outcomes resolved exactly
+        (0.5 / 299,) * 299 + (0.5,),  # outcome 299 fills whole top bytes
+    ]
+
+    @pytest.mark.parametrize("probs", LAWS, ids=lambda probs: f"{len(probs)}-outcomes")
+    @pytest.mark.parametrize("block", (False, True), ids=("as-built", "block"))
+    def test_matches_one_random_call_per_draw(self, probs, block):
+        cdf = samplex.bayes._InverseCdf(probs)
+        if block:
+            cdf.block_from = 0
+        cum = list(itertools.accumulate(probs[:-1]))
+        for seed in (0, 1, 2):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for n in (0, 1, 2, 7, 255, 256, 4097, 10_000):
+                want = draw_counts_reference(theirs, cum, n)
+                assert samplex.bayes._draw_counts(ours, cdf, n) == want, (seed, n)
+                assert ours.getstate() == theirs.getstate(), (seed, n)
+
+    @pytest.mark.parametrize(
+        "probs, edge",
+        [
+            ((0.5, 0.5), 0.5),  # on a top-byte boundary
+            ((0.3125 + 2**-20, 0.6875 - 2**-20), 0.3125 + 2**-20),  # inside
+            ((1 - 2**-53, 2**-53), 1 - 2**-53),  # the largest u
+        ],
+    )
+    @pytest.mark.parametrize("n", (1, 2, 300))
+    def test_a_uniform_on_a_partial_sum_takes_the_upper_outcome(
+        self, probs, edge, n
+    ):
+        cdf = samplex.bayes._InverseCdf(probs)
+        filler = _words_of(0.0)
+        for i in sorted({0, n // 2, n - 1}):
+            for u, want in ((edge, 1), (edge - 2**-53, 0)):
+                words = filler * i + _words_of(u) + filler * (n - 1 - i)
+                counts = [n - 1, 0]
+                counts[want] += 1
+                got = samplex.bayes._draw_counts(_Words(words), cdf, n)
+                assert got == counts, (u, i)
 
 
 def _walk(hset, prior, targets, transform, t_max):
@@ -925,6 +1064,20 @@ class TestExpectedSampleComplexity:
             exact_se = math.sqrt((square[t] - mean[t] ** 2) / sequences)
             assert abs(value - mean[t]) <= 4.5 * exact_se, t
             assert se == pytest.approx(exact_se, rel=0.5), t
+
+    @pytest.mark.parametrize("sequences", (-5, 0, 1))
+    def test_a_standard_error_needs_two_sequences(self, sequences):
+        # fair coin vs iid(.3,.7) crosses near t = 71, past the exact walk
+        pair = HypothesisSet((B5, IidSpec.from_probs([0.3, 0.7])))
+        with pytest.raises(ValueError, match="sequences"):
+            expected_sc_evaluator(B5, pair, UNIFORM, 0.9, sequences=sequences)
+        with pytest.raises(ValueError, match="sequences"):
+            expected_sc_predictive(pair, UNIFORM, 0.9, sequences=sequences)
+
+    @pytest.mark.parametrize("sequences", (-5, 0))
+    def test_the_moment_curve_needs_a_sequence(self, sequences):
+        with pytest.raises(ValueError, match="sequence"):
+            mc_surprisal_moment_curve(B5, PAIR, UNIFORM, 3, (1,), sequences, 1)
 
     def test_mc_extension_brackets_the_analytic_value(self):
         est = expected_sc_evaluator(

@@ -416,6 +416,20 @@ class TestOutputs:
         text = json.dumps(record["payload"], sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "kind, phases",
+        [
+            ("bayes", {"trials_s", "evaluator_s", "trace_s"}),
+            ("novelty", {"trials_s", "bounds_s"}),
+        ],
+    )
+    def test_stopping_runs_time_their_phases_in_meta(self, tmp_path, kind, phases):
+        # their payload digests stay pinned in test_payloads_keep_their_digests
+        cfg = json.loads((CONFIG_DIR / f"{kind}.json").read_text())
+        record = run_to_file(tmp_path, cfg)
+        assert all(record["meta"][key] >= 0.0 for key in phases)
+        assert not phases & set(record["payload"])
+
     # digests of the payloads as written while the library still branched
     # on iid versus chain specs
     @pytest.mark.parametrize(
