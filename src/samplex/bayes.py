@@ -18,6 +18,13 @@ band form is used throughout (typical_membership reports it directly).
 The rule is written once, in ``_stopping_rule``: ``check_stop`` and
 every Monte Carlo stopping trial decide through the same function.
 
+A member's likelihood is also written once.  Each set caches one log
+table, log2 P(symbol | context) for every member, and one start score
+per prefix of at most ``memory`` symbols: its -sequence_log_probability,
+summed over the chain's hidden start.  The posterior step, the Monte
+Carlo stopping trials and the class walk score a sequence as its
+prefix's start score plus the table entries of the steps after it.
+
 Expected-sample-complexity threshold equations are implicit in t and
 the naive fixed-point iteration repels; the solver instead scans the
 monotone expectation curve for the threshold crossing.  One class walk
@@ -217,17 +224,42 @@ def equivalence_groups(
     return groups
 
 
-_Branches = tuple[tuple[Context, float], ...]
+def _log_table(hset: HypothesisSet) -> list[list[float]]:
+    """Each member's log2 P(sym | context) at index c * k + sym, with the
+    contexts numbered in ``contexts()`` order, so the window that context
+    c and symbol sym leave is numbered (c * k + sym) % k**memory.  The one
+    place member conditionals become log2 values; built once per set."""
+    if "logtab" not in hset._cache:
+        contexts = hset.members[0].contexts()
+        hset._cache["logtab"] = [
+            [_log2(p) for ctx in contexts for p in m.conditional(ctx).probs]
+            for m in hset.members
+        ]
+    return hset._cache["logtab"]
+
+
+def _start_score(hset: HypothesisSet, prefix: Context) -> tuple[float, ...]:
+    """Each member's log2 likelihood of a prefix of at most ``memory``
+    symbols, summed over its hidden start (-sequence_log_probability);
+    kept per prefix on the set."""
+    scores = hset._cache.setdefault("starts", {})
+    if prefix not in scores:
+        scores[prefix] = tuple(
+            -sequence_log_probability(m, prefix) for m in hset.members
+        )
+    return scores[prefix]
 
 
 @dataclass(frozen=True)
 class PosteriorState:
     """Immutable posterior over a hypothesis set after t observations.
 
-    Per-member log2 sequence likelihoods are carried explicitly;
-    ``forward`` holds each member's distribution over its hidden
-    context (several branches until a chain's initial mixture has
-    collapsed onto the observed window).
+    Per-member log2 sequence likelihoods are carried explicitly, and
+    ``window`` holds the last ``memory`` observations.  While t <= memory
+    a chain's hidden start has not collapsed: the likelihoods are the
+    prefix's start score (``_start_score``).  From then on the window is
+    every member's context, and each step adds one entry of the set's
+    log table (``_log_table``).
     """
 
     hset: HypothesisSet
@@ -235,7 +267,6 @@ class PosteriorState:
     loglik: tuple[float, ...]
     t: int
     window: tuple[int, ...]
-    forward: tuple[_Branches, ...]
 
     @staticmethod
     def from_prior(
@@ -246,20 +277,8 @@ class PosteriorState:
             raise ValueError(
                 f"prior over {len(pv)} weights for {len(hset)} members"
             )
-        forward = tuple(
-            tuple(
-                (ctx, _log2(w)) for ctx, w in sorted(m.initial_mixture().items())
-            )
-            for m in hset.members
-        )
-        return PosteriorState(
-            hset,
-            tuple(_log2(w) for w in pv.probs),
-            (0.0,) * len(hset),
-            0,
-            (),
-            forward,
-        )
+        log_prior = tuple(_log2(w) for w in pv.probs)
+        return PosteriorState(hset, log_prior, (0.0,) * len(hset), 0, ())
 
     @property
     def all_falsified(self) -> bool:
@@ -296,54 +315,39 @@ def posterior_update(state: PosteriorState, symbol: int) -> PosteriorState:
     itself is then undefined and raises.
     """
     hset = state.hset
-    if not 0 <= symbol < hset.alphabet_size:
+    k = hset.alphabet_size
+    if not 0 <= symbol < k:
         raise ValueError(f"symbol {symbol} outside the alphabet")
-    new_loglik = []
-    new_forward = []
-    for m_idx, member in enumerate(hset.members):
-        merged: dict[Context, float] = {}
-        for ctx, logw in state.forward[m_idx]:
-            p = member.conditional(ctx)[symbol]
-            if p == 0.0:
-                continue
-            nxt = member._successor(ctx, symbol)
-            w = logw + math.log2(p)
-            if nxt in merged:
-                merged[nxt] = _logsumexp2((merged[nxt], w))
-            else:
-                merged[nxt] = w
-        branches = tuple(sorted(merged.items()))
-        new_forward.append(branches)
-        new_loglik.append(_logsumexp2([w for _, w in branches]))
-    return PosteriorState(
-        hset,
-        state.log_prior,
-        tuple(new_loglik),
-        state.t + 1,
-        hset.members[0]._successor(state.window, symbol),
-        tuple(new_forward),
-    )
+    window = state.window + (symbol,)
+    if state.t < hset.memory:
+        loglik = _start_score(hset, window)
+    else:
+        step = 0
+        for sym in window:
+            step = step * k + sym
+        loglik = tuple(
+            ll + row[step] for ll, row in zip(state.loglik, _log_table(hset))
+        )
+        window = window[1:]
+    return PosteriorState(hset, state.log_prior, loglik, state.t + 1, window)
 
 
 def posterior_predictive(state: PosteriorState) -> ProbVector:
-    """Next-symbol distribution under the current posterior mixture."""
+    """Next-symbol distribution under the current posterior mixture: the
+    prior-weighted likelihood of the observations followed by each
+    symbol, over that of the observations."""
     if state.all_falsified:
         raise ValueError(
             "no posterior predictive: every hypothesis is falsified"
         )
-    post = state.posterior()
-    k = state.hset.alphabet_size
-    out = [0.0] * k
-    for m_idx, member in enumerate(state.hset.members):
-        w = post[m_idx]
-        if w == 0.0:
-            continue
-        loglik = state.loglik[m_idx]
-        for ctx, logw in state.forward[m_idx]:
-            share = 2.0 ** (logw - loglik)
-            probs = member.conditional(ctx)
-            for sym in range(k):
-                out[sym] += w * share * probs[sym]
+    top = max(lp + ll for lp, ll in zip(state.log_prior, state.loglik))
+    out = [
+        math.fsum(
+            2.0 ** (lp + ll - top)
+            for lp, ll in zip(state.log_prior, posterior_update(state, sym).loglik)
+        )
+        for sym in range(state.hset.alphabet_size)
+    ]
     total = math.fsum(out)
     return ProbVector(tuple(v / total for v in out))
 
@@ -530,19 +534,14 @@ def _stopping_rule(
     )
     cap = resolution_cap(cfg.r)
     live = {i for i in members if log_prior[i] > -math.inf}
-    contexts = hset.members[0].contexts()
+    logtab = _log_table(hset)
     # with p = 1 and every live member at full support no live likelihood
     # ever reaches 0, so structural certainty is the prior's alone: it
     # holds at every t exactly when the live members share one group.
     # ``certain`` is then that group, or () when it never holds; None
     # means the posterior must be weighed at every step.
     certain: tuple[int, ...] | None = None
-    if cfg.p == 1.0 and all(
-        p > 0.0
-        for i in live
-        for ctx in contexts
-        for p in hset.members[i].conditional(ctx).probs
-    ):
+    if cfg.p == 1.0 and all(v > -math.inf for i in live for v in logtab[i]):
         certain = next((g for g in groups if live <= set(g)), ())
 
     def verdict(group: tuple[int, ...]) -> _Verdict:
@@ -640,9 +639,8 @@ class _IdealSampler:
 
 def _mc_trial(
     ideal: ProcessSpec,
-    start: PosteriorState,
+    hset: HypothesisSet,
     decide: Callable[[Sequence[float], int], _Verdict | None],
-    logtab: list[dict[Context, list[float]]],
     budget: int,
     seed: str,
 ) -> tuple[DecisionStatus, int]:
@@ -650,28 +648,29 @@ def _mc_trial(
     ``decide`` at t = 0.  Returns the decision and when it fell;
     Undetermined means censored (budget or r-cap exhausted).
 
-    Steps like ``posterior_update`` without per-step state objects: the
-    first ``memory`` steps go through ``posterior_update`` while a
-    member's hidden context may still be a mixture; from then on every
-    member's context is the observed window, so each step adds one entry
-    of the precomputed log table (member -> context -> symbol).
+    Scores the observations as ``posterior_update`` does, without state
+    objects: while t <= memory the likelihoods are the prefix's start
+    score, and from then on each step adds the log-table entry of the
+    window, kept as its context number, and the symbol.
     """
     sampler = _IdealSampler(ideal, BitSource(seed))
-    memory = start.hset.memory
-    state = start
-    loglik = list(start.loglik)
-    ctx: Context = ()
+    k = hset.alphabet_size
+    memory = hset.memory
+    n_ctx = k**memory
+    logtab = _log_table(hset)
+    loglik = [0.0] * len(hset)
+    prefix: Context = ()
+    window = 0
     for t in range(1, budget + 1):
         sym = sampler.step()
+        step = window * k + sym
+        window = step % n_ctx
         if t <= memory:
-            state = posterior_update(state, sym)
-            loglik = list(state.loglik)
-            ctx = state.window
+            prefix += (sym,)
+            loglik = list(_start_score(hset, prefix))
         else:
             for m, row in enumerate(logtab):
-                loglik[m] += row[ctx][sym]
-            if memory:
-                ctx = ctx[1:] + (sym,)
+                loglik[m] += row[step]
         decided = decide(loglik, t)
         if decided is not None:
             return decided[0], t
@@ -695,33 +694,29 @@ def mc_sample_complexity(
     flag is kept for compatibility only, and results never depend on
     it.  A decision the prior alone forces (t = 0) is the same for
     every trial.  Trials that exhaust the budget (the r-cap, or
-    max_steps when r = 0) are censored, not dropped.
+    max_steps when r = 0) are censored, not dropped.  The ideal may
+    differ from the members in memory, not in alphabet.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    pv = as_probvector(prior)
-    if len(pv) != len(hset):
+    if ideal.alphabet_size != hset.alphabet_size:
         raise ValueError(
-            f"prior over {len(pv)} weights for {len(hset)} members"
+            f"the ideal emits {ideal.alphabet_size} symbols, the "
+            f"hypotheses {hset.alphabet_size}"
         )
+    start = PosteriorState.from_prior(hset, prior)
     cap = resolution_cap(cfg.r)
     budget = int(cap) if cfg.r > 0.0 else _DEFAULT_BUDGET
     if max_steps is not None:
         budget = min(budget, max_steps)
 
-    start = PosteriorState.from_prior(hset, pv)
     decide = _stopping_rule(hset, cfg, start.log_prior)
     first = decide(start.loglik, 0)
     if first is not None:
         results = [(first[0], 0)] * trials
     else:
-        contexts = hset.members[0].contexts()
-        logtab = [
-            {ctx: [_log2(p) for p in m.conditional(ctx).probs] for ctx in contexts}
-            for m in hset.members
-        ]
         results = [
-            _mc_trial(ideal, start, decide, logtab, budget, _trial_seed(seed, i))
+            _mc_trial(ideal, hset, decide, budget, _trial_seed(seed, i))
             for i in range(trials)
         ]
 
@@ -844,9 +839,9 @@ def _class_walk(
     current window, and the count of each (context, symbol) step since
     then, kept as sorted (step, count) pairs with no zero counts.  For
     memoryless members the classes are the symbol compositions.  A class
-    is scored as the prefix's ``sequence_log_probability`` plus count x
-    log-probability over its counts, and dropped once every target rules
-    it out.
+    is scored as the prefix's start score plus count x log-table entry
+    over its counts, the likelihood ``posterior_update`` gives each of
+    its sequences, and dropped once every target rules it out.
 
     ``population`` maps a generator to its number of sequences at t = 0.
     Without ``rng`` the walk is exact: the generator is None, every class
@@ -860,15 +855,10 @@ def _class_walk(
     n = len(members)
     k = hset.alphabet_size
     memory = hset.memory
-    contexts = members[0].contexts()
-    n_ctx = len(contexts)
-    logtab = [
-        [_log2(p) for ctx in contexts for p in m.conditional(ctx).probs]
-        for m in members
-    ]
+    n_ctx = k**memory
+    logtab = _log_table(hset)
     if rng is not None:
         cdfs = [_InverseCdf(m.conditional(()).probs) for m in members]
-    prefix_ll: dict[Context, list[float]] = {}
     # class key: (generator, first symbols, window as a context index,
     # flat (step, count) pairs with step = context * k + symbol) ->
     # number of sequences in the class
@@ -878,11 +868,7 @@ def _class_walk(
         dead = []
         for key, mult in layer.items():
             gen, prefix, _window, steps = key
-            if prefix not in prefix_ll:
-                prefix_ll[prefix] = [
-                    -sequence_log_probability(m, prefix) for m in members
-                ]
-            ll = list(prefix_ll[prefix])
+            ll = list(_start_score(hset, prefix))
             for c, cnt in zip(steps[::2], steps[1::2]):
                 for m in range(n):
                     ll[m] += cnt * logtab[m][c]

@@ -349,15 +349,6 @@ class ContextTree:
     root: _TreeNode
     size: int
 
-    def node_count(self) -> int:
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(node.children.values())
-        return count
-
 
 def build_context_tree(
     members: SortedHypothesisSet | Sequence[str],

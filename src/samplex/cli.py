@@ -379,9 +379,12 @@ def _run_bayes(cfg: dict, seed: int, meta: dict) -> dict:
             f"{trials} x {max_steps} steps exceeds the budget {_STEP_BUDGET}"
         )
     with _phase(meta, "trials_s"):
-        report = mc_sample_complexity(
-            ideal, hset, cfg["prior"], scfg, trials, seed, max_steps=max_steps
-        )
+        try:
+            report = mc_sample_complexity(
+                ideal, hset, cfg["prior"], scfg, trials, seed, max_steps=max_steps
+            )
+        except ValueError as exc:  # an ideal over another alphabet
+            raise ConfigError(f"$.ideal: {exc}") from exc
     with _phase(meta, "evaluator_s"):
         try:
             analytic = expected_sc_evaluator(
@@ -425,13 +428,19 @@ def _run_novelty(cfg: dict, seed: int, meta: dict) -> dict:
         )
     uniform = [1.0 / len(members)] * len(members)
     with _phase(meta, "trials_s"):
-        report = mc_sample_complexity(
-            ideal, hset, uniform, scfg, trials, seed, max_steps=budget
-        )
+        try:
+            report = mc_sample_complexity(
+                ideal, hset, uniform, scfg, trials, seed, max_steps=budget
+            )
+        except ValueError as exc:  # an ideal over another alphabet
+            raise ConfigError(f"$.ideal: {exc}") from exc
+    bounds = []
     with _phase(meta, "bounds_s"):
-        bounds = [
-            falsification_bounds(ideal, m, cfg["q"]) for m in members
-        ]
+        for i, m in enumerate(members):
+            try:
+                bounds.append(falsification_bounds(ideal, m, cfg["q"]))
+            except ValueError as exc:
+                raise ConfigError(f"$.hypotheses[{i}]: {exc}") from exc
     combined = [max(b[0] for b in bounds), max(b[1] for b in bounds)]
     falsified = report.decisions[DecisionStatus.FALSIFIED.value]
     times = sorted(

@@ -18,8 +18,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 # Tolerances shared across the package.
 MASS_TOL = 1e-12  # probability vectors must sum to 1 within this
 SUM_TOL = 1e-9  # enumerated sequence distributions, marginal checks
-IDENTITY_TOL = 1e-9  # algebraic identities between measures
-RATE_IDENTITY_TOL = 1e-6  # block-entropy difference vs entropy rate
 
 # Hard ceiling on exhaustive sequence enumeration: alphabet**horizon.
 ENUM_LIMIT = 2**20
@@ -157,7 +155,7 @@ def joint_measures(table: JointTable) -> tuple[float, float, float]:
     """Joint entropy, conditional entropy H(X|Y), and mutual information.
 
     All in bits.  Mutual information is clamped at 0 to absorb float
-    cancellation; I(X;Y) = H(X) - H(X|Y) holds within IDENTITY_TOL.
+    cancellation; I(X;Y) = H(X) - H(X|Y) holds within 1e-9.
     """
     joint = -math.fsum(
         p * math.log2(p) for row in table.cells for p in row if p > 0.0

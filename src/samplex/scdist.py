@@ -98,12 +98,6 @@ class PairwiseSCDist:
     def moment(self, m: int) -> Number:
         return sum(i**m * self.pmf(i) for i in self.support())
 
-    def to_rows(self) -> list[tuple[int, float, float]]:
-        return [
-            (i, float(self.pmf(i)), float(self.cdf(i)))
-            for i in self.support()
-        ]
-
 
 @dataclass(frozen=True)
 class PointMassSCDist:

@@ -76,6 +76,25 @@ def m1(a, b, init=("stationary", None)):
     return chain(1, (a, b), init)
 
 
+def k3(*rows):
+    """Three-symbol memory-1 chain from its stationary law; rows[c] is the
+    law of the symbol after a c."""
+    laws = {(c,): IidSpec.from_probs(row) for c, row in enumerate(rows)}
+    return MarkovSpec(1, laws, ("stationary", None))
+
+
+# stationary pairs whose hidden start mixes more than two contexts
+K3_PAIR = HypothesisSet(
+    (
+        k3((0.6, 0.15, 0.25), (0.2, 0.3, 0.5), (0.55, 0.1, 0.35)),
+        k3((0.15, 0.7, 0.15), (0.4, 0.35, 0.25), (0.3, 0.3, 0.4)),
+    )
+)
+M2_PAIR = HypothesisSet(
+    (chain(2, (0.3, 0.6, 0.45, 0.8)), chain(2, (0.7, 0.35, 0.5, 0.2)))
+)
+
+
 def run_posterior(hset, prior, observations):
     state = PosteriorState.from_prior(hset, prior)
     for sym in observations:
@@ -269,6 +288,49 @@ class TestPosterior:
             got = state.posterior().probs
             for g, e in zip(got, expected):
                 assert g == pytest.approx(float(e), abs=1e-12)
+
+    @pytest.mark.parametrize("hset", [K3_PAIR, M2_PAIR], ids=["k3-m1", "binary-m2"])
+    def test_one_likelihood_scores_every_sequence(self, hset):
+        # up to t = memory the step reads the start score bit for bit; past
+        # it, the score the exact class walk gives the sequence's class
+        walk = samplex.bayes._class_walk(hset, (-1.0, -1.0), (0, 1), {None: 1})
+        next(walk)
+        for t in range(1, hset.memory + 4):
+            seqs = list(itertools.product(range(hset.alphabet_size), repeat=t))
+            got = [run_posterior(hset, UNIFORM, seq).loglik for seq in seqs]
+            classes = next(walk)
+            if t <= hset.memory:
+                for seq, loglik in zip(seqs, got):
+                    assert loglik == tuple(
+                        -sequence_log_probability(m, seq) for m in hset.members
+                    ), seq
+                continue
+            left = [[ll, mult] for _gen, mult, ll, _s in classes]
+            for seq, loglik in zip(seqs, got):
+                match = next(
+                    c for c in left
+                    if c[1] and loglik == pytest.approx(c[0], rel=0.0, abs=1e-12)
+                )
+                match[1] -= 1
+            assert not any(mult for _ll, mult in left)
+
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_predictive_before_the_hidden_start_collapses(self, t):
+        prior = (0.3, 0.7)
+        blocks = [
+            (m.block_distribution(t), m.block_distribution(t + 1))
+            for m in M2_PAIR.members
+        ]
+        for seq in itertools.product(range(2), repeat=t):
+            evidence = sum(w * now[seq] for w, (now, _) in zip(prior, blocks))
+            want = [
+                sum(w * nxt[seq + (sym,)] for w, (_, nxt) in zip(prior, blocks))
+                / evidence
+                for sym in range(2)
+            ]
+            state = run_posterior(M2_PAIR, prior, seq)
+            got = posterior_predictive(state).probs
+            assert got == pytest.approx(want, rel=0.0, abs=1e-12), seq
 
     def test_prior_must_match_and_normalize(self):
         with pytest.raises(ValueError):
@@ -597,6 +659,8 @@ class TestMCSampleComplexity:
             # memory 2, one member starting from a fixed context
             (m2a, HypothesisSet((m2a, m2b)), UNIFORM, StoppingConfig(p=0.9, q=0.2)),
             (m2b, HypothesisSet((m2a, m2b)), (0.3, 0.7), StoppingConfig(p=0.95, r=0.01)),
+            # three symbols, memory 1: the hidden start mixes three contexts
+            (K3_PAIR.members[0], K3_PAIR, UNIFORM, StoppingConfig(p=0.9, q=0.2)),
         ]
         for n, (ideal, hset, prior, cfg) in enumerate(scenarios):
             got = mc_sample_complexity(

@@ -35,6 +35,16 @@ BAYES_CFG = {
     "seed": 11,
 }
 
+NOVELTY_CFG = {
+    "kind": "novelty",
+    "ideal": [0.5, 0.5],
+    "hypotheses": [[0.1, 0.9], [0.05, 0.95]],
+    "q": 0.5,
+    "trials": 20,
+    "budget": 200,
+    "seed": 5,
+}
+
 
 SPREAD_CFG = {
     "kind": "spread",
@@ -260,6 +270,24 @@ class TestExitCodes:
     def test_weights_the_model_rejects_are_invalid(self, tmp_path, capsys, cfg, path):
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_INVALID
         assert f"config invalid: {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg, path",
+        [
+            ({**BAYES_CFG, "ideal": [0.5, 0.25, 0.25]}, "$.ideal"),
+            ({**NOVELTY_CFG, "ideal": [0.5, 0.25, 0.25]}, "$.ideal"),
+            # falsification bounds compare specs of equal memory only
+            ({**NOVELTY_CFG, "ideal": markov1(0.25, 0.5)}, "$.hypotheses[0]"),
+            # an infinite cross-entropy rate bounds nothing
+            ({**NOVELTY_CFG, "hypotheses": [[1.0, 0.0]]}, "$.hypotheses[0]"),
+        ],
+        ids=["bayes-alphabet", "novelty-alphabet", "novelty-memory", "novelty-support"],
+    )
+    def test_an_ideal_the_library_refuses_is_invalid(self, tmp_path, capsys, cfg, path):
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"config invalid: {path}:" in err
+        assert "Traceback" not in err
 
     def test_bad_thread_count(self, tmp_path, capsys):
         path = write_config(tmp_path, BAYES_CFG)
