@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
@@ -335,18 +335,17 @@ def identify_depth_first(
     return IdOutcome(IdStatus.FALSIFIED, h_deep, i_deep, ())
 
 
-@dataclass
-class _TreeNode:
-    children: dict[str, "_TreeNode"] = field(default_factory=dict)
-    terminal: int = 0  # 1-based member index, 0 when not a member end
+_END = ""  # tree-node key of the member ending there; no symbol is empty
 
 
 @dataclass
 class ContextTree:
     """Prefix tree over a hypothesis set; every node is on some member's
-    path, so there are no unreachable nodes."""
+    path, so there are no unreachable nodes.  A node is a dict from each
+    next symbol to its child node, holding the 1-based index of the
+    member that ends there under ``_END``."""
 
-    root: _TreeNode
+    root: dict
     size: int
 
 
@@ -363,26 +362,27 @@ def build_context_tree(
             if not m or m in seen:
                 raise ValueError(f"invalid or duplicate member {m!r}")
             seen.add(m)
-    root = _TreeNode()
+    root: dict = {}
     for idx, m in enumerate(items, start=1):
         node = root
         for sym in m:
-            child = node.children.get(sym)
+            child = node.get(sym)
             if child is None:
-                child = node.children[sym] = _TreeNode()
+                child = node[sym] = {}
             node = child
-        node.terminal = idx
+        node[_END] = idx
     return ContextTree(root, len(items))
 
 
-def _subtree_terminals(node: _TreeNode) -> list[int]:
+def _subtree_terminals(node: dict) -> list[int]:
     out = []
     stack = [node]
     while stack:
-        cur = stack.pop()
-        if cur.terminal:
-            out.append(cur.terminal)
-        stack.extend(cur.children.values())
+        for key, below in stack.pop().items():
+            if key == _END:
+                out.append(below)
+            else:
+                stack.append(below)
     return sorted(out)
 
 
@@ -401,9 +401,9 @@ def identify_tree(
     node = tree.root
     path_terminals: list[int] = []
     for depth, sym in enumerate(prefix):
-        if node.terminal:
-            path_terminals.append(node.terminal)
-        child = node.children.get(sym)
+        if _END in node:
+            path_terminals.append(node[_END])
+        child = node.get(sym)
         if child is None:
             # consumed the mismatching symbol as well
             if complete or not path_terminals:
@@ -415,12 +415,12 @@ def identify_tree(
 
     consumed = len(prefix)
     if complete:
-        if node.terminal:
-            return IdOutcome(
-                IdStatus.VERIFIED, node.terminal, consumed, (node.terminal,)
-            )
-        below = [t for t in _subtree_terminals(node) if t != node.terminal]
-        return IdOutcome(IdStatus.FALSIFIED, 0, consumed, tuple(below))
+        if _END in node:
+            end = node[_END]
+            return IdOutcome(IdStatus.VERIFIED, end, consumed, (end,))
+        return IdOutcome(
+            IdStatus.FALSIFIED, 0, consumed, tuple(_subtree_terminals(node))
+        )
     in_play = sorted(path_terminals + _subtree_terminals(node))
     if in_play:
         return IdOutcome(

@@ -723,7 +723,10 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; each ``parse_args`` call
+    starts from a fresh namespace, so no call sees the one before."""
     parser = argparse.ArgumentParser(
         prog="samplex",
         description="identification, sample complexity, and novelty "

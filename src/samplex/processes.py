@@ -447,7 +447,10 @@ def sequence_log_probability(
     spec: IidSpec | MarkovSpec, seq: Sequence[int]
 ) -> float:
     """-log2 P(sequence) under the spec, in bits (>= 0, +inf if impossible),
-    by a log-space forward pass over the initial mixture."""
+    by a log-space forward pass over the initial mixture.  The empty
+    sequence is certain: exactly 0 bits, with no log-space round trip."""
+    if not seq:
+        return 0.0
     branches = []
     for ctx, w in spec.initial_mixture().items():
         ll = math.log2(w)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,18 +245,14 @@ def _diff_positions(a: str, b: str) -> list[int]:
     return [idx for idx, (x, y) in enumerate(zip(a, b)) if x != y]
 
 
-def _stop_index(order: tuple[int, ...] | list[int], diffs: set[int]) -> int:
-    for pos, revealed in enumerate(order, start=1):
-        if revealed in diffs:
-            return pos
-    return len(order)
-
-
 def enumerate_orderings_oracle(a: str, b: str) -> EmpiricalSCDist:
     """Exact stopping distribution by walking every reveal order.
 
-    Refuses beyond length 10 (10! orders is the practical limit); the
-    result's pmf values are exact rationals with denominator L!.
+    Each of the L! permutations of the per-position disagreement flags
+    is one reveal order; it stops at its first disagreement, or at L
+    when a and b agree everywhere.  Refuses beyond length 10 (10! orders
+    is the practical limit); the result's pmf values are exact rationals
+    with denominator L!.
     """
     diffs = set(_diff_positions(a, b))
     L = len(a)
@@ -264,7 +261,11 @@ def enumerate_orderings_oracle(a: str, b: str) -> EmpiricalSCDist:
             f"enumerating {L}! reveal orders exceeds the length-"
             f"{_ORACLE_MAX_L} oracle limit"
         )
-    counts: Counter[int] = Counter()
-    for order in itertools.permutations(range(L)):
-        counts[_stop_index(order, diffs)] += 1
-    return EmpiricalSCDist(dict(counts), math.factorial(L))
+    total = math.factorial(L)
+    if not diffs:
+        return EmpiricalSCDist({L: total}, total)
+    flags = [int(pos in diffs) for pos in range(L)]
+    first = Counter(
+        map(operator.methodcaller("index", 1), itertools.permutations(flags))
+    )
+    return EmpiricalSCDist({i + 1: n for i, n in first.items()}, total)

@@ -39,7 +39,7 @@ from samplex.bayes import (
     _surprisal_region,
 )
 from samplex.info import ENUM_LIMIT
-from samplex.scdist import _diff_positions, _stop_index
+from samplex.scdist import _diff_positions
 
 
 def oracle_cap(r: float) -> float:
@@ -101,6 +101,24 @@ def pairwise_stop_pmf(L: int, K: int) -> dict[int, Fraction]:
         counts[stop] = counts.get(stop, 0) + 1
     total = math.factorial(L)
     return {i: Fraction(n, total) for i, n in sorted(counts.items())}
+
+
+def _stop_index(order: tuple[int, ...] | list[int], diffs: set[int]) -> int:
+    for pos, revealed in enumerate(order, start=1):
+        if revealed in diffs:
+            return pos
+    return len(order)
+
+
+def enumerate_orderings_reference(a: str, b: str) -> EmpiricalSCDist:
+    """Stopping distribution of two alternatives, one reveal order at a
+    time: the per-order loop ``enumerate_orderings_oracle`` counts in C."""
+    diffs = set(_diff_positions(a, b))
+    L = len(a)
+    counts: Counter[int] = Counter()
+    for order in itertools.permutations(range(L)):
+        counts[_stop_index(order, diffs)] += 1
+    return EmpiricalSCDist(dict(counts), math.factorial(L))
 
 
 def mc_pairwise_oracle(

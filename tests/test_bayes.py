@@ -290,6 +290,15 @@ class TestPosterior:
                 assert g == pytest.approx(float(e), abs=1e-12)
 
     @pytest.mark.parametrize("hset", [K3_PAIR, M2_PAIR], ids=["k3-m1", "binary-m2"])
+    def test_the_empty_prefix_scores_exactly_zero(self, hset):
+        # the class walk's t = 0 score is the prior's, as in the posterior
+        # step and the stopping trials
+        for m in hset.members:
+            assert sequence_log_probability(m, ()) == 0.0
+        start = PosteriorState.from_prior(hset, UNIFORM).loglik
+        assert samplex.bayes._start_score(hset, ()) == start == (0.0, 0.0)
+
+    @pytest.mark.parametrize("hset", [K3_PAIR, M2_PAIR], ids=["k3-m1", "binary-m2"])
     def test_one_likelihood_scores_every_sequence(self, hset):
         # up to t = memory the step reads the start score bit for bit; past
         # it, the score the exact class walk gives the sequence's class

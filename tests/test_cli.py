@@ -360,6 +360,31 @@ class TestVerifyPairs:
         assert "containment: pass" in out
 
 
+class TestParserReuse:
+    """``main`` parses every call with one parser; no call may see the
+    options of the call before it."""
+
+    def test_verify_defaults_return(self, capsys):
+        assert main(["verify", "--pair", "pairwise-enumeration", "--L", "3"]) == EXIT_OK
+        assert "L=3 K=3: exact match" in capsys.readouterr().out
+        assert main(["verify", "--pair", "pairwise-enumeration"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "L=8 K=8: exact match" in out
+        assert out.endswith("verify pairwise-enumeration: PASS\n")
+
+    def test_run_seed_override_does_not_stick(self, tmp_path):
+        assert run_to_file(tmp_path, SAMPLE_CFG, "--seed", "5")["config"]["seed"] == 5
+        assert run_to_file(tmp_path, SAMPLE_CFG)["config"]["seed"] == SAMPLE_CFG["seed"]
+
+    def test_a_refusal_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["verify", "--pair", "pairwise-enumeration", "--L", "0"])
+        assert refused.value.code == 2
+        assert "--L" in capsys.readouterr().err
+        assert main(["verify", "--pair", "pairwise-enumeration", "--L", "2"]) == EXIT_OK
+        assert "verify pairwise-enumeration: PASS" in capsys.readouterr().out
+
+
 class TestDeterminism:
     def test_same_seed_is_byte_identical(self, tmp_path):
         a = run_to_file(tmp_path, BAYES_CFG)

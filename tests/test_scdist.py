@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from samplex import (
     ComputationRefused,
@@ -19,7 +21,11 @@ from samplex import (
     total_variation,
 )
 
-from oracles import mc_pairwise_oracle, pairwise_stop_pmf
+from oracles import (
+    enumerate_orderings_reference,
+    mc_pairwise_oracle,
+    pairwise_stop_pmf,
+)
 
 
 class TestPairwiseExact:
@@ -199,6 +205,28 @@ class TestOracles:
         )
         assert tv < 0.02
 
+    def test_mc_oracle_counts_are_pinned(self):
+        mc = mc_pairwise_oracle("0110100", "0011101", trials=1000, seed=7)
+        assert mc.counts == {1: 424, 2: 303, 3: 162, 4: 82, 5: 29}
+
     def test_mc_oracle_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             mc_pairwise_oracle("01", "10", trials=0, seed=1)
+
+
+@st.composite
+def _equal_length_pairs(draw):
+    L = draw(st.integers(1, 7))
+    a = draw(st.text("01", min_size=L, max_size=L))
+    if draw(st.booleans()):
+        return a, a
+    return a, draw(st.text("01", min_size=L, max_size=L))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_equal_length_pairs())
+def test_enumeration_matches_the_per_order_loop(pair):
+    a, b = pair
+    fast = enumerate_orderings_oracle(a, b)
+    slow = enumerate_orderings_reference(a, b)
+    assert (fast.counts, fast.trials) == (slow.counts, slow.trials)
