@@ -10,20 +10,15 @@ from .bayes import (
     PosteriorState,
     SCEstimate,
     StoppingConfig,
-    TypicalityRegion,
     check_stop,
     divergence_rate,
     equivalence_groups,
     expected_sc_evaluator,
-    expected_sc_predictive,
     falsification_bounds,
-    hypothesis_count_bound,
     mc_sample_complexity,
     mc_surprisal_moment_curve,
-    posterior_predictive,
     posterior_update,
     surprisal_moment,
-    typical_membership,
     typical_set_bounds,
     warmup_threshold,
 )
@@ -40,37 +35,27 @@ from .bitstrings import (
 )
 from .info import (
     ComputationRefused,
-    JointTable,
     ProbVector,
-    SequenceDist,
     as_probvector,
-    block_entropy,
     cross_entropy,
     divergences,
     entropy,
     entropy_rate,
-    joint_measures,
     relative_entropy,
     surprisal,
     total_variation,
 )
 from .processes import (
     BitSource,
-    EmpiricalProcess,
     IidSpec,
     MarkovSpec,
     NonErgodicError,
     SpreadCode,
-    UndefinedDistributionError,
-    empirical_dist,
-    empirical_from_sequence,
-    empirical_update,
     iid_sample,
     markov_sample,
     sample_discrete,
     sequence_log_probability,
     spec_from_json,
-    spec_to_json,
     spread_decode,
     spread_encode,
 )
@@ -82,7 +67,6 @@ from .scdist import (
     UndefinedMomentError,
     enumerate_orderings_oracle,
     pairwise_verification,
-    partial_verification_prob,
 )
 
 __version__ = "0.1.0"
@@ -90,31 +74,26 @@ __version__ = "0.1.0"
 __all__ = [
     # bayes
     "Decision", "DecisionStatus", "HypothesisSet", "MCStoppingReport",
-    "PosteriorState", "SCEstimate", "StoppingConfig", "TypicalityRegion",
-    "check_stop", "divergence_rate", "equivalence_groups",
-    "expected_sc_evaluator", "expected_sc_predictive", "falsification_bounds",
-    "hypothesis_count_bound", "mc_sample_complexity",
-    "mc_surprisal_moment_curve", "posterior_predictive", "posterior_update",
-    "surprisal_moment", "typical_membership", "typical_set_bounds",
-    "warmup_threshold",
+    "PosteriorState", "SCEstimate", "StoppingConfig", "check_stop",
+    "divergence_rate", "equivalence_groups", "expected_sc_evaluator",
+    "falsification_bounds", "mc_sample_complexity",
+    "mc_surprisal_moment_curve", "posterior_update", "surprisal_moment",
+    "typical_set_bounds", "warmup_threshold",
     # bitstrings
     "IdOutcome", "IdStatus", "SortedHypothesisSet", "StreamString",
     "build_context_tree", "identify_depth_first", "identify_sorted",
     "identify_tree", "resolution_cap",
     # info
-    "ComputationRefused", "JointTable", "ProbVector", "SequenceDist",
-    "as_probvector", "block_entropy", "cross_entropy", "divergences",
-    "entropy", "entropy_rate", "joint_measures", "relative_entropy",
+    "ComputationRefused", "ProbVector", "as_probvector", "cross_entropy",
+    "divergences", "entropy", "entropy_rate", "relative_entropy",
     "surprisal", "total_variation",
     # processes
-    "BitSource", "EmpiricalProcess", "IidSpec", "MarkovSpec",
-    "NonErgodicError", "SpreadCode", "UndefinedDistributionError",
-    "empirical_dist", "empirical_from_sequence", "empirical_update",
+    "BitSource", "IidSpec", "MarkovSpec", "NonErgodicError", "SpreadCode",
     "iid_sample", "markov_sample", "sample_discrete",
-    "sequence_log_probability", "spec_from_json", "spec_to_json",
-    "spread_decode", "spread_encode",
+    "sequence_log_probability", "spec_from_json", "spread_decode",
+    "spread_encode",
     # scdist
     "EmpiricalSCDist", "GeometricSCDist", "PairwiseSCDist", "PointMassSCDist",
     "UndefinedMomentError", "enumerate_orderings_oracle",
-    "pairwise_verification", "partial_verification_prob",
+    "pairwise_verification",
 ]

@@ -14,7 +14,7 @@ Falsification tests each member's per-symbol surprisal against the
 band [rate - eps, rate + eps] with eps = -log2 q: the empirical-KL
 phrasing of the same idea plateaus below the slack for nearby
 alternatives and cannot reach the advertised detection rates, so the
-band form is used throughout (typical_membership reports it directly).
+band form is used throughout.
 The rule is written once, in ``_stopping_rule``: ``check_stop`` and
 every Monte Carlo stopping trial decide through the same function.
 
@@ -47,7 +47,6 @@ import itertools
 import math
 import random
 import struct
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Sequence
@@ -250,6 +249,17 @@ def _start_score(hset: HypothesisSet, prefix: Context) -> tuple[float, ...]:
     return scores[prefix]
 
 
+def _log_prior(
+    hset: HypothesisSet, prior: ProbVector | Sequence[float]
+) -> tuple[float, ...]:
+    """Each member's log2 prior weight; a prior must weigh every member
+    of the set, no more and no fewer."""
+    pv = as_probvector(prior)
+    if len(pv) != len(hset):
+        raise ValueError(f"prior over {len(pv)} weights for {len(hset)} members")
+    return tuple(_log2(w) for w in pv.probs)
+
+
 @dataclass(frozen=True)
 class PosteriorState:
     """Immutable posterior over a hypothesis set after t observations.
@@ -272,12 +282,7 @@ class PosteriorState:
     def from_prior(
         hset: HypothesisSet, prior: ProbVector | Sequence[float]
     ) -> "PosteriorState":
-        pv = as_probvector(prior)
-        if len(pv) != len(hset):
-            raise ValueError(
-                f"prior over {len(pv)} weights for {len(hset)} members"
-            )
-        log_prior = tuple(_log2(w) for w in pv.probs)
+        log_prior = _log_prior(hset, prior)
         return PosteriorState(hset, log_prior, (0.0,) * len(hset), 0, ())
 
     @property
@@ -332,33 +337,6 @@ def posterior_update(state: PosteriorState, symbol: int) -> PosteriorState:
     return PosteriorState(hset, state.log_prior, loglik, state.t + 1, window)
 
 
-def posterior_predictive(state: PosteriorState) -> ProbVector:
-    """Next-symbol distribution under the current posterior mixture: the
-    prior-weighted likelihood of the observations followed by each
-    symbol, over that of the observations."""
-    if state.all_falsified:
-        raise ValueError(
-            "no posterior predictive: every hypothesis is falsified"
-        )
-    top = max(lp + ll for lp, ll in zip(state.log_prior, state.loglik))
-    out = [
-        math.fsum(
-            2.0 ** (lp + ll - top)
-            for lp, ll in zip(state.log_prior, posterior_update(state, sym).loglik)
-        )
-        for sym in range(state.hset.alphabet_size)
-    ]
-    total = math.fsum(out)
-    return ProbVector(tuple(v / total for v in out))
-
-
-class TypicalityRegion(Enum):
-    TYPICAL = "typical"
-    ATYPICAL_IMPROBABLE = "atypical-improbable"
-    ATYPICAL_PROBABLE = "atypical-probable"
-    UNDETERMINED = "undetermined"
-
-
 def typical_set_bounds(
     spec: ProcessSpec, t: int, level: float
 ) -> tuple[float, float]:
@@ -374,50 +352,9 @@ def typical_set_bounds(
     return center * level, center / level
 
 
-def _surprisal_region(
-    neg_loglik: float, t: int, rate: float, eps: float
-) -> TypicalityRegion:
-    """Classify by per-symbol surprisal against [rate - eps, rate + eps]."""
-    per_symbol = neg_loglik / t
-    if per_symbol > rate + eps:
-        return TypicalityRegion.ATYPICAL_IMPROBABLE
-    if per_symbol < rate - eps:
-        return TypicalityRegion.ATYPICAL_PROBABLE
-    return TypicalityRegion.TYPICAL
-
-
 def warmup_threshold(rate: float, level: float) -> int:
     """Observations required before typicality comparisons are trusted."""
     return max(0, math.ceil(rate - math.log2(level)))
-
-
-def typical_membership(
-    spec: ProcessSpec, observations: Sequence[int], level: float
-) -> TypicalityRegion:
-    """Locate the observed sequence's probability relative to the
-    typical band at the given level.
-
-    The band's slack per symbol is -log2 level.  Improbable means the
-    sequence is less probable than typical sequences (higher
-    surprisal), probable means more probable.  Below the warm-up
-    horizon the verdict is undetermined, with a warning.
-    """
-    if not 0.0 < level <= 1.0:
-        raise ValueError(f"level must be in (0, 1], got {level!r}")
-    rate = entropy_rate(spec)
-    t = len(observations)
-    warmup = warmup_threshold(rate, level)
-    if t < max(1, warmup):
-        warnings.warn(
-            f"only {t} observations, below the warm-up threshold "
-            f"{max(1, warmup)}; typicality undetermined",
-            stacklevel=2,
-        )
-        return TypicalityRegion.UNDETERMINED
-    eps = -math.log2(level)
-    return _surprisal_region(
-        sequence_log_probability(spec, observations), t, rate, eps
-    )
 
 
 def falsification_bounds(
@@ -826,13 +763,13 @@ def _draw_counts(rng: random.Random, cdf: _InverseCdf, n: int) -> list[int]:
 def _class_walk(
     hset: HypothesisSet,
     log_prior: Sequence[float],
-    targets: Sequence[int],
+    target: int,
     population: dict[int | None, int],
     rng: random.Random | None = None,
-) -> Iterator[list[tuple[int | None, int, list[float], list[float]]]]:
+) -> Iterator[list[tuple[int | None, int, list[float], float]]]:
     """Yield, for t = 0, 1, 2, ..., the sequence classes of horizon t,
     each scored as (generator, multiplicity, log2 likelihood under every
-    member, posterior surprisal of every member).
+    member, posterior surprisal of the target member).
 
     A class holds the sequences that every member scores alike: the
     first ``memory`` symbols (which fix each chain's hidden start), the
@@ -841,7 +778,7 @@ def _class_walk(
     memoryless members the classes are the symbol compositions.  A class
     is scored as the prefix's start score plus count x log-table entry
     over its counts, the likelihood ``posterior_update`` gives each of
-    its sequences, and dropped once every target rules it out.
+    its sequences, and dropped once the target rules it out.
 
     ``population`` maps a generator to its number of sequences at t = 0.
     Without ``rng`` the walk is exact: the generator is None, every class
@@ -872,12 +809,12 @@ def _class_walk(
             for c, cnt in zip(steps[::2], steps[1::2]):
                 for m in range(n):
                     ll[m] += cnt * logtab[m][c]
-            if all(ll[i] == -math.inf for i in targets):
+            if ll[target] == -math.inf:
                 dead.append(key)
                 continue
             scores = [log_prior[m] + ll[m] for m in range(n)]
             norm = _logsumexp2(scores)
-            scored.append((gen, mult, ll, [-(s - norm) for s in scores]))
+            scored.append((gen, mult, ll, -(scores[target] - norm)))
         yield scored
 
         for key in dead:
@@ -906,23 +843,18 @@ def _class_walk(
 def _posterior_surprisal_walk(
     hset: HypothesisSet,
     log_prior: Sequence[float],
-    targets: Sequence[int],
+    target: int,
     transform: Callable[[float], float],
-) -> Iterator[list[float]]:
-    """Yield, for t = 0, 1, 2, ..., E[transform(-log2 posterior(i))]
-    over sequences of length t drawn from member i, for each target i,
-    by exact enumeration over the classes of ``_class_walk`` (refused
-    past its class limit)."""
-    for classes in _class_walk(hset, log_prior, targets, {None: 1}):
-        totals = [0.0] * len(targets)
+) -> Iterator[float]:
+    """Yield, for t = 0, 1, 2, ..., E[transform(-log2 posterior(target))]
+    over sequences of length t drawn from the target member, by exact
+    enumeration over the classes of ``_class_walk`` (refused past its
+    class limit)."""
+    for classes in _class_walk(hset, log_prior, target, {None: 1}):
+        total = 0.0
         for _gen, mult, ll, surprisal in classes:
-            log_mult = math.log2(mult)
-            for j, i in enumerate(targets):
-                if ll[i] > -math.inf:
-                    totals[j] += 2.0 ** (log_mult + ll[i]) * transform(
-                        surprisal[i]
-                    )
-        yield totals
+            total += 2.0 ** (math.log2(mult) + ll[target]) * transform(surprisal)
+        yield total
 
 
 def surprisal_moment(
@@ -939,11 +871,10 @@ def surprisal_moment(
         raise ValueError(f"moment order must be >= 1, got {m}")
     if t < 0:
         raise ValueError(f"horizon must be >= 0, got {t}")
-    pv = as_probvector(prior)
+    log_prior = _log_prior(hset, prior)
     idx = _member_index(ideal, hset)
-    log_prior = tuple(_log2(w) for w in pv.probs)
-    walk = _posterior_surprisal_walk(hset, log_prior, (idx,), lambda s: s**m)
-    return next(itertools.islice(walk, t, None))[0]
+    walk = _posterior_surprisal_walk(hset, log_prior, idx, lambda s: s**m)
+    return next(itertools.islice(walk, t, None))
 
 
 @dataclass(frozen=True)
@@ -1021,28 +952,26 @@ def _scan_crossing(
 def _surprisal_curve(
     hset: HypothesisSet,
     log_prior: tuple[float, ...],
-    weights: dict[int, float],
+    target: int,
     exact_t_max: int,
     sequences: int,
     seed: int | str,
 ) -> Iterator[tuple[float, float | None]]:
     """Yield (value, se) for t = 0, 1, 2, ...: the expected posterior
-    surprisal of a member drawn with ``weights`` (summing to 1), on
-    sequences drawn from that member.
+    surprisal of the target member, on sequences drawn from it.
 
     The exact class walk gives the values (se None) up to exact_t_max,
     or up to the first horizon past its class limit.  From there on a
-    Monte Carlo population of ``sequences`` takes over, for memoryless
-    members only: its generators are drawn with ``weights``, and a value
-    is the mean of the generator's surprisal, with its standard error.
+    Monte Carlo population of ``sequences`` drawn from the target takes
+    over, for memoryless members only: a value is the population's mean
+    surprisal, with its standard error.
     """
-    targets = list(weights)
     t = 0
-    walk = _posterior_surprisal_walk(hset, log_prior, targets, lambda s: s)
+    walk = _posterior_surprisal_walk(hset, log_prior, target, lambda s: s)
     # past the class limit, Monte Carlo takes over at the refused horizon t
     with contextlib.suppress(ComputationRefused):
-        for values in itertools.islice(walk, exact_t_max + 1):
-            yield math.fsum(weights[i] * v for i, v in zip(targets, values)), None
+        for value in itertools.islice(walk, exact_t_max + 1):
+            yield value, None
             t += 1
     if hset.memory:
         raise ComputationRefused(
@@ -1050,51 +979,16 @@ def _surprisal_curve(
             "and the Monte Carlo curve supports memoryless members only"
         )
     rng = random.Random(f"{seed}:curve")
-    counts = _draw_counts(rng, _InverseCdf(list(weights.values())), sequences)
-    population = {i: c for i, c in zip(targets, counts) if c}
-    walk = _class_walk(hset, log_prior, targets, population, rng)
+    # the walk starts one uniform per sequence into the stream, as seeded curves always have
+    rng.getrandbits(64 * sequences)
+    walk = _class_walk(hset, log_prior, target, {target: sequences}, rng)
     for classes in itertools.islice(walk, t, None):
-        mean = math.fsum(m * s[g] for g, m, _, s in classes) / sequences
-        square = math.fsum(m * s[g] ** 2 for g, m, _, s in classes) / sequences
+        mean = math.fsum(m * s for _, m, _, s in classes) / sequences
+        square = math.fsum(m * s**2 for _, m, _, s in classes) / sequences
         yield mean, math.sqrt(max(0.0, square - mean**2) / sequences)
 
 
-def _check_sequences(sequences: int) -> None:
-    if sequences < 2:
-        raise ValueError(
-            "a Monte Carlo standard error needs at least 2 sequences, "
-            f"got {sequences}"
-        )
-
-
-def _sc_estimate(
-    hset: HypothesisSet,
-    pv: ProbVector,
-    weights: dict[int, float],
-    p: float,
-    exact_t_max: int,
-    sequences: int,
-    seed: int | str,
-) -> SCEstimate:
-    """Scan ``_surprisal_curve`` for its -log2 p crossing.
-
-    At p = 1 over memoryless members horizon 1 is final, and the Monte
-    Carlo curve is never asked for a 0-bit target: a live member that
-    gives mass to a symbol another live member emits keeps positive
-    likelihood on that symbol's constant run forever, so a surprisal not
-    at 0 by t = 1 never gets there.
-    """
-    log_prior = tuple(_log2(w) for w in pv.probs)
-    if p == 1.0 and not hset.memory:
-        curve = _surprisal_curve(hset, log_prior, weights, 1, sequences, seed)
-        found = _scan_crossing(0.0, curve, 1)
-        if found.smallest_t is None:
-            return SCEstimate(math.inf, "unreachable-threshold", None, None)
-        return found
-    curve = _surprisal_curve(
-        hset, log_prior, weights, exact_t_max, sequences, seed
-    )
-    return _scan_crossing(-math.log2(p), curve, _HARD_T_MAX)
+_UNREACHABLE = SCEstimate(math.inf, "unreachable-threshold", None, None)
 
 
 def expected_sc_evaluator(
@@ -1124,56 +1018,32 @@ def expected_sc_evaluator(
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"verification level must be in (0, 1], got {p!r}")
-    _check_sequences(sequences)
+    if sequences < 2:
+        raise ValueError(
+            "a Monte Carlo standard error needs at least 2 sequences, "
+            f"got {sequences}"
+        )
     pv = as_probvector(prior)
+    log_prior = _log_prior(hset, pv)
     idx = _member_index(ideal, hset)
     target = -math.log2(p)
     if pv[idx] >= p:
         return SCEstimate(0.0, "prior-threshold", None, 0)
-    classes = hset.equal_classes()
-    cls = next(c for c in classes if idx in c)
+    cls = next(c for c in hset.equal_classes() if idx in c)
     mass = math.fsum(pv[i] for i in cls)
-    if pv[idx] == 0.0:
-        return SCEstimate(math.inf, "unreachable-threshold", None, None)
-    floor = -math.log2(pv[idx] / mass)
-    if floor > target + _FLOOR_TOL:
-        return SCEstimate(math.inf, "unreachable-threshold", None, None)
+    if pv[idx] == 0.0 or -math.log2(pv[idx] / mass) > target + _FLOOR_TOL:
+        return _UNREACHABLE
 
-    return _sc_estimate(hset, pv, {idx: 1.0}, p, exact_t_max, sequences, seed)
-
-
-def expected_sc_predictive(
-    hset: HypothesisSet,
-    prior: ProbVector | Sequence[float],
-    p: float,
-    sequences: int = _DEFAULT_MC_SEQUENCES,
-    seed: int | str = 7,
-    exact_t_max: int = 16,
-) -> SCEstimate:
-    """Prior-averaged version of the evaluator-side horizon: the drawn
-    member's expected posterior surprisal, averaged over the prior,
-    against the same -log2 p threshold."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"verification level must be in (0, 1], got {p!r}")
-    _check_sequences(sequences)
-    pv = as_probvector(prior)
-    if len(pv) != len(hset):
-        raise ValueError(
-            f"prior over {len(pv)} weights for {len(hset)} members"
-        )
-    target = -math.log2(p)
-    classes = hset.equal_classes()
-    floor = 0.0
-    for cls in classes:
-        mass = math.fsum(pv[i] for i in cls)
-        for i in cls:
-            if pv[i] > 0.0:
-                floor += pv[i] * (-math.log2(pv[i] / mass))
-    if floor > target + _FLOOR_TOL:
-        return SCEstimate(math.inf, "unreachable-threshold", None, None)
-
-    weights = {i: pv[i] for i in range(len(hset)) if pv[i] > 0.0}
-    return _sc_estimate(hset, pv, weights, p, exact_t_max, sequences, seed)
+    if p == 1.0 and not hset.memory:
+        # horizon 1 is final, and the Monte Carlo curve is never asked for
+        # a 0-bit target: a live member that gives mass to a symbol another
+        # live member emits keeps positive likelihood on that symbol's
+        # constant run forever, so a surprisal not at 0 by t = 1 never is
+        curve = _surprisal_curve(hset, log_prior, idx, 1, sequences, seed)
+        found = _scan_crossing(0.0, curve, 1)
+        return _UNREACHABLE if found.smallest_t is None else found
+    curve = _surprisal_curve(hset, log_prior, idx, exact_t_max, sequences, seed)
+    return _scan_crossing(target, curve, _HARD_T_MAX)
 
 
 def mc_surprisal_moment_curve(
@@ -1198,18 +1068,17 @@ def mc_surprisal_moment_curve(
         raise ValueError(f"horizon must be >= 1, got {t_max}")
     if sequences < 1:
         raise ValueError(f"need at least 1 sequence, got {sequences}")
-    pv = as_probvector(prior)
+    log_prior = _log_prior(hset, prior)
     idx = _member_index(ideal, hset)
     if hset.memory:
         raise ValueError("importance-sampled moments need memoryless members")
-    log_prior = tuple(_log2(w) for w in pv.probs)
     comps = [cls[0] for cls in hset.equal_classes()]
     log_ncomp = math.log2(len(comps))
 
     rng = random.Random(f"{seed}:moments")
     uniform = _InverseCdf([1.0 / len(comps)] * len(comps))
     population = dict(zip(comps, _draw_counts(rng, uniform, sequences)))
-    walk = _class_walk(hset, log_prior, (idx,), population, rng)
+    walk = _class_walk(hset, log_prior, idx, population, rng)
     sums: dict[tuple[int, int], float] = {}
     for t, classes in enumerate(itertools.islice(walk, 1, t_max + 1), 1):
         for m in orders:
@@ -1219,18 +1088,6 @@ def mc_surprisal_moment_curve(
             log_q = _logsumexp2([ll[c] for c in comps]) - log_ncomp
             w = mult * 2.0 ** (ll[idx] - log_q)
             for m in orders:
-                sums[(t, m)] += w * surprisal[idx] ** m
+                sums[(t, m)] += w * surprisal**m
     return {key: total / sequences for key, total in sums.items()}
 
-
-def hypothesis_count_bound(count: int, p: float, eps: float) -> int:
-    """Classic counting bound on observations: log2(count / (1 - p)) / eps,
-    rounded up.  Reported as reference context only; no mechanism in
-    this package derives budgets from it."""
-    if count < 1:
-        raise ValueError(f"need at least one hypothesis, got {count}")
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"confidence must be in [0, 1), got {p!r}")
-    if eps <= 0.0:
-        raise ValueError(f"accuracy must be > 0, got {eps!r}")
-    return math.ceil(math.log2(count / (1.0 - p)) / eps)

@@ -15,9 +15,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .processes import IidSpec, MarkovSpec
 
-# Tolerances shared across the package.
 MASS_TOL = 1e-12  # probability vectors must sum to 1 within this
-SUM_TOL = 1e-9  # enumerated sequence distributions, marginal checks
 
 # Hard ceiling on exhaustive sequence enumeration: alphabet**horizon.
 ENUM_LIMIT = 2**20
@@ -117,91 +115,6 @@ def cross_entropy(actual, model) -> float:
 
 def relative_entropy(actual, model) -> float:
     return divergences(actual, model)[1]
-
-
-@dataclass(frozen=True)
-class JointTable:
-    """Joint distribution over a pair of finite variables.
-
-    ``cell[i][j]`` is P(X=i, Y=j).
-    """
-
-    cells: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.cells or not self.cells[0]:
-            raise ValueError("joint table must be non-empty")
-        width = len(self.cells[0])
-        for row in self.cells:
-            if len(row) != width:
-                raise ValueError("joint table rows must have equal length")
-            for p in row:
-                _check_prob(p)
-        total = math.fsum(p for row in self.cells for p in row)
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"joint mass sums to {total!r}, not 1")
-
-    def marginal_x(self) -> ProbVector:
-        return ProbVector(tuple(math.fsum(row) for row in self.cells))
-
-    def marginal_y(self) -> ProbVector:
-        width = len(self.cells[0])
-        return ProbVector(
-            tuple(math.fsum(row[j] for row in self.cells) for j in range(width))
-        )
-
-
-def joint_measures(table: JointTable) -> tuple[float, float, float]:
-    """Joint entropy, conditional entropy H(X|Y), and mutual information.
-
-    All in bits.  Mutual information is clamped at 0 to absorb float
-    cancellation; I(X;Y) = H(X) - H(X|Y) holds within 1e-9.
-    """
-    joint = -math.fsum(
-        p * math.log2(p) for row in table.cells for p in row if p > 0.0
-    )
-    h_y = entropy(table.marginal_y())
-    cond = joint - h_y
-    h_x = entropy(table.marginal_x())
-    mutual = max(0.0, h_x - cond)
-    return joint, cond, mutual
-
-
-@dataclass(frozen=True)
-class SequenceDist:
-    """A process spec together with a finite horizon t.
-
-    Stands for the distribution of the first t observed symbols.  The
-    spec object must provide ``alphabet_size`` and ``block_distribution``.
-    """
-
-    spec: object
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError(f"horizon must be >= 0, got {self.t}")
-
-
-def block_entropy(dist: SequenceDist) -> float:
-    """Entropy of the length-t block distribution, in bits.
-
-    Refuses when the enumeration alphabet_size**t would exceed
-    ENUM_LIMIT outcomes; use a sampling estimate in that regime.
-    """
-    if dist.t == 0:
-        return 0.0
-    k = int(dist.spec.alphabet_size)  # type: ignore[attr-defined]
-    if k**dist.t > ENUM_LIMIT:
-        raise ComputationRefused(
-            f"block enumeration of {k}**{dist.t} outcomes exceeds "
-            f"the {ENUM_LIMIT} limit"
-        )
-    block = dist.spec.block_distribution(dist.t)  # type: ignore[attr-defined]
-    mass = math.fsum(block.values())
-    if abs(mass - 1.0) > SUM_TOL:
-        raise ValueError(f"enumerated block mass {mass!r} is not 1")
-    return -math.fsum(p * math.log2(p) for p in block.values() if p > 0.0)
 
 
 def stationary_rate(

@@ -1,5 +1,5 @@
 """Discrete processes: fair-coin-driven sampling, finite-memory chains,
-empirical estimates, and spread codes.
+and spread codes.
 
 Sampling is exact: symbol probabilities are kept as dyadic rationals and
 symbols are drawn by refining a binary interval with fair coin flips, so
@@ -14,15 +14,11 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .info import ComputationRefused, ENUM_LIMIT, ProbVector, as_probvector
 
 _MAX_DYADIC_BITS = 53  # resolution used when rounding non-dyadic weights
-
-
-class UndefinedDistributionError(ValueError):
-    """An empirical conditional was requested for a never-seen context."""
 
 
 class NonErgodicError(ValueError):
@@ -471,84 +467,6 @@ def sequence_log_probability(
     return -(top + math.log2(math.fsum(2.0 ** (b - top) for b in branches)))
 
 
-class EmpiricalProcess:
-    """Relative-frequency estimate of a finite-memory process.
-
-    Immutable: updates return a new instance that shares unchanged
-    context rows with the old one.
-    """
-
-    __slots__ = ("memory", "alphabet_size", "_counts")
-
-    def __init__(
-        self,
-        memory: int,
-        alphabet_size: int,
-        counts: Mapping[Context, tuple[int, ...]] | None = None,
-    ) -> None:
-        if memory < 0 or alphabet_size < 1:
-            raise ValueError("need memory >= 0 and alphabet_size >= 1")
-        self.memory = memory
-        self.alphabet_size = alphabet_size
-        self._counts: dict[Context, tuple[int, ...]] = dict(counts or {})
-
-    def contexts_seen(self) -> list[Context]:
-        return sorted(self._counts)
-
-    def counts(self, ctx: Context) -> tuple[int, ...]:
-        return self._counts.get(ctx, (0,) * self.alphabet_size)
-
-
-def empirical_update(
-    proc: EmpiricalProcess, ctx: Context, symbol: int
-) -> EmpiricalProcess:
-    if len(ctx) != proc.memory:
-        raise ValueError(f"context length {len(ctx)} != memory {proc.memory}")
-    if not 0 <= symbol < proc.alphabet_size:
-        raise ValueError(f"symbol {symbol} outside alphabet")
-    row = list(proc.counts(ctx))
-    row[symbol] += 1
-    new_counts = dict(proc._counts)
-    new_counts[ctx] = tuple(row)
-    return EmpiricalProcess(proc.memory, proc.alphabet_size, new_counts)
-
-
-def empirical_dist(proc: EmpiricalProcess, ctx: Context) -> ProbVector:
-    row = proc._counts.get(ctx)
-    if row is None or sum(row) == 0:
-        raise UndefinedDistributionError(
-            f"no observations for context {_context_str(ctx)}"
-        )
-    total = sum(row)
-    return ProbVector(tuple(c / total for c in row))
-
-
-def empirical_from_sequence(
-    seq: Sequence[int], memory: int, alphabet_size: int,
-    init_context: Context = (),
-) -> EmpiricalProcess:
-    """Fold a sequence into counts, rolling the context window.
-
-    The first ``memory`` symbols seed the window when no initial
-    context is given, and produce no counts of their own.
-    """
-    proc = EmpiricalProcess(memory, alphabet_size)
-    if memory and not init_context:
-        if len(seq) < memory:
-            return proc
-        ctx: Context = tuple(seq[:memory])
-        rest = seq[memory:]
-    else:
-        if len(init_context) != memory:
-            raise ValueError("initial context length must equal memory")
-        ctx = tuple(init_context)
-        rest = seq
-    for sym in rest:
-        proc = empirical_update(proc, ctx, sym)
-        ctx = (ctx + (sym,))[-memory:] if memory else ()
-    return proc
-
-
 @dataclass(frozen=True)
 class SpreadCode:
     """Repetition-style code: message bit b colors position j with
@@ -649,29 +567,6 @@ def spread_decode(
         bits.append(best)
         confs.append(gap if math.isfinite(gap) else math.inf)
     return DecodedMessage(tuple(bits), tuple(confs))
-
-
-def spec_to_json(spec: IidSpec | MarkovSpec) -> dict:
-    if isinstance(spec, IidSpec):
-        return {"kind": "iid", "probs": list(spec.dist.probs)}
-    mode, payload = spec.init
-    init_json: object
-    if mode == "context":
-        init_json = {"context": _context_str(payload) if payload else ""}
-    elif mode == "distribution":
-        init_json = {"distribution": list(as_probvector(payload).probs)}
-    else:
-        init_json = "stationary"
-    return {
-        "kind": "markov",
-        "memory": spec.memory,
-        "alphabet": spec.alphabet_size,
-        "transitions": {
-            "".join(str(s) for s in ctx): list(sub.dist.probs)
-            for ctx, sub in sorted(spec.transitions.items())
-        },
-        "init": init_json,
-    }
 
 
 def spec_from_json(data: Mapping) -> IidSpec | MarkovSpec:

@@ -220,14 +220,6 @@ class EmpiricalSCDist:
         return {i: c / self.trials for i, c in self.counts.items()}
 
 
-def partial_verification_prob(L: int, K: int, i: int) -> Number:
-    """P(the first i reveals all land on agreeing positions)."""
-    _check_pairwise_args(L, K)
-    if i < 0 or i > L:
-        raise ValueError(f"reveal count {i} outside [0, {L}]")
-    return _survival(L, K, i)
-
-
 def pairwise_verification(L: int) -> PointMassSCDist:
     """K = 0: no disagreement exists, every reveal order runs to L."""
     if L < 1:

@@ -24,7 +24,6 @@ from samplex import (
     EmpiricalSCDist,
     PosteriorState,
     StoppingConfig,
-    TypicalityRegion,
     as_probvector,
     entropy_rate,
     equivalence_groups,
@@ -36,7 +35,6 @@ from samplex.bayes import (
     _IdealSampler,
     _logsumexp2,
     _member_index,
-    _surprisal_region,
 )
 from samplex.info import ENUM_LIMIT
 from samplex.scdist import _diff_positions
@@ -378,9 +376,15 @@ def surprisal_moment_product_form(ideal, hset, prior, t: int, m: int) -> float:
     return first * second
 
 
+def _in_band(neg_loglik: float, t: int, rate: float, eps: float) -> bool:
+    """Typicality by definition: the per-symbol surprisal lies inside
+    [rate - eps, rate + eps]."""
+    return rate - eps <= neg_loglik / t <= rate + eps
+
+
 def check_stop_reference(state: PosteriorState, cfg: StoppingConfig) -> Decision:
     """The stopping rule stated on its own, from the normalized
-    posterior and the surprisal regions: an independent copy of what
+    posterior and the typical bands: an independent copy of what
     ``check_stop`` decides.  It may disagree with the library only at
     floating ties (a group mass or a per-symbol surprisal within
     rounding of its threshold), where the two arithmetics round apart."""
@@ -408,9 +412,7 @@ def check_stop_reference(state: PosteriorState, cfg: StoppingConfig) -> Decision
         else:
             eps_p = -math.log2(cfg.p) if cfg.p > 0.0 else math.inf
             verified = any(
-                _surprisal_region(-state.loglik[i], t, rates[i], eps_p)
-                is TypicalityRegion.TYPICAL
-                for i in group
+                _in_band(-state.loglik[i], t, rates[i], eps_p) for i in group
             )
     if verified:
         status = (
@@ -423,9 +425,8 @@ def check_stop_reference(state: PosteriorState, cfg: StoppingConfig) -> Decision
     if cfg.q > 0.0 and t > 0:
         eps_q = -math.log2(cfg.q)
         warmup = max(1, math.ceil(max(rates) + eps_q))
-        if t >= warmup and all(
-            _surprisal_region(-state.loglik[i], t, rates[i], eps_q)
-            is not TypicalityRegion.TYPICAL
+        if t >= warmup and not any(
+            _in_band(-state.loglik[i], t, rates[i], eps_q)
             for i in range(len(state.hset))
         ):
             return Decision(DecisionStatus.FALSIFIED, (), t, posterior, True)

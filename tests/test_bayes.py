@@ -21,25 +21,20 @@ from samplex import (
     MarkovSpec,
     PosteriorState,
     StoppingConfig,
-    TypicalityRegion,
     check_stop,
     divergence_rate,
     entropy_rate,
     equivalence_groups,
     expected_sc_evaluator,
-    expected_sc_predictive,
     falsification_bounds,
-    hypothesis_count_bound,
     iid_sample,
     markov_sample,
     mc_sample_complexity,
     mc_surprisal_moment_curve,
-    posterior_predictive,
     posterior_update,
     sample_discrete,
     sequence_log_probability,
     surprisal_moment,
-    typical_membership,
     typical_set_bounds,
     warmup_threshold,
 )
@@ -244,7 +239,6 @@ class TestPosterior:
         hset = HypothesisSet((B5, self.CERTAIN_ONE))
         state = run_posterior(hset, UNIFORM, (1,))
         assert state.posterior().probs == pytest.approx((1 / 3, 2 / 3))
-        assert posterior_predictive(state).probs == pytest.approx((1 / 6, 5 / 6))
 
     def test_contradiction_eliminates_a_member(self):
         hset = HypothesisSet((B5, self.CERTAIN_ONE))
@@ -260,8 +254,6 @@ class TestPosterior:
         assert decision.status is DecisionStatus.FALSIFIED
         assert decision.terminal
         assert decision.group == ()
-        with pytest.raises(ValueError):
-            posterior_predictive(state)
 
     def test_matches_exact_rational_bayes(self):
         rng = random.Random(0xACE)
@@ -302,7 +294,7 @@ class TestPosterior:
     def test_one_likelihood_scores_every_sequence(self, hset):
         # up to t = memory the step reads the start score bit for bit; past
         # it, the score the exact class walk gives the sequence's class
-        walk = samplex.bayes._class_walk(hset, (-1.0, -1.0), (0, 1), {None: 1})
+        walk = samplex.bayes._class_walk(hset, (-1.0, -1.0), 0, {None: 1})
         next(walk)
         for t in range(1, hset.memory + 4):
             seqs = list(itertools.product(range(hset.alphabet_size), repeat=t))
@@ -337,8 +329,18 @@ class TestPosterior:
                 / evidence
                 for sym in range(2)
             ]
+            # the mixture's next-symbol law from the likelihoods the
+            # posterior step gives the sequence and each extension of it
             state = run_posterior(M2_PAIR, prior, seq)
-            got = posterior_predictive(state).probs
+            evidence = math.fsum(w * 2.0**ll for w, ll in zip(prior, state.loglik))
+            got = [
+                math.fsum(
+                    w * 2.0**ll
+                    for w, ll in zip(prior, posterior_update(state, sym).loglik)
+                )
+                / evidence
+                for sym in range(2)
+            ]
             assert got == pytest.approx(want, rel=0.0, abs=1e-12), seq
 
     def test_prior_must_match_and_normalize(self):
@@ -346,6 +348,20 @@ class TestPosterior:
             PosteriorState.from_prior(PAIR, (0.5, 0.25, 0.25))
         with pytest.raises(ValueError):
             PosteriorState.from_prior(PAIR, (0.9, 0.2))
+
+    @pytest.mark.parametrize("prior", [(1.0,), (0.5, 0.25, 0.25)], ids=["short", "long"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda prior: expected_sc_evaluator(B5, PAIR, prior, 0.9),
+            lambda prior: surprisal_moment(B5, PAIR, prior, 3, 1),
+            lambda prior: mc_surprisal_moment_curve(B5, PAIR, prior, 3, (1,), 10, 1),
+        ],
+        ids=["evaluator", "moment", "moment-curve"],
+    )
+    def test_every_reader_of_a_prior_checks_its_length(self, call, prior):
+        with pytest.raises(ValueError, match="prior over"):
+            call(prior)
 
 
 class TestTypicality:
@@ -356,26 +372,38 @@ class TestTypicality:
         with pytest.raises(ValueError):
             typical_set_bounds(B5, 0, 0.5)
 
+    @staticmethod
+    def typical(spec, observations, level):
+        """Whether the stopping rule finds the observations inside the
+        spec's typical band at ``level``: a one-member set holds all the
+        posterior mass, so it verifies exactly then."""
+        state = run_posterior(HypothesisSet((spec,)), (1.0,), observations)
+        decision = check_stop(state, StoppingConfig(p=level))
+        return decision.status is DecisionStatus.VERIFIED
+
     def test_fair_sequences_are_always_typical(self):
-        assert typical_membership(B5, (0, 1, 1, 0), 0.5) is TypicalityRegion.TYPICAL
+        for t in range(1, 7):
+            for seq in itertools.product(range(2), repeat=t):
+                assert self.typical(B5, seq, 0.5), seq
 
     def test_improbable_region(self):
-        assert (
-            typical_membership(B9, (0,) * 12, 0.5)
-            is TypicalityRegion.ATYPICAL_IMPROBABLE
-        )
+        # log2(10) bits per symbol, above the band 0.47 +/- 1
+        assert not self.typical(B9, (0,) * 12, 0.5)
 
     def test_probable_region(self):
-        assert (
-            typical_membership(B9, (1,) * 12, 0.9)
-            is TypicalityRegion.ATYPICAL_PROBABLE
-        )
+        # -log2(0.9) = 0.15 bits per symbol, below the band 0.47 +/- 0.15
+        assert not self.typical(B9, (1,) * 12, 0.9)
 
-    def test_warmup_pinned_and_early_queries_warn(self):
+    def test_warmup_pinned_and_early_queries_undecided(self):
         assert warmup_threshold(1.0, 0.5) == 2
-        with pytest.warns(UserWarning):
-            region = typical_membership(B5, (1,), 0.5)
-        assert region is TypicalityRegion.UNDETERMINED
+        # a 0 puts both members far outside their q bands, but the bands
+        # are consulted only from the warm-up, t = 2, on
+        strangers = HypothesisSet((B9, B95))
+        cfg = StoppingConfig(p=1.0, q=0.5)
+        early = check_stop(run_posterior(strangers, UNIFORM, (0,)), cfg)
+        assert (early.status, early.terminal) == (DecisionStatus.UNDETERMINED, False)
+        late = check_stop(run_posterior(strangers, UNIFORM, (0, 0)), cfg)
+        assert (late.status, late.terminal) == (DecisionStatus.FALSIFIED, True)
 
 
 class TestFalsificationBounds:
@@ -896,10 +924,10 @@ class TestDrawCounts:
                 assert got == counts, (u, i)
 
 
-def _walk(hset, prior, targets, transform, t_max):
+def _walk(hset, prior, target, transform, t_max):
     log_prior = [math.log2(w) if w > 0.0 else -math.inf for w in prior]
     walk = samplex.bayes._posterior_surprisal_walk(
-        hset, log_prior, targets, transform
+        hset, log_prior, target, transform
     )
     return [next(walk) for _ in range(t_max + 1)]
 
@@ -915,23 +943,20 @@ def _crossing(curve, target):
 class TestPosteriorSurprisalWalk:
     TRANSFORMS = ((lambda s: s), (lambda s: s * s))
 
-    def check(self, hset, prior, targets, t_max=8):
+    def check(self, hset, prior, target, t_max=8):
         for transform in self.TRANSFORMS:
-            curve = _walk(hset, prior, targets, transform, t_max)
-            for t, values in enumerate(curve):
-                for target, got in zip(targets, values):
-                    want = posterior_surprisal_reference(
-                        hset, prior, target, t, transform
-                    )
-                    assert got == pytest.approx(want, rel=1e-9), (target, t)
+            curve = _walk(hset, prior, target, transform, t_max)
+            for t, got in enumerate(curve):
+                want = posterior_surprisal_reference(hset, prior, target, t, transform)
+                assert got == pytest.approx(want, rel=1e-9), (target, t)
 
     def test_binary_iid_with_a_deterministic_member(self):
         zeros_only = IidSpec.from_probs([1.0, 0.0])
         hset = HypothesisSet((B5, zeros_only, B9))
-        self.check(hset, (0.25, 0.25, 0.5), (0,))
-        self.check(hset, (0.25, 0.25, 0.5), (1,))
+        self.check(hset, (0.25, 0.25, 0.5), 0)
+        self.check(hset, (0.25, 0.25, 0.5), 1)
         # a confident prior on the wrong member
-        self.check(HypothesisSet((B5, B9)), (0.05, 0.95), (0,))
+        self.check(HypothesisSet((B5, B9)), (0.05, 0.95), 0)
 
     def test_three_symbol_iid(self):
         hset = HypothesisSet(
@@ -941,8 +966,8 @@ class TestPosteriorSurprisalWalk:
                 IidSpec.from_probs([0.0, 0.5, 0.5]),
             )
         )
-        self.check(hset, (0.3, 0.3, 0.4), (0,))
-        self.check(hset, (0.3, 0.3, 0.4), (2,))
+        self.check(hset, (0.3, 0.3, 0.4), 0)
+        self.check(hset, (0.3, 0.3, 0.4), 2)
 
     def test_memory_one_with_every_start(self):
         hset = HypothesisSet(
@@ -953,19 +978,20 @@ class TestPosteriorSurprisalWalk:
             )
         )
         for target in range(3):
-            self.check(hset, (0.5, 0.25, 0.25), (target,))
+            self.check(hset, (0.5, 0.25, 0.25), target)
 
     def test_memory_two(self):
         m2a = chain(2, (0.125, 0.625, 0.5, 0.875), ("context", (0, 1)))
         m2b = chain(2, (0.75, 0.25, 0.5, 0.125))
-        self.check(HypothesisSet((m2a, m2b)), (0.4, 0.6), (1,))
+        self.check(HypothesisSet((m2a, m2b)), (0.4, 0.6), 1)
 
     def test_several_targets_in_one_pass(self):
         hset = HypothesisSet((B5, B9, IidSpec.from_probs([0.0, 1.0])))
-        self.check(hset, (0.5, 0.3, 0.2), (0, 1, 2))
-        self.check(
-            HypothesisSet((m1(0.2, 0.9), m1(0.1, 0.6))), (0.5, 0.5), (0, 1)
-        )
+        for target in range(3):
+            self.check(hset, (0.5, 0.3, 0.2), target)
+        chains = HypothesisSet((m1(0.2, 0.9), m1(0.1, 0.6)))
+        for target in range(2):
+            self.check(chains, (0.5, 0.5), target)
 
     def test_refuses_a_horizon_past_the_class_limit(self, monkeypatch):
         monkeypatch.setattr(samplex.bayes, "_CLASS_LIMIT", 10)
@@ -973,9 +999,9 @@ class TestPosteriorSurprisalWalk:
             (IidSpec.from_probs([0.25, 0.25, 0.5]), IidSpec.from_probs([0.5, 0.25, 0.25]))
         )
         # compositions of t into three parts: 10 at t = 3, 15 at t = 4
-        assert len(_walk(three, UNIFORM, (0,), lambda s: s, 3)) == 4
+        assert len(_walk(three, UNIFORM, 0, lambda s: s, 3)) == 4
         with pytest.raises(ComputationRefused):
-            _walk(three, UNIFORM, (0,), lambda s: s, 4)
+            _walk(three, UNIFORM, 0, lambda s: s, 4)
 
 
 class TestExpectedSampleComplexity:
@@ -1020,16 +1046,12 @@ class TestExpectedSampleComplexity:
         # p = 1 over memoryless members: a live alternative that gives
         # mass to a symbol the ideal emits survives that symbol's
         # constant run forever, so horizon 1 decides
-        hset = HypothesisSet((ideal, other))
-        for est in (
-            expected_sc_evaluator(ideal, hset, UNIFORM, 1.0),
-            expected_sc_predictive(hset, UNIFORM, 1.0),
-        ):
-            assert est.method == method
-            if method == "enumeration":
-                assert (est.value, est.smallest_t) == (1.0, 1)
-            else:
-                assert (est.value, est.smallest_t) == (math.inf, None)
+        est = expected_sc_evaluator(ideal, HypothesisSet((ideal, other)), UNIFORM, 1.0)
+        assert est.method == method
+        if method == "enumeration":
+            assert (est.value, est.smallest_t) == (1.0, 1)
+        else:
+            assert (est.value, est.smallest_t) == (math.inf, None)
 
     def test_chains_at_certainty_keep_the_exact_walk(self):
         sticky, flip = m1(0.125, 0.875), m1(0.75, 0.25)
@@ -1042,10 +1064,6 @@ class TestExpectedSampleComplexity:
         est = expected_sc_evaluator(B5, PAIR, UNIFORM, 0.9)
         data = est.to_json()
         assert set(data) == {"value", "method", "ci", "smallest_t"}
-
-    def test_prior_averaged_variant(self):
-        est = expected_sc_predictive(PAIR, UNIFORM, 0.9)
-        assert est.value == pytest.approx(13.446060752821765)
 
     def test_zero_probability_member_gives_the_closed_form(self):
         # only the all-zeros sequence keeps iid(1, 0) alive, so
@@ -1115,22 +1133,17 @@ class TestExpectedSampleComplexity:
         assert est.ci == pytest.approx((1 + 0.204 / 0.45, 3 + 0.096 / 0.2))
         assert scan(0.1, curve(mc[:3]), 2).ci[1] == math.inf
 
-    @pytest.mark.parametrize("weights", [{0: 1.0}, {0: 0.5, 1: 0.5}])
-    def test_mc_curve_tracks_the_exact_curve(self, weights):
+    @pytest.mark.parametrize("target", (0, 1))
+    def test_mc_curve_tracks_the_exact_curve(self, target):
         # at every horizon the Monte Carlo mean lies within 4.5 exact
         # standard errors sqrt(Var / sequences) of the exact mean, and its
         # own standard error within half of the exact one (the surprisal
-        # is heavy-tailed: 40 seeds gave |z| <= 3.8 and errors <= 31%)
+        # is heavy-tailed: 40 seeds per member gave |z| <= 3.8 and errors <= 32%)
         sequences = 4000
-        targets = list(weights)
-
-        def exact(transform):
-            rows = _walk(PAIR, UNIFORM, targets, transform, 20)
-            return [sum(weights[i] * v for i, v in zip(targets, r)) for r in rows]
-
-        mean, square = exact(lambda s: s), exact(lambda s: s * s)
+        mean = _walk(PAIR, UNIFORM, target, lambda s: s, 20)
+        square = _walk(PAIR, UNIFORM, target, lambda s: s * s, 20)
         curve = samplex.bayes._surprisal_curve(
-            PAIR, (-1.0, -1.0), weights, 0, sequences, 5
+            PAIR, (-1.0, -1.0), target, 0, sequences, 5
         )
         assert next(curve) == (mean[0], None)
         for t, (value, se) in enumerate(itertools.islice(curve, 20), 1):
@@ -1144,8 +1157,6 @@ class TestExpectedSampleComplexity:
         pair = HypothesisSet((B5, IidSpec.from_probs([0.3, 0.7])))
         with pytest.raises(ValueError, match="sequences"):
             expected_sc_evaluator(B5, pair, UNIFORM, 0.9, sequences=sequences)
-        with pytest.raises(ValueError, match="sequences"):
-            expected_sc_predictive(pair, UNIFORM, 0.9, sequences=sequences)
 
     @pytest.mark.parametrize("sequences", (-5, 0))
     def test_the_moment_curve_needs_a_sequence(self, sequences):
@@ -1162,10 +1173,3 @@ class TestExpectedSampleComplexity:
         slack = 0.5
         assert lo - slack <= 13.905391109770717 <= hi + slack
 
-
-def test_hypothesis_count_bound():
-    assert hypothesis_count_bound(1024, 0.9, 0.1) == 134
-    with pytest.raises(ValueError):
-        hypothesis_count_bound(1024, 0.9, 0.0)
-    with pytest.raises(ValueError):
-        hypothesis_count_bound(1024, 1.0, 0.1)

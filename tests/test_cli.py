@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -516,10 +518,16 @@ class TestOutputs:
                  "q": 0.8, "trials": 60, "budget": 300, "seed": 8},
                 "352c6bc917a2dd66310ae32eb370cfe35a1d9dd35c05ac3e15820fb20c8dc6cc",
             ),
+            (  # crosses by Monte Carlo at 72.55, CI [69.16, 75.19]
+                {"kind": "bayes", "ideal": [0.5, 0.5],
+                 "hypotheses": [[0.5, 0.5], [0.3, 0.7]], "prior": [0.5, 0.5],
+                 "p": 0.9, "trials": 50, "seed": 3},
+                "1bc084e55c1db361a68f8eedb5fde265d8d0f550532af54f4cd56a07b76fb900",
+            ),
         ],
         ids=[
             "bayes", "novelty", "figure3",
-            "markov-sample", "markov-bayes", "markov-novelty",
+            "markov-sample", "markov-bayes", "markov-novelty", "mc-bayes",
         ],
     )
     def test_payloads_keep_their_digests(self, tmp_path, cfg, digest):
@@ -597,6 +605,27 @@ def test_emit_schema(capsys):
     }
 
 
+def keeps_the_exit_contract(cfg: dict) -> None:
+    """Run a config at --threads 1 and 2: each run exits 0, 2 or 3 with
+    no traceback on stderr, and both give the same payload."""
+    payloads = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), cfg)
+        for threads in ("1", "2"):
+            out = Path(tmp) / f"out-{threads}.json"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(
+                    ["run", "--config", path, "--out", str(out), "--threads", threads]
+                )
+            assert code in (EXIT_OK, EXIT_INVALID, EXIT_REFUSED)
+            assert "Traceback" not in err.getvalue()
+            payloads.append(
+                json.loads(out.read_text())["payload"] if code == EXIT_OK else code
+            )
+    assert payloads[0] == payloads[1]
+
+
 # Property test over small schema-valid bayes configs.  Probabilities come
 # from a coarse grid so that each example stays under a second.  The
 # slowest case is p = 1 with the ideal in the set: the expected-surprisal
@@ -660,19 +689,7 @@ def _bayes_configs(draw) -> dict:
 )
 @given(_bayes_configs())
 def test_bayes_configs_keep_the_exit_contract(cfg):
-    payloads = []
-    with tempfile.TemporaryDirectory() as tmp:
-        path = write_config(Path(tmp), cfg)
-        for threads in ("1", "2"):
-            out = Path(tmp) / f"out-{threads}.json"
-            code = main(
-                ["run", "--config", path, "--out", str(out), "--threads", threads]
-            )
-            assert code in (EXIT_OK, EXIT_INVALID, EXIT_REFUSED)
-            payloads.append(
-                json.loads(out.read_text())["payload"] if code == EXIT_OK else code
-            )
-    assert payloads[0] == payloads[1]
+    keeps_the_exit_contract(cfg)
 
 
 # Property test over small schema-valid sample and spread configs.  Weights
@@ -740,16 +757,54 @@ def _spread_configs(draw) -> dict:
 )
 @given(st.one_of(_sample_configs(), _spread_configs()))
 def test_sample_and_spread_configs_keep_the_exit_contract(cfg):
-    payloads = []
-    with tempfile.TemporaryDirectory() as tmp:
-        path = write_config(Path(tmp), cfg)
-        for threads in ("1", "2"):
-            out = Path(tmp) / f"out-{threads}.json"
-            code = main(
-                ["run", "--config", path, "--out", str(out), "--threads", threads]
-            )
-            assert code in (EXIT_OK, EXIT_INVALID, EXIT_REFUSED)
-            payloads.append(
-                json.loads(out.read_text())["payload"] if code == EXIT_OK else code
-            )
-    assert payloads[0] == payloads[1]
+    keeps_the_exit_contract(cfg)
+
+
+# Property test over schema-valid identify, scdist and figure3 configs:
+# members and queries up to a few bits, lengths past the exact rational
+# cutoff L = 20 and mismatch counts past L, any levels in (0, 1].
+@st.composite
+def _identify_configs(draw) -> dict:
+    cfg = {
+        "kind": "identify",
+        "members": draw(st.lists(st.text("01", min_size=1, max_size=6), max_size=6)),
+        "query": draw(st.text("01", max_size=8)),
+        "r": draw(st.floats(min_value=0.0, max_value=1.0)),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+    algorithm = draw(st.sampled_from([None, "sorted", "depth-first", "tree", "all"]))
+    if algorithm is not None:
+        cfg["algorithm"] = algorithm
+    return cfg
+
+
+@st.composite
+def _scdist_configs(draw) -> dict:
+    length = draw(st.integers(1, 40))
+    cfg = {"kind": "scdist", "L": length, "K": draw(st.integers(0, length + 2))}
+    if draw(st.booleans()):
+        cfg["moments"] = draw(st.integers(1, 8))
+    return cfg
+
+
+@st.composite
+def _figure3_configs(draw) -> dict:
+    level = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+    return {
+        "kind": "figure3",
+        "spec": draw(st.one_of(_iid_process(), _markov1_process())),
+        "p": draw(level),
+        "q": draw(level),
+        "t_max": draw(st.integers(1, 60)),
+    }
+
+
+@settings(
+    max_examples=90,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.one_of(_identify_configs(), _scdist_configs(), _figure3_configs()))
+def test_identify_scdist_and_figure3_configs_keep_the_exit_contract(cfg):
+    keeps_the_exit_contract(cfg)

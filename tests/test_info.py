@@ -10,15 +10,11 @@ from hypothesis import strategies as st
 
 from samplex import (
     ComputationRefused,
-    JointTable,
     ProbVector,
-    SequenceDist,
-    block_entropy,
     cross_entropy,
     divergences,
     entropy,
     entropy_rate,
-    joint_measures,
     relative_entropy,
     surprisal,
     total_variation,
@@ -90,47 +86,34 @@ class TestDivergences:
 
 
 class TestJointMeasures:
+    """Joint entropy and mutual information of a two-by-two table,
+    flattened row by row: I(X;Y) is the relative entropy of the joint
+    law against the product of its marginals."""
+
     def test_independent_pair(self):
-        table = JointTable(((0.25, 0.25), (0.25, 0.25)))
-        joint, cond, mutual = joint_measures(table)
-        assert joint == pytest.approx(2.0)
-        assert cond == pytest.approx(1.0)
-        assert mutual == pytest.approx(0.0, abs=1e-12)
+        joint = [0.25, 0.25, 0.25, 0.25]
+        assert entropy(joint) == 2.0 == entropy([0.5, 0.5]) * 2
+        assert relative_entropy(joint, [0.25] * 4) == 0.0
 
     def test_deterministic_coupling(self):
-        table = JointTable(((0.5, 0.0), (0.0, 0.5)))
-        joint, cond, mutual = joint_measures(table)
-        assert joint == pytest.approx(1.0)
-        assert cond == pytest.approx(0.0, abs=1e-12)
-        assert mutual == pytest.approx(1.0)
-
-    def test_marginals(self):
-        table = JointTable(((0.1, 0.2), (0.3, 0.4)))
-        assert table.marginal_x().probs == pytest.approx((0.3, 0.7))
-        assert table.marginal_y().probs == pytest.approx((0.4, 0.6))
-
-    def test_rejects_bad_tables(self):
-        with pytest.raises(ValueError):
-            JointTable(((0.5, 0.5), (0.5,)))
-        with pytest.raises(ValueError):
-            JointTable(((0.5, 0.4),))
+        joint = [0.5, 0.0, 0.0, 0.5]
+        assert entropy(joint) == 1.0 == entropy([0.5, 0.5])
+        assert relative_entropy(joint, [0.25] * 4) == 1.0
 
 
 class TestBlockEntropy:
+    """Entropy of the length-t block distribution a spec enumerates."""
+
     def test_iid_blocks_are_additive(self):
         spec = IidSpec.from_probs([0.5, 0.5])
         for t in (0, 1, 3, 7):
-            assert block_entropy(SequenceDist(spec, t)) == pytest.approx(float(t))
+            block = spec.block_distribution(t)
+            assert entropy(list(block.values())) == pytest.approx(float(t))
 
     def test_refuses_oversized_enumeration(self):
         spec = IidSpec.from_probs([0.5, 0.5])
         with pytest.raises(ComputationRefused):
-            block_entropy(SequenceDist(spec, 21))
-
-    def test_rejects_negative_horizon(self):
-        spec = IidSpec.from_probs([0.5, 0.5])
-        with pytest.raises(ValueError):
-            SequenceDist(spec, -1)
+            spec.block_distribution(21)
 
 
 class TestEntropyRate:
@@ -211,14 +194,16 @@ def test_kl_nonnegative_and_identity(p, q):
 )
 def test_joint_identities(raw):
     total = math.fsum(v for row in raw for v in row)
-    table = JointTable(tuple(tuple(v / total for v in row) for row in raw))
-    joint, cond, mutual = joint_measures(table)
-    h_x = entropy(table.marginal_x())
-    h_y = entropy(table.marginal_y())
+    rows = [[v / total for v in row] for row in raw]
+    px = [math.fsum(row) for row in rows]
+    py = [math.fsum(col) for col in zip(*rows)]
+    joint = [v for row in rows for v in row]
+    mutual = relative_entropy(joint, [a * b for a in px for b in py])
+    h_x, h_y, h_xy = entropy(px), entropy(py), entropy(joint)
     assert mutual >= 0.0
-    assert cond <= h_x + 1e-9
-    assert joint <= h_x + h_y + 1e-9
-    assert mutual == pytest.approx(h_x - cond, abs=1e-9)
+    assert max(h_x, h_y) <= h_xy + 1e-9
+    assert h_xy <= h_x + h_y + 1e-9
+    assert mutual == pytest.approx(h_x + h_y - h_xy, abs=1e-9)
 
 
 @given(probvectors, probvectors)

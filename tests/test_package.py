@@ -15,6 +15,7 @@ import samplex
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+SRC = ROOT / "src" / "samplex"
 
 
 def test_every_public_name_resolves_to_a_non_module():
@@ -23,16 +24,21 @@ def test_every_public_name_resolves_to_a_non_module():
         assert not isinstance(getattr(samplex, name), types.ModuleType), name
 
 
-def test_every_benchmark_trace_target_resolves():
-    # read the tracer's TARGETS without running the tracer, then look each
-    # entry up the way it patches it: the last part in its owner's __dict__
+def _trace_targets() -> tuple[tuple[str, str, bool], ...]:
+    """The tracer's TARGETS, read without running the tracer."""
     tree = ast.parse(TRACER.read_text())
-    targets = next(
+    return next(
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign)
         and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
     )
+
+
+def test_every_benchmark_trace_target_resolves():
+    # look each entry up the way the tracer patches it: the last part in
+    # its owner's __dict__
+    targets = _trace_targets()
     assert targets
     for module, path, _hot in targets:
         owner = importlib.import_module(f"samplex.{module}")
@@ -40,6 +46,50 @@ def test_every_benchmark_trace_target_resolves():
         for part in parents:
             owner = getattr(owner, part)
         assert attr in vars(owner), f"samplex.{module}.{path}"
+
+
+def _loaded(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_every_public_name_has_a_user():
+    # a public name is live when the CLI module's code, a benchmark trace
+    # target or an acceptance criterion's import reaches it through the
+    # names each top-level definition in src/samplex loads; a name that
+    # only unit tests (or other unused names) reach is not public surface
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    roots = {path.split(".")[0] for _module, path, _hot in _trace_targets()}
+    roots |= {
+        alias.name
+        for node in ast.walk(acceptance)
+        if isinstance(node, ast.ImportFrom) and node.module == "samplex"
+        for alias in node.names
+    }
+    loads: dict[str, set[str]] = {}
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if path.name == "cli.py":
+                roots |= _loaded(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in defined:
+                loads.setdefault(name, set()).update(_loaded(node))
+    live: set[str] = set()
+    pending = list(roots)
+    while pending:
+        name = pending.pop()
+        if name not in live:
+            live.add(name)
+            pending.extend(loads.get(name, ()))
+    assert [name for name in samplex.__all__ if name not in live] == []
 
 
 def test_a_monte_carlo_run_imports_no_numpy(tmp_path):

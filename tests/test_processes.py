@@ -12,16 +12,10 @@ import pytest
 
 from samplex import (
     BitSource,
-    EmpiricalProcess,
     IidSpec,
     MarkovSpec,
     NonErgodicError,
-    SequenceDist,
     SpreadCode,
-    block_entropy,
-    empirical_dist,
-    empirical_from_sequence,
-    empirical_update,
     entropy,
     entropy_rate,
     iid_sample,
@@ -29,7 +23,6 @@ from samplex import (
     sample_discrete,
     sequence_log_probability,
     spec_from_json,
-    spec_to_json,
     spread_decode,
     spread_encode,
     total_variation,
@@ -467,9 +460,12 @@ class TestMarkovSpec:
 
     def test_entropy_rate_matches_block_increment(self):
         spec = sticky_chain(0.9)
-        h6 = block_entropy(SequenceDist(spec, 6))
-        h5 = block_entropy(SequenceDist(spec, 5))
-        assert h6 - h5 == pytest.approx(entropy_rate(spec), abs=1e-6)
+
+        def block_entropy(t):
+            block = spec.block_distribution(t).values()
+            return -math.fsum(p * math.log2(p) for p in block if p > 0.0)
+
+        assert block_entropy(6) - block_entropy(5) == pytest.approx(entropy_rate(spec), abs=1e-6)
 
 
 class TestMarkovSample:
@@ -516,24 +512,6 @@ class TestSequenceLogProbability:
             assert sequence_log_probability(spec, seq) == pytest.approx(
                 -math.log2(p), abs=1e-9
             )
-
-
-class TestEmpirical:
-    def test_update_is_functional(self):
-        base = EmpiricalProcess(memory=0, alphabet_size=2)
-        grown = empirical_update(base, (), 1)
-        assert base.counts(()) == (0, 0)
-        assert grown.counts(()) == (0, 1)
-
-    def test_from_sequence_and_dist(self):
-        proc = empirical_from_sequence((1, 1, 0, 1), memory=0, alphabet_size=2)
-        dist = empirical_dist(proc, ())
-        assert dist.probs == pytest.approx((0.25, 0.75))
-
-    def test_unseen_context_has_no_distribution(self):
-        proc = EmpiricalProcess(memory=1, alphabet_size=2)
-        with pytest.raises(Exception):
-            empirical_dist(proc, (0,))
 
 
 class TestSpreadCode:
@@ -616,18 +594,24 @@ class TestDecodeErrorOracles:
 
 
 class TestSpecJson:
-    def test_iid_round_trip(self):
-        data = spec_to_json(SKEWED)
-        back = spec_from_json(data)
-        assert back == SKEWED
+    def test_iid_form(self):
+        assert spec_from_json({"kind": "iid", "probs": [0.25, 0.75]}) == SKEWED
 
-    def test_markov_round_trip(self):
-        spec = sticky_chain(0.875)
-        back = spec_from_json(spec_to_json(spec))
-        assert back.memory == spec.memory
-        assert back.initial_mixture() == spec.initial_mixture()
-        for ctx in spec.contexts():
-            assert back.conditional(ctx).probs == spec.conditional(ctx).probs
+    def test_markov_init_forms(self):
+        rows = sticky_chain(0.875).transitions
+        for init_json, init in (
+            ({"context": "1"}, ("context", (1,))),
+            ({"distribution": [0.5, 0.5]}, ("distribution", ProbVector((0.5, 0.5)))),
+            ("stationary", ("stationary", None)),
+        ):
+            data = {
+                "kind": "markov",
+                "memory": 1,
+                "alphabet": 2,
+                "transitions": {"0": [0.875, 0.125], "1": [0.125, 0.875]},
+                "init": init_json,
+            }
+            assert spec_from_json(data) == MarkovSpec(1, rows, init), init_json
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

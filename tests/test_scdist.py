@@ -17,7 +17,6 @@ from samplex import (
     UndefinedMomentError,
     enumerate_orderings_oracle,
     pairwise_verification,
-    partial_verification_prob,
     total_variation,
 )
 
@@ -88,12 +87,12 @@ class TestPairwiseExact:
     def test_module_level_helpers_agree(self):
         assert PairwiseSCDist(4, 2).pmf(1) == Fraction(1, 2)
         assert PairwiseSCDist(4, 2).cdf(2) == Fraction(5, 6)
-        assert partial_verification_prob(4, 2, 1) == Fraction(1, 2)
+        assert 1 - PairwiseSCDist(4, 2).cdf(1) == Fraction(1, 2)
 
     def test_survival_to_pmf_relation(self):
         dist = PairwiseSCDist(7, 3)
         for i in dist.support():
-            step = partial_verification_prob(7, 3, i - 1) - partial_verification_prob(7, 3, i)
+            step = (1 - dist.cdf(i - 1)) - (1 - dist.cdf(i))
             assert dist.pmf(i) == step
 
 
