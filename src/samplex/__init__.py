@@ -26,7 +26,6 @@ from .bitstrings import (
     IdOutcome,
     IdStatus,
     SortedHypothesisSet,
-    StreamString,
     build_context_tree,
     identify_depth_first,
     identify_sorted,
@@ -42,7 +41,6 @@ from .info import (
     entropy,
     entropy_rate,
     relative_entropy,
-    surprisal,
     total_variation,
 )
 from .processes import (
@@ -80,13 +78,13 @@ __all__ = [
     "mc_surprisal_moment_curve", "posterior_update", "surprisal_moment",
     "typical_set_bounds", "warmup_threshold",
     # bitstrings
-    "IdOutcome", "IdStatus", "SortedHypothesisSet", "StreamString",
-    "build_context_tree", "identify_depth_first", "identify_sorted",
-    "identify_tree", "resolution_cap",
+    "IdOutcome", "IdStatus", "SortedHypothesisSet", "build_context_tree",
+    "identify_depth_first", "identify_sorted", "identify_tree",
+    "resolution_cap",
     # info
     "ComputationRefused", "ProbVector", "as_probvector", "cross_entropy",
     "divergences", "entropy", "entropy_rate", "relative_entropy",
-    "surprisal", "total_variation",
+    "total_variation",
     # processes
     "BitSource", "IidSpec", "MarkovSpec", "NonErgodicError", "SpreadCode",
     "iid_sample", "markov_sample", "sample_discrete",

@@ -94,19 +94,6 @@ def _logsumexp2(vals: Sequence[float]) -> float:
     return top + math.log2(math.fsum(2.0 ** (v - top) for v in vals))
 
 
-def _spec_equal(a: ProcessSpec, b: ProcessSpec) -> bool:
-    """Structural equality of process descriptions: specs of different
-    kinds never compare equal, and chains also compare their start."""
-    if type(a) is not type(b) or a.memory != b.memory:
-        return False
-    if getattr(a, "init", None) != getattr(b, "init", None):
-        return False
-    return all(
-        a.conditional(ctx).probs == b.conditional(ctx).probs
-        for ctx in a.contexts()
-    )
-
-
 def divergence_rate(a: ProcessSpec, b: ProcessSpec) -> float:
     """Symmetrized per-symbol relative entropy between two specs, in bits.
 
@@ -170,21 +157,13 @@ class HypothesisSet:
             groups: list[list[int]] = []
             for i, m in enumerate(self.members):
                 for g in groups:
-                    if _spec_equal(self.members[g[0]], m):
+                    if self.members[g[0]] == m:
                         g.append(i)
                         break
                 else:
                     groups.append([i])
             self._cache["classes"] = tuple(tuple(g) for g in groups)
         return self._cache["classes"]
-
-    def observationally_identical_pairs(self) -> tuple[tuple[int, int], ...]:
-        pairs = []
-        for cls in self.equal_classes():
-            for a in range(len(cls)):
-                for b in range(a + 1, len(cls)):
-                    pairs.append((cls[a], cls[b]))
-        return tuple(pairs)
 
 
 def equivalence_groups(
@@ -430,17 +409,6 @@ class Decision:
     posterior: tuple[float, ...] | None
     terminal: bool
 
-    def to_json(self) -> dict:
-        return {
-            "status": self.status.value,
-            "group": list(self.group),
-            "t": self.t,
-            "posterior": None
-            if self.posterior is None
-            else list(self.posterior),
-            "terminal": self.terminal,
-        }
-
 
 _Verdict = tuple[DecisionStatus, tuple[int, ...]]
 
@@ -546,10 +514,6 @@ class MCStoppingReport:
 
     def mean(self) -> float:
         return self.dist.moment(1)
-
-    def variance(self) -> float:
-        m1 = self.dist.moment(1)
-        return self.dist.moment(2) - m1 * m1
 
     def moments(self, highest: int = 4) -> tuple[float, ...]:
         return tuple(self.dist.moment(m) for m in range(1, highest + 1))
@@ -676,7 +640,7 @@ def mc_sample_complexity(
 
 def _member_index(ideal: ProcessSpec, hset: HypothesisSet) -> int:
     for i, m in enumerate(hset.members):
-        if _spec_equal(ideal, m):
+        if ideal == m:
             return i
     raise ValueError(
         "the ideal is not a member of the hypothesis set; expected "

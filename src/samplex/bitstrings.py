@@ -7,10 +7,9 @@ on the decision status and on which members remain in play; that
 agreement is a standing cross-check, so the derivations are deliberately
 not shared.
 
-Observation budgets: a resolution r in [0, 1] allows at most
-ceil(-log2 r) symbol reads (unlimited when r = 0, none when r = 1).
-A StreamString carries its own resolution; the tighter budget wins.
-Detecting the *end* of a query is free: budgets meter symbol
+A query is a bit string.  A resolution r in [0, 1] lets a decider read
+at most ceil(-log2 r) of its symbols (all of them when r = 0, none when
+r = 1).  Detecting the *end* of a query is free: budgets meter symbol
 comparisons, which is what the counter ``i`` reports.
 """
 
@@ -20,7 +19,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 _ALPHABET = frozenset("01")
 
@@ -100,78 +99,25 @@ class SortedHypothesisSet:
 
     @staticmethod
     def from_unsorted(members: Iterable[str]) -> "SortedHypothesisSet":
+        members = tuple(members)
+        for m in members:
+            if not isinstance(m, str):
+                # refuse it here, before set() or sorted() raise TypeError
+                _check_bits(m, "member")
         return SortedHypothesisSet(tuple(sorted(set(members))))
 
     def __len__(self) -> int:
         return len(self.members)
 
 
-class StreamString:
-    """A query revealed one symbol at a time, with its own resolution.
-
-    Reads are memoized, so re-reading a position never re-pulls the
-    generator.  The length is unknown until the generator is exhausted.
-    """
-
-    def __init__(
-        self, symbols: Iterator[str] | Iterable[str], resolution: float
-    ) -> None:
-        self._it = iter(symbols)
-        self.cap = resolution_cap(resolution)
-        self._seen: list[str] = []
-        self._ended = False
-
-    def symbol_at(self, idx: int) -> str | None:
-        """0-based read; None once the stream has ended at or before idx."""
-        while len(self._seen) <= idx and not self._ended:
-            try:
-                sym = next(self._it)
-            except StopIteration:
-                self._ended = True
-                break
-            self._seen.append(_check_bits(str(sym), "stream symbol"))
-        if idx < len(self._seen):
-            return self._seen[idx]
-        return None
-
-    @property
-    def length_if_known(self) -> int | None:
-        return len(self._seen) if self._ended else None
-
-
-class _QueryView:
-    """Uniform one-symbol-at-a-time access to str and stream queries."""
-
-    def __init__(self, query: str | StreamString, r: float) -> None:
-        cap = resolution_cap(r)
-        if isinstance(query, StreamString):
-            self._stream: StreamString | None = query
-            self._text: str | None = None
-            cap = min(cap, query.cap)
-            if cap == math.inf:
-                raise ValueError(
-                    "stream query with unlimited resolution on both sides; "
-                    "no observation bound exists"
-                )
-        else:
-            self._stream = None
-            self._text = _check_bits(query, "query")
-        self.cap = cap
-
-    def symbol_at(self, idx: int) -> str | None:
-        if self._text is not None:
-            return self._text[idx] if idx < len(self._text) else None
-        return self._stream.symbol_at(idx)  # type: ignore[union-attr]
-
-    def observe_all(self) -> tuple[str, bool]:
-        """Materialize up to cap symbols; True when the query end was seen."""
-        chars: list[str] = []
-        while len(chars) < self.cap:
-            sym = self.symbol_at(len(chars))
-            if sym is None:
-                return "".join(chars), True
-            chars.append(sym)
-        return "".join(chars), self.symbol_at(len(chars)) is None
+def _observe(query: str, r: float) -> tuple[str, bool]:
+    """The symbols of ``query`` that resolution r lets a decider read,
+    and True when they are the whole query (its end was seen)."""
+    _check_bits(query, "query")
+    cap = resolution_cap(r)
+    if len(query) <= cap:
+        return query, True
+    return query[:cap], False
 
 
 def _prefix_chain(members: tuple[str, ...], prefix: str) -> list[int]:
@@ -191,7 +137,7 @@ def _prefix_chain(members: tuple[str, ...], prefix: str) -> list[int]:
 
 
 def identify_sorted(
-    hset: SortedHypothesisSet, query: str | StreamString, r: float = 0.0
+    hset: SortedHypothesisSet, query: str, r: float = 0.0
 ) -> IdOutcome:
     """Single left-to-right scan over the sorted members.
 
@@ -202,7 +148,7 @@ def identify_sorted(
     Verified where it is the matched member's index; ``i`` counts
     observed symbols.
     """
-    view = _QueryView(query, r)
+    observed, complete = _observe(query, r)
     members = hset.members
     n = len(members)
     if n == 0:
@@ -212,15 +158,10 @@ def identify_sorted(
     h = 0
     i = 0
     prefix = ""
-    complete = False
     stopped = False
-    while i < view.cap:
-        sym = view.symbol_at(i)
-        if sym is None:
-            complete = True  # the whole query has been observed
-            break
-        prefix += sym
+    while i < len(observed):
         i += 1
+        prefix = observed[:i]
         h = j + 1
         while members[j][:i] < prefix:
             j += 1
@@ -230,22 +171,15 @@ def identify_sorted(
         if stopped or members[j][:i] > prefix:
             stopped = True  # sorted order: nothing matches this prefix
             break
-    else:
-        complete = view.symbol_at(i) is None
 
     if stopped:
         # No member reaches the current prefix.  Members that *are* a
         # proper prefix of it were passed over and stay consistent,
-        # unless the query end turns out to be observable.
-        shorts = _prefix_chain(members, prefix)
-        if not shorts:
-            return IdOutcome(IdStatus.FALSIFIED, h, i, ())
-        _rest, ended = view.observe_all()
-        if ended:
-            # the full query is observable, so those passed-over
-            # prefixes are dead by length after all
-            return IdOutcome(IdStatus.FALSIFIED, h, i, ())
-        return IdOutcome(IdStatus.UNDETERMINED, h, i, tuple(shorts))
+        # unless the whole query was observed: then they are dead by
+        # length.
+        shorts = () if complete else tuple(_prefix_chain(members, prefix))
+        status = IdStatus.UNDETERMINED if shorts else IdStatus.FALSIFIED
+        return IdOutcome(status, h, i, shorts)
 
     if complete:
         # full query observed: exact match or proper extensions
@@ -275,7 +209,7 @@ def identify_sorted(
 
 
 def identify_depth_first(
-    members: Sequence[str], query: str | StreamString, r: float = 0.0
+    members: Sequence[str], query: str, r: float = 0.0
 ) -> IdOutcome:
     """Member-by-member walk, comparing symbols until a mismatch.
 
@@ -292,8 +226,7 @@ def identify_depth_first(
         if m in seen:
             raise ValueError(f"duplicate member {m!r} at index {idx}")
         seen.add(m)
-    view = _QueryView(query, r)
-    prefix, complete = view.observe_all()
+    prefix, complete = _observe(query, r)
     horizon = len(prefix)
 
     i_deep = 0
@@ -387,7 +320,7 @@ def _subtree_terminals(node: dict) -> list[int]:
 
 
 def identify_tree(
-    tree: ContextTree, query: str | StreamString, r: float = 0.0
+    tree: ContextTree, query: str, r: float = 0.0
 ) -> IdOutcome:
     """Walk the prefix tree along the observed symbols.
 
@@ -395,8 +328,10 @@ def identify_tree(
     matched member's index on Verified and 0 otherwise (the tree has no
     member pointer to report).
     """
-    view = _QueryView(query, r)
-    prefix, complete = view.observe_all()
+    prefix, complete = _observe(query, r)
+    if tree.size == 0:
+        # no member to compare a symbol with, so none is read
+        return IdOutcome(IdStatus.FALSIFIED, 0, 0, ())
 
     node = tree.root
     path_terminals: list[int] = []

@@ -56,22 +56,11 @@ class ProbVector:
     def __getitem__(self, i: int) -> float:
         return self.probs[i]
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.probs) if p > 0.0)
-
 
 def as_probvector(dist: ProbVector | Sequence[float]) -> ProbVector:
     if isinstance(dist, ProbVector):
         return dist
     return ProbVector(tuple(float(p) for p in dist))
-
-
-def surprisal(p: float) -> float:
-    """-log2(p); +inf for an impossible event."""
-    _check_prob(p)
-    if p == 0.0:
-        return math.inf
-    return -math.log2(p)
 
 
 def entropy(dist: ProbVector | Sequence[float]) -> float:

@@ -112,13 +112,15 @@ class IidSpec(_Chain):
     the chain of memory 0, whose one context is the empty one.
 
     ``rounded`` records whether any input weight had to be snapped to
-    the dyadic grid.  The final cell is adjusted so the exact mass is 1.
+    the dyadic grid; it takes no part in ``==``, so two specs with the
+    same probabilities are equal however they were built.  The final
+    cell is adjusted so the exact mass is 1.
     """
 
     memory: ClassVar[int] = 0
     dist: ProbVector
     boundaries: tuple[Fraction, ...]  # len k+1, 0 == first, 1 == last
-    rounded: bool = False
+    rounded: bool = field(default=False, compare=False)
 
     @staticmethod
     def from_probs(weights: Sequence[float | Fraction]) -> "IidSpec":

@@ -216,9 +216,6 @@ class EmpiricalSCDist:
             raise UndefinedMomentError("every trial was censored")
         return math.fsum(i**m * c for i, c in self.counts.items()) / n
 
-    def pmf_map(self) -> dict[int, float]:
-        return {i: c / self.trials for i, c in self.counts.items()}
-
 
 def pairwise_verification(L: int) -> PointMassSCDist:
     """K = 0: no disagreement exists, every reveal order runs to L."""

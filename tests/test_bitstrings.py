@@ -10,7 +10,6 @@ import pytest
 from samplex import (
     IdStatus,
     SortedHypothesisSet,
-    StreamString,
     build_context_tree,
     identify_depth_first,
     identify_sorted,
@@ -115,6 +114,18 @@ class TestPinnedDecisions:
     def test_empty_set_falsifies(self):
         assert decide_all_ways((), "101", 0.0) == ("Falsified", ())
 
+    @pytest.mark.parametrize("query", ["", "0", "10"])
+    def test_empty_set_reads_no_symbol(self, query):
+        hs = SortedHypothesisSet(())
+        outcomes = [
+            identify_sorted(hs, query),
+            identify_depth_first(hs.members, query),
+            identify_tree(build_context_tree(hs), query),
+        ]
+        assert [(o.status, o.h, o.i, o.partial_subset) for o in outcomes] == [
+            (IdStatus.FALSIFIED, 0, 0, ())
+        ] * 3
+
     def test_zero_budget_keeps_everything(self):
         assert decide_all_ways(("0", "10", "11"), "10", 1.0) == (
             "Undetermined",
@@ -140,76 +151,6 @@ class TestPinnedDecisions:
     def test_rejects_bad_query(self):
         with pytest.raises(ValueError):
             identify_sorted(SortedHypothesisSet(("0",)), "2", 0.0)
-
-
-class TestStreamString:
-    def test_budget_comes_from_stream_resolution(self):
-        stream = StreamString(iter("1011"), 0.25)
-        status, partial = decide_all_ways_stream(("0", "10", "11"), stream, 0.0)
-        assert (status, partial) == ("Undetermined", (2,))
-
-    def test_tighter_budget_wins(self):
-        # decider r = 0.5 (cap 1) beats the stream's cap 2
-        stream = StreamString(iter("1011"), 0.25)
-        out = identify_sorted(SortedHypothesisSet(("0", "10", "11")), stream, 0.5)
-        assert out.status is IdStatus.UNDETERMINED
-        assert out.partial_subset == (2, 3)
-
-    def test_reads_are_memoized(self):
-        pulls = []
-
-        def gen():
-            for ch in "10":
-                pulls.append(ch)
-                yield ch
-
-        stream = StreamString(gen(), 0.125)
-        assert stream.symbol_at(1) == "0"
-        assert stream.symbol_at(0) == "1"
-        assert stream.symbol_at(1) == "0"
-        assert pulls == ["1", "0"]
-
-    def test_length_known_only_after_exhaustion(self):
-        stream = StreamString(iter("10"), 0.125)
-        assert stream.length_if_known is None
-        assert stream.symbol_at(5) is None
-        assert stream.length_if_known == 2
-
-    def test_double_unlimited_resolution_refused(self):
-        stream = StreamString(iter("10"), 0.0)
-        with pytest.raises(ValueError, match="no observation bound"):
-            identify_sorted(SortedHypothesisSet(("0",)), stream, 0.0)
-
-    def test_stream_end_within_budget_verifies(self):
-        stream = StreamString(iter("10"), 0.125)
-        out = identify_sorted(SortedHypothesisSet(("0", "10", "11")), stream, 0.0)
-        assert out.status is IdStatus.VERIFIED
-        assert out.partial_subset == (2,)
-
-    def test_bad_stream_symbol_rejected(self):
-        stream = StreamString(iter("1x"), 0.125)
-        with pytest.raises(ValueError, match="stream symbol"):
-            stream.symbol_at(1)
-
-
-def decide_all_ways_stream(members, stream, r):
-    """Like decide_all_ways but replays a fresh stream per decider."""
-    seen = [stream.symbol_at(i) for i in range(int(stream.cap) + 1)]
-    text = "".join(s for s in seen if s is not None)
-
-    def fresh():
-        return StreamString(iter(text), 2.0 ** -stream.cap)
-
-    hs = SortedHypothesisSet(tuple(members))
-    outcomes = [
-        identify_sorted(hs, fresh(), r),
-        identify_depth_first(hs.members, fresh(), r),
-        identify_tree(build_context_tree(hs), fresh(), r),
-    ]
-    decisions = {(o.status, o.partial_subset) for o in outcomes}
-    assert len(decisions) == 1, f"deciders disagree: {outcomes}"
-    status, partial = decisions.pop()
-    return status.value, partial
 
 
 class TestAgainstBruteForce:

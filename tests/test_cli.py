@@ -291,6 +291,20 @@ class TestExitCodes:
         assert f"config invalid: {path}:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "members",
+        [[["0"]], [5], [None, "0"], [{"a": 1}], [""], ["012"], ["01\n"]],
+        ids=["list", "number", "null", "object", "empty", "digit-2", "newline"],
+    )
+    def test_malformed_identify_members_are_invalid(self, tmp_path, capsys, members):
+        # the schema asks only for an array; the hypothesis set checks
+        # each member, unhashable ones included
+        cfg = {"kind": "identify", "members": members, "query": "0", "r": 0}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "config invalid: $.members:" in err
+        assert "Traceback" not in err
+
     def test_bad_thread_count(self, tmp_path, capsys):
         path = write_config(tmp_path, BAYES_CFG)
         assert main(["run", "--config", path, "--threads", "0"]) == EXIT_INVALID

@@ -16,7 +16,6 @@ from samplex import (
     entropy,
     entropy_rate,
     relative_entropy,
-    surprisal,
     total_variation,
 )
 from samplex.processes import IidSpec, MarkovSpec
@@ -24,20 +23,6 @@ from samplex.processes import IidSpec, MarkovSpec
 
 def probvec(*probs: float) -> ProbVector:
     return ProbVector(tuple(probs))
-
-
-class TestSurprisal:
-    def test_pinned_values(self):
-        assert surprisal(1.0) == 0.0
-        assert surprisal(0.5) == 1.0
-        assert surprisal(0.25) == 2.0
-        assert surprisal(0.0) == math.inf
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            surprisal(-0.1)
-        with pytest.raises(ValueError):
-            surprisal(1.5)
 
 
 class TestEntropy:

@@ -48,10 +48,42 @@ def test_every_benchmark_trace_target_resolves():
         assert attr in vars(owner), f"samplex.{module}.{path}"
 
 
-def _loaded(node: ast.AST) -> set[str]:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
-        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
-    }
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_SCOPES = _FUNCTIONS + (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _bound(scope: ast.AST) -> set[str]:
+    """Names a function, lambda or comprehension binds for itself: its
+    parameters and its assignment, loop and comprehension targets."""
+    names = set()
+    if isinstance(scope, _FUNCTIONS):
+        args = scope.args
+        names |= {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    pending = list(ast.iter_child_nodes(scope))
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, _SCOPES):
+            pending.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _loaded(node: ast.AST, local: frozenset[str] = frozenset()) -> set[str]:
+    """Names ``node`` reads from module scope, and every attribute name it
+    reads; a name that an enclosing scope binds for itself is local."""
+    if isinstance(node, _SCOPES):
+        local = local | _bound(node)
+    out = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name):
+            if isinstance(child.ctx, ast.Load) and child.id not in local:
+                out.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            out.add(child.attr)
+        out |= _loaded(child, local)
+    return out
 
 
 def test_every_public_name_has_a_user():
