@@ -112,7 +112,6 @@ class HypothesisSet:
     """Finite candidate processes over one alphabet with equal memory."""
 
     members: tuple[ProcessSpec, ...]
-    labels: tuple[str, ...] = ()
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -126,12 +125,6 @@ class HypothesisSet:
             raise ValueError(
                 f"members disagree on memory length: {memories}"
             )
-        if not self.labels:
-            object.__setattr__(
-                self, "labels", tuple(str(m) for m in self.members)
-            )
-        elif len(self.labels) != len(self.members):
-            raise ValueError("labels and members differ in length")
 
     def __len__(self) -> int:
         return len(self.members)

@@ -1,11 +1,12 @@
 """Identification of a query bit string against a finite hypothesis set.
 
 Three interchangeable deciders are provided: a sorted linear scan, a
-per-member depth-first walk, and a prefix-tree walk.  They traverse the
-set differently and keep their own bookkeeping, but must always agree
-on the decision status and on which members remain in play; that
-agreement is a standing cross-check, so the derivations are deliberately
-not shared.
+per-member depth-first walk, and a prefix-tree walk.  Each takes a
+``SortedHypothesisSet``, the one place members are checked.  They
+traverse the set differently and keep their own bookkeeping, but must
+always agree on the decision status and on which members remain in
+play; that agreement is a standing cross-check, so the derivations are
+deliberately not shared.
 
 A query is a bit string.  A resolution r in [0, 1] lets a decider read
 at most ceil(-log2 r) of its symbols (all of them when r = 0, none when
@@ -19,7 +20,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 _ALPHABET = frozenset("01")
 
@@ -209,23 +210,14 @@ def identify_sorted(
 
 
 def identify_depth_first(
-    members: Sequence[str], query: str, r: float = 0.0
+    hset: SortedHypothesisSet, query: str, r: float = 0.0
 ) -> IdOutcome:
     """Member-by-member walk, comparing symbols until a mismatch.
 
-    Accepts any duplicate-free member order; partial indices refer to
-    the given order.  ``i`` tracks the deepest comparison made anywhere
-    (at least 1 once any comparison happens) and ``h`` the member that
-    first pushed the depth past its previous record.
+    ``i`` tracks the deepest comparison made anywhere (at least 1 once
+    any comparison happens) and ``h`` the member that first pushed the
+    depth past its previous record.
     """
-    seen = set()
-    for idx, m in enumerate(members):
-        _check_bits(m, "member")
-        if not m:
-            raise ValueError("members must be non-empty")
-        if m in seen:
-            raise ValueError(f"duplicate member {m!r} at index {idx}")
-        seen.add(m)
     prefix, complete = _observe(query, r)
     horizon = len(prefix)
 
@@ -233,7 +225,7 @@ def identify_depth_first(
     h_deep = 0
     extensions: list[int] = []
     consistent: list[int] = []
-    for j, member in enumerate(members, start=1):
+    for j, member in enumerate(hset.members, start=1):
         window = min(len(member), horizon)
         dead = False
         for k in range(window):
@@ -282,21 +274,10 @@ class ContextTree:
     size: int
 
 
-def build_context_tree(
-    members: SortedHypothesisSet | Sequence[str],
-) -> ContextTree:
-    if isinstance(members, SortedHypothesisSet):
-        items: Sequence[str] = members.members
-    else:
-        items = list(members)
-        seen = set()
-        for m in items:
-            _check_bits(m, "member")
-            if not m or m in seen:
-                raise ValueError(f"invalid or duplicate member {m!r}")
-            seen.add(m)
+def build_context_tree(hset: SortedHypothesisSet) -> ContextTree:
+    """The prefix tree of the set's members, indexed in sorted order."""
     root: dict = {}
-    for idx, m in enumerate(items, start=1):
+    for idx, m in enumerate(hset.members, start=1):
         node = root
         for sym in m:
             child = node.get(sym)
@@ -304,7 +285,7 @@ def build_context_tree(
                 child = node[sym] = {}
             node = child
         node[_END] = idx
-    return ContextTree(root, len(items))
+    return ContextTree(root, len(hset))
 
 
 def _subtree_terminals(node: dict) -> list[int]:

@@ -59,7 +59,6 @@ from .processes import (
     MarkovSpec,
     iid_sample,
     markov_sample,
-    sample_discrete,
     spec_from_json,
 )
 from .scdist import (
@@ -98,6 +97,18 @@ def _validator() -> jsonschema.Draft202012Validator:
     return jsonschema.Draft202012Validator(_schema())
 
 
+@contextlib.contextmanager
+def _field(path: str):
+    """Re-raise a library ``ValueError`` as a ``ConfigError`` at ``path``;
+    a ``ConfigError`` already names its field and passes through."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _process(node: object, path: str) -> IidSpec | MarkovSpec:
     """Build the process a config node describes.  One the schema admits
     but the model rejects (weights that do not sum to 1, a reducible
@@ -105,11 +116,9 @@ def _process(node: object, path: str) -> IidSpec | MarkovSpec:
     stationary law, so a reducible chain is refused whatever its start."""
     if isinstance(node, list):
         node = {"kind": "iid", "probs": node}
-    try:
+    with _field(path):
         spec = spec_from_json(node)  # type: ignore[arg-type]
         spec.stationary_distribution()
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     return spec
 
 
@@ -137,7 +146,8 @@ def validate_config(cfg: object) -> dict:
     if kind == "spread":
         n_comp = len(cfg["components"])
         for ch in cfg["message"]:
-            if int(ch) >= n_comp:
+            # the schema's pattern lets a final newline through
+            if ch not in "0123456789"[:n_comp]:
                 raise ConfigError(
                     f"$.message: symbol {ch!r} has no component "
                     f"(only {n_comp} given)"
@@ -161,29 +171,37 @@ def _csv_text(table: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# kind handlers; each returns a JSON-ready payload with a "table" block
+# kind handlers
 
 
-def _run_identify(cfg: dict, seed: int) -> dict:
-    try:
+def _check_budget(runs: int, length: int) -> None:
+    """Refuse ``runs`` runs of ``length`` symbols past the step budget."""
+    if runs * length > _STEP_BUDGET:
+        raise ComputationRefused(
+            f"{runs} x {length} symbols exceeds the step budget {_STEP_BUDGET}"
+        )
+
+
+# the deciders in ``table.rows`` order; each looks its function up when
+# called, so a wrapper later bound to the module name sees the call
+_DECIDERS = (
+    ("sorted", lambda hset, query, r: identify_sorted(hset, query, r)),
+    ("depth-first", lambda hset, query, r: identify_depth_first(hset, query, r)),
+    ("tree", lambda hset, query, r: identify_tree(build_context_tree(hset), query, r)),
+)
+
+
+def _run_identify(cfg: dict, seed: int, meta: dict) -> dict:
+    with _field("$.members"):
         hset = SortedHypothesisSet.from_unsorted(cfg["members"])
-    except ValueError as exc:
-        raise ConfigError(f"$.members: {exc}") from exc
     algorithm = cfg.get("algorithm", "all")
-    chosen = (
-        ("sorted", "depth-first", "tree")
-        if algorithm == "all"
-        else (algorithm,)
-    )
-    outcomes = {}
-    for name in chosen:
-        if name == "sorted":
-            out = identify_sorted(hset, cfg["query"], cfg["r"])
-        elif name == "depth-first":
-            out = identify_depth_first(hset.members, cfg["query"], cfg["r"])
-        else:
-            out = identify_tree(build_context_tree(hset), cfg["query"], cfg["r"])
-        outcomes[name] = out
+    # the schema's query pattern lets a final newline through
+    with _field("$.query"):
+        outcomes = {
+            name: decide(hset, cfg["query"], cfg["r"])
+            for name, decide in _DECIDERS
+            if algorithm in ("all", name)
+        }
     statuses = {o.status for o in outcomes.values()}
     partials = {o.partial_subset for o in outcomes.values()}
     rows = [
@@ -201,7 +219,7 @@ def _run_identify(cfg: dict, seed: int) -> dict:
     }
 
 
-def _run_scdist(cfg: dict, seed: int) -> dict:
+def _run_scdist(cfg: dict, seed: int, meta: dict) -> dict:
     L, K = cfg["L"], cfg["K"]
     if K > L:
         raise ConfigError(f"$.K: {K} mismatches exceed the length {L}")
@@ -220,25 +238,25 @@ def _run_scdist(cfg: dict, seed: int) -> dict:
     }
 
 
-def _run_sample(cfg: dict, seed: int, meta: dict) -> dict:
-    spec = _process(cfg["spec"], "$.spec")
-    t, trials = cfg["t"], cfg["trials"]
-    if t * trials > _STEP_BUDGET:
-        raise ComputationRefused(
-            f"{trials} x {t} symbols exceeds the step budget {_STEP_BUDGET}"
-        )
+def _tally(spec, t: int, trials: int, seed: int) -> tuple[list[int], int]:
+    """Symbol counts and fair bits read over ``trials`` runs of ``t``
+    symbols, run i drawing from the source seeded ``"{seed}:{i}"``."""
+    draw = markov_sample if isinstance(spec, MarkovSpec) else iid_sample
     counts = [0] * spec.alphabet_size
     total_bits = 0
     for i in range(trials):
         source = BitSource(f"{seed}:{i}")
-        sample = (
-            markov_sample(spec, t, source)
-            if isinstance(spec, MarkovSpec)
-            else iid_sample(spec, t, source)
-        )
-        for sym in sample:
+        for sym in draw(spec, t, source):
             counts[sym] += 1
         total_bits += source.bits_consumed
+    return counts, total_bits
+
+
+def _run_sample(cfg: dict, seed: int, meta: dict) -> dict:
+    spec = _process(cfg["spec"], "$.spec")
+    t, trials = cfg["t"], cfg["trials"]
+    _check_budget(trials, t)
+    counts, total_bits = _tally(spec, t, trials, seed)
     meta.update(symbols=t * trials, fair_bits=total_bits)
     n = max(1, t * trials)
     freqs = [c / n for c in counts]
@@ -272,15 +290,10 @@ def _run_spread(cfg: dict, seed: int, meta: dict) -> dict:
         for i, probs in enumerate(cfg["components"])
     )
     message: str = cfg["message"]
-    try:
+    with _field("$.components"):
         code = SpreadCode(len(message), components)
-    except ValueError as exc:
-        raise ConfigError(f"$.components: {exc}") from exc
     t, trials = cfg["t"], cfg["trials"]
-    if t * trials > _STEP_BUDGET:
-        raise ComputationRefused(
-            f"{trials} x {t} symbols exceeds the step budget {_STEP_BUDGET}"
-        )
+    _check_budget(trials, t)
     msg_errors = 0
     bit_errors = 0
     conf_total = 0.0
@@ -326,6 +339,30 @@ def _phase(meta: dict, key: str):
     meta[key] = time.perf_counter() - started
 
 
+def _stopping_trials(
+    cfg: dict, seed: int, meta: dict, prior: list, stopping_fields: dict, max_steps: int
+):
+    """The setup and trials ``bayes`` and ``novelty`` share; returns the
+    ideal, the hypothesis set, the stopping config and the trial report."""
+    ideal = _process(cfg["ideal"], "$.ideal")
+    members = tuple(
+        _process(h, f"$.hypotheses[{i}]")
+        for i, h in enumerate(cfg["hypotheses"])
+    )
+    with _field("$"):
+        hset = HypothesisSet(members)
+        scfg = StoppingConfig(**stopping_fields)
+    with _field("$.prior"):
+        as_probvector(prior)
+    _check_budget(cfg["trials"], max_steps)
+    # the library refuses an ideal over another alphabet
+    with _phase(meta, "trials_s"), _field("$.ideal"):
+        report = mc_sample_complexity(
+            ideal, hset, prior, scfg, cfg["trials"], seed, max_steps=max_steps
+        )
+    return ideal, hset, scfg, report
+
+
 def _posterior_trace(ideal, hset, prior, scfg, seed, limit: int) -> list[list]:
     sampler = _IdealSampler(ideal, BitSource(f"{seed}:trace"))
     state = PosteriorState.from_prior(hset, prior)
@@ -342,6 +379,7 @@ def _posterior_trace(ideal, hset, prior, scfg, seed, limit: int) -> list[list]:
 
 
 def _mean_ci(report) -> list[float] | None:
+    # summed in the report's count order: another order moves the last bits
     times = [t for t, c in report.dist.counts.items() for _ in range(c)]
     if not times:
         return None
@@ -353,38 +391,11 @@ def _mean_ci(report) -> list[float] | None:
 
 
 def _run_bayes(cfg: dict, seed: int, meta: dict) -> dict:
-    ideal = _process(cfg["ideal"], "$.ideal")
-    members = tuple(
-        _process(h, f"$.hypotheses[{i}]")
-        for i, h in enumerate(cfg["hypotheses"])
+    # the config's defaults for q, eps_d and r are StoppingConfig's
+    stopping_fields = {k: cfg[k] for k in ("p", "q", "eps_d", "r") if k in cfg}
+    ideal, hset, scfg, report = _stopping_trials(
+        cfg, seed, meta, cfg["prior"], stopping_fields, cfg.get("max_steps", 10_000)
     )
-    try:
-        hset = HypothesisSet(members)
-        scfg = StoppingConfig(
-            p=cfg["p"],
-            q=cfg.get("q", 0.0),
-            eps_d=cfg.get("eps_d", 0.0),
-            r=cfg.get("r", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"$: {exc}") from exc
-    try:
-        as_probvector(cfg["prior"])
-    except ValueError as exc:
-        raise ConfigError(f"$.prior: {exc}") from exc
-    trials = cfg["trials"]
-    max_steps = cfg.get("max_steps", 10_000)
-    if trials * max_steps > _STEP_BUDGET:
-        raise ComputationRefused(
-            f"{trials} x {max_steps} steps exceeds the budget {_STEP_BUDGET}"
-        )
-    with _phase(meta, "trials_s"):
-        try:
-            report = mc_sample_complexity(
-                ideal, hset, cfg["prior"], scfg, trials, seed, max_steps=max_steps
-            )
-        except ValueError as exc:  # an ideal over another alphabet
-            raise ConfigError(f"$.ideal: {exc}") from exc
     with _phase(meta, "evaluator_s"):
         try:
             analytic = expected_sc_evaluator(
@@ -394,7 +405,7 @@ def _run_bayes(cfg: dict, seed: int, meta: dict) -> dict:
             analytic = None
     with _phase(meta, "trace_s"):
         trace = _posterior_trace(ideal, hset, cfg["prior"], scfg, seed, 50)
-    decided = report.dist.censored < trials
+    decided = report.dist.censored < cfg["trials"]
     return {
         "decision_histogram": report.decisions,
         "stopping_moments": list(report.moments(4)) if decided else None,
@@ -403,55 +414,31 @@ def _run_bayes(cfg: dict, seed: int, meta: dict) -> dict:
         "analytic_expected_t": analytic,
         "ci": _mean_ci(report),
         "table": {
-            "columns": ["t"]
-            + [f"posterior_{i}" for i in range(len(members))],
+            "columns": ["t"] + [f"posterior_{i}" for i in range(len(hset))],
             "rows": trace,
         },
     }
 
 
 def _run_novelty(cfg: dict, seed: int, meta: dict) -> dict:
-    ideal = _process(cfg["ideal"], "$.ideal")
-    members = tuple(
-        _process(h, f"$.hypotheses[{i}]")
-        for i, h in enumerate(cfg["hypotheses"])
+    n = len(cfg["hypotheses"])
+    ideal, hset, _, report = _stopping_trials(
+        cfg, seed, meta, [1.0 / n] * n, {"p": 1.0, "q": cfg["q"]}, cfg["budget"]
     )
-    try:
-        hset = HypothesisSet(members)
-        scfg = StoppingConfig(p=1.0, q=cfg["q"], eps_d=0.0, r=0.0)
-    except ValueError as exc:
-        raise ConfigError(f"$: {exc}") from exc
-    trials, budget = cfg["trials"], cfg["budget"]
-    if trials * budget > _STEP_BUDGET:
-        raise ComputationRefused(
-            f"{trials} x {budget} steps exceeds the budget {_STEP_BUDGET}"
-        )
-    uniform = [1.0 / len(members)] * len(members)
-    with _phase(meta, "trials_s"):
-        try:
-            report = mc_sample_complexity(
-                ideal, hset, uniform, scfg, trials, seed, max_steps=budget
-            )
-        except ValueError as exc:  # an ideal over another alphabet
-            raise ConfigError(f"$.ideal: {exc}") from exc
     bounds = []
     with _phase(meta, "bounds_s"):
-        for i, m in enumerate(members):
-            try:
+        for i, m in enumerate(hset.members):
+            with _field(f"$.hypotheses[{i}]"):
                 bounds.append(falsification_bounds(ideal, m, cfg["q"]))
-            except ValueError as exc:
-                raise ConfigError(f"$.hypotheses[{i}]: {exc}") from exc
     combined = [max(b[0] for b in bounds), max(b[1] for b in bounds)]
     falsified = report.decisions[DecisionStatus.FALSIFIED.value]
     times = sorted(
         t for t, c in report.dist.counts.items() for _ in range(c)
     )
     median = times[len(times) // 2] if times else None
-    rows = [
-        [i, bounds[i][0], bounds[i][1]] for i in range(len(members))
-    ]
+    rows = [[i, b[0], b[1]] for i, b in enumerate(bounds)]
     return {
-        "falsified_fraction": falsified / trials,
+        "falsified_fraction": falsified / cfg["trials"],
         "median_stopping_time": median,
         "decision_histogram": report.decisions,
         "censored": report.dist.censored,
@@ -464,7 +451,7 @@ def _run_novelty(cfg: dict, seed: int, meta: dict) -> dict:
     }
 
 
-def _run_figure3(cfg: dict, seed: int) -> dict:
+def _run_figure3(cfg: dict, seed: int, meta: dict) -> dict:
     spec = _process(cfg["spec"], "$.spec")
     p, q, t_max = cfg["p"], cfg["q"], cfg["t_max"]
     rate = entropy_rate(spec)
@@ -483,8 +470,22 @@ def _run_figure3(cfg: dict, seed: int) -> dict:
     }
 
 
+# each kind's handler takes (cfg, seed, meta) and returns a JSON-ready
+# payload with a "table" block
+_KINDS = {
+    "identify": _run_identify,
+    "scdist": _run_scdist,
+    "sample": _run_sample,
+    "spread": _run_spread,
+    "bayes": _run_bayes,
+    "novelty": _run_novelty,
+    "figure3": _run_figure3,
+}
+
+
 def run_experiment(cfg: dict, seed: int, meta: dict | None = None) -> dict:
-    """Dispatch a validated config; returns the payload dict.
+    """Run a validated config through the handler of its kind; returns
+    the payload dict.
 
     Work counters of the run (``symbols`` drawn and ``fair_bits`` read by
     ``sample`` and ``spread``) and per-phase seconds (``bayes``:
@@ -492,23 +493,10 @@ def run_experiment(cfg: dict, seed: int, meta: dict | None = None) -> dict:
     ``trials_s``, ``bounds_s``) go into ``meta`` when it is given; they
     never enter the payload.
     """
-    meta = {} if meta is None else meta
-    kind = cfg["kind"]
-    if kind == "identify":
-        return _run_identify(cfg, seed)
-    if kind == "scdist":
-        return _run_scdist(cfg, seed)
-    if kind == "sample":
-        return _run_sample(cfg, seed, meta)
-    if kind == "spread":
-        return _run_spread(cfg, seed, meta)
-    if kind == "bayes":
-        return _run_bayes(cfg, seed, meta)
-    if kind == "novelty":
-        return _run_novelty(cfg, seed, meta)
-    if kind == "figure3":
-        return _run_figure3(cfg, seed)
-    raise ConfigError(f"$.kind: unknown kind {kind!r}")
+    handler = _KINDS.get(cfg["kind"])
+    if handler is None:
+        raise ConfigError(f"$.kind: unknown kind {cfg['kind']!r}")
+    return handler(cfg, seed, {} if meta is None else meta)
 
 
 def _sanitize(node: object) -> object:
@@ -549,22 +537,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        cfg = validate_config(raw)
-    except ConfigError as exc:
-        print(f"config invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    started = time.monotonic()
     meta: dict = {}
     try:
+        cfg = validate_config(raw)
+        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        started = time.monotonic()
         payload = run_experiment(cfg, seed, meta)
     except ConfigError as exc:
         print(f"config invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except ComputationRefused as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
     duration = time.monotonic() - started
     record = {
         "config": {**cfg, "seed": seed},
@@ -642,12 +623,7 @@ def _spec_option(text: str | None) -> IidSpec:
 def _verify_coin_bits(args) -> tuple[bool, list[str]]:
     spec = _spec_option(args.spec)
     trials = 100_000 if args.trials is None else args.trials
-    counts = [0] * spec.alphabet_size
-    total_bits = 0
-    for i in range(trials):
-        source = BitSource(f"{args.seed}:{i}")
-        counts[sample_discrete(spec, source)] += 1
-        total_bits += source.bits_consumed
+    counts, total_bits = _tally(spec, 1, trials, args.seed)
     mean_bits = total_bits / trials
     h = entropy(spec.dist)
     in_band = h <= mean_bits < h + 2.0
@@ -687,9 +663,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"invalid argument: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except ComputationRefused as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
     for line in lines:
         print(line)
     print(f"verify {args.pair}: {'PASS' if ok else 'FAIL'}")
@@ -785,7 +758,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "threads", 1) < 1:
         print("threads must be >= 1", file=sys.stderr)
         return EXIT_INVALID
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ComputationRefused as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
 
 
 if __name__ == "__main__":

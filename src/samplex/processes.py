@@ -180,9 +180,6 @@ class IidSpec(_Chain):
         """The one context needs no draw: reads no flips."""
         return ()
 
-    def __str__(self) -> str:
-        return f"iid({', '.join(f'{p:g}' for p in self.dist.probs)})"
-
 
 def _refinement_trie(boundaries: tuple[Fraction, ...]) -> tuple[int, ...]:
     """Compile CDF boundaries into the trie of dyadic interval refinement.
@@ -272,6 +269,12 @@ class MarkovSpec(_Chain):
             raise ValueError(
                 "transition map is missing contexts: "
                 + ", ".join(_context_str(c) for c in missing[:8])
+            )
+        unknown = sorted(set(self.transitions).difference(expected))
+        if unknown:
+            raise ValueError(
+                "transition map has keys that are not contexts: "
+                + ", ".join(_context_str(c) for c in unknown[:8])
             )
         for ctx, sub in self.transitions.items():
             if sub.alphabet_size != k:
@@ -592,4 +595,9 @@ def spec_from_json(data: Mapping) -> IidSpec | MarkovSpec:
         init = ("distribution", ProbVector(tuple(raw_init["distribution"])))
     else:
         raise ValueError(f"unknown init form {raw_init!r}")
-    return MarkovSpec(memory, transitions, init)
+    spec = MarkovSpec(memory, transitions, init)
+    if spec.alphabet_size != data["alphabet"]:
+        raise ValueError(
+            f"alphabet {data['alphabet']} but rows of {spec.alphabet_size} symbols"
+        )
+    return spec

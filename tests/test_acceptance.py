@@ -488,7 +488,7 @@ def _build_c09() -> dict:
         hset = SortedHypothesisSet(members)
         outcomes = [
             identify_sorted(hset, query, r),
-            identify_depth_first(members, query, r),
+            identify_depth_first(hset, query, r),
             identify_tree(build_context_tree(hset), query, r),
         ]
         decisions = {(o.status, o.partial_subset) for o in outcomes}

@@ -205,10 +205,6 @@ class TestHypothesisSet:
         with pytest.raises(ValueError):
             HypothesisSet((B5, IidSpec.from_probs([0.25, 0.25, 0.5])))
 
-    def test_labels_must_match_members(self):
-        with pytest.raises(ValueError):
-            HypothesisSet((B5, B9), labels=("only-one",))
-
     def test_rates(self):
         rates = HypothesisSet((B5, B9)).rates()
         assert rates[0] == pytest.approx(1.0)

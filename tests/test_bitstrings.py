@@ -25,7 +25,7 @@ def decide_all_ways(members, query, r):
     hs = SortedHypothesisSet(tuple(members))
     outcomes = [
         identify_sorted(hs, query, r),
-        identify_depth_first(hs.members, query, r),
+        identify_depth_first(hs, query, r),
         identify_tree(build_context_tree(hs), query, r),
     ]
     decisions = {(o.status, o.partial_subset) for o in outcomes}
@@ -119,7 +119,7 @@ class TestPinnedDecisions:
         hs = SortedHypothesisSet(())
         outcomes = [
             identify_sorted(hs, query),
-            identify_depth_first(hs.members, query),
+            identify_depth_first(hs, query),
             identify_tree(build_context_tree(hs), query),
         ]
         assert [(o.status, o.h, o.i, o.partial_subset) for o in outcomes] == [
@@ -188,14 +188,3 @@ class TestAgainstBruteForce:
                 status, partial = decide_all_ways(members, m, 0.0)
                 assert status == "Verified"
                 assert partial == (idx,)
-
-
-class TestContextTree:
-    def test_accepts_both_input_shapes(self):
-        hs = SortedHypothesisSet(("0", "10", "11"))
-        t1 = build_context_tree(hs)
-        t2 = build_context_tree(("0", "10", "11"))
-        q = "10"
-        o1 = identify_tree(t1, q, 0.0)
-        o2 = identify_tree(t2, q, 0.0)
-        assert (o1.status, o1.partial_subset) == (o2.status, o2.partial_subset)

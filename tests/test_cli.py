@@ -221,11 +221,22 @@ class TestExitCodes:
         assert main(["run", "--config", path]) == EXIT_INVALID
         assert "config invalid" in capsys.readouterr().err
 
-    def test_oversized_run_is_refused(self, tmp_path, capsys):
-        cfg = dict(BAYES_CFG, trials=100_000, max_steps=10_000)
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {**SAMPLE_CFG, "t": 100_000, "trials": 1_000},
+            {**SPREAD_CFG, "t": 100_000, "trials": 1_000},
+            {**BAYES_CFG, "trials": 100_000, "max_steps": 10_000},
+            {**NOVELTY_CFG, "trials": 100_000, "budget": 1_000},
+        ],
+        ids=["sample", "spread", "bayes", "novelty"],
+    )
+    def test_oversized_run_is_refused(self, tmp_path, capsys, cfg):
         path = write_config(tmp_path, cfg)
         assert main(["run", "--config", path]) == EXIT_REFUSED
-        assert "refused" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("refused:")
+        assert "Traceback" not in err
 
     def test_zero_tolerance_verify_fails(self, capsys):
         code = main(
@@ -267,6 +278,14 @@ class TestExitCodes:
                 {**SAMPLE_CFG, "spec": {**markov1(0.0, 0.0), "init": {"context": "1"}}},
                 "$.spec",
             ),
+            # a declared alphabet the rows do not have
+            ({**SAMPLE_CFG, "spec": {**markov1(0.25, 0.5), "alphabet": 7}}, "$.spec"),
+            (  # transition keys that are not memory-1 contexts
+                {**BAYES_CFG, "ideal": {**markov1(0.25, 0.5), "transitions": {
+                    "0": [0.25, 0.75], "1": [0.5, 0.5], "2": [0.5, 0.5], "01": [0.5, 0.5],
+                }}},
+                "$.ideal",
+            ),
         ],
     )
     def test_weights_the_model_rejects_are_invalid(self, tmp_path, capsys, cfg, path):
@@ -282,8 +301,14 @@ class TestExitCodes:
             ({**NOVELTY_CFG, "ideal": markov1(0.25, 0.5)}, "$.hypotheses[0]"),
             # an infinite cross-entropy rate bounds nothing
             ({**NOVELTY_CFG, "hypotheses": [[1.0, 0.0]]}, "$.hypotheses[0]"),
+            # the schema patterns, matched by re.search, pass a final newline
+            ({"kind": "identify", "members": ["0"], "query": "01\n", "r": 0}, "$.query"),
+            ({**SPREAD_CFG, "message": "10\n"}, "$.message"),
         ],
-        ids=["bayes-alphabet", "novelty-alphabet", "novelty-memory", "novelty-support"],
+        ids=[
+            "bayes-alphabet", "novelty-alphabet", "novelty-memory", "novelty-support",
+            "query-newline", "message-newline",
+        ],
     )
     def test_an_ideal_the_library_refuses_is_invalid(self, tmp_path, capsys, cfg, path):
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_INVALID
@@ -538,10 +563,19 @@ class TestOutputs:
                  "p": 0.9, "trials": 50, "seed": 3},
                 "1bc084e55c1db361a68f8eedb5fde265d8d0f550532af54f4cd56a07b76fb900",
             ),
+            (
+                json.loads((CONFIG_DIR / "identify.json").read_text()),
+                "a05ca3192d1c774ee54722d2bc62c4c3d05fd3aac7075e7a513c1ec78e9eb302",
+            ),
+            (
+                json.loads((CONFIG_DIR / "scdist.json").read_text()),
+                "15659630e44239b2481c008f5336f9fb8962316872bccb50c1de6037ab052b1c",
+            ),
         ],
         ids=[
             "bayes", "novelty", "figure3",
             "markov-sample", "markov-bayes", "markov-novelty", "mc-bayes",
+            "identify", "scdist",
         ],
     )
     def test_payloads_keep_their_digests(self, tmp_path, cfg, digest):

@@ -431,6 +431,16 @@ class TestMarkovSpec:
                 init=("stationary", None),
             )
 
+    @pytest.mark.parametrize("key", [(2,), (0, 1)], ids=["symbol", "length"])
+    def test_key_that_is_not_a_context_rejected(self, key):
+        row = IidSpec.from_probs([0.5, 0.5])
+        with pytest.raises(ValueError, match="not contexts"):
+            MarkovSpec(
+                memory=1,
+                transitions={(0,): row, (1,): row, key: row},
+                init=("stationary", None),
+            )
+
     def test_reducible_chain_is_rejected_at_construction(self):
         with pytest.raises(NonErgodicError, match="reducible"):
             MarkovSpec(
