@@ -16,7 +16,8 @@ phrasing of the same idea plateaus below the slack for nearby
 alternatives and cannot reach the advertised detection rates, so the
 band form is used throughout.
 The rule is written once, in ``_stopping_rule``: ``check_stop`` and
-every Monte Carlo stopping trial decide through the same function.
+every Monte Carlo stopping trial decide through the same function.  A
+trial draws the ideal's symbols as ``markov_sample`` does.
 
 A member's likelihood is also written once.  Each set caches one log
 table, log2 P(symbol | context) for every member, and one start score
@@ -34,9 +35,10 @@ sequences into classes that every member scores alike (the first
 symbol) step), which for memoryless members are the symbol
 compositions, and scores every class the same way.  Stepping every
 symbol gives the exact curve, refused past _CLASS_LIMIT classes per
-horizon; letting a seeded population draw its symbols gives the Monte
-Carlo curve beyond the exact horizon and the importance-sampled
-moments, for memoryless members only.
+horizon; letting a seeded population draw its symbols, one
+``getrandbits`` block per class and step, gives the Monte Carlo curve
+beyond the exact horizon and the importance-sampled moments, for
+memoryless members only.
 """
 
 from __future__ import annotations
@@ -516,21 +518,6 @@ def _trial_seed(seed: int | str, index: int) -> str:
     return f"{seed}:{index}"
 
 
-class _IdealSampler:
-    """Stepwise sampler for an ideal process over one BitSource."""
-
-    def __init__(self, spec: ProcessSpec, source: BitSource) -> None:
-        self.source = source
-        self.ctx: Context = spec.draw_start(source)
-        self._rows = spec.transitions
-        self._successor = spec._successor
-
-    def step(self) -> int:
-        sym = sample_discrete(self._rows[self.ctx], self.source)
-        self.ctx = self._successor(self.ctx, sym)
-        return sym
-
-
 def _mc_trial(
     ideal: ProcessSpec,
     hset: HypothesisSet,
@@ -542,12 +529,16 @@ def _mc_trial(
     ``decide`` at t = 0.  Returns the decision and when it fell;
     Undetermined means censored (budget or r-cap exhausted).
 
-    Scores the observations as ``posterior_update`` does, without state
-    objects: while t <= memory the likelihoods are the prefix's start
-    score, and from then on each step adds the log-table entry of the
+    Draws the ideal's symbols from ``BitSource(seed)`` as
+    ``markov_sample`` does and scores them as ``posterior_update`` does,
+    without state objects: while t <= memory the likelihoods are the
+    prefix's start score, then each step adds the log-table entry of the
     window, kept as its context number, and the symbol.
     """
-    sampler = _IdealSampler(ideal, BitSource(seed))
+    source = BitSource(seed)
+    ctx = ideal.draw_start(source)
+    rows = ideal.transitions
+    successor = ideal._successor
     k = hset.alphabet_size
     memory = hset.memory
     n_ctx = k**memory
@@ -556,7 +547,8 @@ def _mc_trial(
     prefix: Context = ()
     window = 0
     for t in range(1, budget + 1):
-        sym = sampler.step()
+        sym = sample_discrete(rows[ctx], source)
+        ctx = successor(ctx, sym)
         step = window * k + sym
         window = step % n_ctx
         if t <= memory:
@@ -671,10 +663,9 @@ class _InverseCdf:
     shares, or to _EXACT when a partial sum splits the byte or the
     outcome is _EXACT or more (alphabets of 256 symbols and up);
     ``codes`` lists the outcomes the table gives directly.
-    ``block_from`` is the least number of draws worth one block.
     """
 
-    __slots__ = ("cum", "table", "codes", "block_from")
+    __slots__ = ("cum", "table", "codes")
 
     def __init__(self, probs: Sequence[float]) -> None:
         self.cum = list(itertools.accumulate(probs[:-1]))
@@ -685,25 +676,15 @@ class _InverseCdf:
             table.append(first if first == last and first < _EXACT else _EXACT)
         self.table = bytes(table)
         self.codes = sorted(set(table) - {_EXACT})
-        # costs in draws of the random() loop (CPython 3.11, x86_64): a
-        # block costs about 5, plus 1 per counted code, plus 1/3 per
-        # draw and 6 more per draw resolved exactly
-        gain = 2 / 3 - 6 * table.count(_EXACT) / 256
-        self.block_from = (5 + len(self.codes)) / gain if gain > 0 else math.inf
 
 
 def _draw_counts(rng: random.Random, cdf: _InverseCdf, n: int) -> list[int]:
     """Outcome counts of n inverse-CDF draws from the uniforms of n
     ``rng.random()`` calls: outcome j is the first with u < cdf.cum[j],
-    else the last.  From ``cdf.block_from`` draws on, the uniforms come
-    from one ``getrandbits`` block, which leaves ``rng`` in the same
-    state, and are counted by their top byte."""
+    else the last.  For every n the uniforms come from one ``getrandbits``
+    block, which leaves ``rng`` in the same state, and are counted by
+    their top byte, or from all 53 bits where the table gives _EXACT."""
     counts = [0] * (len(cdf.cum) + 1)
-    if n < cdf.block_from:
-        draw = rng.random
-        for _ in range(n):
-            counts[bisect.bisect_right(cdf.cum, draw())] += 1
-        return counts
     raw = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
     codes = raw[3::8].translate(cdf.table)
     for j in cdf.codes:

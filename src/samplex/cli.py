@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from importlib import resources
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import jsonschema
 
@@ -37,7 +37,6 @@ from .bayes import (
     mc_sample_complexity,
     posterior_update,
     typical_set_bounds,
-    _IdealSampler,
 )
 from .bitstrings import (
     SortedHypothesisSet,
@@ -62,7 +61,7 @@ from .processes import (
     spec_from_json,
 )
 from .scdist import (
-    _ORACLE_MAX_L,
+    ORACLE_MAX_L,
     PairwiseSCDist,
     enumerate_orderings_oracle,
     pairwise_verification,
@@ -364,14 +363,14 @@ def _stopping_trials(
 
 
 def _posterior_trace(ideal, hset, prior, scfg, seed, limit: int) -> list[list]:
-    sampler = _IdealSampler(ideal, BitSource(f"{seed}:trace"))
     state = PosteriorState.from_prior(hset, prior)
     rows: list[list] = [[0, *state.posterior().probs]]
-    for _ in range(limit):
+    # an iid ideal steps as the memory-0 chain
+    for sym in markov_sample(ideal, limit, BitSource(f"{seed}:trace")):
         decision = check_stop(state, scfg)
         if decision.terminal or decision.status is not DecisionStatus.UNDETERMINED:
             break
-        state = posterior_update(state, sampler.step())
+        state = posterior_update(state, sym)
         if state.all_falsified:
             break
         rows.append([state.t, *state.posterior().probs])
@@ -530,11 +529,16 @@ def _write_output(record: dict, fmt: str, out: str | None) -> None:
         print(f"wrote {out}", file=sys.stderr)
 
 
+def _not_json(constant: str) -> NoReturn:
+    """``parse_constant`` hook: the schema's bounds would pass a NaN."""
+    raise ValueError(f"{constant} is not a JSON number")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         with open(args.config) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(fh, parse_constant=_not_json)
+    except (OSError, ValueError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_INVALID
     meta: dict = {}
@@ -562,9 +566,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _verify_pairwise_enumeration(args) -> tuple[bool, list[str]]:
     max_l = 8 if args.L is None else args.L
-    if max_l > _ORACLE_MAX_L:
+    if max_l > ORACLE_MAX_L:
         raise ComputationRefused(
-            f"--L {max_l} exceeds the {_ORACLE_MAX_L}-symbol limit of the "
+            f"--L {max_l} exceeds the {ORACLE_MAX_L}-symbol limit of the "
             "reveal-order oracle"
         )
     lines = []
@@ -744,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--L",
         type=_positive_int,
         default=None,
-        help=f"longest length checked (1 to {_ORACLE_MAX_L})",
+        help=f"longest length checked (1 to {ORACLE_MAX_L})",
     )
     verify.set_defaults(func=_cmd_verify)
 

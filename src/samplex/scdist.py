@@ -24,7 +24,7 @@ from .info import ComputationRefused
 Number = Union[Fraction, float]
 
 _EXACT_MAX_L = 20
-_ORACLE_MAX_L = 10
+ORACLE_MAX_L = 10
 _SERIES_RTOL = 1e-12
 
 
@@ -245,10 +245,10 @@ def enumerate_orderings_oracle(a: str, b: str) -> EmpiricalSCDist:
     """
     diffs = set(_diff_positions(a, b))
     L = len(a)
-    if L > _ORACLE_MAX_L:
+    if L > ORACLE_MAX_L:
         raise ComputationRefused(
             f"enumerating {L}! reveal orders exceeds the length-"
-            f"{_ORACLE_MAX_L} oracle limit"
+            f"{ORACLE_MAX_L} oracle limit"
         )
     total = math.factorial(L)
     if not diffs:

@@ -27,12 +27,12 @@ from samplex import (
     as_probvector,
     entropy_rate,
     equivalence_groups,
+    markov_sample,
     posterior_update,
     resolution_cap,
     sequence_log_probability,
 )
 from samplex.bayes import (
-    _IdealSampler,
     _logsumexp2,
     _member_index,
 )
@@ -440,14 +440,14 @@ def check_stop_reference(state: PosteriorState, cfg: StoppingConfig) -> Decision
 def mc_trial_reference(ideal, hset, prior, cfg, budget: int, seed: str) -> Decision:
     """One Monte Carlo stopping trial by definition: the full posterior
     state is rebuilt and the reference stopping rule re-applied after
-    every symbol, starting at t = 0."""
-    sampler = _IdealSampler(ideal, BitSource(seed))
+    every symbol, starting at t = 0.  The ideal's symbols are those of
+    ``markov_sample``, which steps an iid spec as the memory-0 chain."""
     state = PosteriorState.from_prior(hset, prior)
     decision = check_stop_reference(state, cfg)
-    for _ in range(budget):
+    for sym in markov_sample(ideal, budget, BitSource(seed)):
         if decision.terminal or decision.status is not DecisionStatus.UNDETERMINED:
             return decision
-        state = posterior_update(state, sampler.step())
+        state = posterior_update(state, sym)
         decision = check_stop_reference(state, cfg)
     return decision
 

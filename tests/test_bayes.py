@@ -27,8 +27,6 @@ from samplex import (
     equivalence_groups,
     expected_sc_evaluator,
     falsification_bounds,
-    iid_sample,
-    markov_sample,
     mc_sample_complexity,
     mc_surprisal_moment_curve,
     posterior_update,
@@ -691,6 +689,20 @@ class TestMCSampleComplexity:
             (m2b, HypothesisSet((m2a, m2b)), (0.3, 0.7), StoppingConfig(p=0.95, r=0.01)),
             # three symbols, memory 1: the hidden start mixes three contexts
             (K3_PAIR.members[0], K3_PAIR, UNIFORM, StoppingConfig(p=0.9, q=0.2)),
+            # an ideal started from a given distribution, which it draws
+            (
+                m1(0.625, 0.125, ("distribution", (0.25, 0.75))),
+                HypothesisSet((sticky, flip)),
+                UNIFORM,
+                StoppingConfig(p=0.9, q=0.2),
+            ),
+            # a 3-symbol ideal whose weights round to dyadic cells
+            (
+                IidSpec.from_probs([0.2, 0.3, 0.5]),
+                THREE,
+                UNIFORM,
+                StoppingConfig(p=0.9, q=0.2),
+            ),
         ]
         for n, (ideal, hset, prior, cfg) in enumerate(scenarios):
             got = mc_sample_complexity(
@@ -702,28 +714,6 @@ class TestMCSampleComplexity:
             assert dict(got.dist.counts) == counts, n
             assert got.decisions == decisions, n
             assert got.dist.censored == decisions["Undetermined"], n
-
-    def test_trial_sampler_draws_what_markov_sample_draws(self):
-        skewed = (0.125, 0.625, 0.5, 0.875)
-        # a start distribution must be stationary: uniform for a fair chain
-        starts = (
-            (skewed, ("stationary", None)),
-            (skewed, ("context", (1, 0))),
-            ((0.5, 0.5, 0.5, 0.5), ("distribution", (0.25, 0.25, 0.25, 0.25))),
-        )
-        for zeros, init in starts:
-            spec = chain(2, zeros, init)
-            for seed in range(5):
-                sampler = samplex.bayes._IdealSampler(spec, BitSource(seed))
-                steps = tuple(sampler.step() for _ in range(30))
-                assert steps == markov_sample(spec, 30, BitSource(seed)), init
-        for spec in (B9, T3, IidSpec.from_probs([0.2, 0.3, 0.5])):
-            for seed in range(5):
-                source, reference = BitSource(seed), BitSource(seed)
-                sampler = samplex.bayes._IdealSampler(spec, source)
-                steps = tuple(sampler.step() for _ in range(30))
-                assert steps == iid_sample(spec, 30, reference), spec
-                assert source.bits_consumed == reference.bits_consumed, spec
 
     def test_unreachable_certainty_censors_every_trial(self):
         report = mc_sample_complexity(
@@ -849,6 +839,14 @@ class _Words:
         return sum(w << (32 * i) for i, w in enumerate(taken))
 
 
+class _BlocksOnly(random.Random):
+    """A Mersenne Twister that hands out its stream in ``getrandbits``
+    blocks only, so every n, 0 and 1 included, must be read as one."""
+
+    def random(self):
+        raise AssertionError("a uniform read outside a getrandbits block")
+
+
 def _words_of(u):
     """The two words whose ``random()`` is u (a multiple of 2^-53), with
     every bit that ``random()`` drops set."""
@@ -881,14 +879,12 @@ class TestDrawCounts:
     ]
 
     @pytest.mark.parametrize("probs", LAWS, ids=lambda probs: f"{len(probs)}-outcomes")
-    @pytest.mark.parametrize("block", (False, True), ids=("as-built", "block"))
-    def test_matches_one_random_call_per_draw(self, probs, block):
+    @pytest.mark.parametrize("rng", (random.Random, _BlocksOnly), ids=("as-built", "block"))
+    def test_matches_one_random_call_per_draw(self, probs, rng):
         cdf = samplex.bayes._InverseCdf(probs)
-        if block:
-            cdf.block_from = 0
         cum = list(itertools.accumulate(probs[:-1]))
         for seed in (0, 1, 2):
-            ours, theirs = random.Random(seed), random.Random(seed)
+            ours, theirs = rng(seed), random.Random(seed)
             for n in (0, 1, 2, 7, 255, 256, 4097, 10_000):
                 want = draw_counts_reference(theirs, cum, n)
                 assert samplex.bayes._draw_counts(ours, cdf, n) == want, (seed, n)

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -212,6 +213,44 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == EXIT_INVALID
         assert "cannot read" in capsys.readouterr().err
+
+    # json.dumps writes NaN, Infinity and -Infinity, which JSON lacks
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (
+                json.dumps({"kind": "figure3", "spec": [0.5, 0.5], "p": math.nan,
+                            "q": 0.5, "t_max": 3}),
+                "NaN is not a JSON number",
+            ),
+            (
+                json.dumps({"kind": "identify", "members": ["0"], "query": "01",
+                            "r": math.nan}),
+                "NaN is not a JSON number",
+            ),
+            (json.dumps({**BAYES_CFG, "eps_d": math.nan}), "NaN is not a JSON number"),
+            (
+                json.dumps({**BAYES_CFG, "eps_d": math.inf}),
+                "Infinity is not a JSON number",
+            ),
+            (
+                json.dumps({**NOVELTY_CFG, "q": -math.inf}),
+                "-Infinity is not a JSON number",
+            ),
+            ('{"kind": "scdist", "L": 3, "K": 1, "x": "\udcff"}', "can't decode"),
+        ],
+        ids=["figure3-nan", "identify-nan", "bayes-nan", "bayes-infinity",
+             "novelty-minus-infinity", "not-utf-8"],
+    )
+    def test_configs_that_are_not_json_are_unreadable(
+        self, tmp_path, capsys, text, reason
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert main(["run", "--config", str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read config:") and reason in err
+        assert "Traceback" not in err
 
     def test_missing_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_INVALID
@@ -571,11 +610,19 @@ class TestOutputs:
                 json.loads((CONFIG_DIR / "scdist.json").read_text()),
                 "15659630e44239b2481c008f5336f9fb8962316872bccb50c1de6037ab052b1c",
             ),
+            # crosses by Monte Carlo at 193.297; small classes and top
+            # bytes that a partial sum splits both reach _draw_counts
+            (
+                {"kind": "bayes", "ideal": [0.2, 0.3, 0.5],
+                 "hypotheses": [[0.2, 0.3, 0.5], [0.3, 0.3, 0.4]],
+                 "prior": [0.5, 0.5], "p": 0.9, "trials": 20, "seed": 3},
+                "3c0d6513374c77e97898689ecc1fe00e64d733284fe436abc53bad89fcee721f",
+            ),
         ],
         ids=[
             "bayes", "novelty", "figure3",
             "markov-sample", "markov-bayes", "markov-novelty", "mc-bayes",
-            "identify", "scdist",
+            "identify", "scdist", "mc-bayes-3",
         ],
     )
     def test_payloads_keep_their_digests(self, tmp_path, cfg, digest):
@@ -653,21 +700,38 @@ def test_emit_schema(capsys):
     }
 
 
-def keeps_the_exit_contract(cfg: dict) -> None:
+def _exit_code(argv: list[str]) -> tuple[int, str]:
+    """``main(argv)``'s exit code, an argparse refusal's included, and
+    its stdout; stderr must carry no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue()
+
+
+def keeps_the_exit_contract(cfg: dict | list[str]) -> None:
     """Run a config at --threads 1 and 2: each run exits 0, 2 or 3 with
-    no traceback on stderr, and both give the same payload."""
+    no traceback on stderr, and both give the same payload.  A list is
+    the flags of one ``verify`` call, run twice: each run may also exit
+    1 (a failed check), and both print the same."""
+    if isinstance(cfg, list):
+        first, second = (_exit_code(["verify", *cfg]) for _ in range(2))
+        assert first[0] in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_INVALID, EXIT_REFUSED)
+        assert first == second
+        return
     payloads = []
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(Path(tmp), cfg)
         for threads in ("1", "2"):
             out = Path(tmp) / f"out-{threads}.json"
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main(
-                    ["run", "--config", path, "--out", str(out), "--threads", threads]
-                )
+            code, _ = _exit_code(
+                ["run", "--config", path, "--out", str(out), "--threads", threads]
+            )
             assert code in (EXIT_OK, EXIT_INVALID, EXIT_REFUSED)
-            assert "Traceback" not in err.getvalue()
             payloads.append(
                 json.loads(out.read_text())["payload"] if code == EXIT_OK else code
             )
@@ -856,3 +920,83 @@ def _figure3_configs(draw) -> dict:
 @given(st.one_of(_identify_configs(), _scdist_configs(), _figure3_configs()))
 def test_identify_scdist_and_figure3_configs_keep_the_exit_contract(cfg):
     keeps_the_exit_contract(cfg)
+
+
+# Property tests over novelty configs and verify flags.  About one value
+# in six is a bad one: the constants NaN, Infinity and -Infinity, which a
+# config file may not hold and a flag must refuse, or a value with a
+# final newline, which Python's int(), float() and json.loads() strip but
+# the schema's patterns must not let through.
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _mostly(good: st.SearchStrategy, bad: st.SearchStrategy) -> st.SearchStrategy:
+    """``good`` five times in six, else ``bad``."""
+    return st.integers(0, 5).flatmap(lambda i: bad if i == 0 else good)
+
+
+@st.composite
+def _novelty_configs(draw) -> dict:
+    member = draw(st.sampled_from(_FAMILIES))
+    context = st.sampled_from(["0", "1"])
+    chain = _mostly(context, st.sampled_from(["1\n", "\n"])).map(
+        lambda c: {**_chain(([0.5, 0.5], [0.96875, 0.03125])), "init": {"context": c}}
+    )
+    return {
+        "kind": "novelty",
+        "ideal": draw(_mostly(member, chain | st.lists(_NON_FINITE, min_size=2, max_size=2))),
+        "hypotheses": draw(st.lists(member, min_size=1, max_size=3)),
+        "q": draw(_mostly(st.sampled_from([0.125, 0.5, 0.75, 1.0]), _NON_FINITE)),
+        "trials": draw(st.integers(1, 20)),
+        "budget": draw(st.integers(1, 200)),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_novelty_configs())
+def test_novelty_configs_keep_the_exit_contract(cfg):
+    keeps_the_exit_contract(cfg)
+
+
+def _flag(name: str, values: st.SearchStrategy[str]) -> st.SearchStrategy[list[str]]:
+    """No ``--name``, or ``--name=value`` with the value mostly drawn
+    from ``values``, else a non-finite constant or a final newline."""
+    constants = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"])
+    text = _mostly(values, constants | values.map(lambda v: v + "\n"))
+    return st.just([]) | text.map(lambda v: [f"--{name}={v}"])
+
+
+# --L stays at 8 or less or goes past the oracle's limit, and --trials is
+# always given, so that no run counts 9! reveal orders or draws the
+# default 100 000 coin-bits symbols
+@st.composite
+def _verify_flags(draw) -> list[str]:
+    probs = _mostly(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), _NON_FINITE)
+    spec = st.lists(probs, min_size=1, max_size=3).map(json.dumps)
+    trials = _mostly(st.sampled_from(["1", "500", "3000"]), st.sampled_from(["-2", "0"]))
+    return [
+        "--pair",
+        draw(st.sampled_from(["pairwise-enumeration", "expected-sc-mc", "coin-bits"])),
+        *draw(_flag("seed", st.integers(0, 2**32).map(str))),
+        *draw(_flag("tolerance", st.sampled_from(["0", "0.01", "0.5", "-1"]))),
+        *draw(_flag("spec", spec)),
+        *draw(_flag("trials", trials).filter(bool)),
+        *draw(_flag("L", st.sampled_from(["-1", "0", "1", "4", "8", "11"]))),
+    ]
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_verify_flags())
+def test_verify_flags_keep_the_exit_contract(argv):
+    keeps_the_exit_contract(argv)

@@ -124,6 +124,21 @@ def test_every_public_name_has_a_user():
     assert [name for name in samplex.__all__ if name not in live] == []
 
 
+def test_the_cli_imports_only_public_library_names():
+    # the CLI is the library's first caller, so what it needs is public;
+    # a dunder such as __version__ is public by convention
+    tree = ast.parse((SRC / "cli.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("samplex"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
+
+
 def test_a_monte_carlo_run_imports_no_numpy(tmp_path):
     # numpy is installed here but is no runtime dependency; a fresh
     # interpreter shows what a run really imports
