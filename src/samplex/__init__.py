@@ -49,13 +49,13 @@ from .processes import (
     MarkovSpec,
     NonErgodicError,
     SpreadCode,
-    iid_sample,
     markov_sample,
     sample_discrete,
     sequence_log_probability,
     spec_from_json,
     spread_decode,
     spread_encode,
+    symbols,
 )
 from .scdist import (
     EmpiricalSCDist,
@@ -87,9 +87,8 @@ __all__ = [
     "total_variation",
     # processes
     "BitSource", "IidSpec", "MarkovSpec", "NonErgodicError", "SpreadCode",
-    "iid_sample", "markov_sample", "sample_discrete",
-    "sequence_log_probability", "spec_from_json", "spread_decode",
-    "spread_encode",
+    "markov_sample", "sample_discrete", "sequence_log_probability",
+    "spec_from_json", "spread_decode", "spread_encode", "symbols",
     # scdist
     "EmpiricalSCDist", "GeometricSCDist", "PairwiseSCDist", "PointMassSCDist",
     "UndefinedMomentError", "enumerate_orderings_oracle",

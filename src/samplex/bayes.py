@@ -17,7 +17,8 @@ alternatives and cannot reach the advertised detection rates, so the
 band form is used throughout.
 The rule is written once, in ``_stopping_rule``: ``check_stop`` and
 every Monte Carlo stopping trial decide through the same function.  A
-trial draws the ideal's symbols as ``markov_sample`` does.
+trial reads the ideal's symbols from ``processes.symbols``, the one
+draw loop of the library.
 
 A member's likelihood is also written once.  Each set caches one log
 table, log2 P(symbol | context) for every member, and one start score
@@ -68,8 +69,8 @@ from .processes import (
     Context,
     IidSpec,
     MarkovSpec,
-    sample_discrete,
     sequence_log_probability,
+    symbols,
 )
 from .scdist import EmpiricalSCDist
 
@@ -529,16 +530,12 @@ def _mc_trial(
     ``decide`` at t = 0.  Returns the decision and when it fell;
     Undetermined means censored (budget or r-cap exhausted).
 
-    Draws the ideal's symbols from ``BitSource(seed)`` as
-    ``markov_sample`` does and scores them as ``posterior_update`` does,
-    without state objects: while t <= memory the likelihoods are the
-    prefix's start score, then each step adds the log-table entry of the
-    window, kept as its context number, and the symbol.
+    Reads the ideal's symbols from ``symbols(ideal, BitSource(seed))``
+    and scores them as ``posterior_update`` does, without state objects:
+    while t <= memory the likelihoods are the prefix's start score, then
+    each step adds the log-table entry of the window, kept as its context
+    number, and the symbol.
     """
-    source = BitSource(seed)
-    ctx = ideal.draw_start(source)
-    rows = ideal.transitions
-    successor = ideal._successor
     k = hset.alphabet_size
     memory = hset.memory
     n_ctx = k**memory
@@ -546,9 +543,7 @@ def _mc_trial(
     loglik = [0.0] * len(hset)
     prefix: Context = ()
     window = 0
-    for t in range(1, budget + 1):
-        sym = sample_discrete(rows[ctx], source)
-        ctx = successor(ctx, sym)
+    for t, sym in zip(range(1, budget + 1), symbols(ideal, BitSource(seed))):
         step = window * k + sym
         window = step % n_ctx
         if t <= memory:

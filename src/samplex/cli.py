@@ -15,6 +15,7 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -56,9 +57,8 @@ from .processes import (
     BitSource,
     IidSpec,
     MarkovSpec,
-    iid_sample,
-    markov_sample,
     spec_from_json,
+    symbols,
 )
 from .scdist import (
     ORACLE_MAX_L,
@@ -240,12 +240,11 @@ def _run_scdist(cfg: dict, seed: int, meta: dict) -> dict:
 def _tally(spec, t: int, trials: int, seed: int) -> tuple[list[int], int]:
     """Symbol counts and fair bits read over ``trials`` runs of ``t``
     symbols, run i drawing from the source seeded ``"{seed}:{i}"``."""
-    draw = markov_sample if isinstance(spec, MarkovSpec) else iid_sample
     counts = [0] * spec.alphabet_size
     total_bits = 0
     for i in range(trials):
         source = BitSource(f"{seed}:{i}")
-        for sym in draw(spec, t, source):
+        for sym in itertools.islice(symbols(spec, source), t):
             counts[sym] += 1
         total_bits += source.bits_consumed
     return counts, total_bits
@@ -365,12 +364,13 @@ def _stopping_trials(
 def _posterior_trace(ideal, hset, prior, scfg, seed, limit: int) -> list[list]:
     state = PosteriorState.from_prior(hset, prior)
     rows: list[list] = [[0, *state.posterior().probs]]
-    # an iid ideal steps as the memory-0 chain
-    for sym in markov_sample(ideal, limit, BitSource(f"{seed}:trace")):
+    stream = symbols(ideal, BitSource(f"{seed}:trace"))
+    for _ in range(limit):
         decision = check_stop(state, scfg)
         if decision.terminal or decision.status is not DecisionStatus.UNDETERMINED:
             break
-        state = posterior_update(state, sym)
+        # a symbol is drawn only once the trace goes on to score it
+        state = posterior_update(state, next(stream))
         if state.all_falsified:
             break
         rows.append([state.t, *state.posterior().probs])

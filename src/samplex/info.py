@@ -17,9 +17,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 MASS_TOL = 1e-12  # probability vectors must sum to 1 within this
 
-# Hard ceiling on exhaustive sequence enumeration: alphabet**horizon.
-ENUM_LIMIT = 2**20
-
 
 class ComputationRefused(RuntimeError):
     """Raised when an exact computation would exceed a hard size limit.

@@ -14,9 +14,10 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import ClassVar, Mapping, Sequence
+from itertools import islice
+from typing import ClassVar, Iterator, Mapping, Sequence
 
-from .info import ComputationRefused, ENUM_LIMIT, ProbVector, as_probvector
+from .info import ProbVector, as_probvector
 
 _MAX_DYADIC_BITS = 53  # resolution used when rounding non-dyadic weights
 
@@ -78,32 +79,28 @@ Context = tuple[int, ...]
 class _Chain:
     """What every process spec shares: a finite-memory chain that emits
     each symbol from the conditional law of its context, the last
-    ``memory`` symbols, starting from ``initial_mixture()``."""
+    ``memory`` symbols, starting from ``initial_mixture()``.  Contexts
+    are numbered in ``contexts()`` order, so context c then symbol s
+    leaves context (c * k + s) mod k**memory.  The tables below are
+    built on first use and kept on the spec, outside equality."""
 
-    def _successor(self, ctx: Context, sym: int) -> Context:
-        return (ctx + (sym,))[-self.memory:] if self.memory else ()
+    @cached_property
+    def _steps(self) -> tuple[tuple[IidSpec, ...], tuple[int, ...]]:
+        """The law of each numbered context, and the successor table
+        ``succ[c * k + s]``."""
+        laws = tuple(self.transitions[ctx] for ctx in self.contexts())
+        n = len(laws)
+        return laws, tuple(i % n for i in range(n * self.alphabet_size))
 
-    def block_distribution(self, t: int) -> dict[tuple[int, ...], float]:
-        if self.alphabet_size**t > ENUM_LIMIT:
-            raise ComputationRefused(
-                f"block enumeration {self.alphabet_size}**{t} exceeds "
-                f"the {ENUM_LIMIT} limit"
-            )
-        layer: dict[tuple[tuple[int, ...], Context], float] = {
-            ((), ctx): w for ctx, w in self.initial_mixture().items()
-        }
-        for _ in range(t):
-            nxt: dict[tuple[tuple[int, ...], Context], float] = {}
-            for (seq, ctx), w in layer.items():
-                for sym, p in enumerate(self.conditional(ctx).probs):
-                    if p > 0.0:
-                        key = (seq + (sym,), self._successor(ctx, sym))
-                        nxt[key] = nxt.get(key, 0.0) + w * p
-            layer = nxt
-        out: dict[tuple[int, ...], float] = {}
-        for (seq, _ctx), w in layer.items():
-            out[seq] = out.get(seq, 0.0) + w
-        return out
+    @cached_property
+    def _start(self) -> tuple[int, IidSpec | None]:
+        """The numbered context every walk starts in, or else (0, the
+        law the start is drawn from)."""
+        mixture = self.initial_mixture()
+        if len(mixture) == 1:
+            return next(iter(mixture)), None
+        weights = [mixture.get(c, 0.0) for c in range(len(self.contexts()))]
+        return 0, IidSpec.from_probs(weights)
 
 
 @dataclass(frozen=True)
@@ -173,12 +170,8 @@ class IidSpec(_Chain):
     def stationary_distribution(self) -> tuple[float, ...]:
         return (1.0,)
 
-    def initial_mixture(self) -> dict[Context, float]:
-        return {(): 1.0}
-
-    def draw_start(self, source: BitSource) -> Context:
-        """The one context needs no draw: reads no flips."""
-        return ()
+    def initial_mixture(self) -> dict[int, float]:
+        return {0: 1.0}
 
 
 def _refinement_trie(boundaries: tuple[Fraction, ...]) -> tuple[int, ...]:
@@ -234,12 +227,6 @@ def sample_discrete(spec: IidSpec, source: BitSource) -> int:
     return ~node
 
 
-def iid_sample(spec: IidSpec, t: int, source: BitSource) -> tuple[int, ...]:
-    if t < 0:
-        raise ValueError(f"sample length must be >= 0, got {t}")
-    return tuple(sample_discrete(spec, source) for _ in range(t))
-
-
 def _context_str(ctx: Context) -> str:
     return "".join(str(s) for s in ctx) if ctx else "(empty)"
 
@@ -255,7 +242,6 @@ class MarkovSpec(_Chain):
     memory: int
     transitions: Mapping[Context, IidSpec]
     init: tuple[str, object]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.memory < 0:
@@ -317,18 +303,21 @@ class MarkovSpec(_Chain):
     def conditional(self, ctx: Context) -> ProbVector:
         return self.transitions[ctx].dist
 
+    def _rows(self) -> list[list[tuple[int, float]]]:
+        """Each context's (successor, probability) per symbol it can emit."""
+        laws, succ = self._steps
+        k = self.alphabet_size
+        return [
+            [(succ[c * k + sym], p) for sym, p in enumerate(law.dist.probs) if p > 0.0]
+            for c, law in enumerate(laws)
+        ]
+
     def _check_ergodic(self) -> None:
-        ctxs = self.contexts()
-        index = {c: i for i, c in enumerate(ctxs)}
-        fwd: list[list[int]] = [[] for _ in ctxs]
-        rev: list[list[int]] = [[] for _ in ctxs]
-        for c in ctxs:
-            i = index[c]
-            for sym, p in enumerate(self.conditional(c).probs):
-                if p > 0.0:
-                    j = index[self._successor(c, sym)]
-                    fwd[i].append(j)
-                    rev[j].append(i)
+        fwd = [[j for j, _p in row] for row in self._rows()]
+        rev: list[list[int]] = [[] for _ in fwd]
+        for i, row in enumerate(fwd):
+            for j in row:
+                rev[j].append(i)
 
         def reach(adj: list[list[int]]) -> set[int]:
             seen = {0}
@@ -340,23 +329,15 @@ class MarkovSpec(_Chain):
                         stack.append(j)
             return seen
 
-        bad = sorted(
-            (set(range(len(ctxs))) - reach(fwd))
-            | (set(range(len(ctxs))) - reach(rev))
-        )
+        every = set(range(len(fwd)))
+        bad = sorted((every - reach(fwd)) | (every - reach(rev)))
         if bad:
+            ctxs = self.contexts()
             names = ", ".join(_context_str(ctxs[i]) for i in bad[:8])
             raise NonErgodicError(
                 f"context graph is reducible; contexts not mutually "
                 f"reachable: {names}"
             )
-
-    def _transition_row(self, ctx: Context, index: dict) -> list[tuple[int, float]]:
-        return [
-            (index[self._successor(ctx, sym)], p)
-            for sym, p in enumerate(self.conditional(ctx).probs)
-            if p > 0.0
-        ]
 
     def stationary_distribution(self) -> tuple[float, ...]:
         """Stationary context weights via damped power iteration.
@@ -364,13 +345,13 @@ class MarkovSpec(_Chain):
         Damping (pi <- pi/2 + pi.P/2) removes periodicity, so the
         iteration converges for every irreducible chain.
         """
-        if "pi" in self._cache:
-            return self._cache["pi"]
+        return self._stationary
+
+    @cached_property
+    def _stationary(self) -> tuple[float, ...]:
         self._check_ergodic()
-        ctxs = self.contexts()
-        index = {c: i for i, c in enumerate(ctxs)}
-        rows = [self._transition_row(c, index) for c in ctxs]
-        pi = [1.0 / len(ctxs)] * len(ctxs)
+        rows = self._rows()
+        pi = [1.0 / len(rows)] * len(rows)
         for _ in range(1_000_000):
             nxt = [0.5 * w for w in pi]
             for i, w in enumerate(pi):
@@ -383,16 +364,12 @@ class MarkovSpec(_Chain):
                 pi = nxt
                 break
             pi = nxt
-        result = tuple(pi)
-        self._cache["pi"] = result
-        return result
+        return tuple(pi)
 
     def _check_stationary(self, pv: ProbVector) -> None:
-        ctxs = self.contexts()
-        index = {c: i for i, c in enumerate(ctxs)}
-        out = [0.0] * len(ctxs)
-        for i, c in enumerate(ctxs):
-            for j, p in self._transition_row(c, index):
+        out = [0.0] * len(pv)
+        for i, row in enumerate(self._rows()):
+            for j, p in row:
                 out[j] += pv[i] * p
         worst = max(abs(a - b) for a, b in zip(out, pv.probs))
         if worst > 1e-9:
@@ -401,47 +378,52 @@ class MarkovSpec(_Chain):
                 f"(max |pi.P - pi| = {worst:.3e})"
             )
 
-    def initial_mixture(self) -> dict[Context, float]:
-        """Initial context weights implied by ``init``."""
+    def initial_mixture(self) -> dict[int, float]:
+        """The numbered contexts ``init`` starts in, with their weights."""
         mode, payload = self.init
         if mode == "context":
-            return {payload: 1.0}  # type: ignore[dict-item]
-        ctxs = self.contexts()
+            return {self.contexts().index(payload): 1.0}  # type: ignore[arg-type]
         if mode == "distribution":
-            pv = as_probvector(payload)  # type: ignore[arg-type]
-            return {c: pv[i] for i, c in enumerate(ctxs) if pv[i] > 0.0}
-        pi = self.stationary_distribution()
-        return {c: pi[i] for i, c in enumerate(ctxs) if pi[i] > 0.0}
-
-    def draw_start(self, source: BitSource) -> Context:
-        """Draw the hidden initial context that ``init`` describes.
-
-        The sampler over contexts is built once per spec and cached
-        beside the stationary law.
-        """
-        mode, payload = self.init
-        if mode == "context":
-            return payload  # type: ignore[return-value]
-        if "start" not in self._cache:
-            if mode == "distribution":
-                weights = as_probvector(payload).probs  # type: ignore[arg-type]
-            else:
-                weights = self.stationary_distribution()
-            self._cache["start"] = IidSpec.from_probs(weights)
-        return self.contexts()[sample_discrete(self._cache["start"], source)]
+            weights = as_probvector(payload).probs  # type: ignore[arg-type]
+        else:
+            weights = self.stationary_distribution()
+        return {c: w for c, w in enumerate(weights) if w > 0.0}
 
 
-def markov_sample(spec: MarkovSpec, t: int, source: BitSource) -> tuple[int, ...]:
+def _walk(
+    laws: Sequence[IidSpec], succ: Sequence[int], state: int, source: BitSource
+) -> Iterator[int]:
+    """The one draw loop: numbered state ``state`` emits a symbol s drawn
+    from ``laws[state]`` and moves to ``succ[state * k + s]``."""
+    k = len(succ) // len(laws)
+    while True:
+        sym = sample_discrete(laws[state], source)
+        yield sym
+        state = succ[state * k + sym]
+
+
+def symbols(spec: IidSpec | MarkovSpec, source: BitSource) -> Iterator[int]:
+    """The spec's endless symbol stream, each symbol drawn from
+    ``source`` when it is read.  A start context that ``init`` leaves
+    open is drawn at once; it is hidden state, not output."""
+    state, law = spec._start
+    if law is not None:
+        state = sample_discrete(law, source)
+    laws, succ = spec._steps
+    return _walk(laws, succ, state, source)
+
+
+def markov_sample(
+    spec: IidSpec | MarkovSpec, t: int, source: BitSource
+) -> tuple[int, ...]:
     """Emit t symbols.  The initial context is hidden state, not output."""
     if t < 0:
         raise ValueError(f"sample length must be >= 0, got {t}")
-    ctx = spec.draw_start(source)
-    out = []
-    for _ in range(t):
-        sym = sample_discrete(spec.transitions[ctx], source)
-        out.append(sym)
-        ctx = spec._successor(ctx, sym)
-    return tuple(out)
+    return tuple(islice(symbols(spec, source), t))
+
+
+def iid_sample(spec: IidSpec, t: int, source: BitSource) -> tuple[int, ...]:
+    return markov_sample(spec, t, source)
 
 
 def sequence_log_probability(
@@ -452,19 +434,18 @@ def sequence_log_probability(
     sequence is certain: exactly 0 bits, with no log-space round trip."""
     if not seq:
         return 0.0
+    laws, succ = spec._steps
+    k = spec.alphabet_size
     branches = []
-    for ctx, w in spec.initial_mixture().items():
+    for c, w in spec.initial_mixture().items():
         ll = math.log2(w)
-        dead = False
-        cur = ctx
         for sym in seq:
-            p = spec.conditional(cur)[sym]
+            p = laws[c].dist[sym]
             if p == 0.0:
-                dead = True
                 break
             ll += math.log2(p)
-            cur = spec._successor(cur, sym)
-        if not dead:
+            c = succ[c * k + sym]
+        else:
             branches.append(ll)
     if not branches:
         return math.inf
@@ -516,22 +497,21 @@ class DecodedMessage:
 def spread_encode(
     code: SpreadCode, message: str, t: int, source: BitSource
 ) -> tuple[int, ...]:
-    """Emit t symbols; position j is drawn from the component selected
-    by message symbol ((j-1) mod message_length)."""
+    """Emit t symbols: a walk whose state is the message position, j
+    drawn from the component message symbol ((j-1) mod length) picks."""
     if len(message) != code.message_length:
         raise ValueError(
             f"message length {len(message)} != {code.message_length}"
         )
-    idx = []
+    laws = []
     for ch in message:
         v = int(ch)
         if not 0 <= v < len(code.components):
             raise ValueError(f"message symbol {ch!r} has no component")
-        idx.append(v)
-    out = []
-    for j in range(t):
-        out.append(sample_discrete(code.components[idx[j % len(idx)]], source))
-    return tuple(out)
+        laws.append(code.components[v])
+    k = laws[0].alphabet_size
+    succ = [(j + 1) % len(laws) for j in range(len(laws)) for _ in range(k)]
+    return tuple(islice(_walk(laws, succ, 0, source), max(t, 0)))
 
 
 def spread_decode(

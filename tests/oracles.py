@@ -22,22 +22,25 @@ from samplex import (
     Decision,
     DecisionStatus,
     EmpiricalSCDist,
+    IidSpec,
     PosteriorState,
     StoppingConfig,
     as_probvector,
     entropy_rate,
     equivalence_groups,
-    markov_sample,
     posterior_update,
     resolution_cap,
+    sample_discrete,
     sequence_log_probability,
 )
 from samplex.bayes import (
     _logsumexp2,
     _member_index,
 )
-from samplex.info import ENUM_LIMIT
 from samplex.scdist import _diff_positions
+
+# Hard ceiling on exhaustive sequence enumeration: alphabet**horizon.
+ENUM_LIMIT = 2**20
 
 
 def oracle_cap(r: float) -> float:
@@ -182,6 +185,86 @@ def sample_discrete_reference(spec, source: BitSource) -> int:
                 return j
         z = (z << 1) | source.next_bit()
         n += 1
+
+
+def _next_context(spec, ctx: tuple[int, ...], sym: int) -> tuple[int, ...]:
+    """The context a chain moves to, stepped by hand: its last
+    ``memory`` symbols."""
+    return (ctx + (sym,))[-spec.memory:] if spec.memory else ()
+
+
+def _start_weights(spec) -> dict[tuple[int, ...], float]:
+    """Each start context's weight as ``init`` gives it, zero weights
+    kept; an iid spec and a fixed start have one context."""
+    if isinstance(spec, IidSpec):
+        return {(): 1.0}
+    mode, payload = spec.init
+    if mode == "context":
+        return {payload: 1.0}
+    if mode == "distribution":
+        weights = as_probvector(payload).probs
+    else:
+        weights = spec.stationary_distribution()
+    contexts = itertools.product(range(spec.alphabet_size), repeat=spec.memory)
+    return dict(zip(contexts, weights))
+
+
+def draw_start_reference(spec, source: BitSource) -> tuple[int, ...]:
+    """The hidden start context.  When ``init`` leaves more than one
+    open it is drawn from ``source`` by the dyadic law of its weights,
+    contexts in lexicographic order."""
+    start = _start_weights(spec)
+    if len(start) == 1:
+        return next(iter(start))
+    law = IidSpec.from_probs(list(start.values()))
+    return list(start)[sample_discrete(law, source)]
+
+
+def markov_sample_reference(spec, t: int, source: BitSource) -> tuple[int, ...]:
+    """t symbols of an iid or Markov spec, stepping tuple contexts by
+    hand: each symbol is drawn from its context's row, and the context
+    then keeps the last ``memory`` symbols."""
+    ctx = draw_start_reference(spec, source)
+    out = []
+    for _ in range(t):
+        sym = sample_discrete(spec.transitions[ctx], source)
+        out.append(sym)
+        ctx = _next_context(spec, ctx, sym)
+    return tuple(out)
+
+
+def spread_encode_reference(code, message: str, t: int, source: BitSource) -> tuple[int, ...]:
+    """t symbols of a spread code: position j is drawn from the component
+    that message symbol j mod L selects."""
+    idx = [int(ch) for ch in message]
+    return tuple(
+        sample_discrete(code.components[idx[j % len(idx)]], source)
+        for j in range(t)
+    )
+
+
+def block_distribution(spec, t: int) -> dict[tuple[int, ...], float]:
+    """P(sequence) for every length-t sequence of positive probability,
+    by a forward pass over (sequence, context) pairs from the start
+    weights, stepping tuple contexts by hand."""
+    k = spec.alphabet_size
+    if k**t > ENUM_LIMIT:
+        raise ComputationRefused(
+            f"block enumeration {k}**{t} exceeds the {ENUM_LIMIT} limit"
+        )
+    layer = {((), ctx): w for ctx, w in _start_weights(spec).items() if w > 0.0}
+    for _ in range(t):
+        nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
+        for (seq, ctx), w in layer.items():
+            for sym, p in enumerate(spec.conditional(ctx).probs):
+                if p > 0.0:
+                    key = (seq + (sym,), _next_context(spec, ctx, sym))
+                    nxt[key] = nxt.get(key, 0.0) + w * p
+        layer = nxt
+    out: dict[tuple[int, ...], float] = {}
+    for (seq, _ctx), w in layer.items():
+        out[seq] = out.get(seq, 0.0) + w
+    return out
 
 
 def draw_counts_reference(rng: random.Random, cum: list[float], n: int) -> list[int]:
@@ -441,10 +524,11 @@ def mc_trial_reference(ideal, hset, prior, cfg, budget: int, seed: str) -> Decis
     """One Monte Carlo stopping trial by definition: the full posterior
     state is rebuilt and the reference stopping rule re-applied after
     every symbol, starting at t = 0.  The ideal's symbols are those of
-    ``markov_sample``, which steps an iid spec as the memory-0 chain."""
+    ``markov_sample_reference``, which steps an iid spec as the memory-0
+    chain."""
     state = PosteriorState.from_prior(hset, prior)
     decision = check_stop_reference(state, cfg)
-    for sym in markov_sample(ideal, budget, BitSource(seed)):
+    for sym in markov_sample_reference(ideal, budget, BitSource(seed)):
         if decision.terminal or decision.status is not DecisionStatus.UNDETERMINED:
             return decision
         state = posterior_update(state, sym)

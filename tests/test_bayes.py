@@ -33,11 +33,13 @@ from samplex import (
     sample_discrete,
     sequence_log_probability,
     surprisal_moment,
+    symbols,
     typical_set_bounds,
     warmup_threshold,
 )
 
 from oracles import (
+    block_distribution,
     check_stop_reference,
     draw_counts_reference,
     hand_posterior,
@@ -129,8 +131,8 @@ class TestIidIsTheMemoryZeroChain:
     def test_blocks_and_sequences_agree_with_the_chain(self, spec, third):
         chain_ = repeated(spec)
         for t in range(5):
-            iid_block = spec.block_distribution(t)
-            chain_block = chain_.block_distribution(t)
+            iid_block = block_distribution(spec, t)
+            chain_block = block_distribution(chain_, t)
             assert iid_block.keys() == chain_block.keys()
             for seq, p in iid_block.items():
                 assert chain_block[seq] == pytest.approx(p, rel=0.0, abs=1e-12)
@@ -147,10 +149,10 @@ class TestIidIsTheMemoryZeroChain:
 
     def test_the_start_reads_no_flips(self):
         source = BitSource(5)
-        assert B9.draw_start(source) == ()
+        symbols(B9, source)
         assert source.bits_consumed == 0
         assert B9.transitions == {(): B9}
-        assert B9.initial_mixture() == {(): 1.0}
+        assert B9.initial_mixture() == {0: 1.0}
         assert B9.stationary_distribution() == (1.0,)
 
 
@@ -317,7 +319,7 @@ class TestPosterior:
     def test_predictive_before_the_hidden_start_collapses(self, t):
         prior = (0.3, 0.7)
         blocks = [
-            (m.block_distribution(t), m.block_distribution(t + 1))
+            (block_distribution(m, t), block_distribution(m, t + 1))
             for m in M2_PAIR.members
         ]
         for seq in itertools.product(range(2), repeat=t):

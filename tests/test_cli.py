@@ -503,6 +503,40 @@ class TestDeterminism:
         )
 
 
+class TestPosteriorTrace:
+    @pytest.mark.parametrize(
+        "ideal, other, start_draws",
+        [
+            ([0.5, 0.5], [0.1, 0.9], 0),
+            (markov1(0.25, 0.75), markov1(0.75, 0.25), 1),  # a drawn start
+        ],
+        ids=["iid", "markov"],
+    )
+    def test_draws_only_the_symbols_it_scores(
+        self, monkeypatch, ideal, other, start_draws
+    ):
+        import samplex.cli as cli
+        import samplex.processes as processes
+        from samplex import HypothesisSet, StoppingConfig
+
+        draws = 0
+        sample_discrete = processes.sample_discrete
+
+        def counted(spec, source):
+            nonlocal draws
+            draws += 1
+            return sample_discrete(spec, source)
+
+        monkeypatch.setattr(processes, "sample_discrete", counted)
+        spec = cli._process(ideal, "$.ideal")
+        hset = HypothesisSet((spec, cli._process(other, "$.other")))
+        scfg = StoppingConfig(p=0.9)
+        rows = cli._posterior_trace(spec, hset, [0.5, 0.5], scfg, 11, 50)
+        s = rows[-1][0]
+        assert 0 < s < 50  # the trace stopped before its limit
+        assert draws == s + start_draws
+
+
 class TestOutputs:
     def test_stdout_by_default(self, tmp_path, capsys):
         path = write_config(

@@ -139,6 +139,46 @@ def test_the_cli_imports_only_public_library_names():
     assert private == []
 
 
+def _private_names(tree: ast.Module) -> set[str]:
+    """Names a module defines with a leading underscore: module-level
+    and class-level definitions and assignments, and attributes its code
+    stores on an object; dunders are not private."""
+    names = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    }
+    scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    for scope in scopes:
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.add(node.target.id)
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def test_only_processes_reads_its_private_names():
+    # how a chain steps is known to processes alone: no other module
+    # imports or reads an attribute that only processes defines privately
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    own = _private_names(trees.pop("processes"))
+    own -= set().union(*map(_private_names, trees.values()))
+    reads = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            reads += [f"{module}: {name}" for name in names if name in own]
+    assert reads == []
+
+
 def test_a_monte_carlo_run_imports_no_numpy(tmp_path):
     # numpy is installed here but is no runtime dependency; a fresh
     # interpreter shows what a run really imports

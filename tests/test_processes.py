@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -18,24 +19,28 @@ from samplex import (
     SpreadCode,
     entropy,
     entropy_rate,
-    iid_sample,
     markov_sample,
     sample_discrete,
     sequence_log_probability,
     spec_from_json,
     spread_decode,
     spread_encode,
+    symbols,
     total_variation,
 )
 
 from samplex.info import ProbVector
+from samplex.processes import iid_sample
 
 from oracles import (
+    block_distribution,
     exact_decode_error,
     exact_expected_bits,
     exact_ml_bit_error,
     exact_stationary,
+    markov_sample_reference,
     sample_discrete_reference,
+    spread_encode_reference,
 )
 
 FAIR = IidSpec.from_probs([0.5, 0.5])
@@ -128,7 +133,7 @@ class TestIidSpec:
         assert spec.dist.probs == pytest.approx(weights, abs=1e-15)
 
     def test_block_distribution(self):
-        block = FAIR.block_distribution(3)
+        block = block_distribution(FAIR, 3)
         assert len(block) == 8
         assert all(p == pytest.approx(0.125) for p in block.values())
 
@@ -227,8 +232,9 @@ def _random_specs(n: int, seed: int) -> list[IidSpec]:
 
 def _chain_specs() -> list[IidSpec]:
     chain = spec_from_json(MEMORY2_CHAIN)
-    chain.draw_start(BitSource(0))  # builds the sampler over contexts
-    return [chain.transitions[c] for c in chain.contexts()] + [chain._cache["start"]]
+    # the rows, and the law a stationary start is drawn from
+    start = IidSpec.from_probs(chain.stationary_distribution())
+    return [chain.transitions[c] for c in chain.contexts()] + [start]
 
 
 DEEP = IidSpec(  # a 2**-200 cell, past what from_probs keeps unrounded
@@ -310,6 +316,92 @@ class TestRefinementTrie:
         assert spec == twin and hash(spec) == hash(twin)
 
 
+def _random_law(rng: random.Random, k: int) -> IidSpec:
+    """Float weights, some of them zero, rounded onto the dyadic grid."""
+    raw = [rng.random() if rng.random() < 0.8 else 0.0 for _ in range(k)]
+    if not any(raw):
+        raw[rng.randrange(k)] = 1.0
+    total = math.fsum(raw)
+    return IidSpec.from_probs([w / total for w in raw])
+
+
+def _random_chains(n: int, memory: int, mode: str, seed: int) -> list[MarkovSpec]:
+    """Seeded irreducible chains over 2 or 3 symbols, started by ``mode``;
+    a "distribution" start is the chain's own stationary law."""
+    rng = random.Random(seed)
+    chains = []
+    while len(chains) < n:
+        k = rng.choice((2, 3))
+        rows = {
+            ctx: _random_law(rng, k)
+            for ctx in itertools.product(range(k), repeat=memory)
+        }
+        try:
+            chain = MarkovSpec(memory, rows, ("stationary", None))
+        except NonErgodicError:
+            continue
+        if mode == "context":
+            chain = MarkovSpec(memory, rows, ("context", rng.choice(list(rows))))
+        elif mode == "distribution":
+            pi = ProbVector(chain.stationary_distribution())
+            chain = MarkovSpec(memory, rows, ("distribution", pi))
+        chains.append(chain)
+    return chains
+
+
+def _random_codes(n: int, components: int, seed: int) -> list[tuple[SpreadCode, str]]:
+    """Seeded spread codes with messages of 1 to 5 symbols."""
+    rng = random.Random(seed)
+    codes = []
+    for _ in range(n):
+        k = rng.choice((2, 3))
+        laws = tuple(_random_law(rng, k) for _ in range(components))
+        length = rng.randint(1, 5)
+        message = "".join(str(rng.randrange(components)) for _ in range(length))
+        codes.append((SpreadCode(length, laws), message))
+    return codes
+
+
+STREAM_SPECS = {
+    "iid-zero-cells": TRIE_SPECS["zero-cells"],
+    "iid-one-symbol": [IidSpec.from_probs([1.0]), IidSpec.from_probs([0.0, 1.0])],
+    "iid-rounded": TRIE_SPECS["thirds"] + [IidSpec.from_probs([0.2, 0.8])],
+    "iid-random": TRIE_SPECS["random"],
+    **{
+        f"memory-{memory}-{mode}": _random_chains(4, memory, mode, 10 * memory + i)
+        for memory in (1, 2)
+        for i, mode in enumerate(("context", "distribution", "stationary"))
+    },
+}
+LENGTHS = [0, 1, 7, 300]
+
+
+class TestOneDrawLoop:
+    """The one draw loop over numbered states against the tuple-context
+    loops in tests/oracles.py: the same symbols from the same flips."""
+
+    @pytest.mark.parametrize("t", LENGTHS)
+    @pytest.mark.parametrize("group", STREAM_SPECS)
+    def test_processes_match_the_reference(self, group, t):
+        for i, spec in enumerate(STREAM_SPECS[group]):
+            seed = f"{group}:{i}:{t}"
+            ref, sampled, streamed = BitSource(seed), BitSource(seed), BitSource(seed)
+            want = markov_sample_reference(spec, t, ref)
+            assert markov_sample(spec, t, sampled) == want, spec
+            assert tuple(itertools.islice(symbols(spec, streamed), t)) == want, spec
+            assert sampled.bits_consumed == ref.bits_consumed, spec
+            assert streamed.bits_consumed == ref.bits_consumed, spec
+
+    @pytest.mark.parametrize("t", LENGTHS)
+    @pytest.mark.parametrize("components", [2, 3])
+    def test_spread_codes_match_the_reference(self, components, t):
+        for i, (code, message) in enumerate(_random_codes(8, components, components)):
+            ref, got = BitSource(f"{i}:{t}"), BitSource(f"{i}:{t}")
+            want = spread_encode_reference(code, message, t, ref)
+            assert spread_encode(code, message, t, got) == want, message
+            assert got.bits_consumed == ref.bits_consumed, message
+
+
 class TestSeededSamplerOutput:
     """Seeded draws pinned as integers, so a sampler change that moves
     them fails here by name.  Trial i reads BitSource("{seed}:{i}"), as
@@ -317,12 +409,11 @@ class TestSeededSamplerOutput:
 
     @staticmethod
     def _draw(spec, t: int, trials: int, seed: int):
-        draw = markov_sample if isinstance(spec, MarkovSpec) else iid_sample
         counts = [0] * spec.alphabet_size
         bits = []
         for i in range(trials):
             source = BitSource(f"{seed}:{i}")
-            for sym in draw(spec, t, source):
+            for sym in markov_sample(spec, t, source):
                 counts[sym] += 1
             bits.append(source.bits_consumed)
         return counts, bits
@@ -461,18 +552,18 @@ class TestMarkovSpec:
             },
             init=("context", (0,)),
         )
-        assert spec.initial_mixture() == {(0,): 1.0}
+        assert spec.initial_mixture() == {0: 1.0}
 
     def test_block_distribution_sums_to_one(self):
         spec = sticky_chain(0.9)
-        block = spec.block_distribution(4)
+        block = block_distribution(spec, 4)
         assert math.fsum(block.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_entropy_rate_matches_block_increment(self):
         spec = sticky_chain(0.9)
 
         def block_entropy(t):
-            block = spec.block_distribution(t).values()
+            block = block_distribution(spec, t).values()
             return -math.fsum(p * math.log2(p) for p in block if p > 0.0)
 
         assert block_entropy(6) - block_entropy(5) == pytest.approx(entropy_rate(spec), abs=1e-6)
@@ -517,7 +608,7 @@ class TestSequenceLogProbability:
 
     def test_markov_agrees_with_block_enumeration(self):
         spec = sticky_chain(0.75)
-        block = spec.block_distribution(5)
+        block = block_distribution(spec, 5)
         for seq, p in list(block.items())[:8]:
             assert sequence_log_probability(spec, seq) == pytest.approx(
                 -math.log2(p), abs=1e-9
