@@ -506,7 +506,6 @@ class MCStoppingReport:
     dist: EmpiricalSCDist
     decisions: dict[str, int]
     trials: int
-    seed: int | str
 
     def mean(self) -> float:
         return self.dist.moment(1)
@@ -611,7 +610,7 @@ def mc_sample_complexity(
         else:
             counts[t] = counts.get(t, 0) + 1
     dist = EmpiricalSCDist(counts, trials, censored)
-    return MCStoppingReport(dist, decisions, trials, seed)
+    return MCStoppingReport(dist, decisions, trials)
 
 
 # ---------------------------------------------------------------------------

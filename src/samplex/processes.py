@@ -503,12 +503,12 @@ def spread_encode(
         raise ValueError(
             f"message length {len(message)} != {code.message_length}"
         )
+    digits = "0123456789"[: len(code.components)]
     laws = []
     for ch in message:
-        v = int(ch)
-        if not 0 <= v < len(code.components):
+        if ch not in digits:
             raise ValueError(f"message symbol {ch!r} has no component")
-        laws.append(code.components[v])
+        laws.append(code.components[int(ch)])
     k = laws[0].alphabet_size
     succ = [(j + 1) % len(laws) for j in range(len(laws)) for _ in range(k)]
     return tuple(islice(_walk(laws, succ, 0, source), max(t, 0)))

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,14 @@ def write_config(tmp_path: Path, cfg: dict, name: str = "cfg.json") -> str:
     return str(path)
 
 
+def assert_invalid_at(tmp_path: Path, capsys, cfg: dict, path: str) -> None:
+    """``cfg`` runs to exit 2, refused at ``path`` with no traceback."""
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"config invalid: {path}:" in err
+    assert "Traceback" not in err
+
+
 def run_to_file(tmp_path: Path, cfg: dict, *extra: str) -> dict:
     out = tmp_path / "result.json"
     code = main(
@@ -133,27 +142,6 @@ class TestValidateConfig:
     def test_missing_required_field(self):
         with pytest.raises(ConfigError, match=r"\$"):
             validate_config({"kind": "scdist", "L": 4})
-
-    def test_bayes_q_must_not_exceed_p(self):
-        cfg = dict(BAYES_CFG, q=0.95)
-        with pytest.raises(ConfigError, match="q"):
-            validate_config(cfg)
-
-    def test_prior_length_must_match_hypotheses(self):
-        cfg = dict(BAYES_CFG, prior=[0.2, 0.3, 0.5])
-        with pytest.raises(ConfigError, match="prior"):
-            validate_config(cfg)
-
-    def test_spread_message_symbols_need_components(self):
-        cfg = {
-            "kind": "spread",
-            "message": "012",
-            "components": [[0.7, 0.3], [0.3, 0.7]],
-            "t": 50,
-            "trials": 3,
-        }
-        with pytest.raises(ConfigError, match="message"):
-            validate_config(cfg)
 
     def test_process_shapes_are_interchangeable(self):
         bare = validate_config(BAYES_CFG)
@@ -238,9 +226,13 @@ class TestExitCodes:
                 "-Infinity is not a JSON number",
             ),
             ('{"kind": "scdist", "L": 3, "K": 1, "x": "\udcff"}', "can't decode"),
+            # past the float range: JSON, but it reads as an infinity
+            (json.dumps(BAYES_CFG)[:-1] + ', "eps_d": 1e999}', "1e999 is not a finite number"),
+            (json.dumps(NOVELTY_CFG)[:-1] + ', "q": -1e999}', "-1e999 is not a finite number"),
         ],
         ids=["figure3-nan", "identify-nan", "bayes-nan", "bayes-infinity",
-             "novelty-minus-infinity", "not-utf-8"],
+             "novelty-minus-infinity", "not-utf-8", "bayes-overflow",
+             "novelty-minus-overflow"],
     )
     def test_configs_that_are_not_json_are_unreadable(
         self, tmp_path, capsys, text, reason
@@ -296,6 +288,17 @@ class TestExitCodes:
         assert main(["verify", "--pair", "astrology"]) == EXIT_INVALID
         assert "known pairs" in capsys.readouterr().err
 
+    def test_bayes_q_must_not_exceed_p(self, tmp_path, capsys):
+        assert_invalid_at(tmp_path, capsys, {**BAYES_CFG, "q": 0.95}, "$.q")
+
+    def test_prior_length_must_match_hypotheses(self, tmp_path, capsys):
+        cfg = {**BAYES_CFG, "prior": [0.2, 0.3, 0.5]}
+        assert_invalid_at(tmp_path, capsys, cfg, "$.prior")
+
+    def test_spread_message_symbols_need_components(self, tmp_path, capsys):
+        cfg = {**SPREAD_CFG, "message": "012", "t": 50, "trials": 3}
+        assert_invalid_at(tmp_path, capsys, cfg, "$.message")
+
     def test_markov_member_far_crossing_is_refused(self, tmp_path, capsys):
         # the members differ only after a 1, so the expected-surprisal
         # crossing lies past the exact horizon, where the Monte Carlo
@@ -325,11 +328,13 @@ class TestExitCodes:
                 }}},
                 "$.ideal",
             ),
+            # members over different alphabets
+            ({**BAYES_CFG, "hypotheses": [[0.5, 0.5], [0.2, 0.3, 0.5]]}, "$.hypotheses"),
+            ({"kind": "scdist", "L": 4, "K": 5}, "$.K"),
         ],
     )
     def test_weights_the_model_rejects_are_invalid(self, tmp_path, capsys, cfg, path):
-        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_INVALID
-        assert f"config invalid: {path}:" in capsys.readouterr().err
+        assert_invalid_at(tmp_path, capsys, cfg, path)
 
     @pytest.mark.parametrize(
         "cfg, path",
@@ -350,10 +355,7 @@ class TestExitCodes:
         ],
     )
     def test_an_ideal_the_library_refuses_is_invalid(self, tmp_path, capsys, cfg, path):
-        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_INVALID
-        err = capsys.readouterr().err
-        assert f"config invalid: {path}:" in err
-        assert "Traceback" not in err
+        assert_invalid_at(tmp_path, capsys, cfg, path)
 
     @pytest.mark.parametrize(
         "members",
@@ -369,9 +371,33 @@ class TestExitCodes:
         assert "config invalid: $.members:" in err
         assert "Traceback" not in err
 
-    def test_bad_thread_count(self, tmp_path, capsys):
+    def test_bad_thread_count(self, tmp_path):
         path = write_config(tmp_path, BAYES_CFG)
-        assert main(["run", "--config", path, "--threads", "0"]) == EXIT_INVALID
+        assert _exit_code(["run", "--config", path, "--threads", "0"]) == (EXIT_INVALID, "")
+
+    # one config per cross-field constraint the schema documents, each
+    # schema-valid and breaking that constraint alone
+    CONSTRAINTS = {
+        "bayes: q <= p": ({**BAYES_CFG, "q": 0.95}, "$.q"),
+        "bayes: len(prior) == len(hypotheses)": (
+            {**BAYES_CFG, "prior": [0.2, 0.3, 0.5]}, "$.prior"
+        ),
+        "spread: every message symbol indexes a component": (
+            {**SPREAD_CFG, "message": "012"}, "$.message"
+        ),
+        "identify: members must be non-empty bit strings": (
+            {"kind": "identify", "members": ["0", ""], "query": "0", "r": 0}, "$.members"
+        ),
+    }
+
+    def test_every_documented_constraint_is_refused_at_its_field(self, tmp_path, capsys):
+        schema = json.loads(
+            resources.files("samplex.schema").joinpath("experiment-v1.json").read_text()
+        )
+        assert list(self.CONSTRAINTS) == schema["x-constraints"]
+        for cfg, path in self.CONSTRAINTS.values():
+            assert validate_config(cfg) is cfg
+            assert_invalid_at(tmp_path, capsys, cfg, path)
 
     @pytest.mark.parametrize(
         "pair, flag, value",
@@ -426,7 +452,7 @@ class TestVerifyPairs:
         out = capsys.readouterr().out
         assert "entropy: 1" in out
 
-    @pytest.mark.parametrize("spec", ["[0.5,0.6]", "[1.5,-0.5]", "notjson"])
+    @pytest.mark.parametrize("spec", ["[0.5,0.6]", "[1.5,-0.5]", "notjson", "[1e999, 0.5]"])
     def test_coin_bits_bad_spec_is_invalid(self, capsys, spec):
         code = main(["verify", "--pair", "coin-bits", "--spec", spec])
         assert code == EXIT_INVALID

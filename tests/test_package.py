@@ -179,6 +179,33 @@ def test_only_processes_reads_its_private_names():
     assert reads == []
 
 
+def test_validate_config_reads_no_field_of_its_config():
+    # each cross-field constraint is refused by the library object that
+    # owns it, so validate_config only hands its argument to the schema
+    # validator and returns it: no subscript, no .get, no kind branch
+    tree = ast.parse((SRC / "cli.py").read_text())
+    func = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "validate_config"
+    )
+    (param,) = func.args.args
+    parents = {child: node for node in ast.walk(func) for child in ast.iter_child_nodes(node)}
+    uses = []
+    for node in ast.walk(func):
+        if not (isinstance(node, ast.Name) and node.id == param.arg):
+            continue
+        parent = parents[node]
+        validated = (
+            isinstance(parent, ast.Call)
+            and parent.args == [node]
+            and isinstance(parent.func, ast.Attribute)
+            and parent.func.attr == "iter_errors"
+        )
+        if not (validated or isinstance(parent, ast.Return)):
+            uses.append(ast.unparse(parent))
+    assert uses == []
+
+
 def test_a_monte_carlo_run_imports_no_numpy(tmp_path):
     # numpy is installed here but is no runtime dependency; a fresh
     # interpreter shows what a run really imports

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -628,8 +629,10 @@ class TestSpreadCode:
     def test_rejects_bad_message(self):
         with pytest.raises(ValueError):
             spread_encode(self.CODE, "012", 10, BitSource(0))
-        with pytest.raises(ValueError):
-            spread_encode(self.CODE, "0120", 10, BitSource(0))
+        # every character that is not a component index is named
+        for ch in "2\n ":
+            with pytest.raises(ValueError, match=re.escape(f"symbol {ch!r} has no component")):
+                spread_encode(self.CODE, f"01{ch}0", 10, BitSource(0))
 
     def test_round_trip_at_generous_length(self):
         msg = "0110"
