@@ -50,8 +50,9 @@ import itertools
 import math
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from .bitstrings import resolution_cap
@@ -112,10 +113,11 @@ def divergence_rate(a: ProcessSpec, b: ProcessSpec) -> float:
 
 @dataclass(frozen=True)
 class HypothesisSet:
-    """Finite candidate processes over one alphabet with equal memory."""
+    """Finite candidate processes over one alphabet with equal memory.
+    What is derived from the members is built on first use, kept on the
+    set and takes no part in equality."""
 
     members: tuple[ProcessSpec, ...]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -140,26 +142,30 @@ class HypothesisSet:
     def memory(self) -> int:
         return self.members[0].memory
 
+    @cached_property
     def rates(self) -> tuple[float, ...]:
-        if "rates" not in self._cache:
-            self._cache["rates"] = tuple(
-                entropy_rate(m) for m in self.members
-            )
-        return self._cache["rates"]
+        return tuple(entropy_rate(m) for m in self.members)
 
-    def equal_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Partition into structurally identical members."""
-        if "classes" not in self._cache:
-            groups: list[list[int]] = []
-            for i, m in enumerate(self.members):
-                for g in groups:
-                    if self.members[g[0]] == m:
-                        g.append(i)
-                        break
-                else:
-                    groups.append([i])
-            self._cache["classes"] = tuple(tuple(g) for g in groups)
-        return self._cache["classes"]
+    @cached_property
+    def _log_table(self) -> list[list[float]]:
+        """Each member's log2 P(sym | context) at index c * k + sym, with
+        the contexts numbered in ``contexts()`` order, so the window that
+        context c and symbol sym leave is numbered (c * k + sym) % k**memory.
+        The one place member conditionals become log2 values."""
+        contexts = self.members[0].contexts()
+        return [
+            [_log2(p) for ctx in contexts for p in m.conditional(ctx).probs]
+            for m in self.members
+        ]
+
+    # memos: ``_start_score`` by prefix, ``equivalence_groups`` by slack
+    @cached_property
+    def _starts(self) -> dict[Context, tuple[float, ...]]:
+        return {}
+
+    @cached_property
+    def _groups(self) -> dict[float, tuple[tuple[int, ...], ...]]:
+        return {}
 
 
 def equivalence_groups(
@@ -170,11 +176,10 @@ def equivalence_groups(
 
     eps_d = 0 groups only distributions with divergence exactly zero.
     """
-    if eps_d < 0.0:
+    if not eps_d >= 0.0:
         raise ValueError(f"dissimilarity slack must be >= 0, got {eps_d}")
-    key = ("groups", eps_d)
-    if key in hset._cache:
-        return hset._cache[key]
+    if eps_d in hset._groups:
+        return hset._groups[eps_d]
     n = len(hset)
     parent = list(range(n))
 
@@ -194,29 +199,15 @@ def equivalence_groups(
     groups = tuple(
         tuple(sorted(g)) for g in sorted(buckets.values(), key=min)
     )
-    hset._cache[key] = groups
+    hset._groups[eps_d] = groups
     return groups
-
-
-def _log_table(hset: HypothesisSet) -> list[list[float]]:
-    """Each member's log2 P(sym | context) at index c * k + sym, with the
-    contexts numbered in ``contexts()`` order, so the window that context
-    c and symbol sym leave is numbered (c * k + sym) % k**memory.  The one
-    place member conditionals become log2 values; built once per set."""
-    if "logtab" not in hset._cache:
-        contexts = hset.members[0].contexts()
-        hset._cache["logtab"] = [
-            [_log2(p) for ctx in contexts for p in m.conditional(ctx).probs]
-            for m in hset.members
-        ]
-    return hset._cache["logtab"]
 
 
 def _start_score(hset: HypothesisSet, prefix: Context) -> tuple[float, ...]:
     """Each member's log2 likelihood of a prefix of at most ``memory``
     symbols, summed over its hidden start (-sequence_log_probability);
     kept per prefix on the set."""
-    scores = hset._cache.setdefault("starts", {})
+    scores = hset._starts
     if prefix not in scores:
         scores[prefix] = tuple(
             -sequence_log_probability(m, prefix) for m in hset.members
@@ -244,7 +235,7 @@ class PosteriorState:
     a chain's hidden start has not collapsed: the likelihoods are the
     prefix's start score (``_start_score``).  From then on the window is
     every member's context, and each step adds one entry of the set's
-    log table (``_log_table``).
+    log table (``HypothesisSet._log_table``).
     """
 
     hset: HypothesisSet
@@ -306,7 +297,7 @@ def posterior_update(state: PosteriorState, symbol: int) -> PosteriorState:
         for sym in window:
             step = step * k + sym
         loglik = tuple(
-            ll + row[step] for ll, row in zip(state.loglik, _log_table(hset))
+            ll + row[step] for ll, row in zip(state.loglik, hset._log_table)
         )
         window = window[1:]
     return PosteriorState(hset, state.log_prior, loglik, state.t + 1, window)
@@ -383,7 +374,7 @@ class StoppingConfig:
             raise ValueError(
                 f"need 0 <= q <= p <= 1, got q={self.q!r}, p={self.p!r}"
             )
-        if self.eps_d < 0.0:
+        if not self.eps_d >= 0.0:
             raise ValueError(f"eps_d must be >= 0, got {self.eps_d!r}")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"resolution must be in [0, 1], got {self.r!r}")
@@ -426,7 +417,7 @@ def _stopping_rule(
     Hitting the resolution cap forces a terminal Undetermined.
     """
     members = range(len(hset))
-    rates = hset.rates()
+    rates = hset.rates
     groups = equivalence_groups(hset, cfg.eps_d)
     eps_p = -math.log2(cfg.p) if cfg.p > 0.0 else math.inf
     eps_q = -math.log2(cfg.q) if cfg.q > 0.0 else math.inf
@@ -435,7 +426,7 @@ def _stopping_rule(
     )
     cap = resolution_cap(cfg.r)
     live = {i for i in members if log_prior[i] > -math.inf}
-    logtab = _log_table(hset)
+    logtab = hset._log_table
     # with p = 1 and every live member at full support no live likelihood
     # ever reaches 0, so structural certainty is the prior's alone: it
     # holds at every t exactly when the live members share one group.
@@ -538,7 +529,7 @@ def _mc_trial(
     k = hset.alphabet_size
     memory = hset.memory
     n_ctx = k**memory
-    logtab = _log_table(hset)
+    logtab = hset._log_table
     loglik = [0.0] * len(hset)
     prefix: Context = ()
     window = 0
@@ -725,7 +716,7 @@ def _class_walk(
     k = hset.alphabet_size
     memory = hset.memory
     n_ctx = k**memory
-    logtab = _log_table(hset)
+    logtab = hset._log_table
     if rng is not None:
         cdfs = [_InverseCdf(m.conditional(()).probs) for m in members]
     # class key: (generator, first symbols, window as a context index,
@@ -961,8 +952,7 @@ def expected_sc_evaluator(
     target = -math.log2(p)
     if pv[idx] >= p:
         return SCEstimate(0.0, "prior-threshold", None, 0)
-    cls = next(c for c in hset.equal_classes() if idx in c)
-    mass = math.fsum(pv[i] for i in cls)
+    mass = math.fsum(w for m, w in zip(hset.members, pv.probs) if m == ideal)
     if pv[idx] == 0.0 or -math.log2(pv[idx] / mass) > target + _FLOOR_TOL:
         return _UNREACHABLE
 
@@ -1004,7 +994,8 @@ def mc_surprisal_moment_curve(
     idx = _member_index(ideal, hset)
     if hset.memory:
         raise ValueError("importance-sampled moments need memoryless members")
-    comps = [cls[0] for cls in hset.equal_classes()]
+    members = hset.members
+    comps = [i for i, m in enumerate(members) if m not in members[:i]]
     log_ncomp = math.log2(len(comps))
 
     rng = random.Random(f"{seed}:moments")

@@ -72,6 +72,7 @@ EXIT_INVALID = 2
 EXIT_REFUSED = 3
 
 _STEP_BUDGET = 50_000_000  # symbols a single CLI run may draw
+_ROW_LIMIT = 1_000_000  # table rows: figure3 t_max, scdist L
 _OUT_DIR_VAR = "SAMPLEX_OUT"
 
 
@@ -199,8 +200,8 @@ def _run_scdist(cfg: dict, seed: int, meta: dict) -> dict:
     L, K = cfg["L"], cfg["K"]
     with _field("$.K"):
         dist = pairwise_verification(L) if K == 0 else PairwiseSCDist(L, K)
-    if L > 1_000_000:
-        raise ComputationRefused(f"length {L} beyond the supported range")
+    if L > _ROW_LIMIT:
+        raise ComputationRefused(f"length {L} beyond the row limit {_ROW_LIMIT}")
     highest = cfg.get("moments", 2)
     rows = []
     for i in dist.support():
@@ -433,6 +434,8 @@ def _run_novelty(cfg: dict, seed: int, meta: dict) -> dict:
 def _run_figure3(cfg: dict, seed: int, meta: dict) -> dict:
     spec = _process(cfg["spec"], "$.spec")
     p, q, t_max = cfg["p"], cfg["q"], cfg["t_max"]
+    if t_max > _ROW_LIMIT:
+        raise ComputationRefused(f"t_max {t_max} beyond the row limit {_ROW_LIMIT}")
     rate = entropy_rate(spec)
     rows = []
     for t in range(1, t_max + 1):

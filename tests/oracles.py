@@ -477,7 +477,7 @@ def check_stop_reference(state: PosteriorState, cfg: StoppingConfig) -> Decision
 
     posterior = state.posterior().probs
     groups = equivalence_groups(state.hset, cfg.eps_d)
-    rates = state.hset.rates()
+    rates = state.hset.rates
     masses = [math.fsum(posterior[i] for i in g) for g in groups]
     best = max(range(len(groups)), key=masses.__getitem__)
     group = groups[best]

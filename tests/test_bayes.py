@@ -206,7 +206,7 @@ class TestHypothesisSet:
             HypothesisSet((B5, IidSpec.from_probs([0.25, 0.25, 0.5])))
 
     def test_rates(self):
-        rates = HypothesisSet((B5, B9)).rates()
+        rates = HypothesisSet((B5, B9)).rates
         assert rates[0] == pytest.approx(1.0)
         assert rates[1] == pytest.approx(0.4689955935892812)
 
@@ -216,7 +216,10 @@ class TestHypothesisSet:
         again = IidSpec.from_probs(list(B9.dist.probs))
         assert (B9.rounded, again.rounded) == (True, False)
         assert again == B9
-        assert HypothesisSet((B9, B5, again)).equal_classes() == ((0, 2), (1,))
+        # the ideal's duplicate caps its posterior at 1/2, below p = 0.9
+        hset = HypothesisSet((B9, B5, again))
+        estimate = expected_sc_evaluator(B9, hset, (1 / 3,) * 3, 0.9)
+        assert estimate.method == "unreachable-threshold"
 
 
 class TestEquivalenceGroups:
@@ -230,6 +233,11 @@ class TestEquivalenceGroups:
 
     def test_distinct_members_stay_apart(self):
         assert equivalence_groups(PAIR, 0.0) == ((0,), (1,))
+
+    def test_rejects_a_negative_or_nan_slack(self):
+        for eps_d in (-0.5, float("nan")):
+            with pytest.raises(ValueError):
+                equivalence_groups(PAIR, eps_d)
 
 
 class TestPosterior:
@@ -436,6 +444,8 @@ class TestStoppingRules:
             StoppingConfig(p=1.5)
         with pytest.raises(ValueError):
             StoppingConfig(r=-0.5)
+        with pytest.raises(ValueError):
+            StoppingConfig(eps_d=float("nan"))
 
     def test_pinned_threshold_cases(self):
         hset = HypothesisSet((B5, IidSpec.from_probs([0.0, 1.0])))
@@ -557,7 +567,7 @@ class TestStoppingRules:
                     for g in equivalence_groups(hset, cfg.eps_d)
                 ]
                 edges = [-math.log2(x) for x in (p, q) if 0.0 < x < 1.0]
-                rates = hset.rates()
+                rates = hset.rates
                 if (p < 1.0 and any(near(m, p) for m in masses)) or (
                     state.t
                     and any(
@@ -578,7 +588,7 @@ class TestStoppingRules:
         1e-4 bits inside or outside the edge rate + side x eps of its
         band; member 1 sits a bit per symbol above its rate, outside
         every band used here, and holds posterior mass under 2^-17."""
-        rates = PAIR.rates()
+        rates = PAIR.rates
         offset = eps - 1e-4 if inside else eps + 1e-4
         t = 64
         loglik = (-t * (rates[0] + side * offset), -t * (rates[1] + 1.0))
@@ -806,6 +816,18 @@ class TestSurprisalMoments:
         assert set(curve) == {(t, m) for t in range(1, 7) for m in (1, 2)}
         for t, m in ((3, 1), (6, 2)):
             exact = surprisal_moment(B5, PAIR, UNIFORM, t, m)
+            assert curve[(t, m)] == pytest.approx(exact, rel=0.1)
+
+    def test_mc_curve_samples_a_duplicate_member_once(self):
+        # the sampling mixture holds each distinct member once; with the
+        # ideal listed twice the estimate must still match enumeration
+        hset = HypothesisSet((B5, B9, B5))
+        prior = (0.25, 0.5, 0.25)
+        curve = mc_surprisal_moment_curve(
+            B5, hset, prior, t_max=6, orders=(1, 2), sequences=4000, seed=9
+        )
+        for t, m in ((3, 1), (6, 2)):
+            exact = surprisal_moment(B5, hset, prior, t, m)
             assert curve[(t, m)] == pytest.approx(exact, rel=0.1)
 
     def test_mc_curve_handles_three_symbols(self):

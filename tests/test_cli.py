@@ -259,8 +259,11 @@ class TestExitCodes:
             {**SPREAD_CFG, "t": 100_000, "trials": 1_000},
             {**BAYES_CFG, "trials": 100_000, "max_steps": 10_000},
             {**NOVELTY_CFG, "trials": 100_000, "budget": 1_000},
+            {"kind": "figure3", "spec": [0.5, 0.5], "p": 0.9, "q": 0.5,
+             "t_max": 1_000_001},
+            {"kind": "scdist", "L": 1_000_001, "K": 1},
         ],
-        ids=["sample", "spread", "bayes", "novelty"],
+        ids=["sample", "spread", "bayes", "novelty", "figure3", "scdist"],
     )
     def test_oversized_run_is_refused(self, tmp_path, capsys, cfg):
         path = write_config(tmp_path, cfg)
@@ -298,6 +301,11 @@ class TestExitCodes:
     def test_spread_message_symbols_need_components(self, tmp_path, capsys):
         cfg = {**SPREAD_CFG, "message": "012", "t": 50, "trials": 3}
         assert_invalid_at(tmp_path, capsys, cfg, "$.message")
+
+    def test_a_bad_spec_is_invalid_before_the_row_limit(self, tmp_path, capsys):
+        cfg = {"kind": "figure3", "spec": [0.5, 0.6], "p": 0.9, "q": 0.5,
+               "t_max": 1_000_001}
+        assert_invalid_at(tmp_path, capsys, cfg, "$.spec")
 
     def test_markov_member_far_crossing_is_refused(self, tmp_path, capsys):
         # the members differ only after a 1, so the expected-surprisal
@@ -387,6 +395,11 @@ class TestExitCodes:
         ),
         "identify: members must be non-empty bit strings": (
             {"kind": "identify", "members": ["0", ""], "query": "0", "r": 0}, "$.members"
+        ),
+        "scdist: K <= L": ({"kind": "scdist", "L": 4, "K": 5}, "$.K"),
+        "bayes, novelty: hypotheses share one alphabet size and memory": (
+            {**BAYES_CFG, "hypotheses": [[0.5, 0.5], [0.25, 0.25, 0.5]]},
+            "$.hypotheses",
         ),
     }
 
@@ -561,6 +574,15 @@ class TestPosteriorTrace:
         s = rows[-1][0]
         assert 0 < s < 50  # the trace stopped before its limit
         assert draws == s + start_draws
+
+    def test_stops_when_every_member_is_falsified(self, tmp_path, capsys):
+        cfg = {"kind": "bayes", "ideal": [0, 0, 1], "hypotheses": [[1, 0, 0], [0, 1, 0]],
+               "prior": [0.5, 0.5], "p": 0.9, "trials": 5, "seed": 1}
+        payload = run_to_file(tmp_path, cfg)["payload"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert payload["table"]["rows"] == [[0, 0.5, 0.5]]
+        assert payload["decision_histogram"]["Falsified"] == 5
+        assert payload["analytic_expected_t"] is None
 
 
 class TestOutputs:
