@@ -17,6 +17,7 @@ from .bayes import (
     falsification_bounds,
     mc_sample_complexity,
     mc_surprisal_moment_curve,
+    posterior_trace,
     posterior_update,
     surprisal_moment,
     typical_set_bounds,
@@ -75,7 +76,8 @@ __all__ = [
     "PosteriorState", "SCEstimate", "StoppingConfig", "check_stop",
     "divergence_rate", "equivalence_groups", "expected_sc_evaluator",
     "falsification_bounds", "mc_sample_complexity",
-    "mc_surprisal_moment_curve", "posterior_update", "surprisal_moment",
+    "mc_surprisal_moment_curve", "posterior_trace", "posterior_update",
+    "surprisal_moment",
     "typical_set_bounds", "warmup_threshold",
     # bitstrings
     "IdOutcome", "IdStatus", "SortedHypothesisSet", "build_context_tree",

@@ -18,7 +18,9 @@ band form is used throughout.
 The rule is written once, in ``_stopping_rule``: ``check_stop`` and
 every Monte Carlo stopping trial decide through the same function.  A
 trial reads the ideal's symbols from ``processes.symbols``, the one
-draw loop of the library.
+draw loop of the library, and ``_mc_trial`` is the one loop that scores
+them.  The posterior trace is one more stopping trial through that
+loop, whose decide function also records the posterior at each step.
 
 A member's likelihood is also written once.  Each set caches one log
 table, log2 P(symbol | context) for every member, and one start score
@@ -57,12 +59,15 @@ from typing import Callable, Iterator, Sequence
 
 from .bitstrings import resolution_cap
 from .info import (
+    STEP_BUDGET,
     ComputationRefused,
     ProbVector,
     as_probvector,
     cross_entropy,
     entropy_rate,
+    logsumexp2,
     relative_entropy,
+    safe_log2,
     stationary_rate,
 )
 from .processes import (
@@ -76,7 +81,6 @@ from .processes import (
 from .scdist import EmpiricalSCDist
 
 _FLOOR_TOL = 1e-12
-_HARD_T_MAX = 100_000
 _DEFAULT_MC_SEQUENCES = 10_000
 _DEFAULT_BUDGET = 100_000
 # sequence classes one horizon of the exact surprisal walk may hold; on
@@ -85,17 +89,6 @@ _DEFAULT_BUDGET = 100_000
 _CLASS_LIMIT = 65_536
 
 ProcessSpec = IidSpec | MarkovSpec
-
-
-def _log2(x: float) -> float:
-    return math.log2(x) if x > 0.0 else -math.inf
-
-
-def _logsumexp2(vals: Sequence[float]) -> float:
-    top = max(vals, default=-math.inf)
-    if top == -math.inf:
-        return -math.inf
-    return top + math.log2(math.fsum(2.0 ** (v - top) for v in vals))
 
 
 def divergence_rate(a: ProcessSpec, b: ProcessSpec) -> float:
@@ -154,7 +147,7 @@ class HypothesisSet:
         The one place member conditionals become log2 values."""
         contexts = self.members[0].contexts()
         return [
-            [_log2(p) for ctx in contexts for p in m.conditional(ctx).probs]
+            [safe_log2(p) for ctx in contexts for p in m.conditional(ctx).probs]
             for m in self.members
         ]
 
@@ -223,7 +216,7 @@ def _log_prior(
     pv = as_probvector(prior)
     if len(pv) != len(hset):
         raise ValueError(f"prior over {len(pv)} weights for {len(hset)} members")
-    return tuple(_log2(w) for w in pv.probs)
+    return tuple(safe_log2(w) for w in pv.probs)
 
 
 @dataclass(frozen=True)
@@ -259,23 +252,36 @@ class PosteriorState:
         )
 
     def log_posterior(self) -> tuple[float, ...]:
-        scores = [
-            lp + ll for lp, ll in zip(self.log_prior, self.loglik)
-        ]
-        norm = _logsumexp2(scores)
-        if norm == -math.inf:
+        logs = _log_posterior(self.log_prior, self.loglik)
+        if logs is None:
             raise ValueError(
                 "posterior undefined: every hypothesis assigns the "
                 "observations probability 0"
             )
-        return tuple(s - norm for s in scores)
+        return logs
 
     def posterior(self) -> ProbVector:
-        logs = self.log_posterior()
-        top = max(logs)
-        weights = [2.0 ** (l - top) for l in logs]
-        total = math.fsum(weights)
-        return ProbVector(tuple(w / total for w in weights))
+        return ProbVector(_normalize(self.log_posterior()))
+
+
+def _log_posterior(
+    log_prior: Sequence[float], loglik: Sequence[float]
+) -> tuple[float, ...] | None:
+    """Each member's log2 posterior, or None once every member is
+    falsified."""
+    scores = [lp + ll for lp, ll in zip(log_prior, loglik)]
+    norm = logsumexp2(scores)
+    if norm == -math.inf:
+        return None
+    return tuple(s - norm for s in scores)
+
+
+def _normalize(logs: Sequence[float]) -> tuple[float, ...]:
+    """The probabilities of log2 posteriors, weighed against the largest."""
+    top = max(logs)
+    weights = [2.0 ** (l - top) for l in logs]
+    total = math.fsum(weights)
+    return tuple(w / total for w in weights)
 
 
 def posterior_update(state: PosteriorState, symbol: int) -> PosteriorState:
@@ -509,6 +515,16 @@ def _trial_seed(seed: int | str, index: int) -> str:
     return f"{seed}:{index}"
 
 
+def _check_alphabet(ideal: ProcessSpec, hset: HypothesisSet) -> None:
+    """The ideal of a stopping trial may differ from the members in
+    memory, not in alphabet."""
+    if ideal.alphabet_size != hset.alphabet_size:
+        raise ValueError(
+            f"the ideal emits {ideal.alphabet_size} symbols, the "
+            f"hypotheses {hset.alphabet_size}"
+        )
+
+
 def _mc_trial(
     ideal: ProcessSpec,
     hset: HypothesisSet,
@@ -570,11 +586,7 @@ def mc_sample_complexity(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if ideal.alphabet_size != hset.alphabet_size:
-        raise ValueError(
-            f"the ideal emits {ideal.alphabet_size} symbols, the "
-            f"hypotheses {hset.alphabet_size}"
-        )
+    _check_alphabet(ideal, hset)
     start = PosteriorState.from_prior(hset, prior)
     cap = resolution_cap(cfg.r)
     budget = int(cap) if cfg.r > 0.0 else _DEFAULT_BUDGET
@@ -602,6 +614,36 @@ def mc_sample_complexity(
             counts[t] = counts.get(t, 0) + 1
     dist = EmpiricalSCDist(counts, trials, censored)
     return MCStoppingReport(dist, decisions, trials)
+
+
+def posterior_trace(
+    ideal: ProcessSpec,
+    hset: HypothesisSet,
+    prior: ProbVector | Sequence[float],
+    cfg: StoppingConfig,
+    seed: int | str,
+    limit: int,
+) -> list[tuple[float, ...]]:
+    """The posterior at t = 0, 1, 2, ... (row t) of one stopping trial,
+    the trial seeded "{seed}:trace" and run through the same loop as the
+    trials of ``mc_sample_complexity``, for at most ``limit``
+    observations.  The last row is the one the rule decided at; once
+    every member is falsified the trace ends without a row."""
+    _check_alphabet(ideal, hset)
+    log_prior = _log_prior(hset, prior)
+    decide = _stopping_rule(hset, cfg, log_prior)
+    rows: list[tuple[float, ...]] = []
+
+    def record(loglik: Sequence[float], t: int) -> _Verdict | None:
+        logs = _log_posterior(log_prior, loglik)
+        if logs is None:
+            return DecisionStatus.FALSIFIED, ()
+        rows.append(_normalize(logs))
+        return decide(loglik, t)
+
+    if record((0.0,) * len(hset), 0) is None:
+        _mc_trial(ideal, hset, record, limit, f"{seed}:trace")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +778,7 @@ def _class_walk(
                 dead.append(key)
                 continue
             scores = [log_prior[m] + ll[m] for m in range(n)]
-            norm = _logsumexp2(scores)
+            norm = logsumexp2(scores)
             scored.append((gen, mult, ll, -(scores[target] - norm)))
         yield scored
 
@@ -827,14 +869,13 @@ class SCEstimate:
 def _scan_crossing(
     target: float,
     curve: Iterator[tuple[float, float | None]],
-    hard_max: int,
 ) -> SCEstimate:
     """Find the first t where a nonincreasing curve drops to the target.
 
     ``curve`` yields (value, se) for t = 0, 1, 2, ...: exact values carry
     se None, Monte Carlo values their standard error.  The scan stops at
     the first horizon whose upper bound value + 1.96 se reaches the
-    target, or at hard_max.  A crossing at an exact value is reported as
+    target, or where the curve ends.  A crossing at an exact value is reported as
     enumeration; otherwise the estimate and both ends of its confidence
     interval are first crossings of value + offset x se.
     """
@@ -847,7 +888,7 @@ def _scan_crossing(
             frac = (prev - target) / (prev - value) if prev > value else 1.0
             return SCEstimate((t - 1) + frac, "enumeration", None, t)
         points.append((value, se or 0.0))
-        if value + 1.96 * (se or 0.0) <= target or t >= hard_max:
+        if value + 1.96 * (se or 0.0) <= target:
             break
 
     def crossing(offset: float) -> float | None:
@@ -887,7 +928,8 @@ def _surprisal_curve(
     or up to the first horizon past its class limit.  From there on a
     Monte Carlo population of ``sequences`` drawn from the target takes
     over, for memoryless members only: a value is the population's mean
-    surprisal, with its standard error.
+    surprisal, with its standard error.  The population steps from t = 0
+    and ends the curve at horizon STEP_BUDGET // sequences.
     """
     t = 0
     walk = _posterior_surprisal_walk(hset, log_prior, target, lambda s: s)
@@ -905,7 +947,7 @@ def _surprisal_curve(
     # the walk starts one uniform per sequence into the stream, as seeded curves always have
     rng.getrandbits(64 * sequences)
     walk = _class_walk(hset, log_prior, target, {target: sequences}, rng)
-    for classes in itertools.islice(walk, t, None):
+    for classes in itertools.islice(walk, t, STEP_BUDGET // sequences):
         mean = math.fsum(m * s for _, m, _, s in classes) / sequences
         square = math.fsum(m * s**2 for _, m, _, s in classes) / sequences
         yield mean, math.sqrt(max(0.0, square - mean**2) / sequences)
@@ -933,7 +975,9 @@ def expected_sc_evaluator(
     population of ``sequences`` (at least 2, for a standard error) gives
     estimates with confidence bounds, for memoryless members over any
     alphabet; finite-memory members whose crossing lies past the exact
-    horizon raise ComputationRefused.
+    horizon raise ComputationRefused.  The population steps at most
+    STEP_BUDGET // sequences horizons; a curve still above the target
+    there is reported as not converged.
     At p = 1 memoryless members cross at t = 1 or never (the Monte
     Carlo curve would only see rounding).  A prior already at the
     threshold answers 0; a posterior ceiling below the threshold
@@ -962,10 +1006,10 @@ def expected_sc_evaluator(
         # live member emits keeps positive likelihood on that symbol's
         # constant run forever, so a surprisal not at 0 by t = 1 never is
         curve = _surprisal_curve(hset, log_prior, idx, 1, sequences, seed)
-        found = _scan_crossing(0.0, curve, 1)
+        found = _scan_crossing(0.0, itertools.islice(curve, 2))
         return _UNREACHABLE if found.smallest_t is None else found
     curve = _surprisal_curve(hset, log_prior, idx, exact_t_max, sequences, seed)
-    return _scan_crossing(target, curve, _HARD_T_MAX)
+    return _scan_crossing(target, curve)
 
 
 def mc_surprisal_moment_curve(
@@ -1008,7 +1052,7 @@ def mc_surprisal_moment_curve(
             sums[(t, m)] = 0.0
         for _gen, mult, ll, surprisal in classes:
             # weight = P_ideal(prefix) / Q(prefix), exact in log space
-            log_q = _logsumexp2([ll[c] for c in comps]) - log_ncomp
+            log_q = logsumexp2([ll[c] for c in comps]) - log_ncomp
             w = mult * 2.0 ** (ll[idx] - log_q)
             for m in orders:
                 sums[(t, m)] += w * surprisal**m

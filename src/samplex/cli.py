@@ -32,11 +32,10 @@ from .bayes import (
     HypothesisSet,
     PosteriorState,
     StoppingConfig,
-    check_stop,
     expected_sc_evaluator,
     falsification_bounds,
     mc_sample_complexity,
-    posterior_update,
+    posterior_trace,
     typical_set_bounds,
 )
 from .bitstrings import (
@@ -47,6 +46,7 @@ from .bitstrings import (
     identify_tree,
 )
 from .info import (
+    STEP_BUDGET,
     ComputationRefused,
     entropy,
     entropy_rate,
@@ -56,7 +56,10 @@ from .processes import (
     BitSource,
     IidSpec,
     MarkovSpec,
+    SpreadCode,
     spec_from_json,
+    spread_decode,
+    spread_encode,
     symbols,
 )
 from .scdist import (
@@ -71,7 +74,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID = 2
 EXIT_REFUSED = 3
 
-_STEP_BUDGET = 50_000_000  # symbols a single CLI run may draw
 _ROW_LIMIT = 1_000_000  # table rows: figure3 t_max, scdist L
 _OUT_DIR_VAR = "SAMPLEX_OUT"
 
@@ -153,9 +155,9 @@ def _csv_text(table: dict) -> str:
 
 def _check_budget(runs: int, length: int) -> None:
     """Refuse ``runs`` runs of ``length`` symbols past the step budget."""
-    if runs * length > _STEP_BUDGET:
+    if runs * length > STEP_BUDGET:
         raise ComputationRefused(
-            f"{runs} x {length} symbols exceeds the step budget {_STEP_BUDGET}"
+            f"{runs} x {length} symbols exceeds the step budget {STEP_BUDGET}"
         )
 
 
@@ -258,8 +260,6 @@ def _run_sample(cfg: dict, seed: int, meta: dict) -> dict:
 
 
 def _run_spread(cfg: dict, seed: int, meta: dict) -> dict:
-    from .processes import SpreadCode, spread_decode, spread_encode
-
     components = tuple(
         _process(probs, f"$.components[{i}]")
         for i, probs in enumerate(cfg["components"])
@@ -342,22 +342,6 @@ def _stopping_trials(
     return ideal, hset, scfg, report
 
 
-def _posterior_trace(ideal, hset, prior, scfg, seed, limit: int) -> list[list]:
-    state = PosteriorState.from_prior(hset, prior)
-    rows: list[list] = [[0, *state.posterior().probs]]
-    stream = symbols(ideal, BitSource(f"{seed}:trace"))
-    for _ in range(limit):
-        decision = check_stop(state, scfg)
-        if decision.terminal or decision.status is not DecisionStatus.UNDETERMINED:
-            break
-        # a symbol is drawn only once the trace goes on to score it
-        state = posterior_update(state, next(stream))
-        if state.all_falsified:
-            break
-        rows.append([state.t, *state.posterior().probs])
-    return rows
-
-
 def _mean_ci(report) -> list[float] | None:
     # summed in the report's count order: another order moves the last bits
     times = [t for t, c in report.dist.counts.items() for _ in range(c)]
@@ -384,7 +368,7 @@ def _run_bayes(cfg: dict, seed: int, meta: dict) -> dict:
         except ValueError:
             analytic = None
     with _phase(meta, "trace_s"):
-        trace = _posterior_trace(ideal, hset, cfg["prior"], scfg, seed, 50)
+        trace = posterior_trace(ideal, hset, cfg["prior"], scfg, seed, 50)
     decided = report.dist.censored < cfg["trials"]
     return {
         "decision_histogram": report.decisions,
@@ -395,7 +379,7 @@ def _run_bayes(cfg: dict, seed: int, meta: dict) -> dict:
         "ci": _mean_ci(report),
         "table": {
             "columns": ["t"] + [f"posterior_{i}" for i in range(len(hset))],
-            "rows": trace,
+            "rows": [[t, *probs] for t, probs in enumerate(trace)],
         },
     }
 

@@ -26,6 +26,25 @@ class ComputationRefused(RuntimeError):
     """
 
 
+# sequence steps one run may take: symbols a CLI run draws, or horizons
+# x sequences of a Monte Carlo surprisal curve
+STEP_BUDGET = 50_000_000
+
+
+def safe_log2(x: float) -> float:
+    """log2 of a probability, -inf at 0."""
+    return math.log2(x) if x > 0.0 else -math.inf
+
+
+def logsumexp2(vals: Sequence[float]) -> float:
+    """log2 of the sum of 2**v, scaled by the largest v; -inf when every
+    v is -inf or there is none."""
+    top = max(vals, default=-math.inf)
+    if top == -math.inf:
+        return -math.inf
+    return top + math.log2(math.fsum(2.0 ** (v - top) for v in vals))
+
+
 def _check_prob(p: float) -> float:
     if math.isnan(p) or p < 0.0 or p > 1.0:
         raise ValueError(f"probability out of range [0, 1]: {p!r}")

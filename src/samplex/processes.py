@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import ClassVar, Iterator, Mapping, Sequence
 
-from .info import ProbVector, as_probvector
+from .info import ProbVector, as_probvector, logsumexp2, safe_log2
 
 _MAX_DYADIC_BITS = 53  # resolution used when rounding non-dyadic weights
 
@@ -447,10 +447,7 @@ def sequence_log_probability(
             c = succ[c * k + sym]
         else:
             branches.append(ll)
-    if not branches:
-        return math.inf
-    top = max(branches)
-    return -(top + math.log2(math.fsum(2.0 ** (b - top) for b in branches)))
+    return -logsumexp2(branches)
 
 
 @dataclass(frozen=True)
@@ -524,14 +521,7 @@ def spread_decode(
     None with confidence 0.
     """
     ell = code.message_length
-    logp = []
-    for comp in code.components:
-        logp.append(
-            [
-                math.log2(p) if p > 0.0 else -math.inf
-                for p in comp.dist.probs
-            ]
-        )
+    logp = [[safe_log2(p) for p in comp.dist.probs] for comp in code.components]
     bits: list[int | None] = []
     confs: list[float] = []
     for pos in range(ell):

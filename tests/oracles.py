@@ -26,17 +26,17 @@ from samplex import (
     PosteriorState,
     StoppingConfig,
     as_probvector,
+    check_stop,
     entropy_rate,
     equivalence_groups,
     posterior_update,
     resolution_cap,
     sample_discrete,
     sequence_log_probability,
+    symbols,
 )
-from samplex.bayes import (
-    _logsumexp2,
-    _member_index,
-)
+from samplex.bayes import _member_index
+from samplex.info import logsumexp2
 from samplex.scdist import _diff_positions
 
 # Hard ceiling on exhaustive sequence enumeration: alphabet**horizon.
@@ -441,7 +441,7 @@ def surprisal_moment_product_form(ideal, hset, prior, t: int, m: int) -> float:
     cross_t = 0.0  # t-block cross entropy, ideal against the mixture
     for seq in itertools.product(range(k), repeat=t):
         lp_true = -sequence_log_probability(ideal, seq)
-        mix = _logsumexp2(
+        mix = logsumexp2(
             [
                 log_prior[j] - sequence_log_probability(members[j], seq)
                 for j in range(len(members))
@@ -550,3 +550,23 @@ def mc_stopping_reference(
         if d.status is not DecisionStatus.UNDETERMINED:
             counts[d.t] = counts.get(d.t, 0) + 1
     return counts, decisions
+
+
+def posterior_trace_reference(ideal, hset, prior, scfg, seed, limit: int) -> list[list]:
+    """Rows [t, *posterior] of the trace by posterior states: ``check_stop``
+    before each symbol, one ``posterior_update`` per symbol, drawn only
+    once the trace goes on to score it, and no row once every member is
+    falsified."""
+    state = PosteriorState.from_prior(hset, prior)
+    rows: list[list] = [[0, *state.posterior().probs]]
+    stream = symbols(ideal, BitSource(f"{seed}:trace"))
+    for _ in range(limit):
+        decision = check_stop(state, scfg)
+        if decision.terminal or decision.status is not DecisionStatus.UNDETERMINED:
+            break
+        # a symbol is drawn only once the trace goes on to score it
+        state = posterior_update(state, next(stream))
+        if state.all_falsified:
+            break
+        rows.append([state.t, *state.posterior().probs])
+    return rows

@@ -29,6 +29,7 @@ from samplex import (
     falsification_bounds,
     mc_sample_complexity,
     mc_surprisal_moment_curve,
+    posterior_trace,
     posterior_update,
     sample_discrete,
     sequence_log_probability,
@@ -45,6 +46,7 @@ from oracles import (
     hand_posterior,
     mc_stopping_reference,
     posterior_surprisal_reference,
+    posterior_trace_reference,
     surprisal_moment_direct,
     surprisal_moment_product_form,
 )
@@ -634,6 +636,91 @@ class TestStoppingRules:
             )
 
 
+def stopping_scenarios():
+    """(ideal, hset, prior, cfg) stopping trials the library runs against
+    its reference loops: iid sets over 2 and 3 symbols, memory-1 and
+    memory-2 chains with each start, p < 1 and p = 1, q > 0, eps_d > 0,
+    r-caps, an ideal every member rules out, and priors that decide at
+    t = 0."""
+    close = IidSpec.from_probs([0.4375, 0.5625])
+    ones_only = IidSpec.from_probs([0.0, 1.0])
+    sticky = m1(0.125, 0.875)
+    flip = m1(0.75, 0.25)
+    no_00 = m1(0.0, 0.5)  # never emits 0 right after a 0
+    no_11 = m1(0.5, 1.0)  # never emits 1 right after a 1
+    m2a = chain(2, (0.125, 0.625, 0.5, 0.875), ("context", (0, 1)))
+    m2b = chain(2, (0.75, 0.25, 0.5, 0.125))
+    # flip as a memory-2 chain, started from its stationary law as given
+    lag2 = chain(2, (0.75, 0.25, 0.75, 0.25))
+    given = chain(2, (0.75, 0.25, 0.75, 0.25), ("distribution", lag2.stationary_distribution()))
+    return [
+        (B5, PAIR, UNIFORM, StoppingConfig(p=0.9)),
+        (B5, HypothesisSet((B9, B95)), UNIFORM, StoppingConfig(p=1.0, q=0.5)),
+        (B9, PAIR, UNIFORM, StoppingConfig(p=0.8, q=0.25)),
+        # r-caps: none, one and three observations
+        (B5, PAIR, UNIFORM, StoppingConfig(p=0.9, r=1.0)),
+        (B5, PAIR, UNIFORM, StoppingConfig(p=0.9, r=0.5)),
+        (B5, PAIR, UNIFORM, StoppingConfig(p=0.99, r=0.125)),
+        # the two near members form one group: partial identification
+        (
+            B5,
+            HypothesisSet((B5, close, B9)),
+            (0.25, 0.25, 0.5),
+            StoppingConfig(p=0.9, eps_d=0.05),
+        ),
+        # p = 1 with zero-probability symbols: certainty is reachable
+        (B5, HypothesisSet((B5, ones_only)), UNIFORM, StoppingConfig(p=1.0)),
+        (ones_only, HypothesisSet((B5, ones_only)), UNIFORM, StoppingConfig(p=1.0)),
+        # the prior alone decides at t = 0
+        (B5, PAIR, (0.95, 0.05), StoppingConfig(p=0.9)),
+        (B5, PAIR, (1.0, 0.0), StoppingConfig(p=1.0)),
+        # memory 1: stationary and fixed-context starts
+        (sticky, HypothesisSet((sticky, flip)), UNIFORM, StoppingConfig(p=0.9)),
+        (
+            m1(0.7, 0.4),
+            HypothesisSet((m1(0.2, 0.9), m1(0.1, 0.6))),
+            UNIFORM,
+            StoppingConfig(p=1.0, q=0.7),
+        ),
+        (
+            flip,
+            HypothesisSet((sticky, m1(0.75, 0.25, ("context", (1,))))),
+            UNIFORM,
+            StoppingConfig(p=0.8, q=0.3),
+        ),
+        (no_00, HypothesisSet((no_00, no_11)), UNIFORM, StoppingConfig(p=1.0)),
+        (sticky, HypothesisSet((sticky, flip)), (0.95, 0.05), StoppingConfig(p=0.9)),
+        # memory 2, one member starting from a fixed context
+        (m2a, HypothesisSet((m2a, m2b)), UNIFORM, StoppingConfig(p=0.9, q=0.2)),
+        (m2b, HypothesisSet((m2a, m2b)), (0.3, 0.7), StoppingConfig(p=0.95, r=0.01)),
+        # three symbols, memory 1: the hidden start mixes three contexts
+        (K3_PAIR.members[0], K3_PAIR, UNIFORM, StoppingConfig(p=0.9, q=0.2)),
+        # an ideal started from a given distribution, which it draws
+        (
+            m1(0.625, 0.125, ("distribution", (0.25, 0.75))),
+            HypothesisSet((sticky, flip)),
+            UNIFORM,
+            StoppingConfig(p=0.9, q=0.2),
+        ),
+        # a 3-symbol ideal whose weights round to dyadic cells
+        (
+            IidSpec.from_probs([0.2, 0.3, 0.5]),
+            THREE,
+            UNIFORM,
+            StoppingConfig(p=0.9, q=0.2),
+        ),
+        # memory 2, an ideal started from a given distribution
+        (given, HypothesisSet((m2a, m2b)), UNIFORM, StoppingConfig(p=0.9, q=0.2)),
+        # every member rules out the ideal's only symbol at t = 1
+        (
+            IidSpec.from_probs([0.0, 0.0, 1.0]),
+            HypothesisSet((IidSpec.from_probs([1, 0, 0]), IidSpec.from_probs([0, 1, 0]))),
+            UNIFORM,
+            StoppingConfig(p=0.9),
+        ),
+    ]
+
+
 class TestMCSampleComplexity:
     CFG = StoppingConfig(p=0.9)
 
@@ -651,72 +738,7 @@ class TestMCSampleComplexity:
         assert report.dist.censored == 0
 
     def test_trial_loop_matches_the_oracle(self):
-        close = IidSpec.from_probs([0.4375, 0.5625])
-        ones_only = IidSpec.from_probs([0.0, 1.0])
-        sticky = m1(0.125, 0.875)
-        flip = m1(0.75, 0.25)
-        no_00 = m1(0.0, 0.5)  # never emits 0 right after a 0
-        no_11 = m1(0.5, 1.0)  # never emits 1 right after a 1
-        m2a = chain(2, (0.125, 0.625, 0.5, 0.875), ("context", (0, 1)))
-        m2b = chain(2, (0.75, 0.25, 0.5, 0.125))
-        scenarios = [
-            (B5, PAIR, UNIFORM, self.CFG),
-            (B5, HypothesisSet((B9, B95)), UNIFORM, StoppingConfig(p=1.0, q=0.5)),
-            (B9, PAIR, UNIFORM, StoppingConfig(p=0.8, q=0.25)),
-            # r-caps: none, one and three observations
-            (B5, PAIR, UNIFORM, StoppingConfig(p=0.9, r=1.0)),
-            (B5, PAIR, UNIFORM, StoppingConfig(p=0.9, r=0.5)),
-            (B5, PAIR, UNIFORM, StoppingConfig(p=0.99, r=0.125)),
-            # the two near members form one group: partial identification
-            (
-                B5,
-                HypothesisSet((B5, close, B9)),
-                (0.25, 0.25, 0.5),
-                StoppingConfig(p=0.9, eps_d=0.05),
-            ),
-            # p = 1 with zero-probability symbols: certainty is reachable
-            (B5, HypothesisSet((B5, ones_only)), UNIFORM, StoppingConfig(p=1.0)),
-            (ones_only, HypothesisSet((B5, ones_only)), UNIFORM, StoppingConfig(p=1.0)),
-            # the prior alone decides at t = 0
-            (B5, PAIR, (0.95, 0.05), self.CFG),
-            (B5, PAIR, (1.0, 0.0), StoppingConfig(p=1.0)),
-            # memory 1: stationary and fixed-context starts
-            (sticky, HypothesisSet((sticky, flip)), UNIFORM, self.CFG),
-            (
-                m1(0.7, 0.4),
-                HypothesisSet((m1(0.2, 0.9), m1(0.1, 0.6))),
-                UNIFORM,
-                StoppingConfig(p=1.0, q=0.7),
-            ),
-            (
-                flip,
-                HypothesisSet((sticky, m1(0.75, 0.25, ("context", (1,))))),
-                UNIFORM,
-                StoppingConfig(p=0.8, q=0.3),
-            ),
-            (no_00, HypothesisSet((no_00, no_11)), UNIFORM, StoppingConfig(p=1.0)),
-            (sticky, HypothesisSet((sticky, flip)), (0.95, 0.05), self.CFG),
-            # memory 2, one member starting from a fixed context
-            (m2a, HypothesisSet((m2a, m2b)), UNIFORM, StoppingConfig(p=0.9, q=0.2)),
-            (m2b, HypothesisSet((m2a, m2b)), (0.3, 0.7), StoppingConfig(p=0.95, r=0.01)),
-            # three symbols, memory 1: the hidden start mixes three contexts
-            (K3_PAIR.members[0], K3_PAIR, UNIFORM, StoppingConfig(p=0.9, q=0.2)),
-            # an ideal started from a given distribution, which it draws
-            (
-                m1(0.625, 0.125, ("distribution", (0.25, 0.75))),
-                HypothesisSet((sticky, flip)),
-                UNIFORM,
-                StoppingConfig(p=0.9, q=0.2),
-            ),
-            # a 3-symbol ideal whose weights round to dyadic cells
-            (
-                IidSpec.from_probs([0.2, 0.3, 0.5]),
-                THREE,
-                UNIFORM,
-                StoppingConfig(p=0.9, q=0.2),
-            ),
-        ]
-        for n, (ideal, hset, prior, cfg) in enumerate(scenarios):
+        for n, (ideal, hset, prior, cfg) in enumerate(stopping_scenarios()):
             got = mc_sample_complexity(
                 ideal, hset, prior, cfg, trials=40, seed=31, max_steps=300
             )
@@ -769,6 +791,39 @@ class TestMCSampleComplexity:
             late.append(state.posterior()[0])
         assert sum(late) / len(late) > sum(early) / len(early)
         assert sum(late) / len(late) > 0.95
+
+
+class TestPosteriorTrace:
+    @pytest.mark.parametrize("seed", (3, 31))
+    def test_matches_the_state_by_state_trace(self, seed):
+        scenarios = stopping_scenarios() + [
+            # certainty is unreachable: the trace runs to its limit
+            (B5, PAIR, UNIFORM, StoppingConfig(p=1.0)),
+        ]
+        for n, (ideal, hset, prior, cfg) in enumerate(scenarios):
+            rows = posterior_trace(ideal, hset, prior, cfg, seed, 50)
+            want = posterior_trace_reference(ideal, hset, prior, cfg, seed, 50)
+            assert [[t, *probs] for t, probs in enumerate(rows)] == want, n
+
+    def test_builds_the_stopping_rule_once(self, monkeypatch):
+        built = 0
+        rule = samplex.bayes._stopping_rule
+
+        def counted(*args):
+            nonlocal built
+            built += 1
+            return rule(*args)
+
+        monkeypatch.setattr(samplex.bayes, "_stopping_rule", counted)
+        rows = posterior_trace(B5, PAIR, UNIFORM, StoppingConfig(p=1.0), 3, 50)
+        assert (len(rows), built) == (51, 1)
+        built = 0
+        posterior_trace_reference(B5, PAIR, UNIFORM, StoppingConfig(p=1.0), 3, 50)
+        assert built == 50  # once before each symbol
+
+    def test_refuses_an_ideal_over_another_alphabet(self):
+        with pytest.raises(ValueError, match="emits 3 symbols"):
+            posterior_trace(T3, PAIR, UNIFORM, StoppingConfig(p=0.9), 3, 50)
 
 
 class TestSurprisalMoments:
@@ -1024,6 +1079,12 @@ class TestExpectedSampleComplexity:
         assert est.method == "enumeration"
         assert est.smallest_t == 14
 
+    def test_the_step_budget_leaves_the_exact_walk_whole(self):
+        # 10**7 sequences may take 5 Monte Carlo steps; the exact walk
+        # draws none and still crosses at t = 14
+        est = expected_sc_evaluator(B5, PAIR, UNIFORM, 0.9, sequences=10**7)
+        assert (est.method, est.smallest_t) == ("enumeration", 14)
+
     def test_confident_prior_needs_no_observations(self):
         est = expected_sc_evaluator(B5, PAIR, (0.95, 0.05), 0.9)
         assert est.value == 0.0
@@ -1134,17 +1195,17 @@ class TestExpectedSampleComplexity:
 
         scan = samplex.bayes._scan_crossing
         exact = [(1.0, None), (0.5, None), (0.05, None)]
-        assert scan(1.0, curve(exact[:1]), 100).method == "prior-threshold"
-        est = scan(0.1, curve(exact), 100)
+        assert scan(1.0, curve(exact[:1])).method == "prior-threshold"
+        est = scan(0.1, curve(exact))
         assert (est.value, est.method, est.smallest_t) == (1 + 0.4 / 0.45, "enumeration", 2)
         # Monte Carlo from t = 1 on with se 0.1: the mean crosses 0.1 at
         # t = 2, mean - 1.96 se at t = 2, mean + 1.96 se only at t = 4
         mc = [(1.0, None), (0.5, 0.1), (0.05, 0.1), (0.0, 0.1), (-0.2, 0.1)]
-        est = scan(0.1, curve(mc), 100)
+        est = scan(0.1, curve(mc))
         assert est.method == "monte-carlo"
         assert est.value == pytest.approx(1 + 0.4 / 0.45)
         assert est.ci == pytest.approx((1 + 0.204 / 0.45, 3 + 0.096 / 0.2))
-        assert scan(0.1, curve(mc[:3]), 2).ci[1] == math.inf
+        assert scan(0.1, iter(mc[:3])).ci[1] == math.inf  # the curve ended
 
     @pytest.mark.parametrize("target", (0, 1))
     def test_mc_curve_tracks_the_exact_curve(self, target):

@@ -272,6 +272,20 @@ class TestExitCodes:
         assert err.startswith("refused:")
         assert "Traceback" not in err
 
+    def test_a_curve_past_the_step_budget_does_not_converge(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import samplex.bayes
+
+        # 50 horizons of the evaluator's 10 000 sequences; members this
+        # close cross only near t = 5 000, past the real budget too
+        monkeypatch.setattr(samplex.bayes, "STEP_BUDGET", 50 * 10_000)
+        cfg = {"kind": "bayes", "ideal": [0.5, 0.5], "hypotheses": [[0.5, 0.5], [0.49, 0.51]],
+               "prior": [0.5, 0.5], "p": 0.9, "trials": 1, "max_steps": 10, "seed": 1}
+        analytic = run_to_file(tmp_path, cfg)["payload"]["analytic_expected_t"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert analytic["method"].startswith("not-converged")
+
     def test_zero_tolerance_verify_fails(self, capsys):
         code = main(
             [
@@ -556,7 +570,7 @@ class TestPosteriorTrace:
     ):
         import samplex.cli as cli
         import samplex.processes as processes
-        from samplex import HypothesisSet, StoppingConfig
+        from samplex import HypothesisSet, StoppingConfig, posterior_trace
 
         draws = 0
         sample_discrete = processes.sample_discrete
@@ -570,8 +584,8 @@ class TestPosteriorTrace:
         spec = cli._process(ideal, "$.ideal")
         hset = HypothesisSet((spec, cli._process(other, "$.other")))
         scfg = StoppingConfig(p=0.9)
-        rows = cli._posterior_trace(spec, hset, [0.5, 0.5], scfg, 11, 50)
-        s = rows[-1][0]
+        rows = posterior_trace(spec, hset, [0.5, 0.5], scfg, 11, 50)
+        s = len(rows) - 1  # row t is the posterior at t
         assert 0 < s < 50  # the trace stopped before its limit
         assert draws == s + start_draws
 
