@@ -139,6 +139,15 @@ class HypothesisSet:
     def rates(self) -> tuple[float, ...]:
         return tuple(entropy_rate(m) for m in self.members)
 
+    def log_prior(self, prior: ProbVector | Sequence[float]) -> tuple[float, ...]:
+        """Each member's log2 prior weight; a prior must weigh every member
+        of the set, no more and no fewer.  The one place a prior becomes
+        log2 values."""
+        pv = as_probvector(prior)
+        if len(pv) != len(self):
+            raise ValueError(f"prior over {len(pv)} weights for {len(self)} members")
+        return tuple(safe_log2(w) for w in pv.probs)
+
     @cached_property
     def _log_table(self) -> list[list[float]]:
         """Each member's log2 P(sym | context) at index c * k + sym, with
@@ -173,27 +182,18 @@ def equivalence_groups(
         raise ValueError(f"dissimilarity slack must be >= 0, got {eps_d}")
     if eps_d in hset._groups:
         return hset._groups[eps_d]
-    n = len(hset)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if divergence_rate(hset.members[i], hset.members[j]) <= eps_d:
-                parent[find(i)] = find(j)
-    buckets: dict[int, list[int]] = {}
-    for i in range(n):
-        buckets.setdefault(find(i), []).append(i)
-    groups = tuple(
-        tuple(sorted(g)) for g in sorted(buckets.values(), key=min)
-    )
-    hset._groups[eps_d] = groups
-    return groups
+    # each member joins every group found so far that holds a member within
+    # eps_d of it; sorting the sorted tuples orders them by smallest member
+    groups: list[tuple[int, ...]] = []
+    for i, member in enumerate(hset.members):
+        near = [
+            g for g in groups
+            if any(divergence_rate(hset.members[j], member) <= eps_d for j in g)
+        ]
+        groups = [g for g in groups if g not in near]
+        groups.append(tuple(sorted(sum(near, (i,)))))
+    hset._groups[eps_d] = tuple(sorted(groups))
+    return hset._groups[eps_d]
 
 
 def _start_score(hset: HypothesisSet, prefix: Context) -> tuple[float, ...]:
@@ -206,17 +206,6 @@ def _start_score(hset: HypothesisSet, prefix: Context) -> tuple[float, ...]:
             -sequence_log_probability(m, prefix) for m in hset.members
         )
     return scores[prefix]
-
-
-def _log_prior(
-    hset: HypothesisSet, prior: ProbVector | Sequence[float]
-) -> tuple[float, ...]:
-    """Each member's log2 prior weight; a prior must weigh every member
-    of the set, no more and no fewer."""
-    pv = as_probvector(prior)
-    if len(pv) != len(hset):
-        raise ValueError(f"prior over {len(pv)} weights for {len(hset)} members")
-    return tuple(safe_log2(w) for w in pv.probs)
 
 
 @dataclass(frozen=True)
@@ -241,7 +230,7 @@ class PosteriorState:
     def from_prior(
         hset: HypothesisSet, prior: ProbVector | Sequence[float]
     ) -> "PosteriorState":
-        log_prior = _log_prior(hset, prior)
+        log_prior = hset.log_prior(prior)
         return PosteriorState(hset, log_prior, (0.0,) * len(hset), 0, ())
 
     @property
@@ -587,14 +576,14 @@ def mc_sample_complexity(
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     _check_alphabet(ideal, hset)
-    start = PosteriorState.from_prior(hset, prior)
+    log_prior = hset.log_prior(prior)
     cap = resolution_cap(cfg.r)
     budget = int(cap) if cfg.r > 0.0 else _DEFAULT_BUDGET
     if max_steps is not None:
         budget = min(budget, max_steps)
 
-    decide = _stopping_rule(hset, cfg, start.log_prior)
-    first = decide(start.loglik, 0)
+    decide = _stopping_rule(hset, cfg, log_prior)
+    first = decide((0.0,) * len(hset), 0)
     if first is not None:
         results = [(first[0], 0)] * trials
     else:
@@ -630,7 +619,7 @@ def posterior_trace(
     observations.  The last row is the one the rule decided at; once
     every member is falsified the trace ends without a row."""
     _check_alphabet(ideal, hset)
-    log_prior = _log_prior(hset, prior)
+    log_prior = hset.log_prior(prior)
     decide = _stopping_rule(hset, cfg, log_prior)
     rows: list[tuple[float, ...]] = []
 
@@ -836,7 +825,7 @@ def surprisal_moment(
         raise ValueError(f"moment order must be >= 1, got {m}")
     if t < 0:
         raise ValueError(f"horizon must be >= 0, got {t}")
-    log_prior = _log_prior(hset, prior)
+    log_prior = hset.log_prior(prior)
     idx = _member_index(ideal, hset)
     walk = _posterior_surprisal_walk(hset, log_prior, idx, lambda s: s**m)
     return next(itertools.islice(walk, t, None))
@@ -875,42 +864,43 @@ def _scan_crossing(
     ``curve`` yields (value, se) for t = 0, 1, 2, ...: exact values carry
     se None, Monte Carlo values their standard error.  The scan stops at
     the first horizon whose upper bound value + 1.96 se reaches the
-    target, or where the curve ends.  A crossing at an exact value is reported as
-    enumeration; otherwise the estimate and both ends of its confidence
-    interval are first crossings of value + offset x se.
+    target, or where the curve ends.  The estimate and both ends of its
+    confidence interval are first crossings of value + offset x se, an
+    exact value counting as se 0; a crossing at an exact horizon is
+    reported as enumeration (prior-threshold at t = 0), with no interval.
     """
     points: list[tuple[float, float]] = []
-    for t, (value, se) in enumerate(curve):
-        if se is None and value <= target:
-            if t == 0:
-                return SCEstimate(0.0, "prior-threshold", None, 0)
-            prev = points[-1][0]
-            frac = (prev - target) / (prev - value) if prev > value else 1.0
-            return SCEstimate((t - 1) + frac, "enumeration", None, t)
+    exact = 0  # how many values are exact; they come first
+    for value, se in curve:
+        exact += se is None
         points.append((value, se or 0.0))
         if value + 1.96 * (se or 0.0) <= target:
             break
 
-    def crossing(offset: float) -> float | None:
-        last_v = points[0][0]
-        for t, (mean, se) in enumerate(points[1:], 1):
+    def crossing(offset: float) -> tuple[float, int] | None:
+        """The interpolated crossing and the first horizon at or past it;
+        one at t = 0 is at 0."""
+        last_v = -math.inf
+        for t, (mean, se) in enumerate(points):
             v = mean + offset * se
             if v <= target:
                 frac = (last_v - target) / (last_v - v) if last_v > v else 1.0
-                return (t - 1) + frac
+                return (t - 1) + frac, t
             last_v = v
         return None
 
-    mid = crossing(0.0)
-    lo = crossing(-1.96)
-    hi = crossing(1.96)
-    if mid is None:
+    found = crossing(0.0)
+    if found is None:
         tail = ", ".join(f"{v:.6g}" for v, _ in points[-2:])
         return SCEstimate(
             math.inf, f"not-converged (last values {tail})", None, None
         )
-    ci = (lo if lo is not None else 0.0, hi if hi is not None else math.inf)
-    return SCEstimate(mid, "monte-carlo", ci, math.ceil(mid))
+    value, t = found
+    if t < exact:
+        return SCEstimate(value, "enumeration" if t else "prior-threshold", None, t)
+    lo, hi = crossing(-1.96), crossing(1.96)
+    ci = (lo[0] if lo else 0.0, hi[0] if hi else math.inf)
+    return SCEstimate(value, "monte-carlo", ci, t)
 
 
 def _surprisal_curve(
@@ -991,7 +981,7 @@ def expected_sc_evaluator(
             f"got {sequences}"
         )
     pv = as_probvector(prior)
-    log_prior = _log_prior(hset, pv)
+    log_prior = hset.log_prior(pv)
     idx = _member_index(ideal, hset)
     target = -math.log2(p)
     if pv[idx] >= p:
@@ -1034,7 +1024,7 @@ def mc_surprisal_moment_curve(
         raise ValueError(f"horizon must be >= 1, got {t_max}")
     if sequences < 1:
         raise ValueError(f"need at least 1 sequence, got {sequences}")
-    log_prior = _log_prior(hset, prior)
+    log_prior = hset.log_prior(prior)
     idx = _member_index(ideal, hset)
     if hset.memory:
         raise ValueError("importance-sampled moments need memoryless members")

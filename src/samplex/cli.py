@@ -30,7 +30,6 @@ from . import __version__
 from .bayes import (
     DecisionStatus,
     HypothesisSet,
-    PosteriorState,
     StoppingConfig,
     expected_sc_evaluator,
     falsification_bounds,
@@ -332,7 +331,7 @@ def _stopping_trials(
     with _field("$.q"):
         scfg = StoppingConfig(**stopping_fields)
     with _field("$.prior"):
-        PosteriorState.from_prior(hset, prior)
+        hset.log_prior(prior)
     _check_budget(cfg["trials"], max_steps)
     # the library refuses an ideal over another alphabet
     with _phase(meta, "trials_s"), _field("$.ideal"):
@@ -360,13 +359,13 @@ def _run_bayes(cfg: dict, seed: int, meta: dict) -> dict:
     ideal, hset, scfg, report = _stopping_trials(
         cfg, seed, meta, cfg["prior"], stopping_fields, cfg.get("max_steps", 10_000)
     )
+    analytic = None
     with _phase(meta, "evaluator_s"):
-        try:
+        # expected sample complexity is defined for a member ideal only
+        if ideal in hset.members:
             analytic = expected_sc_evaluator(
                 ideal, hset, cfg["prior"], cfg["p"], seed=seed
             ).to_json()
-        except ValueError:
-            analytic = None
     with _phase(meta, "trace_s"):
         trace = posterior_trace(ideal, hset, cfg["prior"], scfg, seed, 50)
     decided = report.dist.censored < cfg["trials"]
@@ -607,6 +606,7 @@ def _spec_option(text: str | None) -> IidSpec:
 def _verify_coin_bits(args) -> tuple[bool, list[str]]:
     spec = _spec_option(args.spec)
     trials = 100_000 if args.trials is None else args.trials
+    _check_budget(trials, 1)
     counts, total_bits = _tally(spec, 1, trials, args.seed)
     mean_bits = total_bits / trials
     h = entropy(spec.dist)

@@ -25,7 +25,6 @@ Number = Union[Fraction, float]
 
 _EXACT_MAX_L = 20
 ORACLE_MAX_L = 10
-_SERIES_RTOL = 1e-12
 
 
 class UndefinedMomentError(ValueError):
@@ -155,25 +154,27 @@ class GeometricSCDist:
         return 1.0 - (1.0 - self.halt_prob) ** i
 
     def moment(self, m: int) -> float:
+        """E[I^m] = A_m(q) / p^m with q = 1 - p, where A_m is the m-th
+        Eulerian polynomial (A_0 = 1).  Its coefficients, the Eulerian
+        numbers, are positive, so nothing cancels."""
         if not self.halts_almost_surely:
             raise UndefinedMomentError(
                 "halting probability 0: the stopping index is infinite "
                 "almost surely and has no finite moments"
             )
+        if m < 0:
+            raise ValueError(f"moment order must be >= 0, got {m}")
+        coeffs = [1]
+        for n in range(1, m + 1):
+            # A(n, k) = (k + 1) A(n - 1, k) + (n - k) A(n - 1, k - 1)
+            prev = [0, *coeffs, 0]
+            coeffs = [(k + 1) * prev[k + 1] + (n - k) * prev[k] for k in range(n)]
         p = self.halt_prob
-        q = 1.0 - p
-        acc = 0.0
-        i = 1
-        term = p
-        while True:
-            acc += term
-            i += 1
-            term = i**m * q ** (i - 1) * p
-            ratio = q * ((i + 1) / i) ** m
-            if ratio < 1.0:
-                tail = term * ratio / (1.0 - ratio)
-                if tail + term < _SERIES_RTOL * max(acc, 1.0):
-                    return acc + term
+        poly = 0.0
+        for c in reversed(coeffs):
+            poly = poly * (1.0 - p) + c
+        scale = p**m
+        return poly / scale if scale else math.inf
 
 
 @dataclass(frozen=True)

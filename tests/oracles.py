@@ -27,6 +27,7 @@ from samplex import (
     StoppingConfig,
     as_probvector,
     check_stop,
+    divergence_rate,
     entropy_rate,
     equivalence_groups,
     posterior_update,
@@ -135,6 +136,25 @@ def mc_pairwise_oracle(
     for _ in range(trials):
         counts[_stop_index(rng.sample(range(L), L), diffs)] += 1
     return EmpiricalSCDist(dict(counts), trials)
+
+
+def geometric_moment_series(p: float, m: int, rtol: float = 1e-12) -> float:
+    """E[I^m] for I geometric on 1, 2, ... with halting probability p, by
+    summing i^m q^(i-1) p term by term until the geometric bound on the
+    tail falls below rtol of the sum (about 1/p terms)."""
+    q = 1.0 - p
+    acc = 0.0
+    i = 1
+    term = p
+    while True:
+        acc += term
+        i += 1
+        term = i**m * q ** (i - 1) * p
+        ratio = q * ((i + 1) / i) ** m
+        if ratio < 1.0:
+            tail = term * ratio / (1.0 - ratio)
+            if tail + term < rtol * max(acc, 1.0):
+                return acc + term
 
 
 def exact_expected_bits(boundaries: Sequence[Fraction]) -> Fraction:
@@ -457,6 +477,23 @@ def surprisal_moment_product_form(ideal, hset, prior, t: int, m: int) -> float:
         sum_pred ** (m - 1)
     )
     return first * second
+
+
+def transitive_groups_reference(hset, eps_d: float) -> tuple[tuple[int, ...], ...]:
+    """Groups of members by definition: the transitive closure of
+    "divergence_rate at most eps_d" over every pair (Warshall), each
+    member's group the members it reaches, sorted by smallest member."""
+    n = len(hset)
+    near = [
+        [divergence_rate(a, b) <= eps_d for b in hset.members]
+        for a in hset.members
+    ]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                near[i][j] = near[i][j] or (near[i][k] and near[k][j])
+    groups = {tuple(j for j in range(n) if near[i][j] or i == j) for i in range(n)}
+    return tuple(sorted(groups))
 
 
 def _in_band(neg_loglik: float, t: int, rate: float, eps: float) -> bool:

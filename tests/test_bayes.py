@@ -49,6 +49,7 @@ from oracles import (
     posterior_trace_reference,
     surprisal_moment_direct,
     surprisal_moment_product_form,
+    transitive_groups_reference,
 )
 
 B5 = IidSpec.from_probs([0.5, 0.5])
@@ -240,6 +241,32 @@ class TestEquivalenceGroups:
         for eps_d in (-0.5, float("nan")):
             with pytest.raises(ValueError):
                 equivalence_groups(PAIR, eps_d)
+
+    def test_a_chain_of_near_members_is_one_group(self):
+        # a ~ b and b ~ c but not a ~ c; b comes last, so it joins the two
+        # groups that a and c started
+        a, b, c = (IidSpec.from_probs([x, 1 - x]) for x in (0.5, 0.4, 0.3))
+        eps_d = max(divergence_rate(a, b), divergence_rate(b, c))
+        assert eps_d < divergence_rate(a, c)
+        assert equivalence_groups(HypothesisSet((a, c, b)), eps_d) == ((0, 1, 2),)
+        assert equivalence_groups(HypothesisSet((a, c, b)), 0.0) == ((0,), (1,), (2,))
+
+    def test_matches_the_transitive_closure(self):
+        # slacks include 0, every pairwise divergence (ties) and values
+        # between; repeated weights give exact duplicates
+        rng = random.Random(2024)
+        weights = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+        for _ in range(150):
+            members = tuple(
+                IidSpec.from_probs([x, 1 - x])
+                for x in rng.choices(weights, k=rng.randint(2, 6))
+            )
+            rates = [divergence_rate(a, b) for a in members for b in members]
+            for eps_d in (0.0, rng.choice(rates), rng.uniform(0.0, max(rates))):
+                hset = HypothesisSet(members)
+                assert equivalence_groups(hset, eps_d) == (
+                    transitive_groups_reference(hset, eps_d)
+                ), (members, eps_d)
 
 
 class TestPosterior:
@@ -1206,6 +1233,18 @@ class TestExpectedSampleComplexity:
         assert est.value == pytest.approx(1 + 0.4 / 0.45)
         assert est.ci == pytest.approx((1 + 0.204 / 0.45, 3 + 0.096 / 0.2))
         assert scan(0.1, iter(mc[:3])).ci[1] == math.inf  # the curve ended
+
+    def test_the_first_monte_carlo_horizon_is_not_exact(self):
+        # exact values to t = 1, Monte Carlo from t = 2 on: a crossing at
+        # t = 2 interpolates from the exact t = 1 value but is Monte Carlo
+        scan = samplex.bayes._scan_crossing
+        curve = [(1.0, None), (0.5, None), (0.05, 0.01)]
+        est = scan(0.1, iter(curve))
+        assert (est.value, est.method, est.smallest_t) == (
+            1 + 0.4 / 0.45, "monte-carlo", 2
+        )
+        assert est.ci == pytest.approx((1 + 0.4 / 0.4696, 1 + 0.4 / 0.4304))
+        assert scan(0.1, iter(curve[:2])).method.startswith("not-converged")
 
     @pytest.mark.parametrize("target", (0, 1))
     def test_mc_curve_tracks_the_exact_curve(self, target):

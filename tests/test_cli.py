@@ -415,6 +415,9 @@ class TestExitCodes:
             {**BAYES_CFG, "hypotheses": [[0.5, 0.5], [0.25, 0.25, 0.5]]},
             "$.hypotheses",
         ),
+        "bayes, novelty: the ideal emits the hypotheses' alphabet": (
+            {**BAYES_CFG, "ideal": [0.5, 0.25, 0.25]}, "$.ideal"
+        ),
     }
 
     def test_every_documented_constraint_is_refused_at_its_field(self, tmp_path, capsys):
@@ -448,6 +451,22 @@ class TestExitCodes:
         assert code == EXIT_REFUSED
         captured = capsys.readouterr()
         assert captured.err.startswith("refused: --L 11")
+        assert captured.out == ""
+
+    def test_coin_bits_past_the_step_budget_is_refused(self, capsys, monkeypatch):
+        # one symbol a trial; the refusal comes before any draw, so at
+        # about 15 us a trial no 12-minute tally starts
+        import samplex.cli as cli
+
+        def tally(*_args):
+            raise AssertionError("drew past the step budget")
+
+        monkeypatch.setattr(cli, "_tally", tally)
+        code = main(["verify", "--pair", "coin-bits", "--trials", "50000001"])
+        assert code == EXIT_REFUSED
+        captured = capsys.readouterr()
+        assert captured.err.startswith("refused: 50000001 x 1 symbols")
+        assert "Traceback" not in captured.err
         assert captured.out == ""
 
 

@@ -86,26 +86,17 @@ def _loaded(node: ast.AST, local: frozenset[str] = frozenset()) -> set[str]:
     return out
 
 
-def test_every_public_name_has_a_user():
-    # a public name is live when the CLI module's code, a benchmark trace
-    # target or an acceptance criterion's import reaches it through the
-    # names each top-level definition in src/samplex loads; a name that
-    # only unit tests (or other unused names) reach is not public surface
-    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
-    roots = {path.split(".")[0] for _module, path, _hot in _trace_targets()}
-    roots |= {
-        alias.name
-        for node in ast.walk(acceptance)
-        if isinstance(node, ast.ImportFrom) and node.module == "samplex"
-        for alias in node.names
-    }
+def _library_loads() -> tuple[set[str], dict[str, set[str]]]:
+    """The names cli.py's top-level code loads, and for each top-level
+    definition in src/samplex (outside __init__.py) the names it loads."""
+    cli_loads: set[str] = set()
     loads: dict[str, set[str]] = {}
     for path in SRC.glob("*.py"):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
             if path.name == "cli.py":
-                roots |= _loaded(node)
+                cli_loads |= _loaded(node)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined = [node.name]
             elif isinstance(node, ast.Assign):
@@ -114,6 +105,10 @@ def test_every_public_name_has_a_user():
                 continue
             for name in defined:
                 loads.setdefault(name, set()).update(_loaded(node))
+    return cli_loads, loads
+
+
+def _reachable(roots: set[str], loads: dict[str, set[str]]) -> set[str]:
     live: set[str] = set()
     pending = list(roots)
     while pending:
@@ -121,7 +116,37 @@ def test_every_public_name_has_a_user():
         if name not in live:
             live.add(name)
             pending.extend(loads.get(name, ()))
+    return live
+
+
+def test_every_public_name_has_a_user():
+    # a public name is live when the CLI module's code, a benchmark trace
+    # target or an acceptance criterion's import reaches it through the
+    # names each top-level definition in src/samplex loads; a name that
+    # only unit tests (or other unused names) reach is not public surface
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    roots, loads = _library_loads()
+    roots |= {path.split(".")[0] for _module, path, _hot in _trace_targets()}
+    roots |= {
+        alias.name
+        for node in ast.walk(acceptance)
+        if isinstance(node, ast.ImportFrom) and node.module == "samplex"
+        for alias in node.names
+    }
+    live = _reachable(roots, loads)
     assert [name for name in samplex.__all__ if name not in live] == []
+
+
+def test_no_run_reaches_the_posterior_state_api():
+    # the step-by-step posterior API and the fixed-length samplers are
+    # references for the tests, kept public only by benchmark trace pins:
+    # nothing that cli.py's code reaches loads them
+    cli_loads, loads = _library_loads()
+    reference = {
+        "PosteriorState", "posterior_update", "check_stop", "Decision",
+        "markov_sample", "iid_sample",
+    }
+    assert _reachable(cli_loads, loads) & reference == set()
 
 
 def test_the_cli_imports_only_public_library_names():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from samplex import (
 
 from oracles import (
     enumerate_orderings_reference,
+    geometric_moment_series,
     mc_pairwise_oracle,
     pairwise_stop_pmf,
 )
@@ -135,6 +138,30 @@ class TestGeometric:
             dist = GeometricSCDist(p)
             assert dist.moment(1) == pytest.approx(1 / p, rel=1e-9)
             assert dist.moment(2) == pytest.approx((2 - p) / p**2, rel=1e-9)
+
+    @pytest.mark.parametrize("p", (0.01, 0.1, 0.37, 0.5, 0.9, 1.0))
+    def test_moments_match_the_series(self, p):
+        dist = GeometricSCDist(p)
+        for m in range(7):
+            assert dist.moment(m) == pytest.approx(
+                geometric_moment_series(p, m), rel=1e-11
+            ), m
+
+    def test_a_rare_halt_answers_at_once(self):
+        # the series would sum about 1/p = 10**9 terms
+        p = 1e-9
+        dist = GeometricSCDist(p)
+        started = time.perf_counter()
+        first, second = dist.moment(1), dist.moment(2)
+        assert time.perf_counter() - started < 0.01
+        assert first == pytest.approx(1 / p, rel=1e-12)
+        assert second == pytest.approx((2 - p) / p**2, rel=1e-12)
+        # p**2 underflows; the moment overflows
+        assert GeometricSCDist(1e-300).moment(2) == math.inf
+
+    def test_a_negative_order_is_refused(self):
+        with pytest.raises(ValueError):
+            GeometricSCDist(0.5).moment(-1)
 
     def test_certain_halt_is_a_point_mass(self):
         dist = GeometricSCDist(1.0)
