@@ -148,6 +148,15 @@ class HypothesisSet:
             raise ValueError(f"prior over {len(pv)} weights for {len(self)} members")
         return tuple(safe_log2(w) for w in pv.probs)
 
+    def check_ideal(self, ideal: ProcessSpec) -> None:
+        """The ideal of a stopping trial may differ from the members in
+        memory, not in alphabet."""
+        if ideal.alphabet_size != self.alphabet_size:
+            raise ValueError(
+                f"the ideal emits {ideal.alphabet_size} symbols, the "
+                f"hypotheses {self.alphabet_size}"
+            )
+
     @cached_property
     def _log_table(self) -> list[list[float]]:
         """Each member's log2 P(sym | context) at index c * k + sym, with
@@ -504,16 +513,6 @@ def _trial_seed(seed: int | str, index: int) -> str:
     return f"{seed}:{index}"
 
 
-def _check_alphabet(ideal: ProcessSpec, hset: HypothesisSet) -> None:
-    """The ideal of a stopping trial may differ from the members in
-    memory, not in alphabet."""
-    if ideal.alphabet_size != hset.alphabet_size:
-        raise ValueError(
-            f"the ideal emits {ideal.alphabet_size} symbols, the "
-            f"hypotheses {hset.alphabet_size}"
-        )
-
-
 def _mc_trial(
     ideal: ProcessSpec,
     hset: HypothesisSet,
@@ -569,18 +568,16 @@ def mc_sample_complexity(
     run one after another in the calling thread; the CLI's ``--threads``
     flag is kept for compatibility only, and results never depend on
     it.  A decision the prior alone forces (t = 0) is the same for
-    every trial.  Trials that exhaust the budget (the r-cap, or
-    max_steps when r = 0) are censored, not dropped.  The ideal may
-    differ from the members in memory, not in alphabet.
+    every trial.  Trials still undecided after max_steps symbols
+    (``_DEFAULT_BUDGET`` when None), or stopped by the r-cap, are
+    censored, not dropped.  The ideal may differ from the members in
+    memory, not in alphabet.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    _check_alphabet(ideal, hset)
+    hset.check_ideal(ideal)
     log_prior = hset.log_prior(prior)
-    cap = resolution_cap(cfg.r)
-    budget = int(cap) if cfg.r > 0.0 else _DEFAULT_BUDGET
-    if max_steps is not None:
-        budget = min(budget, max_steps)
+    budget = _DEFAULT_BUDGET if max_steps is None else max_steps
 
     decide = _stopping_rule(hset, cfg, log_prior)
     first = decide((0.0,) * len(hset), 0)
@@ -618,7 +615,7 @@ def posterior_trace(
     trials of ``mc_sample_complexity``, for at most ``limit``
     observations.  The last row is the one the rule decided at; once
     every member is falsified the trace ends without a row."""
-    _check_alphabet(ideal, hset)
+    hset.check_ideal(ideal)
     log_prior = hset.log_prior(prior)
     decide = _stopping_rule(hset, cfg, log_prior)
     rows: list[tuple[float, ...]] = []

@@ -316,11 +316,10 @@ def _phase(meta: dict, key: str):
     meta[key] = time.perf_counter() - started
 
 
-def _stopping_trials(
-    cfg: dict, seed: int, meta: dict, prior: list, stopping_fields: dict, max_steps: int
-):
-    """The setup and trials ``bayes`` and ``novelty`` share; returns the
-    ideal, the hypothesis set, the stopping config and the trial report."""
+def _stopping_setup(cfg: dict, prior: list, stopping_fields: dict, max_steps: int):
+    """The checks ``bayes`` and ``novelty`` share, each at its field and
+    all before any trial; returns the ideal, the hypothesis set and the
+    stopping config."""
     ideal = _process(cfg["ideal"], "$.ideal")
     members = tuple(
         _process(h, f"$.hypotheses[{i}]")
@@ -333,12 +332,9 @@ def _stopping_trials(
     with _field("$.prior"):
         hset.log_prior(prior)
     _check_budget(cfg["trials"], max_steps)
-    # the library refuses an ideal over another alphabet
-    with _phase(meta, "trials_s"), _field("$.ideal"):
-        report = mc_sample_complexity(
-            ideal, hset, prior, scfg, cfg["trials"], seed, max_steps=max_steps
-        )
-    return ideal, hset, scfg, report
+    with _field("$.ideal"):
+        hset.check_ideal(ideal)
+    return ideal, hset, scfg
 
 
 def _mean_ci(report) -> list[float] | None:
@@ -356,9 +352,12 @@ def _mean_ci(report) -> list[float] | None:
 def _run_bayes(cfg: dict, seed: int, meta: dict) -> dict:
     # the config's defaults for q, eps_d and r are StoppingConfig's
     stopping_fields = {k: cfg[k] for k in ("p", "q", "eps_d", "r") if k in cfg}
-    ideal, hset, scfg, report = _stopping_trials(
-        cfg, seed, meta, cfg["prior"], stopping_fields, cfg.get("max_steps", 10_000)
-    )
+    max_steps = cfg.get("max_steps", 10_000)
+    ideal, hset, scfg = _stopping_setup(cfg, cfg["prior"], stopping_fields, max_steps)
+    with _phase(meta, "trials_s"):
+        report = mc_sample_complexity(
+            ideal, hset, cfg["prior"], scfg, cfg["trials"], seed, max_steps=max_steps
+        )
     analytic = None
     with _phase(meta, "evaluator_s"):
         # expected sample complexity is defined for a member ideal only
@@ -385,14 +384,19 @@ def _run_bayes(cfg: dict, seed: int, meta: dict) -> dict:
 
 def _run_novelty(cfg: dict, seed: int, meta: dict) -> dict:
     n = len(cfg["hypotheses"])
-    ideal, hset, _, report = _stopping_trials(
-        cfg, seed, meta, [1.0 / n] * n, {"p": 1.0, "q": cfg["q"]}, cfg["budget"]
+    prior = [1.0 / n] * n
+    ideal, hset, scfg = _stopping_setup(
+        cfg, prior, {"p": 1.0, "q": cfg["q"]}, cfg["budget"]
     )
     bounds = []
     with _phase(meta, "bounds_s"):
         for i, m in enumerate(hset.members):
             with _field(f"$.hypotheses[{i}]"):
                 bounds.append(falsification_bounds(ideal, m, cfg["q"]))
+    with _phase(meta, "trials_s"):
+        report = mc_sample_complexity(
+            ideal, hset, prior, scfg, cfg["trials"], seed, max_steps=cfg["budget"]
+        )
     combined = [max(b[0] for b in bounds), max(b[1] for b in bounds)]
     falsified = report.decisions[DecisionStatus.FALSIFIED.value]
     times = sorted(
@@ -455,7 +459,7 @@ def run_experiment(cfg: dict, seed: int, meta: dict | None = None) -> dict:
     Work counters of the run (``symbols`` drawn and ``fair_bits`` read by
     ``sample`` and ``spread``) and per-phase seconds (``bayes``:
     ``trials_s``, ``evaluator_s``, ``trace_s``; ``novelty``:
-    ``trials_s``, ``bounds_s``) go into ``meta`` when it is given; they
+    ``bounds_s``, ``trials_s``) go into ``meta`` when it is given; they
     never enter the payload.
     """
     handler = _KINDS.get(cfg["kind"])

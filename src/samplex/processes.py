@@ -17,9 +17,10 @@ from fractions import Fraction
 from itertools import islice
 from typing import ClassVar, Iterator, Mapping, Sequence
 
-from .info import ProbVector, as_probvector, logsumexp2, safe_log2
+from .info import ComputationRefused, ProbVector, as_probvector, logsumexp2, safe_log2
 
 _MAX_DYADIC_BITS = 53  # resolution used when rounding non-dyadic weights
+_STATIONARY_STEPS = 1_000_000  # damped power-iteration steps before refusing
 
 
 class NonErgodicError(ValueError):
@@ -343,7 +344,8 @@ class MarkovSpec(_Chain):
         """Stationary context weights via damped power iteration.
 
         Damping (pi <- pi/2 + pi.P/2) removes periodicity, so the
-        iteration converges for every irreducible chain.
+        iteration converges for every irreducible chain; one that needs
+        more than ``_STATIONARY_STEPS`` steps is refused.
         """
         return self._stationary
 
@@ -352,7 +354,7 @@ class MarkovSpec(_Chain):
         self._check_ergodic()
         rows = self._rows()
         pi = [1.0 / len(rows)] * len(rows)
-        for _ in range(1_000_000):
+        for _ in range(_STATIONARY_STEPS):
             nxt = [0.5 * w for w in pi]
             for i, w in enumerate(pi):
                 if w > 0.0:
@@ -361,10 +363,11 @@ class MarkovSpec(_Chain):
             total = math.fsum(nxt)
             nxt = [w / total for w in nxt]
             if max(abs(a - b) for a, b in zip(nxt, pi)) < 1e-12:
-                pi = nxt
-                break
+                return tuple(nxt)
             pi = nxt
-        return tuple(pi)
+        raise ComputationRefused(
+            f"the stationary law did not converge in {_STATIONARY_STEPS} steps"
+        )
 
     def _check_stationary(self, pv: ProbVector) -> None:
         out = [0.0] * len(pv)

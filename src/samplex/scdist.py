@@ -32,7 +32,8 @@ class UndefinedMomentError(ValueError):
 
 
 def _survival(L: int, K: int, i: int) -> Number:
-    """P(first i revealed positions all agree) = C(L-K, i) / C(L, i)."""
+    """P(first i revealed positions all agree) = C(L-K, i) / C(L, i); the
+    one place the support's ends and the Fraction-or-float choice are kept."""
     if i <= 0:
         return Fraction(1) if L <= _EXACT_MAX_L else 1.0
     if i > L - K:
@@ -45,18 +46,6 @@ def _survival(L: int, K: int, i: int) -> Number:
         - math.lgamma(L + 1)
         + math.lgamma(L - i + 1)
     )
-
-
-def _check_pairwise_args(L: int, K: int) -> None:
-    if L < 1:
-        raise ValueError(f"length must be >= 1, got {L}")
-    if not 0 <= K <= L:
-        raise ValueError(f"disagreement count {K} outside [0, {L}]")
-    if K == 0:
-        raise ValueError(
-            "identical alternatives never produce a disagreement; "
-            "use pairwise_verification for the K = 0 point mass at L"
-        )
 
 
 @dataclass(frozen=True)
@@ -72,7 +61,15 @@ class PairwiseSCDist:
     K: int
 
     def __post_init__(self) -> None:
-        _check_pairwise_args(self.L, self.K)
+        if self.L < 1:
+            raise ValueError(f"length must be >= 1, got {self.L}")
+        if not 0 <= self.K <= self.L:
+            raise ValueError(f"disagreement count {self.K} outside [0, {self.L}]")
+        if self.K == 0:
+            raise ValueError(
+                "identical alternatives never produce a disagreement; "
+                "use pairwise_verification for the K = 0 point mass at L"
+            )
 
     @property
     def exact(self) -> bool:
@@ -82,18 +79,10 @@ class PairwiseSCDist:
         return range(1, self.L - self.K + 2)
 
     def pmf(self, i: int) -> Number:
-        zero = Fraction(0) if self.exact else 0.0
-        if i < 1 or i > self.L - self.K + 1:
-            return zero
         return _survival(self.L, self.K, i - 1) - _survival(self.L, self.K, i)
 
     def cdf(self, i: int) -> Number:
-        one = Fraction(1) if self.exact else 1.0
-        if i < 1:
-            return one - one
-        if i > self.L - self.K:
-            return one
-        return one - _survival(self.L, self.K, i)
+        return 1 - _survival(self.L, self.K, i)
 
     def moment(self, m: int) -> Number:
         return sum(i**m * self.pmf(i) for i in self.support())

@@ -105,6 +105,45 @@ def pairwise_stop_pmf(L: int, K: int) -> dict[int, Fraction]:
     return {i: Fraction(n, total) for i, n in sorted(counts.items())}
 
 
+# the pairwise law is documented exact (Fraction) up to this length
+PAIRWISE_EXACT_MAX_L = 20
+
+
+def _pairwise_survival(L: int, K: int, i: int) -> Fraction | float:
+    exact = L <= PAIRWISE_EXACT_MAX_L
+    if i <= 0:
+        return Fraction(1) if exact else 1.0
+    if i > L - K:
+        return Fraction(0) if exact else 0.0
+    if exact:
+        return Fraction(math.comb(L - K, i), math.comb(L, i))
+    return math.exp(
+        math.lgamma(L - K + 1)
+        - math.lgamma(L - K - i + 1)
+        - math.lgamma(L + 1)
+        + math.lgamma(L - i + 1)
+    )
+
+
+def pairwise_pmf_reference(L: int, K: int, i: int) -> Fraction | float:
+    """P(I = i) of the pairwise stopping index with the support's ends
+    checked here, an exact rational up to L = 20 and a float beyond."""
+    zero = Fraction(0) if L <= PAIRWISE_EXACT_MAX_L else 0.0
+    if i < 1 or i > L - K + 1:
+        return zero
+    return _pairwise_survival(L, K, i - 1) - _pairwise_survival(L, K, i)
+
+
+def pairwise_cdf_reference(L: int, K: int, i: int) -> Fraction | float:
+    """P(I <= i), its ends checked as in ``pairwise_pmf_reference``."""
+    one = Fraction(1) if L <= PAIRWISE_EXACT_MAX_L else 1.0
+    if i < 1:
+        return one - one
+    if i > L - K:
+        return one
+    return one - _pairwise_survival(L, K, i)
+
+
 def _stop_index(order: tuple[int, ...] | list[int], diffs: set[int]) -> int:
     for pos, revealed in enumerate(order, start=1):
         if revealed in diffs:

@@ -765,12 +765,18 @@ class TestMCSampleComplexity:
         assert report.dist.censored == 0
 
     def test_trial_loop_matches_the_oracle(self):
-        for n, (ideal, hset, prior, cfg) in enumerate(stopping_scenarios()):
+        scenarios = list(enumerate(stopping_scenarios()))
+        runs = [(n, sc, 300, 300) for n, sc in scenarios]
+        # the r > 0 scenarios again at the library's default budget, where
+        # the r-cap alone ends a trial
+        default = samplex.bayes._DEFAULT_BUDGET
+        runs += [(n, sc, None, default) for n, sc in scenarios if sc[3].r > 0.0]
+        for n, (ideal, hset, prior, cfg), max_steps, budget in runs:
             got = mc_sample_complexity(
-                ideal, hset, prior, cfg, trials=40, seed=31, max_steps=300
+                ideal, hset, prior, cfg, trials=40, seed=31, max_steps=max_steps
             )
             counts, decisions = mc_stopping_reference(
-                ideal, hset, prior, cfg, trials=40, seed=31, max_steps=300
+                ideal, hset, prior, cfg, trials=40, seed=31, max_steps=budget
             )
             assert dict(got.dist.counts) == counts, n
             assert got.decisions == decisions, n

@@ -272,6 +272,33 @@ class TestExitCodes:
         assert err.startswith("refused:")
         assert "Traceback" not in err
 
+    def test_novelty_refuses_a_member_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        import samplex.cli as cli
+
+        def trials(*_args, **_kwargs):
+            raise AssertionError("ran trials before the falsification bounds")
+
+        monkeypatch.setattr(cli, "mc_sample_complexity", trials)
+        cfg = {**NOVELTY_CFG, "hypotheses": [[1.0, 0.0]]}
+        assert_invalid_at(tmp_path, capsys, cfg, "$.hypotheses[0]")
+
+    def test_a_stationary_law_that_does_not_converge_is_refused(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import samplex.processes
+
+        # the full step count leaves this chain at (0.6295, 0.3705), not
+        # its (2/3, 1/3); 50 steps show the same refusal at once
+        monkeypatch.setattr(samplex.processes, "_STATIONARY_STEPS", 50)
+        slow = {"kind": "markov", "memory": 1, "alphabet": 2, "transitions": {
+            "0": [0.999999, 0.000001], "1": [0.000002, 0.999998],
+        }}
+        cfg = {**SAMPLE_CFG, "spec": slow}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_REFUSED
+        err = capsys.readouterr().err
+        assert err.startswith("refused: the stationary law did not converge")
+        assert "Traceback" not in err
+
     def test_a_curve_past_the_step_budget_does_not_converge(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -417,6 +444,12 @@ class TestExitCodes:
         ),
         "bayes, novelty: the ideal emits the hypotheses' alphabet": (
             {**BAYES_CFG, "ideal": [0.5, 0.25, 0.25]}, "$.ideal"
+        ),
+        "novelty: the ideal has the hypotheses' memory": (
+            {**NOVELTY_CFG, "ideal": markov1(0.25, 0.5)}, "$.hypotheses[0]"
+        ),
+        "novelty: every hypothesis gives each symbol the ideal emits positive probability": (
+            {**NOVELTY_CFG, "hypotheses": [[1.0, 0.0]]}, "$.hypotheses[0]"
         ),
     }
 

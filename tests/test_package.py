@@ -149,6 +149,26 @@ def test_no_run_reaches_the_posterior_state_api():
     assert _reachable(cli_loads, loads) & reference == set()
 
 
+def test_no_field_block_in_the_cli_runs_trials():
+    # a run is checked before its first trial: no ``with _field(...)``
+    # block in cli.py calls a Monte Carlo trial loop, trace or curve
+    tree = ast.parse((SRC / "cli.py").read_text())
+    runners = {"mc_sample_complexity", "posterior_trace", "expected_sc_evaluator"}
+    wrapped = [
+        f"{ast.unparse(node.items[0])}: {call.func.id}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.With)
+        and any(
+            isinstance(item.context_expr, ast.Call)
+            and getattr(item.context_expr.func, "id", None) == "_field"
+            for item in node.items
+        )
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) in runners
+    ]
+    assert wrapped == []
+
+
 def test_the_cli_imports_only_public_library_names():
     # the CLI is the library's first caller, so what it needs is public;
     # a dunder such as __version__ is public by convention

@@ -23,9 +23,12 @@ from samplex import (
 )
 
 from oracles import (
+    PAIRWISE_EXACT_MAX_L,
     enumerate_orderings_reference,
     geometric_moment_series,
     mc_pairwise_oracle,
+    pairwise_cdf_reference,
+    pairwise_pmf_reference,
     pairwise_stop_pmf,
 )
 
@@ -97,6 +100,23 @@ class TestPairwiseExact:
         for i in dist.support():
             step = (1 - dist.cdf(i - 1)) - (1 - dist.cdf(i))
             assert dist.pmf(i) == step
+
+
+@pytest.mark.parametrize("L", [1, 2, 7, 20, 21, 31, 200])
+def test_pmf_and_cdf_match_the_reference_in_value_and_type(L):
+    # the support's ends are _survival's alone; values off the support
+    # keep the number type of the values on it
+    kind = Fraction if L <= PAIRWISE_EXACT_MAX_L else float
+    for K in range(1, L + 1):
+        dist = PairwiseSCDist(L, K)
+        points = {-1, 0, L - K + 1, L - K + 2, L + 5, *dist.support()}
+        for i in sorted(points):
+            for got, want in (
+                (dist.pmf(i), pairwise_pmf_reference(L, K, i)),
+                (dist.cdf(i), pairwise_cdf_reference(L, K, i)),
+            ):
+                assert (type(got), repr(got)) == (type(want), repr(want)), (L, K, i)
+                assert type(got) is kind, (L, K, i)
 
 
 class TestPairwiseLarge:
