@@ -30,9 +30,13 @@ class NonErgodicError(ValueError):
 class BitSource:
     """Deterministic stream of fair coin flips.
 
-    Bits come from a seeded ``random.Random`` in 64-bit chunks, consumed
-    most-significant first.  ``bits_consumed`` counts exactly the flips
-    handed out, which is what the expected-flips bounds are stated over.
+    Bits come from a seeded ``random.Random`` in 64-bit words, consumed
+    most-significant first: ``_buf`` is the current word and ``_left``
+    the flips still unread in it.  ``bits_consumed`` counts exactly the
+    flips handed out, which is what the expected-flips bounds are stated
+    over.  The draw loop ``_walk`` reads the word in place and writes its
+    position back at each symbol; ``next_bit`` reads one flip per call,
+    as the per-flip references in the tests do.
     """
 
     __slots__ = ("_rng", "_buf", "_left", "bits_consumed")
@@ -92,6 +96,12 @@ class _Chain:
         laws = tuple(self.transitions[ctx] for ctx in self.contexts())
         n = len(laws)
         return laws, tuple(i % n for i in range(n * self.alphabet_size))
+
+    @cached_property
+    def _tries(self) -> tuple[tuple[int, ...], ...]:
+        """The refinement trie of each numbered context's law, the
+        tables ``_walk`` draws from."""
+        return tuple(law._trie for law in self._steps[0])
 
     @cached_property
     def _start(self) -> tuple[int, IidSpec | None]:
@@ -154,8 +164,8 @@ class IidSpec(_Chain):
 
     @cached_property
     def _trie(self) -> tuple[int, ...]:
-        """The refinement trie ``sample_discrete`` walks, built on the
-        first draw and kept on the spec (it takes no part in equality)."""
+        """The refinement trie every draw from this law walks, built on
+        the first draw and kept on the spec (it takes no part in equality)."""
         return _refinement_trie(self.boundaries)
 
     def contexts(self) -> list[Context]:
@@ -215,17 +225,12 @@ def _refinement_trie(boundaries: tuple[Fraction, ...]) -> tuple[int, ...]:
 
 
 def sample_discrete(spec: IidSpec, source: BitSource) -> int:
-    """Draw one symbol by dyadic interval refinement.
-
-    Walks the spec's refinement trie, reading one flip per level, so the
-    flips consumed are exactly those needed for the interval
-    [z/2^n, (z+1)/2^n) to fit inside one CDF cell.
+    """Draw one symbol by dyadic interval refinement: one step of the
+    draw loop over the spec's refinement trie, so the flips consumed are
+    exactly those needed for the interval [z/2^n, (z+1)/2^n) to fit
+    inside one CDF cell.
     """
-    trie = spec._trie
-    node = trie[0]
-    while node > 0:
-        node = trie[node + source.next_bit()]
-    return ~node
+    return next(_walk((spec._trie,), (0,) * spec.alphabet_size, 0, source))
 
 
 def _context_str(ctx: Context) -> str:
@@ -394,26 +399,53 @@ class MarkovSpec(_Chain):
 
 
 def _walk(
-    laws: Sequence[IidSpec], succ: Sequence[int], state: int, source: BitSource
+    tries: Sequence[tuple[int, ...]], succ: Sequence[int], state: int, source: BitSource
 ) -> Iterator[int]:
-    """The one draw loop: numbered state ``state`` emits a symbol s drawn
-    from ``laws[state]`` and moves to ``succ[state * k + s]``."""
-    k = len(succ) // len(laws)
+    """The one loop that reads fair bits.  Numbered state ``state`` emits
+    the symbol s its refinement trie ``tries[state]`` reaches and moves
+    to ``succ[state * k + s]``.
+
+    The source's word, bit position and flip count are read into locals
+    when a draw starts, and written back before its symbol is yielded, so
+    between symbols the source is exactly where reading one flip per
+    ``next_bit`` call would have left it.  A word is fetched only when a
+    flip needs it, and a trie whose root is a leaf reads nothing.
+    """
+    k = len(succ) // len(tries)
+    fetch = source._rng.getrandbits
     while True:
-        sym = sample_discrete(laws[state], source)
+        trie = tries[state]
+        node = trie[0]
+        if node > 0:
+            buf = source._buf
+            left = source._left
+            end = source.bits_consumed + left  # the count once this word is spent
+            while node > 0:
+                if not left:
+                    buf = fetch(64)
+                    left = 64
+                    end += 64
+                left -= 1
+                node = trie[node + (buf >> left & 1)]
+            source._buf = buf
+            source._left = left
+            source.bits_consumed = end - left
+        sym = ~node
         yield sym
         state = succ[state * k + sym]
 
 
 def symbols(spec: IidSpec | MarkovSpec, source: BitSource) -> Iterator[int]:
     """The spec's endless symbol stream, each symbol drawn from
-    ``source`` when it is read.  A start context that ``init`` leaves
-    open is drawn at once; it is hidden state, not output."""
+    ``source`` when it is read.  The draw loop reads the source's word
+    in place and writes its position back at each symbol, so a caller
+    may stop, or read the source itself, between any two symbols.  A
+    start context that ``init`` leaves open is drawn at once; it is
+    hidden state, not output."""
     state, law = spec._start
     if law is not None:
         state = sample_discrete(law, source)
-    laws, succ = spec._steps
-    return _walk(laws, succ, state, source)
+    return _walk(spec._tries, spec._steps[1], state, source)
 
 
 def markov_sample(
@@ -504,14 +536,14 @@ def spread_encode(
             f"message length {len(message)} != {code.message_length}"
         )
     digits = "0123456789"[: len(code.components)]
-    laws = []
+    tries = []
     for ch in message:
         if ch not in digits:
             raise ValueError(f"message symbol {ch!r} has no component")
-        laws.append(code.components[int(ch)])
-    k = laws[0].alphabet_size
-    succ = [(j + 1) % len(laws) for j in range(len(laws)) for _ in range(k)]
-    return tuple(islice(_walk(laws, succ, 0, source), max(t, 0)))
+        tries.append(code.components[int(ch)]._trie)
+    k = code.components[0].alphabet_size
+    succ = [(j + 1) % len(tries) for j in range(len(tries)) for _ in range(k)]
+    return tuple(islice(_walk(tries, succ, 0, source), max(t, 0)))
 
 
 def spread_decode(
@@ -533,10 +565,7 @@ def spread_decode(
             bits.append(None)
             confs.append(0.0)
             continue
-        scores = [
-            sum(logp[c][s] for s in samples)
-            for c in range(len(code.components))
-        ]
+        scores = [sum(map(row.__getitem__, samples)) for row in logp]
         order = sorted(range(len(scores)), key=lambda c: (-scores[c], c))
         best, runner = order[0], order[1]
         gap = scores[best] - scores[runner]

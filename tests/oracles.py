@@ -14,7 +14,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from samplex import (
     BitSource,
@@ -32,7 +32,6 @@ from samplex import (
     equivalence_groups,
     posterior_update,
     resolution_cap,
-    sample_discrete,
     sequence_log_probability,
     symbols,
 )
@@ -246,6 +245,18 @@ def sample_discrete_reference(spec, source: BitSource) -> int:
         n += 1
 
 
+def draw_per_bit(spec, source: BitSource) -> int:
+    """One draw down the spec's refinement trie, one ``next_bit`` call per
+    flip: the per-flip walk the library's draw loop, which reads the word
+    in place, must match symbol for symbol and flip for flip.  The trie
+    itself is checked against ``sample_discrete_reference``."""
+    trie = spec._trie
+    node = trie[0]
+    while node > 0:
+        node = trie[node + source.next_bit()]
+    return ~node
+
+
 def _next_context(spec, ctx: tuple[int, ...], sym: int) -> tuple[int, ...]:
     """The context a chain moves to, stepped by hand: its last
     ``memory`` symbols."""
@@ -276,28 +287,35 @@ def draw_start_reference(spec, source: BitSource) -> tuple[int, ...]:
     if len(start) == 1:
         return next(iter(start))
     law = IidSpec.from_probs(list(start.values()))
-    return list(start)[sample_discrete(law, source)]
+    return list(start)[draw_per_bit(law, source)]
+
+
+def symbols_reference(spec, source: BitSource) -> Iterator[int]:
+    """The endless symbol stream of an iid or Markov spec, stepping tuple
+    contexts by hand: the hidden start is drawn at once, each symbol is
+    drawn per flip from its context's row when it is read, and the
+    context then keeps the last ``memory`` symbols."""
+
+    def stream(ctx: tuple[int, ...]) -> Iterator[int]:
+        while True:
+            sym = draw_per_bit(spec.transitions[ctx], source)
+            yield sym
+            ctx = _next_context(spec, ctx, sym)
+
+    return stream(draw_start_reference(spec, source))
 
 
 def markov_sample_reference(spec, t: int, source: BitSource) -> tuple[int, ...]:
-    """t symbols of an iid or Markov spec, stepping tuple contexts by
-    hand: each symbol is drawn from its context's row, and the context
-    then keeps the last ``memory`` symbols."""
-    ctx = draw_start_reference(spec, source)
-    out = []
-    for _ in range(t):
-        sym = sample_discrete(spec.transitions[ctx], source)
-        out.append(sym)
-        ctx = _next_context(spec, ctx, sym)
-    return tuple(out)
+    """The first t symbols of ``symbols_reference``."""
+    return tuple(itertools.islice(symbols_reference(spec, source), t))
 
 
 def spread_encode_reference(code, message: str, t: int, source: BitSource) -> tuple[int, ...]:
     """t symbols of a spread code: position j is drawn from the component
-    that message symbol j mod L selects."""
+    that message symbol j mod L selects, per flip."""
     idx = [int(ch) for ch in message]
     return tuple(
-        sample_discrete(code.components[idx[j % len(idx)]], source)
+        draw_per_bit(code.components[idx[j % len(idx)]], source)
         for j in range(t)
     )
 

@@ -620,19 +620,30 @@ class TestPosteriorTrace:
     def test_draws_only_the_symbols_it_scores(
         self, monkeypatch, ideal, other, start_draws
     ):
+        import samplex.bayes as bayes
         import samplex.cli as cli
         import samplex.processes as processes
         from samplex import HypothesisSet, StoppingConfig, posterior_trace
 
+        # a start draw goes through sample_discrete; every later symbol
+        # is counted as the trial takes it from the stream
         draws = 0
         sample_discrete = processes.sample_discrete
+        stream = bayes.symbols
 
-        def counted(spec, source):
+        def counted_start(spec, source):
             nonlocal draws
             draws += 1
             return sample_discrete(spec, source)
 
-        monkeypatch.setattr(processes, "sample_discrete", counted)
+        def counted(spec, source):
+            nonlocal draws
+            for sym in stream(spec, source):
+                draws += 1
+                yield sym
+
+        monkeypatch.setattr(processes, "sample_discrete", counted_start)
+        monkeypatch.setattr(bayes, "symbols", counted)
         spec = cli._process(ideal, "$.ideal")
         hset = HypothesisSet((spec, cli._process(other, "$.other")))
         scfg = StoppingConfig(p=0.9)

@@ -42,6 +42,7 @@ from oracles import (
     markov_sample_reference,
     sample_discrete_reference,
     spread_encode_reference,
+    symbols_reference,
 )
 
 FAIR = IidSpec.from_probs([0.5, 0.5])
@@ -141,47 +142,28 @@ class TestIidSpec:
 
 class TestSampleDiscrete:
     def test_fair_coin_costs_exactly_one_flip(self):
-        class CountingSource(BitSource):
-            def __init__(self, seed):
-                super().__init__(seed)
-                self.flips = 0
-
-            def next_bit(self):
-                self.flips += 1
-                return super().next_bit()
-
-        src = CountingSource(5)
+        src = BitSource(5)
         for _ in range(100):
             sample_discrete(FAIR, src)
-        assert src.flips == 100
+        assert src.bits_consumed == 100
+        assert src._left == 2 * 64 - 100  # two words fetched, 28 flips unread
 
     def test_certain_outcome_costs_nothing(self):
-        class PoisonedSource(BitSource):
-            def next_bit(self):
-                raise AssertionError("no flips should be needed")
-
-        assert sample_discrete(IidSpec.from_probs([1.0]), PoisonedSource(0)) == 0
-        assert (
-            sample_discrete(IidSpec.from_probs([0.0, 1.0]), PoisonedSource(0)) == 1
-        )
+        src = BitSource(0)
+        untouched = src._rng.getstate()
+        assert sample_discrete(IidSpec.from_probs([1.0]), src) == 0
+        assert sample_discrete(IidSpec.from_probs([0.0, 1.0]), src) == 1
+        assert (src.bits_consumed, src._left) == (0, 0)
+        assert src._rng.getstate() == untouched  # no word was fetched
 
     def test_quarter_split_mean_flip_count(self):
-        class CountingSource(BitSource):
-            def __init__(self, seed):
-                super().__init__(seed)
-                self.flips = 0
-
-            def next_bit(self):
-                self.flips += 1
-                return super().next_bit()
-
         expected = exact_expected_bits([Fraction(0), Fraction(1, 4), Fraction(1)])
         assert expected == Fraction(3, 2)
-        src = CountingSource(11)
+        src = BitSource(11)
         n = 20_000
         for _ in range(n):
             sample_discrete(SKEWED, src)
-        assert src.flips / n == pytest.approx(float(expected), abs=0.02)
+        assert src.bits_consumed / n == pytest.approx(float(expected), abs=0.02)
 
     def test_frequencies_match_the_spec(self):
         src = BitSource(13)
@@ -268,6 +250,12 @@ TRIE_SPECS = {
 }
 
 
+def _position(source: BitSource) -> tuple:
+    """Everything a later read of the source depends on: the flips
+    counted, the word and its unread flips, and the generator state."""
+    return source.bits_consumed, source._left, source._buf, source._rng.getstate()
+
+
 def _internal_nodes(spec: IidSpec) -> int:
     return (len(spec._trie) - 1) // 2
 
@@ -292,7 +280,7 @@ class TestRefinementTrie:
             for _ in range(300):
                 sym = sample_discrete(spec, fast)
                 assert sym == sample_discrete_reference(spec, ref), spec
-                assert fast.bits_consumed == ref.bits_consumed, spec
+                assert _position(fast) == _position(ref), spec
 
     @pytest.mark.parametrize("group", TRIE_SPECS)
     def test_every_leaf_is_where_the_reference_stops(self, group):
@@ -375,6 +363,13 @@ STREAM_SPECS = {
     },
 }
 LENGTHS = [0, 1, 7, 300]
+# word boundaries at 64 flips: a stream stopped near one, or a long one
+# that crosses many inside a draw
+STOPS = [0, 1, 2, 3, 7, 63, 64, 65, 333]
+WALK_SPECS = {
+    **TRIE_SPECS,
+    **{group: specs for group, specs in STREAM_SPECS.items() if group.startswith("memory-")},
+}
 
 
 class TestOneDrawLoop:
@@ -401,6 +396,49 @@ class TestOneDrawLoop:
             want = spread_encode_reference(code, message, t, ref)
             assert spread_encode(code, message, t, got) == want, message
             assert got.bits_consumed == ref.bits_consumed, message
+
+    @pytest.mark.parametrize("group", WALK_SPECS)
+    def test_a_stopped_stream_leaves_the_source_where_the_per_flip_walk_does(self, group):
+        for i, spec in enumerate(WALK_SPECS[group]):
+            for t in STOPS:
+                ref, got = BitSource(f"{group}:{i}:{t}"), BitSource(f"{group}:{i}:{t}")
+                want = markov_sample_reference(spec, t, ref)
+                assert tuple(itertools.islice(symbols(spec, got), t)) == want, (spec, t)
+                assert _position(got) == _position(ref), (spec, t)
+
+    @pytest.mark.parametrize("components", [2, 3])
+    def test_a_spread_code_leaves_the_source_where_the_per_flip_walk_does(self, components):
+        for i, (code, message) in enumerate(_random_codes(8, components, components)):
+            for t in STOPS:
+                ref, got = BitSource(f"{i}:{t}"), BitSource(f"{i}:{t}")
+                want = spread_encode_reference(code, message, t, ref)
+                assert spread_encode(code, message, t, got) == want, (message, t)
+                assert _position(got) == _position(ref), (message, t)
+
+    @pytest.mark.parametrize("group", WALK_SPECS)
+    def test_a_stream_started_mid_word_matches_the_reference(self, group):
+        for i, spec in enumerate(WALK_SPECS[group]):
+            for skip in (1, 5, 63, 64, 65):
+                ref, got = BitSource(f"{group}:{i}:{skip}"), BitSource(f"{group}:{i}:{skip}")
+                for source in (ref, got):
+                    for _ in range(skip):
+                        source.next_bit()
+                want = markov_sample_reference(spec, 100, ref)
+                assert tuple(itertools.islice(symbols(spec, got), 100)) == want, (spec, skip)
+                assert _position(got) == _position(ref), (spec, skip)
+
+    @pytest.mark.parametrize("group", WALK_SPECS)
+    def test_flips_read_between_symbols_are_seen_by_both(self, group):
+        # after the j-th symbol the caller reads j % 67 flips itself, so
+        # the stream resumes at every offset in a word
+        for i, spec in enumerate(WALK_SPECS[group]):
+            ref, got = BitSource(f"{group}:{i}"), BitSource(f"{group}:{i}")
+            pairs = zip(symbols_reference(spec, ref), symbols(spec, got))
+            for j, (want, sym) in enumerate(itertools.islice(pairs, 200)):
+                assert sym == want, (spec, j)
+                assert _position(got) == _position(ref), (spec, j)
+                n = j % 67
+                assert [got.next_bit() for _ in range(n)] == [ref.next_bit() for _ in range(n)]
 
 
 class TestSeededSamplerOutput:
