@@ -509,10 +509,6 @@ class MCStoppingReport:
         return tuple(self.dist.moment(m) for m in range(1, highest + 1))
 
 
-def _trial_seed(seed: int | str, index: int) -> str:
-    return f"{seed}:{index}"
-
-
 def _mc_trial(
     ideal: ProcessSpec,
     hset: HypothesisSet,
@@ -585,7 +581,7 @@ def mc_sample_complexity(
         results = [(first[0], 0)] * trials
     else:
         results = [
-            _mc_trial(ideal, hset, decide, budget, _trial_seed(seed, i))
+            _mc_trial(ideal, hset, decide, budget, f"{seed}:{i}")
             for i in range(trials)
         ]
 

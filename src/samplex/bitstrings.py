@@ -263,19 +263,12 @@ def identify_depth_first(
 _END = ""  # tree-node key of the member ending there; no symbol is empty
 
 
-@dataclass
-class ContextTree:
-    """Prefix tree over a hypothesis set; every node is on some member's
-    path, so there are no unreachable nodes.  A node is a dict from each
-    next symbol to its child node, holding the 1-based index of the
-    member that ends there under ``_END``."""
-
-    root: dict
-    size: int
-
-
-def build_context_tree(hset: SortedHypothesisSet) -> ContextTree:
-    """The prefix tree of the set's members, indexed in sorted order."""
+def build_context_tree(hset: SortedHypothesisSet) -> dict:
+    """The prefix tree of the set's members, indexed in sorted order: its
+    root node.  Every node is on some member's path, so there are no
+    unreachable nodes.  A node is a dict from each next symbol to its
+    child node, holding the 1-based index of the member that ends there
+    under ``_END``; the empty set's tree is ``{}``."""
     root: dict = {}
     for idx, m in enumerate(hset.members, start=1):
         node = root
@@ -285,7 +278,7 @@ def build_context_tree(hset: SortedHypothesisSet) -> ContextTree:
                 child = node[sym] = {}
             node = child
         node[_END] = idx
-    return ContextTree(root, len(hset))
+    return root
 
 
 def _subtree_terminals(node: dict) -> list[int]:
@@ -300,9 +293,7 @@ def _subtree_terminals(node: dict) -> list[int]:
     return sorted(out)
 
 
-def identify_tree(
-    tree: ContextTree, query: str, r: float = 0.0
-) -> IdOutcome:
+def identify_tree(tree: dict, query: str, r: float = 0.0) -> IdOutcome:
     """Walk the prefix tree along the observed symbols.
 
     ``i`` is the number of symbols consumed by the walk.  ``h`` is the
@@ -310,11 +301,11 @@ def identify_tree(
     member pointer to report).
     """
     prefix, complete = _observe(query, r)
-    if tree.size == 0:
+    if not tree:
         # no member to compare a symbol with, so none is read
         return IdOutcome(IdStatus.FALSIFIED, 0, 0, ())
 
-    node = tree.root
+    node = tree
     path_terminals: list[int] = []
     for depth, sym in enumerate(prefix):
         if _END in node:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from typing import ClassVar, Iterator, Mapping, Sequence
 
 from .info import ComputationRefused, ProbVector, as_probvector, logsumexp2, safe_log2
@@ -195,27 +196,22 @@ def _refinement_trie(boundaries: tuple[Fraction, ...]) -> tuple[int, ...]:
     as the offset o > 0 of its children's slots o and o+1.  Only intervals
     that straddle an interior boundary stay internal, so there are at most
     (k-1)*dmax internal nodes, where 2^dmax is the largest denominator.
+    The only cell that can hold a node is the nonzero one holding its
+    left end, found by bisection, so the build costs O(k * dmax * log k).
     """
     dmax = max(b.denominator for b in boundaries).bit_length() - 1
     unit = 1 << dmax
     scaled = [int(b * unit) for b in boundaries]
-    cells = [
-        (j, scaled[j], scaled[j + 1])
-        for j in range(len(scaled) - 1)
-        if scaled[j] != scaled[j + 1]  # a zero-probability cell holds no interval
-    ]
     slots = [0]
     pending = [(0, 0, 0)]  # (slot, n, z)
     while pending:
         slot, n, z = pending.pop()
-        # interval endpoints as integers over 2**dmax, given n flips
-        lo = z * unit
-        hi = lo + unit
-        shift = 1 << n
-        for j, a, b in cells:
-            if lo >= a * shift and hi <= b * shift:
-                slots[slot] = ~j
-                break
+        # the interval [lo, lo + width) in integers over 2**dmax
+        width = unit >> n
+        lo = z * width
+        j = bisect_right(scaled, lo) - 1  # the nonzero cell holding lo
+        if lo + width <= scaled[j + 1]:
+            slots[slot] = ~j
         else:
             child = slots[slot] = len(slots)
             slots += (0, 0)
@@ -241,8 +237,11 @@ def _context_str(ctx: Context) -> str:
 class MarkovSpec(_Chain):
     """Finite-memory chain: one conditional distribution per context.
 
-    ``init`` is one of ``("context", ctx)``, ``("distribution", probs)``
-    over lexicographic contexts, or ``("stationary", None)``.
+    The contexts are the map's keys in sorted order, which must be every
+    tuple of ``memory`` symbols: keys that are not contexts are refused
+    first, then a map that misses some.  ``init`` is one of
+    ``("context", ctx)``, ``("distribution", probs)`` over sorted
+    contexts, or ``("stationary", None)``.
     """
 
     memory: int
@@ -255,18 +254,26 @@ class MarkovSpec(_Chain):
         if not self.transitions:
             raise ValueError("transition map is empty")
         k = next(iter(self.transitions.values())).alphabet_size
-        expected = self._all_contexts(k)
-        missing = [c for c in expected if c not in self.transitions]
-        if missing:
-            raise ValueError(
-                "transition map is missing contexts: "
-                + ", ".join(_context_str(c) for c in missing[:8])
-            )
-        unknown = sorted(set(self.transitions).difference(expected))
+        unknown = sorted(
+            _context_str(c) if isinstance(c, tuple) else repr(c)
+            for c in self.transitions
+            if not isinstance(c, tuple)
+            or len(c) != self.memory
+            or not all(s in range(k) for s in c)
+        )
         if unknown:
             raise ValueError(
                 "transition map has keys that are not contexts: "
-                + ", ".join(_context_str(c) for c in unknown[:8])
+                + ", ".join(unknown[:8])
+            )
+        if len(self.transitions) < k**self.memory:
+            missing = (
+                c for c in product(range(k), repeat=self.memory)
+                if c not in self.transitions
+            )
+            raise ValueError(
+                "transition map is missing contexts: "
+                + ", ".join(map(_context_str, islice(missing, 8)))
             )
         for ctx, sub in self.transitions.items():
             if sub.alphabet_size != k:
@@ -282,10 +289,10 @@ class MarkovSpec(_Chain):
                 )
         elif mode == "distribution":
             pv = as_probvector(payload)  # type: ignore[arg-type]
-            if len(pv) != len(expected):
+            if len(pv) != len(self.transitions):
                 raise ValueError(
                     f"initial distribution over {len(pv)} contexts, "
-                    f"expected {len(expected)}"
+                    f"expected {len(self.transitions)}"
                 )
             self._check_stationary(pv)
         elif mode == "stationary":
@@ -297,14 +304,8 @@ class MarkovSpec(_Chain):
     def alphabet_size(self) -> int:
         return next(iter(self.transitions.values())).alphabet_size
 
-    def _all_contexts(self, k: int) -> list[Context]:
-        ctxs: list[Context] = [()]
-        for _ in range(self.memory):
-            ctxs = [c + (s,) for c in ctxs for s in range(k)]
-        return ctxs
-
     def contexts(self) -> list[Context]:
-        return self._all_contexts(self.alphabet_size)
+        return sorted(self.transitions)
 
     def conditional(self, ctx: Context) -> ProbVector:
         return self.transitions[ctx].dist
@@ -569,8 +570,6 @@ def spread_decode(
         order = sorted(range(len(scores)), key=lambda c: (-scores[c], c))
         best, runner = order[0], order[1]
         gap = scores[best] - scores[runner]
-        if gap == 0.0:
-            best = min(best, runner)
         bits.append(best)
         confs.append(gap if math.isfinite(gap) else math.inf)
     return DecodedMessage(tuple(bits), tuple(confs))

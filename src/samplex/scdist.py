@@ -71,10 +71,6 @@ class PairwiseSCDist:
                 "use pairwise_verification for the K = 0 point mass at L"
             )
 
-    @property
-    def exact(self) -> bool:
-        return self.L <= _EXACT_MAX_L
-
     def support(self) -> range:
         return range(1, self.L - self.K + 2)
 

@@ -245,6 +245,40 @@ def sample_discrete_reference(spec, source: BitSource) -> int:
         n += 1
 
 
+def refinement_trie_reference(boundaries: Sequence[Fraction]) -> tuple[int, ...]:
+    """The flat refinement trie (slot 0 the root, ~j a leaf of symbol j,
+    o > 0 the offset of an internal node's children), built by scanning
+    every nonzero CDF cell for each node in the library's pending order:
+    the O(k) per-node scan the library's bisection must match slot for
+    slot."""
+    dmax = max(b.denominator for b in boundaries).bit_length() - 1
+    unit = 1 << dmax
+    scaled = [int(b * unit) for b in boundaries]
+    cells = [
+        (j, scaled[j], scaled[j + 1])
+        for j in range(len(scaled) - 1)
+        if scaled[j] != scaled[j + 1]  # a zero-probability cell holds no interval
+    ]
+    slots = [0]
+    pending = [(0, 0, 0)]  # (slot, n, z)
+    while pending:
+        slot, n, z = pending.pop()
+        # interval endpoints as integers over 2**dmax, given n flips
+        lo = z * unit
+        hi = lo + unit
+        shift = 1 << n
+        for j, a, b in cells:
+            if lo >= a * shift and hi <= b * shift:
+                slots[slot] = ~j
+                break
+        else:
+            child = slots[slot] = len(slots)
+            slots += (0, 0)
+            pending.append((child, n + 1, z << 1))
+            pending.append((child + 1, n + 1, (z << 1) | 1))
+    return tuple(slots)
+
+
 def draw_per_bit(spec, source: BitSource) -> int:
     """One draw down the spec's refinement trie, one ``next_bit`` call per
     flip: the per-flip walk the library's draw loop, which reads the word

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import tempfile
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -281,6 +282,13 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "mc_sample_complexity", trials)
         cfg = {**NOVELTY_CFG, "hypotheses": [[1.0, 0.0]]}
         assert_invalid_at(tmp_path, capsys, cfg, "$.hypotheses[0]")
+
+    def test_a_deep_chain_with_short_keys_is_invalid_at_once(self, tmp_path, capsys):
+        # 2**40 contexts; the keys are refused without listing them
+        cfg = {**SAMPLE_CFG, "spec": {**markov1(0.25, 0.5), "memory": 40}}
+        started = time.perf_counter()
+        assert_invalid_at(tmp_path, capsys, cfg, "$.spec")
+        assert time.perf_counter() - started < 0.1
 
     def test_a_stationary_law_that_does_not_converge_is_refused(
         self, tmp_path, capsys, monkeypatch

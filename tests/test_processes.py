@@ -7,6 +7,7 @@ import json
 import math
 import re
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from oracles import (
     exact_ml_bit_error,
     exact_stationary,
     markov_sample_reference,
+    refinement_trie_reference,
     sample_discrete_reference,
     spread_encode_reference,
     symbols_reference,
@@ -190,11 +192,11 @@ class ScriptedSource(BitSource):
         return self._script.pop(0)
 
 
-def _random_specs(n: int, seed: int) -> list[IidSpec]:
+def _random_specs(n: int, seed: int, kmax: int = 8) -> list[IidSpec]:
     rng = random.Random(seed)
     specs = []
     for _ in range(n):
-        k = rng.randint(1, 8)
+        k = rng.randint(1, kmax)
         if rng.random() < 0.5:  # dyadic: integer weights over 2**d
             d = rng.randint(0, 12)
             raw = [rng.randint(0, 1 << d) * (rng.random() < 0.8) for _ in range(k)]
@@ -250,6 +252,20 @@ TRIE_SPECS = {
 }
 
 
+# specs whose tries the bisection builder must build slot for slot as
+# the per-node cell scan does
+TRIE_GRID = {
+    "random": _random_specs(2_000, 24, kmax=12),
+    "lone-symbol": [
+        IidSpec.from_probs([float(i == j) for i in range(k)])
+        for k in range(1, 13)
+        for j in range(k)
+    ],
+    "uniform": [IidSpec.from_probs([1 / k] * k) for k in range(1, 13)],
+    "uniform-800": [IidSpec.from_probs([1 / 800] * 800)],
+}
+
+
 def _position(source: BitSource) -> tuple:
     """Everything a later read of the source depends on: the flips
     counted, the word and its unread flips, and the generator state."""
@@ -296,6 +312,18 @@ class TestRefinementTrie:
             interior = {b for b in spec.boundaries if 0 < b < 1}
             dmax = max(b.denominator for b in spec.boundaries).bit_length() - 1
             assert _internal_nodes(spec) <= len(interior) * dmax, spec
+
+    @pytest.mark.parametrize("group", TRIE_GRID)
+    def test_bisection_builds_the_tries_the_cell_scan_builds(self, group):
+        for spec in TRIE_GRID[group]:
+            assert spec._trie == refinement_trie_reference(spec.boundaries), spec
+
+    def test_a_uniform_3200_symbol_trie_builds_in_under_2_s(self):
+        spec = IidSpec.from_probs([1 / 3200] * 3200)
+        started = time.perf_counter()
+        trie = spec._trie
+        assert time.perf_counter() - started < 2.0
+        assert {~node for node in trie if node < 0} == set(range(3200))
 
     def test_trie_is_built_on_the_first_draw_and_ignored_by_equality(self):
         spec = IidSpec.from_probs([0.2, 0.3, 0.5])
@@ -561,15 +589,40 @@ class TestMarkovSpec:
                 init=("stationary", None),
             )
 
-    @pytest.mark.parametrize("key", [(2,), (0, 1)], ids=["symbol", "length"])
-    def test_key_that_is_not_a_context_rejected(self, key):
+    @pytest.mark.parametrize(
+        "keys, names",
+        [
+            ([(0,), (1,), (2,)], "2"),
+            ([(0,), (1,), (0, 1)], "01"),
+            (["0", "1"], "'0', '1'"),
+            (["0", (1,)], "'0'"),
+            ([(0, 1), (1,)], "01"),  # the context 0 is missing too
+        ],
+        ids=["symbol", "length", "strings", "string-and-context", "both-defects"],
+    )
+    def test_key_that_is_not_a_context_rejected(self, keys, names):
         row = IidSpec.from_probs([0.5, 0.5])
-        with pytest.raises(ValueError, match="not contexts"):
+        with pytest.raises(ValueError, match=f"not contexts: {names}$"):
             MarkovSpec(
                 memory=1,
-                transitions={(0,): row, (1,): row, key: row},
+                transitions=dict.fromkeys(keys, row),
                 init=("stationary", None),
             )
+
+    def test_memory_40_keys_that_are_not_contexts_are_refused_at_once(self):
+        row = IidSpec.from_probs([0.5, 0.5])
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=r"not contexts: 0, 1$"):
+            MarkovSpec(40, {(0,): row, (1,): row}, ("stationary", None))
+        assert time.perf_counter() - started < 0.1
+
+    def test_memory_40_map_with_one_context_is_refused_at_once(self):
+        row = IidSpec.from_probs([0.5, 0.5])
+        first = ", ".join(format(i, "040b") for i in range(1, 9))
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"missing contexts: {first}$"):
+            MarkovSpec(40, {(0,) * 40: row}, ("stationary", None))
+        assert time.perf_counter() - started < 0.1
 
     def test_reducible_chain_is_rejected_at_construction(self):
         with pytest.raises(NonErgodicError, match="reducible"):
