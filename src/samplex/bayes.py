@@ -18,9 +18,13 @@ band form is used throughout.
 The rule is written once, in ``_stopping_rule``: ``check_stop`` and
 every Monte Carlo stopping trial decide through the same function.  A
 trial reads the ideal's symbols from ``processes.symbols``, the one
-draw loop of the library, and ``_mc_trial`` is the one loop that scores
-them.  The posterior trace is one more stopping trial through that
-loop, whose decide function also records the posterior at each step.
+draw loop of the library, and ``_trial_loop`` is the one loop that
+scores them: each run sets it up once and calls it once per seed.  The
+posterior trace is one more stopping trial through that loop, whose
+decide function also records the posterior at each step.  The rule
+weighs the posterior only at steps where some group can still reach
+mass p: a per-step bound on each group's mass rules verification out
+first, with the same verdicts.
 
 A member's likelihood is also written once.  Each set caches one log
 table, log2 P(symbol | context) for every member, and one start score
@@ -50,6 +54,7 @@ import bisect
 import contextlib
 import itertools
 import math
+import operator
 import random
 import struct
 from dataclasses import dataclass
@@ -81,6 +86,9 @@ from .processes import (
 from .scdist import EmpiricalSCDist
 
 _FLOOR_TOL = 1e-12
+# relative slack by which p must exceed a group's mass bound before the
+# stopping rule skips weighing the posterior (see ``_stopping_rule``)
+_BOUND_MARGIN = 1e-12
 _DEFAULT_MC_SEQUENCES = 10_000
 _DEFAULT_BUDGET = 100_000
 # sequence classes one horizon of the exact surprisal walk may hold; on
@@ -419,11 +427,41 @@ def _stopping_rule(
     likelihood zero.  Falsification: every member falsified, or, after
     the warm-up, every member's surprisal outside its band at level q.
     Hitting the resolution cap forces a terminal Undetermined.
+
+    Before it weighs the posterior, ``decide`` asks whether any group can
+    reach mass p.  Let ``top`` be the largest score (log prior plus
+    log-likelihood), ``a`` the group of a member scoring ``top``,
+    ``second`` the largest score outside ``a`` and w = 2 ** (second -
+    top), the very float the full path weighs that member with.  Every
+    weight is at most 1 and the top member's is exactly 1, so ``a`` holds
+    at most |a| / (|a| + w) of the summed weights and any other group g
+    at most |g| / (|g| + 1).  A computed mass rounds three times (two
+    ``math.fsum`` sums and a division), and the bounds and p / (1 +
+    _BOUND_MARGIN) a few times more, each by a factor within 1 +- 2**-53:
+    about ten such factors, far inside the margin of 1e-12.  So when p /
+    (1 + _BOUND_MARGIN) exceeds both bounds no computed mass reaches p,
+    and ``decide`` goes straight to the q-band and r-cap tests.  With
+    p = 1 the test is second > -inf: a live member outside ``a`` rules
+    certainty out.  Where p / (1 + _BOUND_MARGIN) <= m / (m + 1), with m
+    the largest group size, or one group holds every member, every step
+    is weighed.
     """
     members = range(len(hset))
     rates = hset.rates
     groups = equivalence_groups(hset, cfg.eps_d)
-    eps_p = -math.log2(cfg.p) if cfg.p > 0.0 else math.inf
+    p = cfg.p
+    shrunk = p / (1.0 + _BOUND_MARGIN)
+    largest = max(map(len, groups))
+    # one group holds mass 1 at every step: there is nothing to rule out
+    bounded = len(groups) > 1 and shrunk > largest / (largest + 1)
+    # each member's group size and the members outside its group
+    sizes = [0] * len(hset)
+    outside: list[tuple[int, ...]] = [()] * len(hset)
+    for g in groups:
+        for i in g:
+            sizes[i] = len(g)
+            outside[i] = tuple(j for j in members if j not in g)
+    eps_p = -math.log2(p) if p > 0.0 else math.inf
     eps_q = -math.log2(cfg.q) if cfg.q > 0.0 else math.inf
     warmup = (
         max(1, warmup_threshold(max(rates), cfg.q)) if cfg.q > 0.0 else math.inf
@@ -437,7 +475,7 @@ def _stopping_rule(
     # ``certain`` is then that group, or () when it never holds; None
     # means the posterior must be weighed at every step.
     certain: tuple[int, ...] | None = None
-    if cfg.p == 1.0 and all(v > -math.inf for i in live for v in logtab[i]):
+    if p == 1.0 and all(v > -math.inf for i in live for v in logtab[i]):
         certain = next((g for g in groups if live <= set(g)), ())
 
     def verdict(group: tuple[int, ...]) -> _Verdict:
@@ -445,29 +483,38 @@ def _stopping_rule(
             return DecisionStatus.VERIFIED, group
         return DecisionStatus.PARTIALLY_IDENTIFIED, group
 
+    def reachable(scores: list[float], top: float) -> bool:
+        """Whether some group's computed mass can reach p (see above)."""
+        i = scores.index(top)
+        second = max([scores[j] for j in outside[i]])
+        if p == 1.0:
+            return second == -math.inf
+        return sizes[i] / (sizes[i] + 2.0 ** (second - top)) >= shrunk
+
     def decide(loglik: Sequence[float], t: int) -> _Verdict | None:
         if certain:
             return verdict(certain)
         if certain is None:
-            scores = [log_prior[i] + loglik[i] for i in members]
+            scores = list(map(operator.add, log_prior, loglik))
             top = max(scores)
             if top == -math.inf:
                 return DecisionStatus.FALSIFIED, ()
-            weights = [2.0 ** (s - top) for s in scores]
-            total = math.fsum(weights)
-            masses = [math.fsum(weights[i] for i in g) / total for g in groups]
-            best = max(range(len(groups)), key=masses.__getitem__)
-            group = groups[best]
-            if cfg.p == 1.0:
-                if all(scores[i] == -math.inf for i in members if i not in group):
+            if not bounded or reachable(scores, top):
+                weights = [2.0 ** (s - top) for s in scores]
+                total = math.fsum(weights)
+                masses = [math.fsum(weights[i] for i in g) / total for g in groups]
+                best = max(range(len(groups)), key=masses.__getitem__)
+                group = groups[best]
+                if p == 1.0:
+                    if all(scores[i] == -math.inf for i in members if i not in group):
+                        return verdict(group)
+                elif masses[best] >= p and (
+                    t == 0
+                    or any(abs(-loglik[i] / t - rates[i]) <= eps_p for i in group)
+                ):
                     return verdict(group)
-            elif masses[best] >= cfg.p and (
-                t == 0
-                or any(abs(-loglik[i] / t - rates[i]) <= eps_p for i in group)
-            ):
-                return verdict(group)
         if t >= warmup and all(
-            abs(-loglik[i] / t - rates[i]) > eps_q for i in members
+            [abs(-ll / t - rate) > eps_q for ll, rate in zip(loglik, rates)]
         ):
             return DecisionStatus.FALSIFIED, ()
         if t >= cap:
@@ -496,11 +543,16 @@ class MCStoppingReport:
     ``dist`` records decided trials by stopping time; trials that hit
     the budget undecided are censored inside it, and ``decisions``
     tallies decision kinds (censored trials count as Undetermined).
+    ``symbols`` is the sum of every trial's stopping time, censored
+    trials included (the symbols the trials drew), and ``fair_bits`` the
+    fair bits those draws read.
     """
 
     dist: EmpiricalSCDist
     decisions: dict[str, int]
     trials: int
+    symbols: int
+    fair_bits: int
 
     def mean(self) -> float:
         return self.dist.moment(1)
@@ -509,43 +561,51 @@ class MCStoppingReport:
         return tuple(self.dist.moment(m) for m in range(1, highest + 1))
 
 
-def _mc_trial(
+def _trial_loop(
     ideal: ProcessSpec,
     hset: HypothesisSet,
     decide: Callable[[Sequence[float], int], _Verdict | None],
     budget: int,
-    seed: str,
-) -> tuple[DecisionStatus, int]:
-    """One stopping trial from t = 1 on; the caller has already asked
-    ``decide`` at t = 0.  Returns the decision and when it fell;
-    Undetermined means censored (budget or r-cap exhausted).
+) -> Callable[[str], tuple[DecisionStatus, int, int]]:
+    """The stopping trial of one run, set up once: called with a seed, it
+    runs one trial from t = 1 on (the caller has already asked ``decide``
+    at t = 0) and returns the decision, when it fell and the fair bits
+    the trial read.  Undetermined means censored (budget or r-cap
+    exhausted).
 
-    Reads the ideal's symbols from ``symbols(ideal, BitSource(seed))``
-    and scores them as ``posterior_update`` does, without state objects:
-    while t <= memory the likelihoods are the prefix's start score, then
-    each step adds the log-table entry of the window, kept as its context
-    number, and the symbol.
+    A trial reads the ideal's symbols from ``symbols(ideal,
+    BitSource(seed))`` and scores them as ``posterior_update`` does,
+    without state objects: while t <= memory the likelihoods are the
+    prefix's start score, then each step adds ``cols[step]``, every
+    member's log-table entry for the window (kept as its context number)
+    and the symbol.
     """
     k = hset.alphabet_size
     memory = hset.memory
     n_ctx = k**memory
-    logtab = hset._log_table
-    loglik = [0.0] * len(hset)
-    prefix: Context = ()
-    window = 0
-    for t, sym in zip(range(1, budget + 1), symbols(ideal, BitSource(seed))):
-        step = window * k + sym
-        window = step % n_ctx
-        if t <= memory:
-            prefix += (sym,)
-            loglik = list(_start_score(hset, prefix))
-        else:
-            for m, row in enumerate(logtab):
-                loglik[m] += row[step]
-        decided = decide(loglik, t)
-        if decided is not None:
-            return decided[0], t
-    return DecisionStatus.UNDETERMINED, budget
+    cols = list(zip(*hset._log_table))
+    steps = range(1, budget + 1)
+    start = (0.0,) * len(hset)
+
+    def trial(seed: str) -> tuple[DecisionStatus, int, int]:
+        source = BitSource(seed)
+        loglik: Sequence[float] = start
+        prefix: Context = ()
+        window = 0
+        for t, sym in zip(steps, symbols(ideal, source)):
+            step = window * k + sym
+            window = step % n_ctx
+            if t <= memory:
+                prefix += (sym,)
+                loglik = _start_score(hset, prefix)
+            else:
+                loglik = list(map(operator.add, loglik, cols[step]))
+            decided = decide(loglik, t)
+            if decided is not None:
+                return decided[0], t, source.bits_consumed
+        return DecisionStatus.UNDETERMINED, budget, source.bits_consumed
+
+    return trial
 
 
 def mc_sample_complexity(
@@ -564,10 +624,10 @@ def mc_sample_complexity(
     run one after another in the calling thread; the CLI's ``--threads``
     flag is kept for compatibility only, and results never depend on
     it.  A decision the prior alone forces (t = 0) is the same for
-    every trial.  Trials still undecided after max_steps symbols
-    (``_DEFAULT_BUDGET`` when None), or stopped by the r-cap, are
-    censored, not dropped.  The ideal may differ from the members in
-    memory, not in alphabet.
+    every trial, which then draws nothing.  Trials still undecided after
+    max_steps symbols (``_DEFAULT_BUDGET`` when None), or stopped by the
+    r-cap, are censored, not dropped.  The ideal may differ from the
+    members in memory, not in alphabet.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -578,24 +638,24 @@ def mc_sample_complexity(
     decide = _stopping_rule(hset, cfg, log_prior)
     first = decide((0.0,) * len(hset), 0)
     if first is not None:
-        results = [(first[0], 0)] * trials
+        results = [(first[0], 0, 0)] * trials
     else:
-        results = [
-            _mc_trial(ideal, hset, decide, budget, f"{seed}:{i}")
-            for i in range(trials)
-        ]
+        trial = _trial_loop(ideal, hset, decide, budget)
+        results = [trial(f"{seed}:{i}") for i in range(trials)]
 
     counts: dict[int, int] = {}
-    censored = 0
+    censored = drawn = fair_bits = 0
     decisions = {s.value: 0 for s in DecisionStatus}
-    for status, t in results:
+    for status, t, bits in results:
         decisions[status.value] += 1
+        drawn += t
+        fair_bits += bits
         if status is DecisionStatus.UNDETERMINED:
             censored += 1
         else:
             counts[t] = counts.get(t, 0) + 1
     dist = EmpiricalSCDist(counts, trials, censored)
-    return MCStoppingReport(dist, decisions, trials)
+    return MCStoppingReport(dist, decisions, trials, drawn, fair_bits)
 
 
 def posterior_trace(
@@ -624,7 +684,7 @@ def posterior_trace(
         return decide(loglik, t)
 
     if record((0.0,) * len(hset), 0) is None:
-        _mc_trial(ideal, hset, record, limit, f"{seed}:trace")
+        _trial_loop(ideal, hset, record, limit)(f"{seed}:trace")
     return rows
 
 

@@ -128,7 +128,13 @@ def validate_config(cfg: object) -> dict:
     library objects a run builds, each at its field's path."""
     errors = sorted(_validator().iter_errors(cfg), key=lambda e: e.json_path)
     if errors:
-        first = errors[0]
+        # a value no branch of a oneOf accepts is reported at the field
+        # that fails the branch it best matches; a failed ``const`` (a
+        # ``kind`` that names another branch) is the weakest match
+        rank = jsonschema.exceptions.relevance
+        first = jsonschema.exceptions.best_match(
+            errors[:1], key=lambda e: (e.validator == "const", *rank(e))
+        )
         raise ConfigError(f"{first.json_path}: {first.message}")
     return cfg  # type: ignore[return-value]  # the schema's root is an object
 
@@ -358,6 +364,9 @@ def _run_bayes(cfg: dict, seed: int, meta: dict) -> dict:
         report = mc_sample_complexity(
             ideal, hset, cfg["prior"], scfg, cfg["trials"], seed, max_steps=max_steps
         )
+    meta.update(
+        trials=report.trials, symbols=report.symbols, fair_bits=report.fair_bits
+    )
     analytic = None
     with _phase(meta, "evaluator_s"):
         # expected sample complexity is defined for a member ideal only
@@ -397,6 +406,9 @@ def _run_novelty(cfg: dict, seed: int, meta: dict) -> dict:
         report = mc_sample_complexity(
             ideal, hset, prior, scfg, cfg["trials"], seed, max_steps=cfg["budget"]
         )
+    meta.update(
+        trials=report.trials, symbols=report.symbols, fair_bits=report.fair_bits
+    )
     combined = [max(b[0] for b in bounds), max(b[1] for b in bounds)]
     falsified = report.decisions[DecisionStatus.FALSIFIED.value]
     times = sorted(
@@ -457,10 +469,11 @@ def run_experiment(cfg: dict, seed: int, meta: dict | None = None) -> dict:
     the payload dict.
 
     Work counters of the run (``symbols`` drawn and ``fair_bits`` read by
-    ``sample`` and ``spread``) and per-phase seconds (``bayes``:
-    ``trials_s``, ``evaluator_s``, ``trace_s``; ``novelty``:
-    ``bounds_s``, ``trials_s``) go into ``meta`` when it is given; they
-    never enter the payload.
+    ``sample`` and ``spread``, and by the stopping trials of ``bayes``
+    and ``novelty``, which also count their ``trials``) and per-phase
+    seconds (``bayes``: ``trials_s``, ``evaluator_s``, ``trace_s``;
+    ``novelty``: ``bounds_s``, ``trials_s``) go into ``meta`` when it is
+    given; they never enter the payload.
     """
     handler = _KINDS.get(cfg["kind"])
     if handler is None:

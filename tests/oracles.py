@@ -14,7 +14,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from samplex import (
     BitSource,
@@ -34,8 +34,9 @@ from samplex import (
     resolution_cap,
     sequence_log_probability,
     symbols,
+    warmup_threshold,
 )
-from samplex.bayes import _member_index
+from samplex.bayes import HypothesisSet, _member_index, _Verdict
 from samplex.info import logsumexp2
 from samplex.scdist import _diff_positions
 
@@ -648,6 +649,83 @@ def check_stop_reference(state: PosteriorState, cfg: StoppingConfig) -> Decision
     return Decision(DecisionStatus.UNDETERMINED, (), t, posterior, False)
 
 
+def stopping_rule_reference(
+    hset: HypothesisSet, cfg: StoppingConfig, log_prior: Sequence[float]
+) -> Callable[[Sequence[float], int], _Verdict | None]:
+    """The stopping rule as it was before the library's per-step mass
+    bound: it weighs the posterior at every step.  The library's
+    ``_stopping_rule`` must return the same verdict for every input.
+
+    The stopping rule for one set, config and prior, as a function of
+    the per-member log2 likelihoods at time t: a terminal (status,
+    group), or None to keep observing.  ``check_stop`` and every Monte
+    Carlo trial decide through it.
+
+    Verification: the heaviest dissimilarity group must hold posterior
+    mass >= p and, after t = 0, contain a member whose per-symbol
+    surprisal is inside its typical band at level p.  With p = 1 this
+    tightens to structural certainty: every member outside the group at
+    likelihood zero.  Falsification: every member falsified, or, after
+    the warm-up, every member's surprisal outside its band at level q.
+    Hitting the resolution cap forces a terminal Undetermined.
+    """
+    members = range(len(hset))
+    rates = hset.rates
+    groups = equivalence_groups(hset, cfg.eps_d)
+    eps_p = -math.log2(cfg.p) if cfg.p > 0.0 else math.inf
+    eps_q = -math.log2(cfg.q) if cfg.q > 0.0 else math.inf
+    warmup = (
+        max(1, warmup_threshold(max(rates), cfg.q)) if cfg.q > 0.0 else math.inf
+    )
+    cap = resolution_cap(cfg.r)
+    live = {i for i in members if log_prior[i] > -math.inf}
+    logtab = hset._log_table
+    # with p = 1 and every live member at full support no live likelihood
+    # ever reaches 0, so structural certainty is the prior's alone: it
+    # holds at every t exactly when the live members share one group.
+    # ``certain`` is then that group, or () when it never holds; None
+    # means the posterior must be weighed at every step.
+    certain: tuple[int, ...] | None = None
+    if cfg.p == 1.0 and all(v > -math.inf for i in live for v in logtab[i]):
+        certain = next((g for g in groups if live <= set(g)), ())
+
+    def verdict(group: tuple[int, ...]) -> _Verdict:
+        if len(group) == 1:
+            return DecisionStatus.VERIFIED, group
+        return DecisionStatus.PARTIALLY_IDENTIFIED, group
+
+    def decide(loglik: Sequence[float], t: int) -> _Verdict | None:
+        if certain:
+            return verdict(certain)
+        if certain is None:
+            scores = [log_prior[i] + loglik[i] for i in members]
+            top = max(scores)
+            if top == -math.inf:
+                return DecisionStatus.FALSIFIED, ()
+            weights = [2.0 ** (s - top) for s in scores]
+            total = math.fsum(weights)
+            masses = [math.fsum(weights[i] for i in g) / total for g in groups]
+            best = max(range(len(groups)), key=masses.__getitem__)
+            group = groups[best]
+            if cfg.p == 1.0:
+                if all(scores[i] == -math.inf for i in members if i not in group):
+                    return verdict(group)
+            elif masses[best] >= cfg.p and (
+                t == 0
+                or any(abs(-loglik[i] / t - rates[i]) <= eps_p for i in group)
+            ):
+                return verdict(group)
+        if t >= warmup and all(
+            abs(-loglik[i] / t - rates[i]) > eps_q for i in members
+        ):
+            return DecisionStatus.FALSIFIED, ()
+        if t >= cap:
+            return DecisionStatus.UNDETERMINED, ()
+        return None
+
+    return decide
+
+
 def mc_trial_reference(ideal, hset, prior, cfg, budget: int, seed: str) -> Decision:
     """One Monte Carlo stopping trial by definition: the full posterior
     state is rebuilt and the reference stopping rule re-applied after
@@ -678,6 +756,26 @@ def mc_stopping_reference(
         if d.status is not DecisionStatus.UNDETERMINED:
             counts[d.t] = counts.get(d.t, 0) + 1
     return counts, decisions
+
+
+def mc_work_reference(
+    ideal, hset, prior, cfg, trials: int, seed, max_steps: int
+) -> tuple[int, int]:
+    """Symbols drawn and fair bits read by the trials of
+    ``mc_stopping_reference``: trial i stops at the t of
+    ``mc_trial_reference``, having drawn t symbols of
+    ``markov_sample_reference`` from the source seeded "{seed}:{i}"; a
+    trial the prior decides at t = 0 draws nothing."""
+    budget = int(min(max_steps, oracle_cap(cfg.r)))
+    drawn = bits = 0
+    for i in range(trials):
+        t = mc_trial_reference(ideal, hset, prior, cfg, budget, f"{seed}:{i}").t
+        if t:
+            source = BitSource(f"{seed}:{i}")
+            markov_sample_reference(ideal, t, source)
+            drawn += t
+            bits += source.bits_consumed
+    return drawn, bits
 
 
 def posterior_trace_reference(ideal, hset, prior, scfg, seed, limit: int) -> list[list]:

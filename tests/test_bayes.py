@@ -45,8 +45,10 @@ from oracles import (
     draw_counts_reference,
     hand_posterior,
     mc_stopping_reference,
+    mc_work_reference,
     posterior_surprisal_reference,
     posterior_trace_reference,
+    stopping_rule_reference,
     surprisal_moment_direct,
     surprisal_moment_product_form,
     transitive_groups_reference,
@@ -58,6 +60,7 @@ B95 = IidSpec.from_probs([0.05, 0.95])
 MIRROR = IidSpec.from_probs([0.9, 0.1])
 PAIR = HypothesisSet((B5, B9))
 UNIFORM = (0.5, 0.5)
+THIRDS = (1 / 3, 1 / 3, 1 / 3)
 T3 = IidSpec.from_probs([0.25, 0.25, 0.5])
 THREE = HypothesisSet((T3, IidSpec.from_probs([0.625, 0.25, 0.125])))
 
@@ -663,12 +666,86 @@ class TestStoppingRules:
             )
 
 
+def _near(c):
+    """c, c +- 1 and 4 ulps, and c +- 1e-9 (c = -inf stands alone)."""
+    if c == -math.inf:
+        return [c]
+    ulps = [c + k * math.ulp(c) for k in (-4, -1, 1, 4)]
+    return [c, *ulps, c - 1e-9, c + 1e-9]
+
+
+class TestMassBound:
+    """The library's stopping rule skips weighing the posterior when no
+    group can reach mass p; the reference weighs it at every step.  The
+    grid puts the score gap second - top within ulps of where the top
+    group's mass bound meets p."""
+
+    # groups (equal members, eps_d = 0) of 1, 2 and 3 members; a member
+    # with a zero-probability symbol makes p = 1 weigh the posterior
+    SETS = [
+        HypothesisSet((B5, B9)),
+        HypothesisSet((B5, B9, B95)),
+        HypothesisSet((B5, B5, B9)),
+        HypothesisSet((B9, B5, B5, B5)),
+        HypothesisSet((B5, B5, IidSpec.from_probs([0.0, 1.0]))),
+    ]
+    LEVELS = [0.5, math.nextafter(0.5, 1.0), 2 / 3, 0.9, 0.999, 1.0]
+
+    @staticmethod
+    def logliks(hset, groups, p, t, rest):
+        """Likelihood vectors whose top member leads a group a and whose
+        best member outside a trails it by a gap near log2 |a| -
+        log2(p / (1 - p)), or ties it; the other members of a trail the
+        top by 0 to 1e-9 bits, and the members outside a but the nearest
+        are ruled out, tie it or trail it by ``rest``.  A lag of 2e-16
+        bits leaves a weight of 1 - 2**-53, which rounds up when added to
+        the top's: there a computed mass can exceed the top group's
+        bound by an ulp."""
+        lags = (0.0, -2e-16, -1e-15, -1e-9)
+        for a in groups:
+            top, near = a[0], next(j for j in range(len(hset)) if j not in a)
+            c = -math.inf if p == 1.0 else math.log2(len(a) * (1.0 - p) / p)
+            # in the top member's typical band, and 1e6 bits out of it
+            for size in (0.0, 1e6):
+                base = -t * hset.rates[top] - size
+                for gap, lag in itertools.product([*_near(c), 0.0], lags):
+                    ll = [base + gap + rest] * len(hset)
+                    for i in a:
+                        ll[i] = base + lag
+                    ll[top] = base
+                    ll[near] = base + gap
+                    yield ll
+
+    @pytest.mark.parametrize(
+        "hset", SETS, ids=["1-1", "1-1-1", "2-1", "1-3", "2-1-zero"]
+    )
+    def test_the_bound_never_changes_a_verdict(self, hset):
+        groups = equivalence_groups(hset, 0.0)
+        n = len(hset)
+        # uniform, and the last member at prior zero
+        priors = [[1 / n] * n, [1 / (n - 1)] * (n - 1) + [0.0]]
+        checked = 0
+        for p, prior in itertools.product(self.LEVELS, priors):
+            log_prior = hset.log_prior(prior)
+            for cfg in (StoppingConfig(p=p), StoppingConfig(p=p, q=p / 2, r=0.01)):
+                rule = samplex.bayes._stopping_rule(hset, cfg, log_prior)
+                reference = stopping_rule_reference(hset, cfg, log_prior)
+                cases = itertools.product((0, 1, 7, 10_000), (-math.inf, -0.5, 0.0))
+                for t, rest in cases:
+                    for ll in self.logliks(hset, groups, p, t, rest):
+                        assert rule(ll, t) == reference(ll, t), (p, prior, cfg, t, ll)
+                        checked += 1
+                    dead = [-math.inf] * n
+                    assert rule(dead, t) == reference(dead, t)
+        assert checked > 10_000
+
+
 def stopping_scenarios():
     """(ideal, hset, prior, cfg) stopping trials the library runs against
     its reference loops: iid sets over 2 and 3 symbols, memory-1 and
     memory-2 chains with each start, p < 1 and p = 1, q > 0, eps_d > 0,
-    r-caps, an ideal every member rules out, and priors that decide at
-    t = 0."""
+    r-caps, an ideal every member rules out, priors that decide at
+    t = 0, and each branch of the stopping rule's mass bound."""
     close = IidSpec.from_probs([0.4375, 0.5625])
     ones_only = IidSpec.from_probs([0.0, 1.0])
     sticky = m1(0.125, 0.875)
@@ -745,6 +822,18 @@ def stopping_scenarios():
             UNIFORM,
             StoppingConfig(p=0.9),
         ),
+        # each branch of the stopping rule's mass bound: singleton groups
+        # with p just above 1/2 (steps ruled out where the gap is wide)
+        (B5, PAIR, UNIFORM, StoppingConfig(p=0.501)),
+        # an eps_d pair group: at p = 0.6 <= 2/3 every step is weighed,
+        # at p = 0.9 the pair's bound is 2 / (2 + w)
+        (B5, HypothesisSet((B5, close, B9)), THIRDS, StoppingConfig(p=0.6, eps_d=0.05)),
+        (B9, HypothesisSet((B5, close, B9)), THIRDS, StoppingConfig(p=0.9, eps_d=0.05)),
+        # a zero-prior member
+        (B9, HypothesisSet((B5, B9, B95)), (0.5, 0.5, 0.0), StoppingConfig(p=0.9)),
+        # p = 1 with a zero-probability entry, so ``certain`` is None and
+        # every step asks whether a live member is left outside the top group
+        (B9, HypothesisSet((B5, B9, ones_only)), THIRDS, StoppingConfig(p=1.0, q=0.3)),
     ]
 
 
@@ -781,6 +870,16 @@ class TestMCSampleComplexity:
             assert dict(got.dist.counts) == counts, n
             assert got.decisions == decisions, n
             assert got.dist.censored == decisions["Undetermined"], n
+
+    def test_reports_count_their_work(self):
+        for n, (ideal, hset, prior, cfg) in enumerate(stopping_scenarios()):
+            got = mc_sample_complexity(
+                ideal, hset, prior, cfg, trials=40, seed=31, max_steps=300
+            )
+            want = mc_work_reference(
+                ideal, hset, prior, cfg, trials=40, seed=31, max_steps=300
+            )
+            assert (got.symbols, got.fair_bits) == want, n
 
     def test_unreachable_certainty_censors_every_trial(self):
         report = mc_sample_complexity(

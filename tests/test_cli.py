@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from samplex import HypothesisSet, IidSpec, StoppingConfig, spec_from_json
 from samplex.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -26,6 +27,8 @@ from samplex.cli import (
     main,
     validate_config,
 )
+
+from oracles import mc_stopping_reference
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -289,6 +292,27 @@ class TestExitCodes:
         started = time.perf_counter()
         assert_invalid_at(tmp_path, capsys, cfg, "$.spec")
         assert time.perf_counter() - started < 0.1
+
+    # a transition key reads one character per symbol, so a chain's
+    # alphabet stops at 10 symbols
+    @pytest.mark.parametrize(
+        "place, path",
+        [("sample", "$.spec.alphabet"), ("bayes", "$.hypotheses[1].alphabet")],
+    )
+    def test_a_chain_over_11_symbols_is_invalid_at_its_alphabet(
+        self, tmp_path, capsys, place, path
+    ):
+        law = [1 / 16] * 10 + [6 / 16]
+        wide = {"kind": "markov", "memory": 1, "alphabet": 11,
+                "transitions": {str(s): law for s in range(11)}}
+        if place == "sample":
+            cfg = {**SAMPLE_CFG, "spec": wide}
+        else:
+            cfg = {**BAYES_CFG, "hypotheses": [[0.5, 0.5], wide]}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"config invalid: {path}: 11 is greater than the maximum of 10" in err
+        assert "Traceback" not in err
 
     def test_a_stationary_law_that_does_not_converge_is_refused(
         self, tmp_path, capsys, monkeypatch
@@ -715,6 +739,48 @@ class TestOutputs:
         assert not {"symbols", "fair_bits"} & set(record["payload"])
         text = json.dumps(record["payload"], sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # r = 0, so a censored trial drew the whole budget; the counters stay
+    # out of the payload, whose digests test_payloads_keep_their_digests pins
+    @pytest.mark.parametrize(
+        "cfg, fair_bits",
+        [
+            (BAYES_CFG, 1774),
+            (NOVELTY_CFG, 81),
+            (
+                {"kind": "novelty", "ideal": markov1(0.75, 0.25),
+                 "hypotheses": [markov1(0.25, 0.75), markov1(0.125, 0.5)],
+                 "q": 0.8, "trials": 60, "budget": 300, "seed": 8},
+                709,
+            ),
+        ],
+        ids=["bayes", "novelty", "markov-novelty"],
+    )
+    def test_stopping_runs_count_their_work_in_meta(self, tmp_path, cfg, fair_bits):
+        def spec(node):
+            if isinstance(node, list):
+                return IidSpec.from_probs(node)
+            return spec_from_json(node)
+
+        record = run_to_file(tmp_path, cfg)
+        ideal = spec(cfg["ideal"])
+        hset = HypothesisSet(tuple(map(spec, cfg["hypotheses"])))
+        if cfg["kind"] == "bayes":
+            prior, budget = cfg["prior"], cfg["max_steps"]
+            scfg = StoppingConfig(p=cfg["p"])
+        else:
+            prior = [1 / len(hset)] * len(hset)
+            scfg, budget = StoppingConfig(p=1.0, q=cfg["q"]), cfg["budget"]
+        counts, decisions = mc_stopping_reference(
+            ideal, hset, prior, scfg, cfg["trials"], cfg["seed"], budget
+        )
+        symbols = sum(t * c for t, c in counts.items())
+        symbols += decisions["Undetermined"] * budget
+        meta = record["meta"]
+        assert (meta["trials"], meta["symbols"], meta["fair_bits"]) == (
+            cfg["trials"], symbols, fair_bits
+        )
+        assert not {"trials", "symbols", "fair_bits"} & set(record["payload"])
 
     @pytest.mark.parametrize(
         "kind, phases",
