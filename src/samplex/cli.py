@@ -128,15 +128,25 @@ def validate_config(cfg: object) -> dict:
     library objects a run builds, each at its field's path."""
     errors = sorted(_validator().iter_errors(cfg), key=lambda e: e.json_path)
     if errors:
-        # a value no branch of a oneOf accepts is reported at the field
-        # that fails the branch it best matches; a failed ``const`` (a
-        # ``kind`` that names another branch) is the weakest match
-        rank = jsonschema.exceptions.relevance
-        first = jsonschema.exceptions.best_match(
-            errors[:1], key=lambda e: (e.validator == "const", *rank(e))
-        )
+        first = jsonschema.exceptions.best_match(errors[:1], key=_relevance)
         raise ConfigError(f"{first.json_path}: {first.message}")
     return cfg  # type: ignore[return-value]  # the schema's root is an object
+
+
+def _relevance(error: jsonschema.ValidationError) -> tuple:
+    """``best_match``'s ranking (smallest best inside a oneOf), so that a
+    value no branch accepts is reported at the field that fails the
+    branch it best matches: a branch the value cannot be meant for (of
+    another type, or with a ``kind`` that names another branch) is the
+    weakest, then a branch that fails in more ways."""
+    branch = [
+        e for e in (error.parent.context if error.parent else ())
+        if e.relative_schema_path[0] == error.relative_schema_path[0]
+    ]
+    misfit = any(
+        e.validator == "const" or (e.validator == "type" and not e.path) for e in branch
+    )
+    return (misfit, len(branch), *jsonschema.exceptions.relevance(error))
 
 
 def _fmt(value: object) -> str:

@@ -3,9 +3,9 @@ position by position in random order.
 
 The pairwise family answers: two alternatives of length L disagree at K
 positions; positions are revealed uniformly at random without
-replacement; when does the first disagreement show up?  Results are
-exact rationals up to L = 20 and log-gamma floats beyond.  An
-enumeration oracle over explicit orderings provides an independent
+replacement; when does the first disagreement show up?  Results come
+from one running product: exact rationals up to L = 20, floats beyond.
+An enumeration oracle over explicit orderings provides an independent
 check on the closed forms.
 """
 
@@ -16,6 +16,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -31,30 +32,14 @@ class UndefinedMomentError(ValueError):
     """Moments were requested for a distribution that never halts."""
 
 
-def _survival(L: int, K: int, i: int) -> Number:
-    """P(first i revealed positions all agree) = C(L-K, i) / C(L, i); the
-    one place the support's ends and the Fraction-or-float choice are kept."""
-    if i <= 0:
-        return Fraction(1) if L <= _EXACT_MAX_L else 1.0
-    if i > L - K:
-        return Fraction(0) if L <= _EXACT_MAX_L else 0.0
-    if L <= _EXACT_MAX_L:
-        return Fraction(math.comb(L - K, i), math.comb(L, i))
-    return math.exp(
-        math.lgamma(L - K + 1)
-        - math.lgamma(L - K - i + 1)
-        - math.lgamma(L + 1)
-        + math.lgamma(L - i + 1)
-    )
-
-
 @dataclass(frozen=True)
 class PairwiseSCDist:
     """Stopping index for two length-L alternatives disagreeing at K >= 1
     positions, under uniformly random position reveals.
 
     Support is 1..L-K+1; the final index carries the mass of reveal
-    orders that postpone every disagreement to the end.
+    orders that postpone every disagreement to the end.  Every value
+    reads one table, built on first use in O(L) time and memory.
     """
 
     L: int
@@ -74,14 +59,29 @@ class PairwiseSCDist:
     def support(self) -> range:
         return range(1, self.L - self.K + 2)
 
+    @cached_property
+    def _table(self) -> tuple[list[Number], list[Number]]:
+        """S(i) = P(the first i reveals all agree) for i in 0 .. L-K+1 and
+        pmf(i) over the support, as running products:
+        S(i) = S(i-1) (L-K-i+1) / (L-i+1) and pmf(i) = S(i-1) K / (L-i+1).
+        Past L = 20 each float is within 2i roundings; nothing cancels."""
+        L, K = self.L, self.K
+        ratio = Fraction if L <= _EXACT_MAX_L else operator.truediv
+        below = range(L, K - 1, -1)  # L - i + 1 over the support
+        steps = map(ratio, range(L - K, -1, -1), below)
+        survival = list(itertools.accumulate(steps, operator.mul, initial=ratio(1, 1)))
+        pmf = list(map(operator.mul, survival, map(ratio, itertools.repeat(K), below)))
+        return survival, pmf
+
     def pmf(self, i: int) -> Number:
-        return _survival(self.L, self.K, i - 1) - _survival(self.L, self.K, i)
+        survival, pmf = self._table  # off the support: S(L-K+1), a typed 0
+        return pmf[i - 1] if 1 <= i <= len(pmf) else survival[-1]
 
     def cdf(self, i: int) -> Number:
-        return 1 - _survival(self.L, self.K, i)
+        return 1 - self._table[0][min(max(i, 0), self.L - self.K + 1)]
 
     def moment(self, m: int) -> Number:
-        return sum(i**m * self.pmf(i) for i in self.support())
+        return sum(i**m * p for i, p in enumerate(self._table[1], 1))
 
 
 @dataclass(frozen=True)

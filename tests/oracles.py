@@ -109,39 +109,36 @@ def pairwise_stop_pmf(L: int, K: int) -> dict[int, Fraction]:
 PAIRWISE_EXACT_MAX_L = 20
 
 
-def _pairwise_survival(L: int, K: int, i: int) -> Fraction | float:
-    exact = L <= PAIRWISE_EXACT_MAX_L
-    if i <= 0:
-        return Fraction(1) if exact else 1.0
-    if i > L - K:
-        return Fraction(0) if exact else 0.0
-    if exact:
-        return Fraction(math.comb(L - K, i), math.comb(L, i))
-    return math.exp(
-        math.lgamma(L - K + 1)
-        - math.lgamma(L - K - i + 1)
-        - math.lgamma(L + 1)
-        + math.lgamma(L - i + 1)
-    )
-
-
-def pairwise_pmf_reference(L: int, K: int, i: int) -> Fraction | float:
-    """P(I = i) of the pairwise stopping index with the support's ends
-    checked here, an exact rational up to L = 20 and a float beyond."""
-    zero = Fraction(0) if L <= PAIRWISE_EXACT_MAX_L else 0.0
+def pairwise_pmf_reference(L: int, K: int, i: int) -> Fraction:
+    """P(I = i) of the pairwise stopping index as the exact ratio
+    C(L - i, K - 1) / C(L, K): the first disagreement is revealed at i
+    and the other K - 1 lie among the L - i positions revealed later."""
     if i < 1 or i > L - K + 1:
-        return zero
-    return _pairwise_survival(L, K, i - 1) - _pairwise_survival(L, K, i)
+        return Fraction(0)
+    return Fraction(math.comb(L - i, K - 1), math.comb(L, K))
 
 
-def pairwise_cdf_reference(L: int, K: int, i: int) -> Fraction | float:
-    """P(I <= i), its ends checked as in ``pairwise_pmf_reference``."""
-    one = Fraction(1) if L <= PAIRWISE_EXACT_MAX_L else 1.0
-    if i < 1:
-        return one - one
-    if i > L - K:
-        return one
-    return one - _pairwise_survival(L, K, i)
+def pairwise_cdf_reference(L: int, K: int, i: int) -> Fraction:
+    """P(I <= i) = 1 - C(L - i, K) / C(L, K), exactly."""
+    i = min(max(i, 0), L)
+    return 1 - Fraction(math.comb(L - i, K), math.comb(L, K))
+
+
+def pairwise_moment_reference(L: int, K: int, m: int) -> Fraction:
+    """E[I^m] from the rising-factorial moments
+    E[I (I + 1) ... (I + r - 1)] = r! C(L + r, r) / C(K + r, r), through
+    x^m = sum_r (-1)^(m - r) S(m, r) x (x + 1) ... (x + r - 1) with S the
+    Stirling numbers of the second kind; no pmf is summed."""
+    stirling = [1]  # S(n, 0 .. n), from S(n, k) = k S(n-1, k) + S(n-1, k-1)
+    for n in range(1, m + 1):
+        prev = [*stirling, 0]
+        stirling = [0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)]
+    return sum(
+        (-1) ** (m - r)
+        * stirling[r]
+        * Fraction(math.factorial(r) * math.comb(L + r, r), math.comb(K + r, r))
+        for r in range(m + 1)
+    )
 
 
 def _stop_index(order: tuple[int, ...] | list[int], diffs: set[int]) -> int:

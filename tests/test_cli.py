@@ -418,6 +418,31 @@ class TestExitCodes:
         assert_invalid_at(tmp_path, capsys, cfg, path)
 
     @pytest.mark.parametrize(
+        "spec, path, text",
+        [
+            ({"kind": "iid", "probs": [0.5, 0.5], "x": 1}, "$.spec", "'x' was unexpected"),
+            ({**markov1(0.25, 0.5), "x": 1}, "$.spec", "'x' was unexpected"),
+            ({"kind": "nope", "probs": [0.5, 0.5]}, "$.spec.kind", "was expected"),
+            (
+                {**markov1(0.25, 0.5), "init": {"context": "1", "x": 1}},
+                "$.spec.init",
+                "'x' was unexpected",
+            ),
+        ],
+        ids=["iid-extra-key", "markov-extra-key", "unknown-kind", "init-extra-key"],
+    )
+    def test_a_process_no_branch_accepts_is_invalid_at_its_field(
+        self, tmp_path, capsys, spec, path, text
+    ):
+        # reported at the field that fails the oneOf branch the process
+        # is meant for, not as the whole process
+        cfg = {**SAMPLE_CFG, "spec": spec}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"config invalid: {path}: " in err and text in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "cfg, path",
         [
             ({**BAYES_CFG, "ideal": [0.5, 0.25, 0.25]}, "$.ideal"),

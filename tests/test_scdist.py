@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from oracles import (
     geometric_moment_series,
     mc_pairwise_oracle,
     pairwise_cdf_reference,
+    pairwise_moment_reference,
     pairwise_pmf_reference,
     pairwise_stop_pmf,
 )
@@ -102,31 +104,83 @@ class TestPairwiseExact:
             assert dist.pmf(i) == step
 
 
+TINY = Fraction(sys.float_info.min)
+
+
+def assert_near_the_exact_law(dist: PairwiseSCDist, i: int) -> None:
+    """Past the exact cutoff pmf(i) and cdf(i) are floats within L units
+    of 2**-52 of the exact ratios: pmf relative in the normal range (and
+    absolute at its floor below it), cdf absolute."""
+    L, K = dist.L, dist.K
+    bound = Fraction(L, 2**52)
+    pmf, cdf = dist.pmf(i), dist.cdf(i)
+    assert type(pmf) is type(cdf) is float, (L, K, i)
+    want = pairwise_pmf_reference(L, K, i)
+    assert abs(Fraction(pmf) - want) <= bound * max(want, TINY), (L, K, i, pmf)
+    want = pairwise_cdf_reference(L, K, i)
+    assert abs(Fraction(cdf) - want) <= bound, (L, K, i, cdf)
+
+
 @pytest.mark.parametrize("L", [1, 2, 7, 20, 21, 31, 200])
 def test_pmf_and_cdf_match_the_reference_in_value_and_type(L):
-    # the support's ends are _survival's alone; values off the support
+    # the support's ends come from the table; values off the support
     # keep the number type of the values on it
-    kind = Fraction if L <= PAIRWISE_EXACT_MAX_L else float
     for K in range(1, L + 1):
         dist = PairwiseSCDist(L, K)
         points = {-1, 0, L - K + 1, L - K + 2, L + 5, *dist.support()}
         for i in sorted(points):
-            for got, want in (
-                (dist.pmf(i), pairwise_pmf_reference(L, K, i)),
-                (dist.cdf(i), pairwise_cdf_reference(L, K, i)),
-            ):
-                assert (type(got), repr(got)) == (type(want), repr(want)), (L, K, i)
-                assert type(got) is kind, (L, K, i)
+            if L > PAIRWISE_EXACT_MAX_L:
+                assert_near_the_exact_law(dist, i)
+                continue
+            got = dist.pmf(i), dist.cdf(i)
+            want = pairwise_pmf_reference(L, K, i), pairwise_cdf_reference(L, K, i)
+            assert got == want, (L, K, i)
+            assert type(got[0]) is type(got[1]) is Fraction, (L, K, i)
+
+
+def test_exact_moments_match_the_closed_form():
+    for L in range(1, PAIRWISE_EXACT_MAX_L + 1):
+        for K in range(1, L + 1):
+            dist = PairwiseSCDist(L, K)
+            for m in range(1, 5):
+                got = dist.moment(m)
+                assert type(got) is Fraction
+                assert got == pairwise_moment_reference(L, K, m), (L, K, m)
+
+
+# K = L // 2 stops at L = 10**4: an exact comb(10**6, 5 * 10**5) takes
+# seconds a point
+FLOAT_GRID = [
+    (L, K)
+    for L in (21, 200, 10**4, 10**6)
+    for K in sorted({1, 3, 50, L - 1} | ({L // 2} if L <= 10**4 else set()))
+    if K <= L
+]
+
+
+@pytest.mark.parametrize("L, K", FLOAT_GRID)
+def test_the_float_path_is_within_L_ulps_of_the_exact_law(L, K):
+    dist = PairwiseSCDist(L, K)
+    n = L - K + 1
+    for i in sorted({1, 2, *range(1, n + 1, max(1, n // 17)), n - 1, n} - {0}):
+        assert_near_the_exact_law(dist, i)
+    # each moment sums the whole support, so at L = 10**6 K = 1 and 3
+    # (0.4 s apiece) check them
+    for m in range(1, 5) if L < 10**6 or K <= 3 else ():
+        got, want = dist.moment(m), pairwise_moment_reference(L, K, m)
+        assert type(got) is float
+        assert abs(Fraction(got) - want) <= Fraction(L, 2**52) * want, (m, got, want)
 
 
 class TestPairwiseLarge:
     def test_float_path_past_the_exact_cutoff(self):
         dist = PairwiseSCDist(25, 3)
         assert type(dist.pmf(1)) is float
-        total = sum(dist.pmf(i) for i in dist.support())
-        assert total == pytest.approx(1.0, abs=1e-9)
+        bound = 25 * 2**-52
+        total = math.fsum(dist.pmf(i) for i in dist.support())
+        assert total == pytest.approx(1.0, rel=0, abs=bound)
         # spot-check against the direct combinatorial ratio
-        assert float(dist.pmf(1)) == pytest.approx(3 / 25, rel=1e-9)
+        assert dist.pmf(1) == pytest.approx(3 / 25, rel=bound)
 
 
 class TestPointMass:
