@@ -573,12 +573,12 @@ def _trial_loop(
     the trial read.  Undetermined means censored (budget or r-cap
     exhausted).
 
-    A trial reads the ideal's symbols from ``symbols(ideal,
-    BitSource(seed))`` and scores them as ``posterior_update`` does,
-    without state objects: while t <= memory the likelihoods are the
-    prefix's start score, then each step adds ``cols[step]``, every
-    member's log-table entry for the window (kept as its context number)
-    and the symbol.
+    The run builds one source, and a trial reseeds it with its seed,
+    reads the ideal's symbols from ``symbols(ideal, source)`` and scores
+    them as ``posterior_update`` does, without state objects: while
+    t <= memory the likelihoods are the prefix's start score, then each
+    step adds ``cols[step]``, every member's log-table entry for the
+    window (kept as its context number) and the symbol.
     """
     k = hset.alphabet_size
     memory = hset.memory
@@ -586,9 +586,10 @@ def _trial_loop(
     cols = list(zip(*hset._log_table))
     steps = range(1, budget + 1)
     start = (0.0,) * len(hset)
+    source = BitSource(0)
 
     def trial(seed: str) -> tuple[DecisionStatus, int, int]:
-        source = BitSource(seed)
+        source.reseed(seed)
         loglik: Sequence[float] = start
         prefix: Context = ()
         window = 0

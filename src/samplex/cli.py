@@ -129,7 +129,17 @@ def validate_config(cfg: object) -> dict:
     errors = sorted(_validator().iter_errors(cfg), key=lambda e: e.json_path)
     if errors:
         first = jsonschema.exceptions.best_match(errors[:1], key=_relevance)
-        raise ConfigError(f"{first.json_path}: {first.message}")
+        message = first.message
+        if first.validator == "const":
+            # _relevance ranks a failed const last, so no branch takes
+            # this kind: name every kind the branches take
+            allowed = [
+                repr(e.validator_value)
+                for e in (first.parent.context if first.parent else [first])
+                if e.validator == "const" and e.json_path == first.json_path
+            ]
+            message = f"{' or '.join(allowed)} was expected, not {first.instance!r}"
+        raise ConfigError(f"{first.json_path}: {message}")
     return cfg  # type: ignore[return-value]  # the schema's root is an object
 
 
@@ -233,12 +243,19 @@ def _run_scdist(cfg: dict, seed: int, meta: dict) -> dict:
 
 def _tally(spec, t: int, trials: int, seed: int) -> tuple[list[int], int]:
     """Symbol counts and fair bits read over ``trials`` runs of ``t``
-    symbols, run i drawing from the source seeded ``"{seed}:{i}"``."""
+    symbols, run i drawing from the source seeded ``"{seed}:{i}"``.
+
+    One source is reseeded for each run.  A memoryless walk never
+    changes state and reads its position from the source at each draw,
+    so every run reads on from one stream; a chain draws its start
+    context again, so each run opens its own."""
     counts = [0] * spec.alphabet_size
     total_bits = 0
+    source = BitSource(f"{seed}:0")
+    stream = symbols(spec, source) if spec.memory == 0 else None
     for i in range(trials):
-        source = BitSource(f"{seed}:{i}")
-        for sym in itertools.islice(symbols(spec, source), t):
+        source.reseed(f"{seed}:{i}")
+        for sym in itertools.islice(stream or symbols(spec, source), t):
             counts[sym] += 1
         total_bits += source.bits_consumed
     return counts, total_bits
@@ -288,8 +305,9 @@ def _run_spread(cfg: dict, seed: int, meta: dict) -> dict:
     bit_errors = 0
     conf_total = 0.0
     total_bits = 0
+    source = BitSource(f"{seed}:0")
     for i in range(trials):
-        source = BitSource(f"{seed}:{i}")
+        source.reseed(f"{seed}:{i}")
         # the library refuses a symbol with no component, such as the
         # final newline the schema's pattern lets through
         with _field("$.message"):
@@ -375,7 +393,8 @@ def _run_bayes(cfg: dict, seed: int, meta: dict) -> dict:
             ideal, hset, cfg["prior"], scfg, cfg["trials"], seed, max_steps=max_steps
         )
     meta.update(
-        trials=report.trials, symbols=report.symbols, fair_bits=report.fair_bits
+        trials=report.trials, symbols=report.symbols, fair_bits=report.fair_bits,
+        censored=report.dist.censored,
     )
     analytic = None
     with _phase(meta, "evaluator_s"):
@@ -417,7 +436,8 @@ def _run_novelty(cfg: dict, seed: int, meta: dict) -> dict:
             ideal, hset, prior, scfg, cfg["trials"], seed, max_steps=cfg["budget"]
         )
     meta.update(
-        trials=report.trials, symbols=report.symbols, fair_bits=report.fair_bits
+        trials=report.trials, symbols=report.symbols, fair_bits=report.fair_bits,
+        censored=report.dist.censored,
     )
     combined = [max(b[0] for b in bounds), max(b[1] for b in bounds)]
     falsified = report.decisions[DecisionStatus.FALSIFIED.value]

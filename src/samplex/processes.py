@@ -38,12 +38,25 @@ class BitSource:
     over.  The draw loop ``_walk`` reads the word in place and writes its
     position back at each symbol; ``next_bit`` reads one flip per call,
     as the per-flip references in the tests do.
+
+    A run builds one source and ``reseed``s it for each trial: the same
+    generator object is seeded again, so the trial reads the flips a
+    fresh ``BitSource(seed)`` would.
     """
 
     __slots__ = ("_rng", "_buf", "_left", "bits_consumed")
 
     def __init__(self, seed: int | str) -> None:
         self._rng = random.Random(seed)
+        self._buf = 0
+        self._left = 0
+        self.bits_consumed = 0
+
+    def reseed(self, seed: int | str) -> None:
+        """Start over from ``seed``, exactly where ``BitSource(seed)``
+        starts.  ``_rng`` stays the same object, so a draw loop that
+        bound its ``getrandbits`` keeps reading this source."""
+        self._rng.seed(seed)
         self._buf = 0
         self._left = 0
         self.bits_consumed = 0

@@ -314,6 +314,14 @@ class TestExitCodes:
         assert f"config invalid: {path}: 11 is greater than the maximum of 10" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["nope", 5])
+    def test_an_unknown_process_kind_names_every_kind(self, tmp_path, capsys, kind):
+        cfg = {"kind": "sample", "spec": {"kind": kind, "probs": [0.5, 0.5]}, "t": 3, "trials": 1}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"config invalid: $.spec.kind: 'iid' or 'markov' was expected, not {kind!r}" in err
+        assert "Traceback" not in err
+
     def test_a_stationary_law_that_does_not_converge_is_refused(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -806,6 +814,8 @@ class TestOutputs:
             cfg["trials"], symbols, fair_bits
         )
         assert not {"trials", "symbols", "fair_bits"} & set(record["payload"])
+        # censored is a payload field that meta repeats
+        assert meta["censored"] == record["payload"]["censored"] == decisions["Undetermined"]
 
     @pytest.mark.parametrize(
         "kind, phases",

@@ -227,7 +227,8 @@ def test_only_processes_reads_its_private_names():
 def test_one_loop_reads_fair_bits():
     # processes._walk reads the fair-bit word in place; next_bit is the
     # per-flip reader of the test oracles, so no library function but
-    # BitSource's own calls it or touches the word
+    # BitSource's own (__init__, next_bit, reseed) calls it or touches
+    # the word
     readers = {
         f"{path.stem}.{func.name}"
         for path in SRC.glob("*.py")
@@ -236,7 +237,9 @@ def test_one_loop_reads_fair_bits():
         for node in ast.walk(func)
         if isinstance(node, ast.Attribute) and node.attr in ("next_bit", "_buf", "_left")
     }
-    assert readers == {"processes.__init__", "processes.next_bit", "processes._walk"}
+    assert readers == {
+        "processes.__init__", "processes.next_bit", "processes.reseed", "processes._walk"
+    }
 
 
 def test_validate_config_reads_no_field_of_its_config():

@@ -31,6 +31,7 @@ from samplex import (
     total_variation,
 )
 
+from samplex import cli
 from samplex.info import ProbVector
 from samplex.processes import iid_sample
 
@@ -467,6 +468,58 @@ class TestOneDrawLoop:
                 assert _position(got) == _position(ref), (spec, j)
                 n = j % 67
                 assert [got.next_bit() for _ in range(n)] == [ref.next_bit() for _ in range(n)]
+
+
+class TestReseed:
+    """A run builds one source and reseeds it for each trial."""
+
+    @pytest.mark.parametrize("via", ["next_bit", "symbols"])
+    def test_a_reseeded_source_is_a_fresh_one(self, via):
+        spec = IidSpec.from_probs([0.2, 0.3, 0.5])
+        for read in (1, 5, 70, 130):
+            seed = f"fresh:{via}:{read}"
+            source = BitSource(f"old:{via}:{read}")
+            rng = source._rng
+            if via == "next_bit":
+                for _ in range(read):
+                    source.next_bit()
+            else:
+                list(itertools.islice(symbols(spec, source), read))
+            assert 0 < source._left < 64  # part-way into a word
+            source.reseed(seed)
+            assert source._rng is rng
+            fresh = BitSource(seed)
+            assert _position(source) == _position(fresh)
+            assert markov_sample(spec, 50, source) == markov_sample(spec, 50, fresh)
+            assert _position(source) == _position(fresh)
+
+    @staticmethod
+    def _tally_reference(spec, t: int, trials: int, seed: int):
+        counts = [0] * spec.alphabet_size
+        bits = 0
+        for i in range(trials):
+            source = BitSource(f"{seed}:{i}")
+            for sym in markov_sample_reference(spec, t, source):
+                counts[sym] += 1
+            bits += source.bits_consumed
+        return counts, bits
+
+    @pytest.mark.parametrize("t", [0, 1, 37])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SKEWED,
+            IidSpec.from_probs([0.2, 0.3, 0.5]),
+            IidSpec.from_probs([0.125, 0.375, 0.25, 0.25]),
+            MarkovSpec(0, {(): IidSpec.from_probs([0.1, 0.6, 0.3])}, ("stationary", None)),
+            spec_from_json(MEMORY2_CHAIN),
+        ],
+        ids=["iid-2", "iid-3", "iid-4", "markov-memory-0", "markov-memory-2"],
+    )
+    def test_the_cli_tally_matches_a_fresh_source_per_trial(self, spec, t):
+        for seed in (3, 41):
+            got = cli._tally(spec, t, 60, seed)
+            assert got == self._tally_reference(spec, t, 60, seed), seed
 
 
 class TestSeededSamplerOutput:
