@@ -1,8 +1,9 @@
 """Command-line front end: reproducible experiment runs from JSON
 configs, analytic-vs-oracle verification pairs, and the config schema.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid config or
-unknown name, 3 computation refused (budget or horizon too large).
+Exit codes: 0 success, 1 verification failure, 2 invalid config,
+unknown name or unwritable output, 3 computation refused (budget or
+horizon too large).
 Result records split into a deterministic payload (identical bytes for
 identical config + seed) and a meta block holding wall-clock duration
 and the toolkit version.
@@ -123,40 +124,15 @@ def _process(node: object, path: str) -> IidSpec | MarkovSpec:
 
 
 def validate_config(cfg: object) -> dict:
-    """Schema-validate a config; returns it as a dict.  The cross-field
-    constraints the schema lists under x-constraints are refused by the
-    library objects a run builds, each at its field's path."""
-    errors = sorted(_validator().iter_errors(cfg), key=lambda e: e.json_path)
-    if errors:
-        first = jsonschema.exceptions.best_match(errors[:1], key=_relevance)
-        message = first.message
-        if first.validator == "const":
-            # _relevance ranks a failed const last, so no branch takes
-            # this kind: name every kind the branches take
-            allowed = [
-                repr(e.validator_value)
-                for e in (first.parent.context if first.parent else [first])
-                if e.validator == "const" and e.json_path == first.json_path
-            ]
-            message = f"{' or '.join(allowed)} was expected, not {first.instance!r}"
-        raise ConfigError(f"{first.json_path}: {message}")
+    """Schema-validate a config; returns it as a dict.  The schema picks
+    each branch by a value's type or ``kind``, so every error is at the
+    field of the branch the value selected; the first by path is raised.
+    The cross-field constraints the schema lists under x-constraints are
+    refused by the library objects a run builds, each at its field's path."""
+    first = min(_validator().iter_errors(cfg), key=lambda e: e.json_path, default=None)
+    if first is not None:
+        raise ConfigError(f"{first.json_path}: {first.message}")
     return cfg  # type: ignore[return-value]  # the schema's root is an object
-
-
-def _relevance(error: jsonschema.ValidationError) -> tuple:
-    """``best_match``'s ranking (smallest best inside a oneOf), so that a
-    value no branch accepts is reported at the field that fails the
-    branch it best matches: a branch the value cannot be meant for (of
-    another type, or with a ``kind`` that names another branch) is the
-    weakest, then a branch that fails in more ways."""
-    branch = [
-        e for e in (error.parent.context if error.parent else ())
-        if e.relative_schema_path[0] == error.relative_schema_path[0]
-    ]
-    misfit = any(
-        e.validator == "const" or (e.validator == "type" and not e.path) for e in branch
-    )
-    return (misfit, len(branch), *jsonschema.exceptions.relevance(error))
 
 
 def _fmt(value: object) -> str:
@@ -568,10 +544,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    if args.seed is not None and isinstance(raw, dict):
+        raw = {**raw, "seed": args.seed}  # the schema bounds the override too
     meta: dict = {}
     try:
         cfg = validate_config(raw)
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        seed = cfg.get("seed", 0)
         started = time.monotonic()
         payload = run_experiment(cfg, seed, meta)
     except ConfigError as exc:
@@ -583,7 +561,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "payload": payload,
         "meta": {**meta, "duration_s": duration, "version": __version__},
     }
-    _write_output(record, args.format, args.out)
+    try:
+        _write_output(record, args.format, args.out)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     return EXIT_OK
 
 

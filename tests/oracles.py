@@ -793,3 +793,59 @@ def posterior_trace_reference(ideal, hset, prior, scfg, seed, limit: int) -> lis
             break
         rows.append([state.t, *state.posterior().probs])
     return rows
+
+
+# The config schema's process definition in its earlier form: one oneOf
+# branch per shape, the init one of three.  The shipped schema picks each
+# branch by the value's type or kind instead; the two must accept the
+# same values.
+PROCESS_ONEOF = {
+    "oneOf": [
+        {"$ref": "#/$defs/probs"},
+        {
+            "type": "object",
+            "required": ["kind", "probs"],
+            "additionalProperties": False,
+            "properties": {
+                "kind": {"const": "iid"},
+                "probs": {"$ref": "#/$defs/probs"},
+            },
+        },
+        {
+            "type": "object",
+            "required": ["kind", "memory", "alphabet", "transitions"],
+            "additionalProperties": False,
+            "properties": {
+                "kind": {"const": "markov"},
+                "memory": {"type": "integer", "minimum": 1},
+                "alphabet": {"type": "integer", "minimum": 2, "maximum": 10},
+                "transitions": {
+                    "type": "object",
+                    "additionalProperties": {"$ref": "#/$defs/probs"},
+                },
+                "init": {
+                    "oneOf": [
+                        {"const": "stationary"},
+                        {
+                            "type": "object",
+                            "required": ["context"],
+                            "additionalProperties": False,
+                            "properties": {"context": {"type": "string", "pattern": "^[0-9]*$"}},
+                        },
+                        {
+                            "type": "object",
+                            "required": ["distribution"],
+                            "additionalProperties": False,
+                            "properties": {"distribution": {"$ref": "#/$defs/probs"}},
+                        },
+                    ]
+                },
+            },
+        },
+    ]
+}
+
+
+def schema_with_process_oneof(schema: dict) -> dict:
+    """``schema`` with its process definition replaced by ``PROCESS_ONEOF``."""
+    return {**schema, "$defs": {**schema["$defs"], "process": PROCESS_ONEOF}}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ import time
 from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,7 +30,7 @@ from samplex.cli import (
     validate_config,
 )
 
-from oracles import mc_stopping_reference
+from oracles import mc_stopping_reference, schema_with_process_oneof
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -257,6 +259,34 @@ class TestExitCodes:
         assert "config invalid" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "seed, code",
+        [("-1", EXIT_INVALID), ("0", EXIT_OK),
+         (str(2**64 - 1), EXIT_OK), (str(2**64), EXIT_INVALID)],
+    )
+    def test_a_seed_override_is_held_to_the_schema(self, tmp_path, capsys, seed, code):
+        out = tmp_path / "rec.json"
+        argv = ["run", "--config", write_config(tmp_path, SAMPLE_CFG), "--seed", seed,
+                "--out", str(out)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert ("config invalid: $.seed: " in err) == (code == EXIT_INVALID)
+        assert "Traceback" not in err
+        assert out.exists() == (code == EXIT_OK)
+
+    @pytest.mark.parametrize("where", ["out", "env"])
+    def test_an_unwritable_output_is_invalid(self, tmp_path, capsys, monkeypatch, where):
+        argv = ["run", "--config", write_config(tmp_path, {"kind": "scdist", "L": 4, "K": 2})]
+        if where == "out":
+            argv += ["--out", str(tmp_path / "missing" / "x.json")]
+        else:
+            (tmp_path / "file").write_text("")
+            monkeypatch.setenv("SAMPLEX_OUT", str(tmp_path / "file" / "results"))
+        assert main(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "cfg",
         [
             {**SAMPLE_CFG, "t": 100_000, "trials": 1_000},
@@ -319,7 +349,7 @@ class TestExitCodes:
         cfg = {"kind": "sample", "spec": {"kind": kind, "probs": [0.5, 0.5]}, "t": 3, "trials": 1}
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_INVALID
         err = capsys.readouterr().err
-        assert f"config invalid: $.spec.kind: 'iid' or 'markov' was expected, not {kind!r}" in err
+        assert f"config invalid: $.spec.kind: {kind!r} is not one of ['iid', 'markov']" in err
         assert "Traceback" not in err
 
     def test_a_stationary_law_that_does_not_converge_is_refused(
@@ -430,20 +460,36 @@ class TestExitCodes:
         [
             ({"kind": "iid", "probs": [0.5, 0.5], "x": 1}, "$.spec", "'x' was unexpected"),
             ({**markov1(0.25, 0.5), "x": 1}, "$.spec", "'x' was unexpected"),
-            ({"kind": "nope", "probs": [0.5, 0.5]}, "$.spec.kind", "was expected"),
+            (
+                {"kind": "nope", "probs": [0.5, 0.5]},
+                "$.spec.kind",
+                "'nope' is not one of ['iid', 'markov']",
+            ),
             (
                 {**markov1(0.25, 0.5), "init": {"context": "1", "x": 1}},
                 "$.spec.init",
                 "'x' was unexpected",
             ),
+            ({**markov1(0.25, 0.5), "init": "foo"}, "$.spec.init", "'stationary' was expected"),
+            ({**markov1(0.25, 0.5), "init": 5}, "$.spec.init", "'stationary' was expected"),
+            ({**markov1(0.25, 0.5), "init": None}, "$.spec.init", "'stationary' was expected"),
+            ({**markov1(0.25, 0.5), "init": {}}, "$.spec.init", "{} should be non-empty"),
+            (
+                {**markov1(0.25, 0.5), "init": {"context": "1", "distribution": [0.5, 0.5]}},
+                "$.spec.init",
+                "has too many properties",
+            ),
         ],
-        ids=["iid-extra-key", "markov-extra-key", "unknown-kind", "init-extra-key"],
+        ids=[
+            "iid-extra-key", "markov-extra-key", "unknown-kind", "init-extra-key",
+            "init-string", "init-number", "init-null", "init-empty", "init-both",
+        ],
     )
     def test_a_process_no_branch_accepts_is_invalid_at_its_field(
         self, tmp_path, capsys, spec, path, text
     ):
-        # reported at the field that fails the oneOf branch the process
-        # is meant for, not as the whole process
+        # reported at the field that fails the branch the process's
+        # type, kind or init shape selects, not as the whole process
         cfg = {**SAMPLE_CFG, "spec": spec}
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_INVALID
         err = capsys.readouterr().err
@@ -519,10 +565,7 @@ class TestExitCodes:
     }
 
     def test_every_documented_constraint_is_refused_at_its_field(self, tmp_path, capsys):
-        schema = json.loads(
-            resources.files("samplex.schema").joinpath("experiment-v1.json").read_text()
-        )
-        assert list(self.CONSTRAINTS) == schema["x-constraints"]
+        assert list(self.CONSTRAINTS) == _shipped_schema()["x-constraints"]
         for cfg, path in self.CONSTRAINTS.values():
             assert validate_config(cfg) is cfg
             assert_invalid_at(tmp_path, capsys, cfg, path)
@@ -955,6 +998,7 @@ class TestOutputs:
 def test_emit_schema(capsys):
     assert main(["emit-schema"]) == EXIT_OK
     schema = json.loads(capsys.readouterr().out)
+    jsonschema.Draft202012Validator.check_schema(schema)
     assert schema["$id"] == "samplex/experiment-v1"
     kinds = schema["properties"]["kind"]["enum"]
     assert set(kinds) == {
@@ -966,6 +1010,30 @@ def test_emit_schema(capsys):
         "novelty",
         "figure3",
     }
+
+
+def _shipped_schema() -> dict:
+    return json.loads(
+        resources.files("samplex.schema").joinpath("experiment-v1.json").read_text()
+    )
+
+
+def _keywords(node: object):
+    """Every key of a schema, at any depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _keywords(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _keywords(value)
+
+
+def test_the_schema_has_no_alternatives_to_rank():
+    # each branch is picked by the value's type or kind, so every error
+    # belongs to the branch the value selected and validate_config
+    # reports the first by path with no ranking of alternatives
+    assert not {"oneOf", "anyOf"} & set(_keywords(_shipped_schema()))
 
 
 def _exit_code(argv: list[str]) -> tuple[int, str]:
@@ -1268,3 +1336,78 @@ def _verify_flags(draw) -> list[str]:
 @given(_verify_flags())
 def test_verify_flags_keep_the_exit_contract(argv):
     keeps_the_exit_contract(argv)
+
+
+# Property test: the shipped process definition accepts exactly what its
+# earlier oneOf form (oracles.PROCESS_ONEOF) accepts.  Objects start from a
+# valid iid or markov process, a markov one with an init half the time, and
+# have up to three keys dropped or set to a value, most often a valid one,
+# else one of any type.
+_SCALARS = st.sampled_from(
+    [None, True, False, 0, 1, 2, -1, 0.5, "", "0", "iid", "markov", "stationary", "foo"]
+)
+_PROBS = _mostly(
+    st.lists(st.sampled_from([0, 0.25, 0.5, 1]), min_size=1, max_size=3),
+    st.lists(st.sampled_from([1.5, -0.5]) | _SCALARS, max_size=3) | _SCALARS,
+)
+_KEY_VALUES = {
+    "kind": _mostly(st.sampled_from(["iid", "markov"]), st.just("nope") | _SCALARS),
+    "probs": _PROBS,
+    "memory": _mostly(st.integers(1, 2), st.integers(-1, 0) | _SCALARS),
+    "alphabet": _mostly(st.integers(2, 10), st.sampled_from([0, 1, 11]) | _SCALARS),
+    "transitions": _mostly(
+        st.dictionaries(st.sampled_from(["0", "1", "00"]), _PROBS, max_size=2), _SCALARS
+    ),
+    "init": _mostly(
+        st.fixed_dictionaries({}, optional={
+            "context": _mostly(st.sampled_from(["0", "1", "", "a"]), _SCALARS),
+            "distribution": _PROBS,
+            "x": _SCALARS,
+        }),
+        _SCALARS,
+    ),
+    "x": _SCALARS,
+}
+
+
+@st.composite
+def _process_values(draw) -> object:
+    shape = draw(st.sampled_from(["array", "scalar", "iid", "markov"]))
+    if shape == "array":
+        return draw(_PROBS)
+    if shape == "scalar":
+        return draw(_SCALARS)
+    value = {"kind": "iid", "probs": [0.5, 0.5]} if shape == "iid" else markov1(0.25, 0.5)
+    if shape == "markov" and draw(st.booleans()):
+        value["init"] = draw(_KEY_VALUES["init"])
+    for key in draw(st.lists(st.sampled_from(sorted(_KEY_VALUES)), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            value.pop(key, None)
+        else:
+            value[key] = draw(_KEY_VALUES[key])
+    return value
+
+
+_WRAPPERS = (
+    lambda v: {"kind": "sample", "spec": v, "t": 3, "trials": 1},
+    lambda v: {**BAYES_CFG, "ideal": v},
+    lambda v: {**BAYES_CFG, "hypotheses": [[0.5, 0.5], v]},
+    lambda v: {"kind": "figure3", "spec": v, "p": 0.9, "q": 0.5, "t_max": 3},
+)
+
+
+@functools.cache
+def _validators() -> tuple:
+    schema = _shipped_schema()
+    return (
+        jsonschema.Draft202012Validator(schema),
+        jsonschema.Draft202012Validator(schema_with_process_oneof(schema)),
+    )
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_process_values(), st.sampled_from(_WRAPPERS))
+def test_the_schema_accepts_what_its_oneof_form_accepts(value, wrap):
+    shipped, reference = _validators()
+    cfg = wrap(value)
+    assert shipped.is_valid(cfg) == reference.is_valid(cfg)
