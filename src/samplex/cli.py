@@ -63,6 +63,7 @@ from .processes import (
     symbols,
 )
 from .scdist import (
+    EXACT_MAX_L,
     ORACLE_MAX_L,
     PairwiseSCDist,
     enumerate_orderings_oracle,
@@ -205,6 +206,7 @@ def _run_scdist(cfg: dict, seed: int, meta: dict) -> dict:
         dist = pairwise_verification(L) if K == 0 else PairwiseSCDist(L, K)
     if L > _ROW_LIMIT:
         raise ComputationRefused(f"length {L} beyond the row limit {_ROW_LIMIT}")
+    meta["arithmetic"] = "float" if K and L > EXACT_MAX_L else "rational"
     highest = cfg.get("moments", 2)
     rows = []
     for i in dist.support():
@@ -476,7 +478,8 @@ def run_experiment(cfg: dict, seed: int, meta: dict | None = None) -> dict:
 
     Work counters of the run (``symbols`` drawn and ``fair_bits`` read by
     ``sample`` and ``spread``, and by the stopping trials of ``bayes``
-    and ``novelty``, which also count their ``trials``) and per-phase
+    and ``novelty``, which also count their ``trials``; ``scdist``'s
+    ``arithmetic``, ``"rational"`` or ``"float"``) and per-phase
     seconds (``bayes``: ``trials_s``, ``evaluator_s``, ``trace_s``;
     ``novelty``: ``bounds_s``, ``trials_s``) go into ``meta`` when it is
     given; they never enter the payload.
@@ -587,7 +590,8 @@ def _verify_pairwise_enumeration(args) -> tuple[bool, list[str]]:
             dist = pairwise_verification(L) if K == 0 else PairwiseSCDist(L, K)
             oracle = enumerate_orderings_oracle("0" * L, "1" * K + "0" * (L - K))
             exact = all(
-                dist.pmf(i) == oracle.pmf(i) for i in dist.support()
+                dist.pmf(i) == oracle.pmf(i) and dist.cdf(i) == oracle.cdf(i)
+                for i in dist.support()
             ) and sum(oracle.pmf(i) for i in dist.support()) == 1
             ok = ok and exact
             lines.append(

@@ -5,8 +5,8 @@ The pairwise family answers: two alternatives of length L disagree at K
 positions; positions are revealed uniformly at random without
 replacement; when does the first disagreement show up?  Results come
 from one running product: exact rationals up to L = 20, floats beyond.
-An enumeration oracle over explicit orderings provides an independent
-check on the closed forms.
+An enumeration oracle over reveal patterns, the sets of steps that land
+on a disagreement, provides an independent check on the closed forms.
 """
 
 from __future__ import annotations
@@ -24,7 +24,10 @@ from .info import ComputationRefused
 
 Number = Union[Fraction, float]
 
-_EXACT_MAX_L = 20
+EXACT_MAX_L = 20
+# The pattern oracle itself runs in milliseconds at L = 10; the limit
+# stays there so that the test suite's per-order loop, which walks all
+# L! orders, can still referee every length the oracle accepts.
 ORACLE_MAX_L = 10
 
 
@@ -66,7 +69,7 @@ class PairwiseSCDist:
         S(i) = S(i-1) (L-K-i+1) / (L-i+1) and pmf(i) = S(i-1) K / (L-i+1).
         Past L = 20 each float is within 2i roundings; nothing cancels."""
         L, K = self.L, self.K
-        ratio = Fraction if L <= _EXACT_MAX_L else operator.truediv
+        ratio = Fraction if L <= EXACT_MAX_L else operator.truediv
         below = range(L, K - 1, -1)  # L - i + 1 over the support
         steps = map(ratio, range(L - K, -1, -1), below)
         survival = list(itertools.accumulate(steps, operator.mul, initial=ratio(1, 1)))
@@ -221,15 +224,17 @@ def _diff_positions(a: str, b: str) -> list[int]:
 
 
 def enumerate_orderings_oracle(a: str, b: str) -> EmpiricalSCDist:
-    """Exact stopping distribution by walking every reveal order.
+    """Exact stopping distribution by counting every reveal pattern.
 
-    Each of the L! permutations of the per-position disagreement flags
-    is one reveal order; it stops at its first disagreement, or at L
-    when a and b agree everywhere.  Refuses beyond length 10 (10! orders
-    is the practical limit); the result's pmf values are exact rationals
-    with denominator L!.
+    A reveal order's pattern is the set of its steps that land on one
+    of the K disagreeing positions: one K-subset of the steps 1..L, made
+    by exactly K! (L-K)! of the L! orders.  Each order stops at the
+    first step of its pattern, or at L when a and b agree everywhere, so
+    walking the C(L, K) patterns and weighting each count counts every
+    order.  Refuses beyond length ``ORACLE_MAX_L`` = 10; the result's
+    pmf values are exact rationals with denominator L!.
     """
-    diffs = set(_diff_positions(a, b))
+    K = len(_diff_positions(a, b))
     L = len(a)
     if L > ORACLE_MAX_L:
         raise ComputationRefused(
@@ -237,10 +242,8 @@ def enumerate_orderings_oracle(a: str, b: str) -> EmpiricalSCDist:
             f"{ORACLE_MAX_L} oracle limit"
         )
     total = math.factorial(L)
-    if not diffs:
+    if not K:
         return EmpiricalSCDist({L: total}, total)
-    flags = [int(pos in diffs) for pos in range(L)]
-    first = Counter(
-        map(operator.methodcaller("index", 1), itertools.permutations(flags))
-    )
-    return EmpiricalSCDist({i + 1: n for i, n in first.items()}, total)
+    first = Counter(map(min, itertools.combinations(range(1, L + 1), K)))
+    weight = math.factorial(K) * math.factorial(L - K)
+    return EmpiricalSCDist({i: n * weight for i, n in first.items()}, total)

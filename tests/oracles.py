@@ -150,7 +150,9 @@ def _stop_index(order: tuple[int, ...] | list[int], diffs: set[int]) -> int:
 
 def enumerate_orderings_reference(a: str, b: str) -> EmpiricalSCDist:
     """Stopping distribution of two alternatives, one reveal order at a
-    time: the per-order loop ``enumerate_orderings_oracle`` counts in C."""
+    time over all L! orders: the referee for ``enumerate_orderings_oracle``,
+    which counts reveal patterns and weights each by the orders that make
+    it."""
     diffs = set(_diff_positions(a, b))
     L = len(a)
     counts: Counter[int] = Counter()

@@ -618,6 +618,13 @@ class TestVerifyPairs:
         assert "PASS" in out
         assert "L=5 K=5: exact match" in out
 
+    def test_pairwise_enumeration_at_the_oracle_limit(self, capsys):
+        code = main(["verify", "--pair", "pairwise-enumeration", "--L", "10"])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "L=10 K=5: exact match" in out
+        assert out.endswith("verify pairwise-enumeration: PASS\n")
+
     def test_coin_bits(self, capsys):
         code = main(["verify", "--pair", "coin-bits", "--trials", "20000"])
         assert code == EXIT_OK
@@ -859,6 +866,16 @@ class TestOutputs:
         assert not {"trials", "symbols", "fair_bits"} & set(record["payload"])
         # censored is a payload field that meta repeats
         assert meta["censored"] == record["payload"]["censored"] == decisions["Undetermined"]
+
+    # K = 0 is a point mass, held exactly at any length
+    @pytest.mark.parametrize(
+        "L, K, arithmetic",
+        [(20, 7, "rational"), (21, 7, "float"), (21, 0, "rational")],
+    )
+    def test_scdist_runs_name_their_arithmetic_in_meta(self, tmp_path, L, K, arithmetic):
+        record = run_to_file(tmp_path, {"kind": "scdist", "L": L, "K": K})
+        assert record["meta"]["arithmetic"] == arithmetic
+        assert "arithmetic" not in record["payload"]
 
     @pytest.mark.parametrize(
         "kind, phases",

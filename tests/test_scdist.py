@@ -331,3 +331,27 @@ def test_enumeration_matches_the_per_order_loop(pair):
     fast = enumerate_orderings_oracle(a, b)
     slow = enumerate_orderings_reference(a, b)
     assert (fast.counts, fast.trials) == (slow.counts, slow.trials)
+
+
+# past the hypothesis test's L = 7: K = 0, 1, a middle K and K = L
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ("01101001", "01101001"),
+        ("01101001", "01111001"),
+        ("01101001", "11001100"),
+        ("01101001", "10010110"),
+        ("010011010", "010011010"),
+        ("010011010", "010011110"),
+        ("010011010", "111010011"),
+        ("010011010", "101100101"),
+    ],
+)
+def test_weighted_patterns_count_every_reveal_order(a, b):
+    L, K = len(a), sum(x != y for x, y in zip(a, b))
+    fast = enumerate_orderings_oracle(a, b)
+    slow = enumerate_orderings_reference(a, b)
+    assert (fast.counts, fast.trials) == (slow.counts, slow.trials)
+    assert fast.trials == math.factorial(L)
+    weight = math.factorial(K) * math.factorial(L - K)
+    assert all(n % weight == 0 for n in fast.counts.values())
