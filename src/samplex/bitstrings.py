@@ -1,11 +1,14 @@
 """Identification of a query bit string against a finite hypothesis set.
 
 Three interchangeable deciders are provided: a sorted linear scan, a
-per-member depth-first walk, and a prefix-tree walk.  Each takes a
-``SortedHypothesisSet``, the one place members are checked.  They
-traverse the set differently and keep their own bookkeeping, but must
-always agree on the decision status and on which members remain in
-play; that agreement is a standing cross-check, so the derivations are
+per-member depth-first walk, and a prefix-tree walk.  Each works from a
+``SortedHypothesisSet``, the one place members are checked; the tree
+walk reads the set's prefix tree, which ``build_context_tree`` lays out
+as three flat int lists (child on 0, child on 1, member ending at each
+node) rather than one object per node.  They traverse the set
+differently and keep their own bookkeeping, but must always agree on
+the decision status and on which members remain in play; that
+agreement is a standing cross-check, so the derivations are
 deliberately not shared.
 
 A query is a bit string.  A resolution r in [0, 1] lets a decider read
@@ -260,58 +263,77 @@ def identify_depth_first(
     return IdOutcome(IdStatus.FALSIFIED, h_deep, i_deep, ())
 
 
-_END = ""  # tree-node key of the member ending there; no symbol is empty
+_Tree = tuple[list[int], list[int], list[int]]  # (zero, one, ends)
 
 
-def build_context_tree(hset: SortedHypothesisSet) -> dict:
-    """The prefix tree of the set's members, indexed in sorted order: its
-    root node.  Every node is on some member's path, so there are no
-    unreachable nodes.  A node is a dict from each next symbol to its
-    child node, holding the 1-based index of the member that ends there
-    under ``_END``; the empty set's tree is ``{}``."""
-    root: dict = {}
+def build_context_tree(hset: SortedHypothesisSet) -> _Tree:
+    """The prefix tree of the set's members as three flat lists indexed
+    by node number, the root being node 0: ``zero[n]`` and ``one[n]`` are
+    n's children (0 = none) and ``ends[n]`` is the 1-based index of the
+    member ending at n (0 = none).  Nodes are numbered as members are
+    inserted in sorted order, one insertion per member; every node is on
+    some member's path, so ``len(ends)`` is 1 plus the number of distinct
+    non-empty prefixes.  The empty set's tree is the bare root,
+    ``([0], [0], [0])``.  Plain int lists give the garbage collector no
+    per-node object to track."""
+    zero = [0]
+    one = [0]
+    ends = [0]
     for idx, m in enumerate(hset.members, start=1):
-        node = root
+        node = 0
         for sym in m:
-            child = node.get(sym)
-            if child is None:
-                child = node[sym] = {}
+            kids = one if sym == "1" else zero
+            child = kids[node]
+            if not child:
+                child = kids[node] = len(ends)
+                zero.append(0)
+                one.append(0)
+                ends.append(0)
             node = child
-        node[_END] = idx
-    return root
+        ends[node] = idx
+    return zero, one, ends
 
 
-def _subtree_terminals(node: dict) -> list[int]:
+def _subtree_terminals(tree: _Tree, node: int) -> list[int]:
+    """Indices of the members ending in ``node``'s subtree, ascending: a
+    preorder walk taking the 0-child before the 1-child visits prefixes
+    in lexicographic order, which is the order of member indices."""
+    zero, one, ends = tree
     out = []
     stack = [node]
     while stack:
-        for key, below in stack.pop().items():
-            if key == _END:
-                out.append(below)
-            else:
-                stack.append(below)
-    return sorted(out)
+        n = stack.pop()
+        if ends[n]:
+            out.append(ends[n])
+        if one[n]:
+            stack.append(one[n])
+        if zero[n]:
+            stack.append(zero[n])
+    return out
 
 
-def identify_tree(tree: dict, query: str, r: float = 0.0) -> IdOutcome:
+def identify_tree(tree: _Tree, query: str, r: float = 0.0) -> IdOutcome:
     """Walk the prefix tree along the observed symbols.
 
-    ``i`` is the number of symbols consumed by the walk.  ``h`` is the
-    matched member's index on Verified and 0 otherwise (the tree has no
-    member pointer to report).
+    ``tree`` is ``build_context_tree``'s ``(zero, one, ends)``.  ``i`` is
+    the number of symbols consumed by the walk.  ``h`` is the matched
+    member's index on Verified and 0 otherwise (the tree has no member
+    pointer to report).
     """
+    zero, one, ends = tree
     prefix, complete = _observe(query, r)
-    if not tree:
+    if len(ends) == 1:
         # no member to compare a symbol with, so none is read
         return IdOutcome(IdStatus.FALSIFIED, 0, 0, ())
 
-    node = tree
+    node = 0
+    # members ending on the walked path; shallower first, so ascending
     path_terminals: list[int] = []
     for depth, sym in enumerate(prefix):
-        if _END in node:
-            path_terminals.append(node[_END])
-        child = node.get(sym)
-        if child is None:
+        if ends[node]:
+            path_terminals.append(ends[node])
+        child = (one if sym == "1" else zero)[node]
+        if not child:
             # consumed the mismatching symbol as well
             if complete or not path_terminals:
                 return IdOutcome(IdStatus.FALSIFIED, 0, depth + 1, ())
@@ -322,13 +344,13 @@ def identify_tree(tree: dict, query: str, r: float = 0.0) -> IdOutcome:
 
     consumed = len(prefix)
     if complete:
-        if _END in node:
-            end = node[_END]
+        end = ends[node]
+        if end:
             return IdOutcome(IdStatus.VERIFIED, end, consumed, (end,))
-        return IdOutcome(
-            IdStatus.FALSIFIED, 0, consumed, tuple(_subtree_terminals(node))
-        )
-    in_play = sorted(path_terminals + _subtree_terminals(node))
+        extensions = tuple(_subtree_terminals(tree, node))
+        return IdOutcome(IdStatus.FALSIFIED, 0, consumed, extensions)
+    # the path's members are prefixes of the subtree's, so they sort first
+    in_play = path_terminals + _subtree_terminals(tree, node)
     if in_play:
         return IdOutcome(
             IdStatus.UNDETERMINED, 0, consumed, tuple(in_play)

@@ -491,7 +491,9 @@ def run_experiment(cfg: dict, seed: int, meta: dict | None = None) -> dict:
 
 
 def _sanitize(node: object) -> object:
-    """Replace non-finite floats so the record is strict JSON."""
+    """Replace non-finite floats by their ``repr`` so the record is
+    strict JSON.  ``_write_output`` builds this copy only when the strict
+    encode of the record itself refuses a non-finite float."""
     if isinstance(node, float) and not math.isfinite(node):
         return repr(node)
     if isinstance(node, dict):
@@ -505,7 +507,11 @@ def _write_output(record: dict, fmt: str, out: str | None) -> None:
     if fmt == "csv":
         text = _csv_text(record["payload"]["table"])
     else:
-        text = json.dumps(_sanitize(record), sort_keys=True, indent=2) + "\n"
+        try:
+            text = json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError:
+            text = json.dumps(_sanitize(record), sort_keys=True, indent=2)
+        text += "\n"
     if out is None:
         out_dir = os.environ.get(_OUT_DIR_VAR)
         if out_dir:

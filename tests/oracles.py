@@ -22,6 +22,8 @@ from samplex import (
     Decision,
     DecisionStatus,
     EmpiricalSCDist,
+    IdOutcome,
+    IdStatus,
     IidSpec,
     PosteriorState,
     StoppingConfig,
@@ -84,6 +86,67 @@ def brute_force_identify(
     if consistent:
         return "Undetermined", consistent
     return "Falsified", ()
+
+
+_END = ""  # nested-dict tree key of the member ending there; no symbol is empty
+
+
+def context_tree_reference(members: Sequence[str]) -> dict:
+    """The prefix tree as nested dicts, one per node: each next symbol
+    maps to its child, and ``_END`` holds the 1-based index of the member
+    ending there.  The empty set's tree is ``{}``."""
+    root: dict = {}
+    for idx, m in enumerate(members, start=1):
+        node = root
+        for sym in m:
+            node = node.setdefault(sym, {})
+        node[_END] = idx
+    return root
+
+
+def _terminals_reference(node: dict) -> list[int]:
+    out = []
+    stack = [node]
+    while stack:
+        for key, below in stack.pop().items():
+            if key == _END:
+                out.append(below)
+            else:
+                stack.append(below)
+    return sorted(out)
+
+
+def identify_tree_reference(tree: dict, query: str, r: float) -> IdOutcome:
+    """The tree decider's outcome (status, h, i, partial subset) from a
+    walk of ``context_tree_reference``'s nested dicts."""
+    cap = oracle_cap(r)
+    complete = len(query) <= cap
+    prefix = query if complete else query[: int(cap)]
+    if not tree:
+        return IdOutcome(IdStatus.FALSIFIED, 0, 0, ())
+    node = tree
+    path_terminals: list[int] = []
+    for depth, sym in enumerate(prefix):
+        if _END in node:
+            path_terminals.append(node[_END])
+        if sym not in node:
+            if complete or not path_terminals:
+                return IdOutcome(IdStatus.FALSIFIED, 0, depth + 1, ())
+            return IdOutcome(
+                IdStatus.UNDETERMINED, 0, depth + 1, tuple(path_terminals)
+            )
+        node = node[sym]
+    consumed = len(prefix)
+    if complete:
+        if _END in node:
+            end = node[_END]
+            return IdOutcome(IdStatus.VERIFIED, end, consumed, (end,))
+        return IdOutcome(
+            IdStatus.FALSIFIED, 0, consumed, tuple(_terminals_reference(node))
+        )
+    in_play = sorted(path_terminals + _terminals_reference(node))
+    status = IdStatus.UNDETERMINED if in_play else IdStatus.FALSIFIED
+    return IdOutcome(status, 0, consumed, tuple(in_play))
 
 
 def pairwise_stop_pmf(L: int, K: int) -> dict[int, Fraction]:

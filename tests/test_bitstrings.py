@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from samplex import (
+    IdOutcome,
     IdStatus,
     SortedHypothesisSet,
     build_context_tree,
@@ -17,7 +21,11 @@ from samplex import (
     resolution_cap,
 )
 
-from oracles import brute_force_identify
+from oracles import (
+    brute_force_identify,
+    context_tree_reference,
+    identify_tree_reference,
+)
 
 
 def decide_all_ways(members, query, r):
@@ -188,3 +196,67 @@ class TestAgainstBruteForce:
                 status, partial = decide_all_ways(members, m, 0.0)
                 assert status == "Verified"
                 assert partial == (idx,)
+
+
+_BITS = st.text(alphabet="01", min_size=1, max_size=10)
+
+
+@st.composite
+def _sets_and_queries(draw):
+    """A sorted set (possibly empty) whose members are often prefixes of
+    one another, a query near its members or anywhere, and a resolution
+    that is 0, 1 or truncates."""
+    bases = draw(st.lists(_BITS, max_size=6))
+    members = set(bases)
+    for b in bases:
+        members.update(b[:k] for k in draw(st.sets(st.integers(1, len(b)))))
+    members = tuple(sorted(members))
+    query = st.text(alphabet="01", max_size=12)
+    if members:
+        near = st.sampled_from(members).flatmap(
+            lambda m: st.sampled_from([m, m[: len(m) // 2], m + "0", m + "1"])
+        )
+        query = near | query
+    query = draw(query)
+    r = draw(st.sampled_from([0.0, 1.0, 0.5, 0.25, 0.125, 0.3, 0.01]))
+    return members, query, r
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_sets_and_queries())
+def test_flat_tree_matches_the_nested_dict_tree(case):
+    members, query, r = case
+    tree = build_context_tree(SortedHypothesisSet(members))
+    zero, one, ends = tree
+    prefixes = {m[:k] for m in members for k in range(1, len(m) + 1)}
+    assert len(zero) == len(one) == len(ends) == 1 + len(prefixes)
+    got = identify_tree(tree, query, r)
+    assert got == identify_tree_reference(
+        context_tree_reference(members), query, r
+    )
+    assert (got.status.value, got.partial_subset) == brute_force_identify(
+        members, query, r
+    )
+
+
+def test_long_members_build_one_node_per_distinct_prefix():
+    rng = random.Random(20000)
+    stem = "".join(rng.choice("01") for _ in range(5000))
+    members = sorted(
+        stem + "".join(rng.choice("01") for _ in range(15000)) for _ in range(3)
+    )
+    hs = SortedHypothesisSet(tuple(members))
+    tree = build_context_tree(hs)
+    ends = tree[2]
+    # in sorted order a member shares with earlier ones only its longest
+    # common prefix with the one just before it
+    new_nodes = [len(members[0])] + [
+        len(b) - len(os.path.commonprefix([a, b]))
+        for a, b in zip(members, members[1:])
+    ]
+    assert len(ends) == 1 + sum(new_nodes)
+    assert sorted(e for e in ends if e) == [1, 2, 3]
+    for idx, m in enumerate(members, start=1):
+        assert identify_tree(tree, m) == IdOutcome(
+            IdStatus.VERIFIED, idx, len(m), (idx,)
+        )

@@ -26,6 +26,8 @@ from samplex.cli import (
     EXIT_REFUSED,
     EXIT_VERIFY_FAILED,
     ConfigError,
+    _sanitize,
+    _write_output,
     main,
     validate_config,
 )
@@ -957,6 +959,22 @@ class TestOutputs:
         record = run_to_file(tmp_path, cfg)
         text = json.dumps(record["payload"], sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"rows": [[1, 0.5], [2, 1e-300]], "tag": "x", "n": None},
+            {"b": {"lo": 0.25, "hi": math.inf}, "a": [math.nan, 1, -math.inf],
+             "t": (math.inf, 2.0)},
+        ],
+        ids=["finite", "non-finite"],
+    )
+    def test_json_text_is_the_sanitized_records(self, tmp_path, payload):
+        record = {"config": {"kind": "scdist"}, "payload": payload, "meta": {}}
+        out = tmp_path / "rec.json"
+        _write_output(record, "json", str(out))
+        expected = json.dumps(_sanitize(record), sort_keys=True, indent=2) + "\n"
+        assert out.read_text() == expected
 
     def test_csv_table(self, tmp_path):
         out = tmp_path / "table.csv"
