@@ -18,13 +18,16 @@ band form is used throughout.
 The rule is written once, in ``_stopping_rule``: ``check_stop`` and
 every Monte Carlo stopping trial decide through the same function.  A
 trial reads the ideal's symbols from ``processes.symbols``, the one
-draw loop of the library, and ``_trial_loop`` is the one loop that
-scores them: each run sets it up once and calls it once per seed.  The
-posterior trace is one more stopping trial through that loop, whose
-decide function also records the posterior at each step.  The rule
-weighs the posterior only at steps where some group can still reach
-mass p: a per-step bound on each group's mass rules verification out
-first, with the same verdicts.
+draw loop of the library, and ``_trial_loop`` scores them step by step:
+each run sets it up once and calls it once per seed.  Over a binary
+memoryless set a trial's likelihoods depend on its length and count of
+1s alone, so ``_count_loop`` asks the rule once per (t, n1) cell and
+keeps the verdicts in a per-run table of at most _TABLE_CELLS bytes.
+The posterior trace is one more stopping trial through ``_trial_loop``,
+whose decide function also records the posterior at each step.  The
+rule weighs the posterior only at steps where some group can still
+reach mass p: a per-step bound on each group's mass rules verification
+out first, with the same verdicts.
 
 A member's likelihood is also written once.  Each set caches one log
 table, log2 P(symbol | context) for every member, and one start score
@@ -95,6 +98,9 @@ _DEFAULT_BUDGET = 100_000
 # a 4-symbol memory-2 pair, whose classes barely merge, the process
 # peaks near 51 MB (CPython 3.11) when the limit is reached
 _CLASS_LIMIT = 65_536
+# cells one run's verdict table may hold (one byte each, rows t < 2 896);
+# past it the count path weighs each step, so the cap moves no verdict
+_TABLE_CELLS = 1 << 22
 
 ProcessSpec = IidSpec | MarkovSpec
 
@@ -544,8 +550,11 @@ class MCStoppingReport:
     the budget undecided are censored inside it, and ``decisions``
     tallies decision kinds (censored trials count as Undetermined).
     ``symbols`` is the sum of every trial's stopping time, censored
-    trials included (the symbols the trials drew), and ``fair_bits`` the
-    fair bits those draws read.
+    trials included (the symbols the trials drew), ``fair_bits`` the
+    fair bits those draws read, and ``decides`` the times the trials
+    evaluated the stopping rule: one per step on the step path, one per
+    verdict-table cell filled or step past the table on the count path
+    (see ``_count_loop``).
     """
 
     dist: EmpiricalSCDist
@@ -553,6 +562,7 @@ class MCStoppingReport:
     trials: int
     symbols: int
     fair_bits: int
+    decides: int
 
     def mean(self) -> float:
         return self.dist.moment(1)
@@ -561,16 +571,20 @@ class MCStoppingReport:
         return tuple(self.dist.moment(m) for m in range(1, highest + 1))
 
 
+_Trial = Callable[[str], tuple[DecisionStatus, int, int, int]]
+
+
 def _trial_loop(
     ideal: ProcessSpec,
     hset: HypothesisSet,
     decide: Callable[[Sequence[float], int], _Verdict | None],
     budget: int,
-) -> Callable[[str], tuple[DecisionStatus, int, int]]:
-    """The stopping trial of one run, set up once: called with a seed, it
-    runs one trial from t = 1 on (the caller has already asked ``decide``
-    at t = 0) and returns the decision, when it fell and the fair bits
-    the trial read.  Undetermined means censored (budget or r-cap
+) -> _Trial:
+    """The stopping trial of one run on the step path, set up once:
+    called with a seed, it runs one trial from t = 1 on (the caller has
+    already asked ``decide`` at t = 0) and returns the decision, when it
+    fell, the fair bits the trial read and the times it asked ``decide``,
+    once per step.  Undetermined means censored (budget or r-cap
     exhausted).
 
     The run builds one source, and a trial reseeds it with its seed,
@@ -578,7 +592,9 @@ def _trial_loop(
     them as ``posterior_update`` does, without state objects: while
     t <= memory the likelihoods are the prefix's start score, then each
     step adds ``cols[step]``, every member's log-table entry for the
-    window (kept as its context number) and the symbol.
+    window (kept as its context number) and the symbol.  The trials of a
+    binary memoryless set take ``_count_loop`` instead; the posterior
+    trace stays here, because it prints these accumulated likelihoods.
     """
     k = hset.alphabet_size
     memory = hset.memory
@@ -588,7 +604,7 @@ def _trial_loop(
     start = (0.0,) * len(hset)
     source = BitSource(0)
 
-    def trial(seed: str) -> tuple[DecisionStatus, int, int]:
+    def trial(seed: str) -> tuple[DecisionStatus, int, int, int]:
         source.reseed(seed)
         loglik: Sequence[float] = start
         prefix: Context = ()
@@ -603,8 +619,74 @@ def _trial_loop(
                 loglik = list(map(operator.add, loglik, cols[step]))
             decided = decide(loglik, t)
             if decided is not None:
-                return decided[0], t, source.bits_consumed
-        return DecisionStatus.UNDETERMINED, budget, source.bits_consumed
+                return decided[0], t, source.bits_consumed, t
+        return DecisionStatus.UNDETERMINED, budget, source.bits_consumed, budget
+
+    return trial
+
+
+# verdict-table cell codes: 0 not yet weighed, 1 keep observing, and a
+# code c >= 2 stops the trial with status _CODES[c]
+_CONTINUE = 1
+_CODES = (None, None, *DecisionStatus)
+
+
+def _count_loop(
+    ideal: ProcessSpec,
+    hset: HypothesisSet,
+    decide: Callable[[Sequence[float], int], _Verdict | None],
+    budget: int,
+) -> _Trial:
+    """The stopping trial of one run on the count path, for a binary
+    memoryless set (the ideal may be a chain); called as ``_trial_loop``'s
+    trial is, with the same decisions.
+
+    Such a set scores a sequence by its length t and its count n1 of 1s
+    alone, so the run keeps one verdict per (t, n1) cell in a bytearray,
+    cell (t, n1) at index t(t+1)/2 + n1.  A trial carries that index from
+    step to step, and the table grows by row t when a trial first reaches
+    t.  An empty cell is filled by ``decide`` on count-scored likelihoods,
+    (t - n1) log2 P_i(0) + n1 log2 P_i(1), in the order and with the skip
+    of zero counts that ``_class_walk`` uses, so 0 x -inf never becomes
+    nan.  Accumulated and count-scored likelihoods may differ in their
+    last bits; no verdict of a shipped config or pinned payload moves.
+    The table stops at _TABLE_CELLS cells; past it ``decide`` weighs each
+    step on the same scores.  A trial counts its ``decide`` calls: cells
+    filled plus steps past the table.
+    """
+    log0, log1 = zip(*hset._log_table)
+    steps = range(1, budget + 1)
+    table = bytearray(1)  # row t = 0, which no trial reads
+    source = BitSource(0)
+
+    def loglik(t: int, n1: int) -> list[float]:
+        n0 = t - n1
+        if not n1:
+            return [n0 * a for a in log0]
+        if not n0:
+            return [n1 * b for b in log1]
+        return [n0 * a + n1 * b for a, b in zip(log0, log1)]
+
+    def trial(seed: str) -> tuple[DecisionStatus, int, int, int]:
+        source.reseed(seed)
+        cell = weighed = 0
+        for t, sym in zip(steps, symbols(ideal, source)):
+            cell += t + sym
+            if cell < len(table):
+                code = table[cell]
+                if code == _CONTINUE:
+                    continue
+                if code:
+                    return _CODES[code], t, source.bits_consumed, weighed
+            elif len(table) + t < _TABLE_CELLS:
+                table.extend(bytes(t + 1))
+            decided = decide(loglik(t, cell - t * (t + 1) // 2), t)
+            weighed += 1
+            if cell < len(table):
+                table[cell] = _CONTINUE if decided is None else _CODES.index(decided[0])
+            if decided is not None:
+                return decided[0], t, source.bits_consumed, weighed
+        return DecisionStatus.UNDETERMINED, budget, source.bits_consumed, weighed
 
     return trial
 
@@ -628,7 +710,9 @@ def mc_sample_complexity(
     every trial, which then draws nothing.  Trials still undecided after
     max_steps symbols (``_DEFAULT_BUDGET`` when None), or stopped by the
     r-cap, are censored, not dropped.  The ideal may differ from the
-    members in memory, not in alphabet.
+    members in memory, not in alphabet.  Over a binary memoryless set
+    the trials read their verdicts from a bounded per-run table
+    (``_count_loop``); any other set weighs every step (``_trial_loop``).
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -639,24 +723,25 @@ def mc_sample_complexity(
     decide = _stopping_rule(hset, cfg, log_prior)
     first = decide((0.0,) * len(hset), 0)
     if first is not None:
-        results = [(first[0], 0, 0)] * trials
+        results = [(first[0], 0, 0, 0)] * trials
     else:
-        trial = _trial_loop(ideal, hset, decide, budget)
+        counted = hset.alphabet_size == 2 and hset.memory == 0
+        trial = (_count_loop if counted else _trial_loop)(ideal, hset, decide, budget)
         results = [trial(f"{seed}:{i}") for i in range(trials)]
 
     counts: dict[int, int] = {}
-    censored = drawn = fair_bits = 0
-    decisions = {s.value: 0 for s in DecisionStatus}
-    for status, t, bits in results:
-        decisions[status.value] += 1
+    drawn = fair_bits = decides = 0
+    tally = dict.fromkeys(DecisionStatus, 0)
+    for status, t, bits, weighed in results:
+        tally[status] += 1
         drawn += t
         fair_bits += bits
-        if status is DecisionStatus.UNDETERMINED:
-            censored += 1
-        else:
+        decides += weighed
+        if status is not DecisionStatus.UNDETERMINED:
             counts[t] = counts.get(t, 0) + 1
-    dist = EmpiricalSCDist(counts, trials, censored)
-    return MCStoppingReport(dist, decisions, trials, drawn, fair_bits)
+    decisions = {s.value: n for s, n in tally.items()}
+    dist = EmpiricalSCDist(counts, trials, tally[DecisionStatus.UNDETERMINED])
+    return MCStoppingReport(dist, decisions, trials, drawn, fair_bits, decides)
 
 
 def posterior_trace(

@@ -372,7 +372,7 @@ def _run_bayes(cfg: dict, seed: int, meta: dict) -> dict:
         )
     meta.update(
         trials=report.trials, symbols=report.symbols, fair_bits=report.fair_bits,
-        censored=report.dist.censored,
+        decides=report.decides, censored=report.dist.censored,
     )
     analytic = None
     with _phase(meta, "evaluator_s"):
@@ -415,7 +415,7 @@ def _run_novelty(cfg: dict, seed: int, meta: dict) -> dict:
         )
     meta.update(
         trials=report.trials, symbols=report.symbols, fair_bits=report.fair_bits,
-        censored=report.dist.censored,
+        decides=report.decides, censored=report.dist.censored,
     )
     combined = [max(b[0] for b in bounds), max(b[1] for b in bounds)]
     falsified = report.decisions[DecisionStatus.FALSIFIED.value]
@@ -478,7 +478,8 @@ def run_experiment(cfg: dict, seed: int, meta: dict | None = None) -> dict:
 
     Work counters of the run (``symbols`` drawn and ``fair_bits`` read by
     ``sample`` and ``spread``, and by the stopping trials of ``bayes``
-    and ``novelty``, which also count their ``trials``; ``scdist``'s
+    and ``novelty``, which also count their ``trials`` and the
+    ``decides`` calls of the stopping rule; ``scdist``'s
     ``arithmetic``, ``"rational"`` or ``"float"``) and per-phase
     seconds (``bayes``: ``trials_s``, ``evaluator_s``, ``trace_s``;
     ``novelty``: ``bounds_s``, ``trials_s``) go into ``meta`` when it is

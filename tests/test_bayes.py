@@ -743,11 +743,13 @@ class TestMassBound:
 def stopping_scenarios():
     """(ideal, hset, prior, cfg) stopping trials the library runs against
     its reference loops: iid sets over 2 and 3 symbols, memory-1 and
-    memory-2 chains with each start, p < 1 and p = 1, q > 0, eps_d > 0,
-    r-caps, an ideal every member rules out, priors that decide at
-    t = 0, and each branch of the stopping rule's mass bound."""
+    memory-2 chains with each start, a chain ideal against iid members,
+    p < 1 and p = 1, q > 0, eps_d > 0, r-caps, an ideal every member
+    rules out, priors that decide at t = 0, and each branch of the
+    stopping rule's mass bound."""
     close = IidSpec.from_probs([0.4375, 0.5625])
     ones_only = IidSpec.from_probs([0.0, 1.0])
+    zeros_only = IidSpec.from_probs([1.0, 0.0])
     sticky = m1(0.125, 0.875)
     flip = m1(0.75, 0.25)
     no_00 = m1(0.0, 0.5)  # never emits 0 right after a 0
@@ -775,11 +777,18 @@ def stopping_scenarios():
         # p = 1 with zero-probability symbols: certainty is reachable
         (B5, HypothesisSet((B5, ones_only)), UNIFORM, StoppingConfig(p=1.0)),
         (ones_only, HypothesisSet((B5, ones_only)), UNIFORM, StoppingConfig(p=1.0)),
+        # p < 1, and a member rules out the symbol the ideal never emits:
+        # a zero count adds nothing to its likelihood (0 x -inf is nan)
+        (ones_only, HypothesisSet((B5, ones_only)), UNIFORM, StoppingConfig(p=0.9)),
+        (zeros_only, HypothesisSet((zeros_only, B9)), UNIFORM, StoppingConfig(p=0.9)),
         # the prior alone decides at t = 0
         (B5, PAIR, (0.95, 0.05), StoppingConfig(p=0.9)),
         (B5, PAIR, (1.0, 0.0), StoppingConfig(p=1.0)),
         # memory 1: stationary and fixed-context starts
         (sticky, HypothesisSet((sticky, flip)), UNIFORM, StoppingConfig(p=0.9)),
+        # a memory-1 ideal against memoryless binary members: the count
+        # path scores a chain's symbols
+        (sticky, HypothesisSet((B5, close)), UNIFORM, StoppingConfig(p=0.9, q=0.2)),
         (
             m1(0.7, 0.4),
             HypothesisSet((m1(0.2, 0.9), m1(0.1, 0.6))),
@@ -854,6 +863,24 @@ class TestMCSampleComplexity:
         assert report.dist.censored == 0
 
     def test_trial_loop_matches_the_oracle(self):
+        self.check_against_the_oracle()
+
+    def test_count_path_past_its_table_cap_matches_the_oracle(self, monkeypatch):
+        # a cap of 200 cells holds rows t <= 18, so longer trials weigh
+        # their steps pointwise
+        tables = []
+
+        class Recorded(bytearray):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(samplex.bayes, "_TABLE_CELLS", 200)
+        monkeypatch.setattr(samplex.bayes, "bytearray", Recorded, raising=False)
+        self.check_against_the_oracle()
+        assert tables and max(map(len, tables)) == 190  # rows 0 to 18
+
+    def check_against_the_oracle(self):
         scenarios = list(enumerate(stopping_scenarios()))
         runs = [(n, sc, 300, 300) for n, sc in scenarios]
         # the r > 0 scenarios again at the library's default budget, where
@@ -880,6 +907,54 @@ class TestMCSampleComplexity:
                 ideal, hset, prior, cfg, trials=40, seed=31, max_steps=300
             )
             assert (got.symbols, got.fair_bits) == want, n
+            # binary memoryless sets weigh each (t, n1) cell once, others
+            # every step
+            if hset.alphabet_size == 2 and hset.memory == 0:
+                assert got.decides <= got.symbols, n
+            else:
+                assert got.decides == got.symbols, n
+
+    def test_verdict_table_matches_weighing_every_step(self, monkeypatch):
+        # random binary memoryless sets of 2-4 members, with zero-probability
+        # symbols, zero priors, groups, q > 0 and r > 0, against iid and
+        # chain ideals; a one-cell cap keeps no row a trial reads, so the
+        # count path then weighs every step
+        rng = random.Random(15)
+        weights = (0.0, 0.125, 0.25, 0.4375, 0.5, 0.5625, 0.75, 0.9, 1.0)
+
+        def iid():
+            return IidSpec.from_probs([(a := rng.choice(weights)), 1 - a])
+
+        runs = []
+        for _ in range(40):
+            hset = HypothesisSet(tuple(iid() for _ in range(rng.randint(2, 4))))
+            prior = [rng.choice((0.0, 1.0, 2.0, 3.0)) for _ in hset.members]
+            prior[0] += 1.0
+            prior = [w / sum(prior) for w in prior]
+            cfg = StoppingConfig(
+                p=rng.choice((0.6, 0.9, 0.99, 1.0)),
+                q=rng.choice((0.0, 0.0, 0.2, 0.5)),
+                eps_d=rng.choice((0.0, 0.0, 0.05)),
+                r=rng.choice((0.0, 0.0, 0.01)),
+            )
+            ideal = iid() if rng.random() < 0.7 else m1(rng.random(), rng.random())
+            runs.append((ideal, hset, prior, cfg))
+
+        def reports():
+            return [
+                mc_sample_complexity(*run, trials=20, seed=n, max_steps=200)
+                for n, run in enumerate(runs)
+            ]
+
+        tabled = reports()
+        monkeypatch.setattr(samplex.bayes, "_TABLE_CELLS", 1)
+        weighed = reports()
+        for n, (a, b) in enumerate(zip(tabled, weighed)):
+            assert dataclasses.replace(a, decides=0) == dataclasses.replace(b, decides=0), n
+            assert a.decides <= b.decides == b.symbols, n
+        # every status is reached, and the table spares most of the weighing
+        assert all(sum(r.decisions[s.value] for r in tabled) for s in DecisionStatus)
+        assert 2 * sum(r.decides for r in tabled) < sum(r.decides for r in weighed)
 
     def test_unreachable_certainty_censors_every_trial(self):
         report = mc_sample_complexity(

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import samplex.bayes
 from samplex import HypothesisSet, IidSpec, StoppingConfig, spec_from_json
 from samplex.cli import (
     EXIT_INVALID,
@@ -56,6 +57,21 @@ NOVELTY_CFG = {
     "budget": 200,
     "seed": 5,
 }
+
+# a non-member ideal, so no evaluator runs, and trials that average 190
+# steps and reach past the verdict table's rows in a capped run; the
+# digest is the payload of the step-by-step trial loop
+LONG_BAYES_CFG = {
+    "kind": "bayes",
+    "ideal": [0.5, 0.5],
+    "hypotheses": [[0.45, 0.55], [0.4, 0.6]],
+    "prior": [0.5, 0.5],
+    "p": 0.95,
+    "trials": 200,
+    "max_steps": 5000,
+    "seed": 3,
+}
+LONG_BAYES_DIGEST = "bbd56d0556ea68259fed70fad3b1114d64b4157460b4827b82f357a172000b92"
 
 
 SPREAD_CFG = {
@@ -865,7 +881,13 @@ class TestOutputs:
         assert (meta["trials"], meta["symbols"], meta["fair_bits"]) == (
             cfg["trials"], symbols, fair_bits
         )
-        assert not {"trials", "symbols", "fair_bits"} & set(record["payload"])
+        # a binary memoryless set weighs each (t, n1) cell once, a chain
+        # set every step
+        if hset.memory == 0:
+            assert meta["decides"] < meta["symbols"]
+        else:
+            assert meta["decides"] == meta["symbols"]
+        assert not {"trials", "symbols", "fair_bits", "decides"} & set(record["payload"])
         # censored is a payload field that meta repeats
         assert meta["censored"] == record["payload"]["censored"] == decisions["Undetermined"]
 
@@ -948,17 +970,25 @@ class TestOutputs:
                  "prior": [0.5, 0.5], "p": 0.9, "trials": 20, "seed": 3},
                 "3c0d6513374c77e97898689ecc1fe00e64d733284fe436abc53bad89fcee721f",
             ),
+            (LONG_BAYES_CFG, LONG_BAYES_DIGEST),
         ],
         ids=[
             "bayes", "novelty", "figure3",
             "markov-sample", "markov-bayes", "markov-novelty", "mc-bayes",
-            "identify", "scdist", "mc-bayes-3",
+            "identify", "scdist", "mc-bayes-3", "long-bayes",
         ],
     )
     def test_payloads_keep_their_digests(self, tmp_path, cfg, digest):
         record = run_to_file(tmp_path, cfg)
         text = json.dumps(record["payload"], sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_a_capped_verdict_table_keeps_the_payload(self, tmp_path, monkeypatch):
+        # 1 000 cells hold rows t <= 43; the trials run to t = 190 on average
+        monkeypatch.setattr(samplex.bayes, "_TABLE_CELLS", 1_000)
+        record = run_to_file(tmp_path, LONG_BAYES_CFG)
+        text = json.dumps(record["payload"], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == LONG_BAYES_DIGEST
 
     @pytest.mark.parametrize(
         "payload",
