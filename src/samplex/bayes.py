@@ -25,9 +25,9 @@ memoryless set a trial's likelihoods depend on its length and count of
 keeps the verdicts in a per-run table of at most _TABLE_CELLS bytes.
 The posterior trace is one more stopping trial through ``_trial_loop``,
 whose decide function also records the posterior at each step.  The
-rule weighs the posterior only at steps where some group can still
-reach mass p: a per-step bound on each group's mass rules verification
-out first, with the same verdicts.
+rule weighs its groups only at steps where the largest group size over
+the summed weights reaches p: no group's computed mass exceeds that
+ratio, so the verdicts are those of weighing every step.
 
 A member's likelihood is also written once.  Each set caches one log
 table, log2 P(symbol | context) for every member, and one start score
@@ -89,9 +89,6 @@ from .processes import (
 from .scdist import EmpiricalSCDist
 
 _FLOOR_TOL = 1e-12
-# relative slack by which p must exceed a group's mass bound before the
-# stopping rule skips weighing the posterior (see ``_stopping_rule``)
-_BOUND_MARGIN = 1e-12
 _DEFAULT_MC_SEQUENCES = 10_000
 _DEFAULT_BUDGET = 100_000
 # sequence classes one horizon of the exact surprisal walk may hold; on
@@ -129,9 +126,9 @@ class HypothesisSet:
     def __post_init__(self) -> None:
         if not self.members:
             raise ValueError("hypothesis set must be non-empty")
-        sizes = {m.alphabet_size for m in self.members}
-        if len(sizes) != 1:
-            raise ValueError(f"members disagree on alphabet size: {sizes}")
+        alphabets = {m.alphabet_size for m in self.members}
+        if len(alphabets) != 1:
+            raise ValueError(f"members disagree on alphabet size: {alphabets}")
         memories = {m.memory for m in self.members}
         if len(memories) != 1:
             raise ValueError(
@@ -434,39 +431,22 @@ def _stopping_rule(
     the warm-up, every member's surprisal outside its band at level q.
     Hitting the resolution cap forces a terminal Undetermined.
 
-    Before it weighs the posterior, ``decide`` asks whether any group can
-    reach mass p.  Let ``top`` be the largest score (log prior plus
-    log-likelihood), ``a`` the group of a member scoring ``top``,
-    ``second`` the largest score outside ``a`` and w = 2 ** (second -
-    top), the very float the full path weighs that member with.  Every
-    weight is at most 1 and the top member's is exactly 1, so ``a`` holds
-    at most |a| / (|a| + w) of the summed weights and any other group g
-    at most |g| / (|g| + 1).  A computed mass rounds three times (two
-    ``math.fsum`` sums and a division), and the bounds and p / (1 +
-    _BOUND_MARGIN) a few times more, each by a factor within 1 +- 2**-53:
-    about ten such factors, far inside the margin of 1e-12.  So when p /
-    (1 + _BOUND_MARGIN) exceeds both bounds no computed mass reaches p,
-    and ``decide`` goes straight to the q-band and r-cap tests.  With
-    p = 1 the test is second > -inf: a live member outside ``a`` rules
-    certainty out.  Where p / (1 + _BOUND_MARGIN) <= m / (m + 1), with m
-    the largest group size, or one group holds every member, every step
-    is weighed.
+    No group's computed mass exceeds ``largest`` / total, with
+    ``largest`` the largest group size, so ``decide`` weighs the groups
+    only when that ratio reaches p.  Each weight 2 ** (score - top) is at
+    most 1 and ``math.fsum`` rounds a group's exact sum correctly, so that
+    sum is at most |g| <= ``largest``; a correctly rounded division is
+    monotone, so fsum(w_g) / total <= ``largest`` / total as floats, with
+    no margin.  With singleton groups 1 / total is the heaviest mass.
+    With p = 1 a group verifies only when every member outside it is at
+    likelihood zero; it then holds mass 1, so it is the top member's.
     """
     members = range(len(hset))
     rates = hset.rates
     groups = equivalence_groups(hset, cfg.eps_d)
+    group_of = {i: g for g in groups for i in g}
     p = cfg.p
-    shrunk = p / (1.0 + _BOUND_MARGIN)
     largest = max(map(len, groups))
-    # one group holds mass 1 at every step: there is nothing to rule out
-    bounded = len(groups) > 1 and shrunk > largest / (largest + 1)
-    # each member's group size and the members outside its group
-    sizes = [0] * len(hset)
-    outside: list[tuple[int, ...]] = [()] * len(hset)
-    for g in groups:
-        for i in g:
-            sizes[i] = len(g)
-            outside[i] = tuple(j for j in members if j not in g)
     eps_p = -math.log2(p) if p > 0.0 else math.inf
     eps_q = -math.log2(cfg.q) if cfg.q > 0.0 else math.inf
     warmup = (
@@ -489,14 +469,6 @@ def _stopping_rule(
             return DecisionStatus.VERIFIED, group
         return DecisionStatus.PARTIALLY_IDENTIFIED, group
 
-    def reachable(scores: list[float], top: float) -> bool:
-        """Whether some group's computed mass can reach p (see above)."""
-        i = scores.index(top)
-        second = max([scores[j] for j in outside[i]])
-        if p == 1.0:
-            return second == -math.inf
-        return sizes[i] / (sizes[i] + 2.0 ** (second - top)) >= shrunk
-
     def decide(loglik: Sequence[float], t: int) -> _Verdict | None:
         if certain:
             return verdict(certain)
@@ -505,20 +477,22 @@ def _stopping_rule(
             top = max(scores)
             if top == -math.inf:
                 return DecisionStatus.FALSIFIED, ()
-            if not bounded or reachable(scores, top):
+            if p == 1.0:
+                group = group_of[scores.index(top)]
+                if all(scores[i] == -math.inf for i in members if i not in group):
+                    return verdict(group)
+            else:
                 weights = [2.0 ** (s - top) for s in scores]
                 total = math.fsum(weights)
-                masses = [math.fsum(weights[i] for i in g) / total for g in groups]
-                best = max(range(len(groups)), key=masses.__getitem__)
-                group = groups[best]
-                if p == 1.0:
-                    if all(scores[i] == -math.inf for i in members if i not in group):
+                if largest / total >= p:
+                    masses = [math.fsum(weights[i] for i in g) / total for g in groups]
+                    best = max(range(len(groups)), key=masses.__getitem__)
+                    group = groups[best]
+                    if masses[best] >= p and (
+                        t == 0
+                        or any(abs(-loglik[i] / t - rates[i]) <= eps_p for i in group)
+                    ):
                         return verdict(group)
-                elif masses[best] >= p and (
-                    t == 0
-                    or any(abs(-loglik[i] / t - rates[i]) <= eps_p for i in group)
-                ):
-                    return verdict(group)
         if t >= warmup and all(
             [abs(-ll / t - rate) > eps_q for ll, rate in zip(loglik, rates)]
         ):
@@ -711,7 +685,7 @@ def mc_sample_complexity(
     max_steps symbols (``_DEFAULT_BUDGET`` when None), or stopped by the
     r-cap, are censored, not dropped.  The ideal may differ from the
     members in memory, not in alphabet.  Over a binary memoryless set
-    the trials read their verdicts from a bounded per-run table
+    the trials read their verdicts from a capped per-run table
     (``_count_loop``); any other set weighs every step (``_trial_loop``).
     """
     if trials < 1:

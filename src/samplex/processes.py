@@ -526,8 +526,8 @@ class SpreadCode:
                         f"components {a} and {b} are identical; message "
                         f"symbols {a} and {b} would be indistinguishable"
                     )
-        sizes = {c.alphabet_size for c in self.components}
-        if len(sizes) != 1:
+        alphabets = {c.alphabet_size for c in self.components}
+        if len(alphabets) != 1:
             raise ValueError("components must share one alphabet")
 
 

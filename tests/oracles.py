@@ -714,9 +714,11 @@ def check_stop_reference(state: PosteriorState, cfg: StoppingConfig) -> Decision
 def stopping_rule_reference(
     hset: HypothesisSet, cfg: StoppingConfig, log_prior: Sequence[float]
 ) -> Callable[[Sequence[float], int], _Verdict | None]:
-    """The stopping rule as it was before the library's per-step mass
-    bound: it weighs the posterior at every step.  The library's
-    ``_stopping_rule`` must return the same verdict for every input.
+    """The stopping rule weighing the posterior at every step, where the
+    library's ``_stopping_rule`` weighs its groups only when the largest
+    group size over the summed weights reaches p, and at p = 1 reads
+    certainty off the scores.  The library must return the same verdict
+    for every input.
 
     The stopping rule for one set, config and prior, as a function of
     the per-member log2 likelihoods at time t: a terminal (status,

@@ -675,10 +675,15 @@ def _near(c):
 
 
 class TestMassBound:
-    """The library's stopping rule skips weighing the posterior when no
-    group can reach mass p; the reference weighs it at every step.  The
-    grid puts the score gap second - top within ulps of where the top
-    group's mass bound meets p."""
+    """The library's stopping rule weighs the groups only when
+    ``largest`` / total reaches p, with ``largest`` the largest group
+    size and total the summed weights, and at p = 1 reads certainty off
+    the scores; the reference weighs every step.  The grid puts the
+    summed weights at ``largest`` / p and within 4 ulps of it, puts the
+    score gap second - top within ulps of where the top group's mass
+    meets p, and has members trail the top by so little (1e-300 and
+    5e-324 bits under a top score of 0) that their weight rounds to
+    exactly 1."""
 
     # groups (equal members, eps_d = 0) of 1, 2 and 3 members; a member
     # with a zero-probability symbol makes p = 1 weigh the posterior
@@ -690,25 +695,28 @@ class TestMassBound:
         HypothesisSet((B5, B5, IidSpec.from_probs([0.0, 1.0]))),
     ]
     LEVELS = [0.5, math.nextafter(0.5, 1.0), 2 / 3, 0.9, 0.999, 1.0]
+    # lags far below an ulp of 1, which leave a weight of exactly 1
+    TINY = (-1e-300, -5e-324)
 
-    @staticmethod
-    def logliks(hset, groups, p, t, rest):
+    @classmethod
+    def logliks(cls, hset, groups, p, t, rest):
         """Likelihood vectors whose top member leads a group a and whose
         best member outside a trails it by a gap near log2 |a| -
-        log2(p / (1 - p)), or ties it; the other members of a trail the
-        top by 0 to 1e-9 bits, and the members outside a but the nearest
-        are ruled out, tie it or trail it by ``rest``.  A lag of 2e-16
-        bits leaves a weight of 1 - 2**-53, which rounds up when added to
-        the top's: there a computed mass can exceed the top group's
-        bound by an ulp."""
-        lags = (0.0, -2e-16, -1e-15, -1e-9)
+        log2(p / (1 - p)), ties it or trails it by a tiny lag; the other
+        members of a trail the top by 0 to 1e-9 bits, and the members
+        outside a but the nearest are ruled out, tie it or trail it by
+        ``rest``.  A lag of 2e-16 bits leaves a weight of 1 - 2**-53,
+        which rounds up when added to the top's."""
         for a in groups:
             top, near = a[0], next(j for j in range(len(hset)) if j not in a)
             c = -math.inf if p == 1.0 else math.log2(len(a) * (1.0 - p) / p)
             # in the top member's typical band, and 1e6 bits out of it
             for size in (0.0, 1e6):
                 base = -t * hset.rates[top] - size
-                for gap, lag in itertools.product([*_near(c), 0.0], lags):
+                # a tiny lag survives only next to a likelihood of 0
+                tiny = cls.TINY if base == 0.0 else ()
+                lags = (0.0, -2e-16, -1e-15, -1e-9, *tiny)
+                for gap, lag in itertools.product([*_near(c), 0.0, *tiny], lags):
                     ll = [base + gap + rest] * len(hset)
                     for i in a:
                         ll[i] = base + lag
@@ -716,26 +724,78 @@ class TestMassBound:
                     ll[near] = base + gap
                     yield ll
 
+    @staticmethod
+    def edge_logliks(hset, groups, p, log_prior, t):
+        """Likelihood vectors whose weights sum to ``largest`` / p or to a
+        float within 4 ulps of it.  The top member leads a group a whose
+        other members tie it, the members outside a but the nearest are
+        ruled out or tie it, and the nearest one's likelihood is the least
+        float that brings the sum up to the target."""
+        largest = max(map(len, groups))
+        targets = [largest / p]
+        for _ in range(4):
+            targets = [
+                math.nextafter(targets[0], 0.0),
+                *targets,
+                math.nextafter(targets[-1], math.inf),
+            ]
+
+        def total(ll):
+            scores = [lp + x for lp, x in zip(log_prior, ll)]
+            top = max(scores)
+            return math.fsum(2.0 ** (s - top) for s in scores)
+
+        for a, rest in itertools.product(groups, (-math.inf, 0.0)):
+            top, near = a[0], next(j for j in range(len(hset)) if j not in a)
+            base = -t * hset.rates[top]
+            ll = [base + rest] * len(hset)
+            for i in a:
+                ll[i] = base
+            for target in targets:
+                lo, hi = base - 64.0, base
+                ll[near] = hi
+                if log_prior[top] == -math.inf or total(ll) < target:
+                    continue
+                while (mid := (lo + hi) / 2) not in (lo, hi):
+                    ll[near] = mid
+                    lo, hi = (lo, mid) if total(ll) >= target else (mid, hi)
+                ll[near] = hi
+                yield list(ll)
+
     @pytest.mark.parametrize(
         "hset", SETS, ids=["1-1", "1-1-1", "2-1", "1-3", "2-1-zero"]
     )
     def test_the_bound_never_changes_a_verdict(self, hset):
         groups = equivalence_groups(hset, 0.0)
         n = len(hset)
-        # uniform, and the last member at prior zero
+        # uniform, the last member at prior zero, and, at t = 0 alone,
+        # uniform given as 0 bits each, under which the top scores 0
         priors = [[1 / n] * n, [1 / (n - 1)] * (n - 1) + [0.0]]
+        times = (0, 1, 7, 10_000)
+        log_priors = [(hset.log_prior(prior), times) for prior in priors]
+        log_priors.append(((0.0,) * n, (0,)))
         checked = 0
-        for p, prior in itertools.product(self.LEVELS, priors):
-            log_prior = hset.log_prior(prior)
-            for cfg in (StoppingConfig(p=p), StoppingConfig(p=p, q=p / 2, r=0.01)):
-                rule = samplex.bayes._stopping_rule(hset, cfg, log_prior)
-                reference = stopping_rule_reference(hset, cfg, log_prior)
-                cases = itertools.product((0, 1, 7, 10_000), (-math.inf, -0.5, 0.0))
-                for t, rest in cases:
-                    for ll in self.logliks(hset, groups, p, t, rest):
-                        assert rule(ll, t) == reference(ll, t), (p, prior, cfg, t, ll)
-                        checked += 1
-                    dead = [-math.inf] * n
+        for p, (log_prior, ts) in itertools.product(self.LEVELS, log_priors):
+            rules = [
+                (
+                    cfg,
+                    samplex.bayes._stopping_rule(hset, cfg, log_prior),
+                    stopping_rule_reference(hset, cfg, log_prior),
+                )
+                for cfg in (StoppingConfig(p=p), StoppingConfig(p=p, q=p / 2, r=0.01))
+            ]
+            for t in ts:
+                lls = [
+                    ll
+                    for rest in (-math.inf, -0.5, 0.0)
+                    for ll in self.logliks(hset, groups, p, t, rest)
+                ]
+                lls += self.edge_logliks(hset, groups, p, log_prior, t)
+                for (cfg, rule, reference), ll in itertools.product(rules, lls):
+                    assert rule(ll, t) == reference(ll, t), (p, log_prior, cfg, t, ll)
+                    checked += 1
+                dead = [-math.inf] * n
+                for _, rule, reference in rules:
                     assert rule(dead, t) == reference(dead, t)
         assert checked > 10_000
 
@@ -745,8 +805,8 @@ def stopping_scenarios():
     its reference loops: iid sets over 2 and 3 symbols, memory-1 and
     memory-2 chains with each start, a chain ideal against iid members,
     p < 1 and p = 1, q > 0, eps_d > 0, r-caps, an ideal every member
-    rules out, priors that decide at t = 0, and each branch of the
-    stopping rule's mass bound."""
+    rules out, priors that decide at t = 0, and steps on both sides of
+    the stopping rule's exit, largest group size / summed weights < p."""
     close = IidSpec.from_probs([0.4375, 0.5625])
     ones_only = IidSpec.from_probs([0.0, 1.0])
     zeros_only = IidSpec.from_probs([1.0, 0.0])
@@ -831,11 +891,11 @@ def stopping_scenarios():
             UNIFORM,
             StoppingConfig(p=0.9),
         ),
-        # each branch of the stopping rule's mass bound: singleton groups
-        # with p just above 1/2 (steps ruled out where the gap is wide)
+        # both sides of the stopping rule's exit: singleton groups with
+        # p just above 1/2 (steps skipped where the gap is wide)
         (B5, PAIR, UNIFORM, StoppingConfig(p=0.501)),
         # an eps_d pair group: at p = 0.6 <= 2/3 every step is weighed,
-        # at p = 0.9 the pair's bound is 2 / (2 + w)
+        # at p = 0.9 only steps whose weights sum to at most 2 / 0.9
         (B5, HypothesisSet((B5, close, B9)), THIRDS, StoppingConfig(p=0.6, eps_d=0.05)),
         (B9, HypothesisSet((B5, close, B9)), THIRDS, StoppingConfig(p=0.9, eps_d=0.05)),
         # a zero-prior member

@@ -212,6 +212,49 @@ class TestBundledConfigs:
         assert record["config"]["kind"] == name
         assert "table" in record["payload"]
 
+    # the first 1 rules member 0 out and verifies member 1, at a step
+    # of mean 5 000: about one trial in seven runs past 10 000 steps, so
+    # the payload shows the step cap
+    SLOW_BAYES_CFG = {
+        "kind": "bayes",
+        "ideal": [0.9998, 0.0002],
+        "hypotheses": [[1.0, 0.0], [0.999, 0.001]],
+        "prior": [0.5, 0.5],
+        "p": 1.0,
+        "trials": 20,
+    }
+
+    def test_an_omitted_field_takes_its_declared_default(self, tmp_path):
+        # every field a kind's branch declares a default for, run without
+        # the field and with it set, from the kind's bundled config (bayes:
+        # SLOW_BAYES_CFG)
+        declared = [
+            (branch["if"]["properties"]["kind"]["const"], field, spec["default"])
+            for branch in _shipped_schema()["allOf"]
+            for field, spec in branch["then"]["properties"].items()
+            if isinstance(spec, dict) and "default" in spec
+        ]
+        assert {(kind, field) for kind, field, _ in declared} == {
+            ("identify", "algorithm"),
+            ("scdist", "moments"),
+            ("bayes", "q"),
+            ("bayes", "eps_d"),
+            ("bayes", "r"),
+            ("bayes", "max_steps"),
+        }
+        for kind, field, default in declared:
+            cfg = (
+                self.SLOW_BAYES_CFG
+                if kind == "bayes"
+                else json.loads((CONFIG_DIR / f"{kind}.json").read_text())
+            )
+            omitted = {key: value for key, value in cfg.items() if key != field}
+            payloads = [
+                json.dumps(run_to_file(tmp_path, c)["payload"], sort_keys=True)
+                for c in (omitted, {**cfg, field: default})
+            ]
+            assert payloads[0] == payloads[1], (kind, field)
+
     def test_sample_and_spread_validate(self):
         # these two run longer; executed in the acceptance suite
         for name in ("sample", "spread"):
