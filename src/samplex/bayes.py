@@ -22,7 +22,7 @@ draw loop of the library, and ``_trial_loop`` scores them step by step:
 each run sets it up once and calls it once per seed.  Over a binary
 memoryless set a trial's likelihoods depend on its length and count of
 1s alone, so ``_count_loop`` asks the rule once per (t, n1) cell and
-keeps the verdicts in a per-run table of at most _TABLE_CELLS bytes.
+keeps the verdicts in a per-run dict of at most _TABLE_CELLS cells.
 The posterior trace is one more stopping trial through ``_trial_loop``,
 whose decide function also records the posterior at each step.  The
 rule weighs its groups only at steps where the largest group size over
@@ -32,9 +32,11 @@ ratio, so the verdicts are those of weighing every step.
 A member's likelihood is also written once.  Each set caches one log
 table, log2 P(symbol | context) for every member, and one start score
 per prefix of at most ``memory`` symbols: its -sequence_log_probability,
-summed over the chain's hidden start.  The posterior step, the Monte
-Carlo stopping trials and the class walk score a sequence as its
-prefix's start score plus the table entries of the steps after it.
+summed over the chain's hidden start.  The posterior step and the
+step-path stopping trials score a sequence as its prefix's start score
+plus the table entries of the steps after it; the class walk and the
+count-path trials score a class of sequences through one function,
+``_class_loglik``, as that start score plus count x table entry.
 
 Expected-sample-complexity threshold equations are implicit in t and
 the naive fixed-point iteration repels; the solver instead scans the
@@ -63,7 +65,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitstrings import resolution_cap
 from .info import (
@@ -95,9 +97,12 @@ _DEFAULT_BUDGET = 100_000
 # a 4-symbol memory-2 pair, whose classes barely merge, the process
 # peaks near 51 MB (CPython 3.11) when the limit is reached
 _CLASS_LIMIT = 65_536
-# cells one run's verdict table may hold (one byte each, rows t < 2 896);
-# past it the count path weighs each step, so the cap moves no verdict
-_TABLE_CELLS = 1 << 22
+# (t, n1) cells whose verdicts one count-path run may keep, 72 bytes
+# each on CPython 3.11, so 9 MiB: enough for the 112 815 cells that 200
+# censored trials of 2 000 fair-coin steps reach; past it the count path
+# weighs each new cell at every step that reaches it, so the cap moves
+# no verdict
+_TABLE_CELLS = 1 << 17
 
 ProcessSpec = IidSpec | MarkovSpec
 
@@ -527,8 +532,8 @@ class MCStoppingReport:
     trials included (the symbols the trials drew), ``fair_bits`` the
     fair bits those draws read, and ``decides`` the times the trials
     evaluated the stopping rule: one per step on the step path, one per
-    verdict-table cell filled or step past the table on the count path
-    (see ``_count_loop``).
+    verdict kept or step at a cell past the cap on the count path (see
+    ``_count_loop``).
     """
 
     dist: EmpiricalSCDist
@@ -599,10 +604,8 @@ def _trial_loop(
     return trial
 
 
-# verdict-table cell codes: 0 not yet weighed, 1 keep observing, and a
-# code c >= 2 stops the trial with status _CODES[c]
-_CONTINUE = 1
-_CODES = (None, None, *DecisionStatus)
+# what ``_count_loop``'s dict gives for a cell it does not hold
+_UNWEIGHED = object()
 
 
 def _count_loop(
@@ -616,48 +619,34 @@ def _count_loop(
     trial is, with the same decisions.
 
     Such a set scores a sequence by its length t and its count n1 of 1s
-    alone, so the run keeps one verdict per (t, n1) cell in a bytearray,
-    cell (t, n1) at index t(t+1)/2 + n1.  A trial carries that index from
-    step to step, and the table grows by row t when a trial first reaches
-    t.  An empty cell is filled by ``decide`` on count-scored likelihoods,
-    (t - n1) log2 P_i(0) + n1 log2 P_i(1), in the order and with the skip
-    of zero counts that ``_class_walk`` uses, so 0 x -inf never becomes
-    nan.  Accumulated and count-scored likelihoods may differ in their
-    last bits; no verdict of a shipped config or pinned payload moves.
-    The table stops at _TABLE_CELLS cells; past it ``decide`` weighs each
-    step on the same scores.  A trial counts its ``decide`` calls: cells
-    filled plus steps past the table.
+    alone, so the run keeps what ``decide`` returned for each (t, n1)
+    cell in one dict, keyed by t(t+1)/2 + n1, an index a trial carries
+    from step to step.  A cell missing from the dict is weighed by
+    ``decide`` on the cell's class score (``_class_loglik``, as
+    ``_class_walk`` scores a class), and the verdict is kept while the
+    dict holds fewer than _TABLE_CELLS cells; past that a new cell is
+    weighed at every step that reaches it.  Accumulated and count-scored
+    likelihoods may differ in their last bits; no verdict of a shipped
+    config or pinned payload moves.  A trial counts its ``decide`` calls:
+    cells filled plus steps at cells the dict could not keep.
     """
-    log0, log1 = zip(*hset._log_table)
     steps = range(1, budget + 1)
-    table = bytearray(1)  # row t = 0, which no trial reads
+    verdicts: dict[int, _Verdict | None] = {}
+    kept = verdicts.get
     source = BitSource(0)
-
-    def loglik(t: int, n1: int) -> list[float]:
-        n0 = t - n1
-        if not n1:
-            return [n0 * a for a in log0]
-        if not n0:
-            return [n1 * b for b in log1]
-        return [n0 * a + n1 * b for a, b in zip(log0, log1)]
 
     def trial(seed: str) -> tuple[DecisionStatus, int, int, int]:
         source.reseed(seed)
         cell = weighed = 0
         for t, sym in zip(steps, symbols(ideal, source)):
             cell += t + sym
-            if cell < len(table):
-                code = table[cell]
-                if code == _CONTINUE:
-                    continue
-                if code:
-                    return _CODES[code], t, source.bits_consumed, weighed
-            elif len(table) + t < _TABLE_CELLS:
-                table.extend(bytes(t + 1))
-            decided = decide(loglik(t, cell - t * (t + 1) // 2), t)
-            weighed += 1
-            if cell < len(table):
-                table[cell] = _CONTINUE if decided is None else _CODES.index(decided[0])
+            decided = kept(cell, _UNWEIGHED)
+            if decided is _UNWEIGHED:
+                n1 = cell - t * (t + 1) // 2
+                decided = decide(_class_loglik(hset, (), ((0, t - n1), (1, n1))), t)
+                weighed += 1
+                if len(verdicts) < _TABLE_CELLS:
+                    verdicts[cell] = decided
             if decided is not None:
                 return decided[0], t, source.bits_consumed, weighed
         return DecisionStatus.UNDETERMINED, budget, source.bits_consumed, weighed
@@ -685,8 +674,9 @@ def mc_sample_complexity(
     max_steps symbols (``_DEFAULT_BUDGET`` when None), or stopped by the
     r-cap, are censored, not dropped.  The ideal may differ from the
     members in memory, not in alphabet.  Over a binary memoryless set
-    the trials read their verdicts from a capped per-run table
-    (``_count_loop``); any other set weighs every step (``_trial_loop``).
+    the trials read their verdicts from a capped per-run dict of (t, n1)
+    cells (``_count_loop``); any other set weighs every step
+    (``_trial_loop``).
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -827,6 +817,22 @@ def _draw_counts(rng: random.Random, cdf: _InverseCdf, n: int) -> list[int]:
     return counts
 
 
+def _class_loglik(
+    hset: HypothesisSet, prefix: Context, counts: Iterable[tuple[int, int]]
+) -> list[float]:
+    """Every member's log2 likelihood of a sequence class: the prefix's
+    start score plus count x log-table entry for each (step, count) pair,
+    with step = context * k + symbol.  Zero counts are skipped, so
+    0 x -inf never becomes nan.  ``_class_walk`` scores its classes and
+    ``_count_loop`` its (t, n1) cells through it."""
+    ll = list(_start_score(hset, prefix))
+    for step, cnt in counts:
+        if cnt:
+            for m, row in enumerate(hset._log_table):
+                ll[m] += cnt * row[step]
+    return ll
+
+
 def _class_walk(
     hset: HypothesisSet,
     log_prior: Sequence[float],
@@ -860,7 +866,6 @@ def _class_walk(
     k = hset.alphabet_size
     memory = hset.memory
     n_ctx = k**memory
-    logtab = hset._log_table
     if rng is not None:
         cdfs = [_InverseCdf(m.conditional(()).probs) for m in members]
     # class key: (generator, first symbols, window as a context index,
@@ -872,10 +877,7 @@ def _class_walk(
         dead = []
         for key, mult in layer.items():
             gen, prefix, _window, steps = key
-            ll = list(_start_score(hset, prefix))
-            for c, cnt in zip(steps[::2], steps[1::2]):
-                for m in range(n):
-                    ll[m] += cnt * logtab[m][c]
+            ll = _class_loglik(hset, prefix, zip(steps[::2], steps[1::2]))
             if ll[target] == -math.inf:
                 dead.append(key)
                 continue

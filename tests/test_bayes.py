@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import itertools
 import math
 import random
@@ -686,13 +687,20 @@ class TestMassBound:
     exactly 1."""
 
     # groups (equal members, eps_d = 0) of 1, 2 and 3 members; a member
-    # with a zero-probability symbol makes p = 1 weigh the posterior
+    # with a zero-probability symbol makes p = 1 weigh the posterior, in
+    # the 3-symbol set beside two full-support members in different groups
     SETS = [
         HypothesisSet((B5, B9)),
         HypothesisSet((B5, B9, B95)),
         HypothesisSet((B5, B5, B9)),
         HypothesisSet((B9, B5, B5, B5)),
         HypothesisSet((B5, B5, IidSpec.from_probs([0.0, 1.0]))),
+        HypothesisSet(
+            tuple(
+                IidSpec.from_probs(probs)
+                for probs in ([0.2, 0.3, 0.5], [0.3, 0.3, 0.4], [0.0, 0.4, 0.6])
+            )
+        ),
     ]
     LEVELS = [0.5, math.nextafter(0.5, 1.0), 2 / 3, 0.9, 0.999, 1.0]
     # lags far below an ulp of 1, which leave a weight of exactly 1
@@ -763,7 +771,7 @@ class TestMassBound:
                 yield list(ll)
 
     @pytest.mark.parametrize(
-        "hset", SETS, ids=["1-1", "1-1-1", "2-1", "1-3", "2-1-zero"]
+        "hset", SETS, ids=["1-1", "1-1-1", "2-1", "1-3", "2-1-zero", "k3-1-1-1-zero"]
     )
     def test_the_bound_never_changes_a_verdict(self, hset):
         groups = equivalence_groups(hset, 0.0)
@@ -926,37 +934,55 @@ class TestMCSampleComplexity:
         self.check_against_the_oracle()
 
     def test_count_path_past_its_table_cap_matches_the_oracle(self, monkeypatch):
-        # a cap of 200 cells holds rows t <= 18, so longer trials weigh
-        # their steps pointwise
-        tables = []
+        # a cap of 200 cells keeps the first 200 cells a run weighs, so
+        # later cells are weighed at every step that reaches them; the
+        # cap binds when a run then asks the rule more often than uncapped
+        uncapped = [report.decides for report in self.reports()]
+        stores = []
+        count_loop = samplex.bayes._count_loop
 
-        class Recorded(bytearray):
-            def __init__(self, *args):
-                super().__init__(*args)
-                tables.append(self)
+        def recorded(*args):
+            trial = count_loop(*args)
+            stores.append(inspect.getclosurevars(trial).nonlocals["verdicts"])
+            return trial
 
         monkeypatch.setattr(samplex.bayes, "_TABLE_CELLS", 200)
-        monkeypatch.setattr(samplex.bayes, "bytearray", Recorded, raising=False)
-        self.check_against_the_oracle()
-        assert tables and max(map(len, tables)) == 190  # rows 0 to 18
+        monkeypatch.setattr(samplex.bayes, "_count_loop", recorded)
+        capped = self.check_against_the_oracle()
+        assert all(c >= u for c, u in zip(capped, uncapped))
+        assert any(c > u for c, u in zip(capped, uncapped))
+        assert stores and max(map(len, stores)) == 200
 
-    def check_against_the_oracle(self):
+    @staticmethod
+    def runs():
         scenarios = list(enumerate(stopping_scenarios()))
         runs = [(n, sc, 300, 300) for n, sc in scenarios]
         # the r > 0 scenarios again at the library's default budget, where
         # the r-cap alone ends a trial
         default = samplex.bayes._DEFAULT_BUDGET
         runs += [(n, sc, None, default) for n, sc in scenarios if sc[3].r > 0.0]
-        for n, (ideal, hset, prior, cfg), max_steps, budget in runs:
-            got = mc_sample_complexity(
-                ideal, hset, prior, cfg, trials=40, seed=31, max_steps=max_steps
-            )
+        return runs
+
+    def reports(self):
+        return [
+            mc_sample_complexity(*sc, trials=40, seed=31, max_steps=max_steps)
+            for _n, sc, max_steps, _budget in self.runs()
+        ]
+
+    def check_against_the_oracle(self):
+        """Check every run against the oracle; return each run's decides."""
+        decides = []
+        for (n, (ideal, hset, prior, cfg), _, budget), got in zip(
+            self.runs(), self.reports()
+        ):
             counts, decisions = mc_stopping_reference(
                 ideal, hset, prior, cfg, trials=40, seed=31, max_steps=budget
             )
             assert dict(got.dist.counts) == counts, n
             assert got.decisions == decisions, n
             assert got.dist.censored == decisions["Undetermined"], n
+            decides.append(got.decides)
+        return decides
 
     def test_reports_count_their_work(self):
         for n, (ideal, hset, prior, cfg) in enumerate(stopping_scenarios()):
@@ -977,8 +1003,8 @@ class TestMCSampleComplexity:
     def test_verdict_table_matches_weighing_every_step(self, monkeypatch):
         # random binary memoryless sets of 2-4 members, with zero-probability
         # symbols, zero priors, groups, q > 0 and r > 0, against iid and
-        # chain ideals; a one-cell cap keeps no row a trial reads, so the
-        # count path then weighs every step
+        # chain ideals; a cap of 0 cells keeps no verdict, so the count
+        # path then weighs every step
         rng = random.Random(15)
         weights = (0.0, 0.125, 0.25, 0.4375, 0.5, 0.5625, 0.75, 0.9, 1.0)
 
@@ -1007,7 +1033,7 @@ class TestMCSampleComplexity:
             ]
 
         tabled = reports()
-        monkeypatch.setattr(samplex.bayes, "_TABLE_CELLS", 1)
+        monkeypatch.setattr(samplex.bayes, "_TABLE_CELLS", 0)
         weighed = reports()
         for n, (a, b) in enumerate(zip(tabled, weighed)):
             assert dataclasses.replace(a, decides=0) == dataclasses.replace(b, decides=0), n

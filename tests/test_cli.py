@@ -1027,11 +1027,15 @@ class TestOutputs:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_a_capped_verdict_table_keeps_the_payload(self, tmp_path, monkeypatch):
-        # 1 000 cells hold rows t <= 43; the trials run to t = 190 on average
+        # the trials run to t = 190 on average and fill some 6 000 cells
+        # uncapped, so a cap of 1 000 cells binds: the trials ask the rule
+        # more often, and the payload stays the same
+        uncapped = run_to_file(tmp_path, LONG_BAYES_CFG)["meta"]["decides"]
         monkeypatch.setattr(samplex.bayes, "_TABLE_CELLS", 1_000)
         record = run_to_file(tmp_path, LONG_BAYES_CFG)
         text = json.dumps(record["payload"], sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == LONG_BAYES_DIGEST
+        assert record["meta"]["decides"] > uncapped
 
     @pytest.mark.parametrize(
         "payload",

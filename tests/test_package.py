@@ -242,6 +242,25 @@ def test_one_loop_reads_fair_bits():
     }
 
 
+def test_only_the_likelihood_scorers_read_the_log_table():
+    # a member's likelihood is written once: the posterior step, the
+    # stopping rule's support check, the step-path trial loop and the
+    # class scorer (the class walk and the count-path trials) are the
+    # library's only readers of HypothesisSet._log_table
+    readers = {
+        f"{path.stem}.{func.name}"
+        for path in SRC.glob("*.py")
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "_log_table"
+    }
+    assert readers == {
+        "bayes.posterior_update", "bayes._stopping_rule", "bayes._trial_loop",
+        "bayes._class_loglik",
+    }
+
+
 def test_validate_config_reads_no_field_of_its_config():
     # each cross-field constraint is refused by the library object that
     # owns it, so validate_config only hands its argument to the schema
