@@ -20,6 +20,7 @@ from .bayes import (
     posterior_trace,
     posterior_update,
     surprisal_moment,
+    typical_band,
     typical_set_bounds,
     warmup_threshold,
 )
@@ -78,7 +79,7 @@ __all__ = [
     "falsification_bounds", "mc_sample_complexity",
     "mc_surprisal_moment_curve", "posterior_trace", "posterior_update",
     "surprisal_moment",
-    "typical_set_bounds", "warmup_threshold",
+    "typical_band", "typical_set_bounds", "warmup_threshold",
     # bitstrings
     "IdOutcome", "IdStatus", "SortedHypothesisSet", "build_context_tree",
     "identify_depth_first", "identify_sorted", "identify_tree",

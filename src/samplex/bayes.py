@@ -330,11 +330,17 @@ def typical_set_bounds(
     given level: the band shrinks geometrically with per-step ratio
     2^(-rate), and collapses to the center exactly at level 1.
     """
+    return typical_band(entropy_rate(spec), t, level)
+
+
+def typical_band(rate: float, t: int, level: float) -> tuple[float, float]:
+    """``typical_set_bounds`` of a process whose entropy rate is
+    ``rate``, so that a table over t computes the rate once."""
     if t < 1:
         raise ValueError(f"horizon must be >= 1, got {t}")
     if not 0.0 < level <= 1.0:
         raise ValueError(f"level must be in (0, 1], got {level!r}")
-    center = 2.0 ** (-t * entropy_rate(spec))
+    center = 2.0 ** (-t * rate)
     return center * level, center / level
 
 

@@ -20,12 +20,11 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import time
 from importlib import resources
 from typing import NoReturn, Sequence
-
-import jsonschema
 
 from . import __version__
 from .bayes import (
@@ -36,7 +35,7 @@ from .bayes import (
     falsification_bounds,
     mc_sample_complexity,
     posterior_trace,
-    typical_set_bounds,
+    typical_band,
 )
 from .bitstrings import (
     SortedHypothesisSet,
@@ -93,10 +92,190 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+# ---------------------------------------------------------------------------
+# schema validation: the JSON Schema 2020-12 keywords the shipped schema
+# uses, reporting the paths and messages jsonschema 4.26 reports
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+# a key a path writes as .key; "$" lets a final newline through here too
+_NAME = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+
+def _at(path: str, key: str) -> str:
+    """``path`` extended by an object key: ``.key``, or ``['key']``
+    with backslashes and quotes escaped."""
+    if _NAME.match(key):
+        return f"{path}.{key}"
+    return path + "['" + key.replace("\\", "\\\\").replace("'", "\\'") + "']"
+
+
+def _equal(a: object, b: object) -> bool:
+    """JSON equality: true is not 1, in an array or object either."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(v, b[k]) for k, v in a.items())
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _type(walk, types, value, schema, path):
+    types = [types] if isinstance(types, str) else types
+    if not any(_TYPES[t](value) for t in types):
+        yield path, f"{value!r} is not of type {', '.join(map(repr, types))}"
+
+
+def _enum(walk, enum, value, schema, path):
+    if not any(_equal(e, value) for e in enum):
+        yield path, f"{value!r} is not one of {enum!r}"
+
+
+def _const(walk, const, value, schema, path):
+    if not _equal(const, value):
+        yield path, f"{const!r} was expected"
+
+
+def _bound(beyond, text: str):
+    """A numeric bound's check: a number ``beyond`` the bound fails."""
+    def check(walk, bound, value, schema, path):
+        if _is_number(value) and beyond(value, bound):
+            yield path, f"{value!r} is {text} {bound!r}"
+    return check
+
+
+def _min_items(walk, bound, value, schema, path):
+    if isinstance(value, list) and len(value) < bound:
+        yield path, f"{value!r} {'should be non-empty' if bound == 1 else 'is too short'}"
+
+
+def _min_properties(walk, bound, value, schema, path):
+    if isinstance(value, dict) and len(value) < bound:
+        text = "should be non-empty" if bound == 1 else "does not have enough properties"
+        yield path, f"{value!r} {text}"
+
+
+def _max_properties(walk, bound, value, schema, path):
+    if isinstance(value, dict) and len(value) > bound:
+        text = "is expected to be empty" if bound == 0 else "has too many properties"
+        yield path, f"{value!r} {text}"
+
+
+def _required(walk, names, value, schema, path):
+    if isinstance(value, dict):
+        for name in names:
+            if name not in value:
+                yield path, f"{name!r} is a required property"
+
+
+def _properties(walk, properties, value, schema, path):
+    if isinstance(value, dict):
+        for name, sub in properties.items():
+            if name in value:
+                yield from walk.errors(sub, value[name], _at(path, name))
+
+
+def _additional(walk, sub, value, schema, path):
+    if not isinstance(value, dict):
+        return
+    extras = [k for k in value if k not in schema.get("properties", {})]
+    if isinstance(sub, dict):
+        for key in extras:
+            yield from walk.errors(sub, value[key], _at(path, key))
+    elif not sub and extras:
+        verb = "was" if len(extras) == 1 else "were"
+        names = ", ".join(map(repr, sorted(extras)))
+        yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+
+
+def _items(walk, sub, value, schema, path):
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from walk.errors(sub, item, f"{path}[{i}]")
+
+
+def _pattern(walk, pattern, value, schema, path):
+    # a search, so "^...$" lets a final newline through
+    if isinstance(value, str) and not re.search(pattern, value):
+        yield path, f"{value!r} does not match {pattern!r}"
+
+
+def _all_of(walk, subs, value, schema, path):
+    for sub in subs:
+        yield from walk.errors(sub, value, path)
+
+
+def _if(walk, condition, value, schema, path):
+    branch = "then" if next(walk.errors(condition, value, path), None) is None else "else"
+    if branch in schema:
+        yield from walk.errors(schema[branch], value, path)
+
+
+def _ref(walk, ref, value, schema, path):
+    target = walk.root
+    for part in ref.removeprefix("#/").split("/"):
+        target = target[part]
+    yield from walk.errors(target, value, path)
+
+
+# the check of each keyword the walk implements; "then" and "else" are
+# read by "if", "$defs" by "$ref", and every other key is skipped
+_CHECKS = {
+    "type": _type,
+    "enum": _enum,
+    "const": _const,
+    "minimum": _bound(lambda v, b: v < b, "less than the minimum of"),
+    "maximum": _bound(lambda v, b: v > b, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(lambda v, b: v <= b, "less than or equal to the minimum of"),
+    "minItems": _min_items,
+    "minProperties": _min_properties,
+    "maxProperties": _max_properties,
+    "required": _required,
+    "properties": _properties,
+    "additionalProperties": _additional,
+    "items": _items,
+    "pattern": _pattern,
+    "allOf": _all_of,
+    "if": _if,
+    "$ref": _ref,
+}
+
+
+class _SchemaWalk:
+    """Validation against ``root``.  ``iter_errors`` yields an error as a
+    ``(json_path, message)`` pair, keyword by keyword in the schema's
+    order, so that the first error by path is the one jsonschema picks."""
+
+    def __init__(self, root: dict) -> None:
+        self.root = root
+
+    def iter_errors(self, value: object):
+        return self.errors(self.root, value, "$")
+
+    def errors(self, schema: dict | bool, value: object, path: str):
+        if schema is True:
+            return
+        for key, arg in schema.items():  # type: ignore[union-attr]
+            check = _CHECKS.get(key)
+            if check is not None:
+                yield from check(self, arg, value, schema, path)
+
+
 @functools.cache
-def _validator() -> jsonschema.Draft202012Validator:
+def _validator() -> _SchemaWalk:
     """The schema validator, built once per process."""
-    return jsonschema.Draft202012Validator(_schema())
+    return _SchemaWalk(_schema())
 
 
 @contextlib.contextmanager
@@ -130,9 +309,9 @@ def validate_config(cfg: object) -> dict:
     field of the branch the value selected; the first by path is raised.
     The cross-field constraints the schema lists under x-constraints are
     refused by the library objects a run builds, each at its field's path."""
-    first = min(_validator().iter_errors(cfg), key=lambda e: e.json_path, default=None)
+    first = min(_validator().iter_errors(cfg), key=lambda e: e[0], default=None)
     if first is not None:
-        raise ConfigError(f"{first.json_path}: {first.message}")
+        raise ConfigError(": ".join(first))
     return cfg  # type: ignore[return-value]  # the schema's root is an object
 
 
@@ -446,8 +625,8 @@ def _run_figure3(cfg: dict, seed: int, meta: dict) -> dict:
     rate = entropy_rate(spec)
     rows = []
     for t in range(1, t_max + 1):
-        lo_p, hi_p = typical_set_bounds(spec, t, p)
-        lo_q, hi_q = typical_set_bounds(spec, t, q)
+        lo_p, hi_p = typical_band(rate, t, p)
+        lo_q, hi_q = typical_band(rate, t, q)
         rows.append([t, lo_p, hi_p, lo_q, hi_q])
     return {
         "entropy_rate": rate,

@@ -16,17 +16,25 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import samplex.bayes
-from samplex import HypothesisSet, IidSpec, StoppingConfig, spec_from_json
+from samplex import (
+    HypothesisSet,
+    IidSpec,
+    StoppingConfig,
+    spec_from_json,
+    typical_set_bounds,
+)
 from samplex.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_REFUSED,
     EXIT_VERIFY_FAILED,
     ConfigError,
+    _CHECKS,
+    _SchemaWalk,
     _sanitize,
     _write_output,
     main,
@@ -1087,6 +1095,18 @@ class TestOutputs:
         assert row[4] == pytest.approx(0.8333333333333334)
         assert payload["entropy_rate"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("spec", [{"kind": "iid", "probs": [0.3, 0.7]}, markov2_three_symbols()])
+    def test_figure3_rows_are_the_typical_set_bounds(self, tmp_path, spec):
+        # a run computes the entropy rate once; each row keeps the floats
+        # of a typical_set_bounds call per level
+        cfg = {"kind": "figure3", "spec": spec, "p": 0.7, "q": 0.35, "t_max": 200}
+        rows = run_to_file(tmp_path, cfg)["payload"]["table"]["rows"]
+        process = spec_from_json(spec)
+        assert rows == [
+            [t, *typical_set_bounds(process, t, 0.7), *typical_set_bounds(process, t, 0.35)]
+            for t in range(1, 201)
+        ]
+
     def test_novelty_serializes_infinite_bounds(self, tmp_path):
         record = run_to_file(
             tmp_path,
@@ -1139,6 +1159,33 @@ def _keywords(node: object):
     elif isinstance(node, list):
         for value in node:
             yield from _keywords(value)
+
+
+def _names(node: object):
+    """The keys of every properties and $defs map of a schema: names of
+    fields and definitions, not keywords."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in ("properties", "$defs"):
+                yield from value
+            yield from _names(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _names(value)
+
+
+# keys validate_config's walk reads through another keyword's check, and
+# annotations, which validate nothing
+_READ_BY_OTHERS = {"then", "else", "$defs"}
+_ANNOTATIONS = {"$schema", "$id", "title", "description", "x-constraints", "default"}
+
+
+def test_the_validator_implements_every_keyword_of_the_schema():
+    # the walk skips a key it has no check for, as a validator skips an
+    # annotation; a keyword added to the schema must get a check first
+    schema = _shipped_schema()
+    keywords = set(_keywords(schema)) - set(_names(schema))
+    assert keywords - _READ_BY_OTHERS - _ANNOTATIONS == set(_CHECKS)
 
 
 def test_the_schema_has_no_alternatives_to_rank():
@@ -1523,3 +1570,79 @@ def test_the_schema_accepts_what_its_oneof_form_accepts(value, wrap):
     shipped, reference = _validators()
     cfg = wrap(value)
     assert shipped.is_valid(cfg) == reference.is_valid(cfg)
+
+
+# Differential test: validate_config refuses exactly the configs jsonschema
+# refuses, with the path and message of jsonschema's first error by path.
+# Each config starts from a valid one of its kind and has up to three keys,
+# most often its own fields, dropped or set to a value of any type: bools where numbers or constants
+# go, integral floats, seeds at and past 2**64 - 1, a string with a final
+# newline, processes (some with keys a path must quote) and lists of these.
+_VALID = {
+    "identify": {
+        "kind": "identify", "members": ["01", "1"], "query": "01", "r": 0.5,
+        "algorithm": "tree", "seed": 1,
+    },
+    "scdist": {"kind": "scdist", "L": 3, "K": 1, "moments": 2, "seed": 1},
+    "sample": {**SAMPLE_CFG, "spec": markov1(0.25, 0.5)},
+    "spread": {**SPREAD_CFG, "seed": 1},
+    "bayes": {**BAYES_CFG, "q": 0.5, "eps_d": 0, "r": 0},
+    "novelty": NOVELTY_CFG,
+    "figure3": {"kind": "figure3", "spec": [0.5, 0.5], "p": 0.9, "q": 0.5, "t_max": 3, "seed": 1},
+}
+_ODD = st.sampled_from([
+    None, True, False, 0, 1, 1.0, 3.0, 0.5, 1.5, -1, 2**64 - 1, 2**64,
+    "", "0", "0\n", "01", "12", "x", "iid", "markov", "stationary", {}, *_VALID,
+])
+_TRANSITION_KEYS = st.sampled_from(["0", "1", "a", "a'b", "b\\c", "a\n", "_0"])
+_ODD_CHAINS = st.dictionaries(_TRANSITION_KEYS, _PROBS | _ODD, max_size=3).map(
+    lambda transitions: {**markov1(0.25, 0.5), "transitions": transitions}
+)
+_ANY = _process_values() | _ODD_CHAINS | _ODD
+_PROCESS = _process_values() | _ODD_CHAINS
+_PROCESS_LIST = st.lists(_PROCESS, min_size=1, max_size=3)
+_FIELDS = {"spec": _PROCESS, "ideal": _PROCESS, "hypotheses": _PROCESS_LIST, "components": _PROCESS_LIST}
+@st.composite
+def _mutated_configs(draw) -> dict:
+    cfg = dict(draw(st.sampled_from(list(_VALID.values()))))
+    for key in sorted(_FIELDS.keys() & cfg.keys()):
+        if draw(st.booleans()):
+            cfg[key] = draw(_FIELDS[key])
+    keys = st.sampled_from(sorted(cfg) + ["x", "a b"])
+    for key in draw(st.lists(keys, max_size=3, unique=True)):
+        if draw(st.sampled_from(["set"] * 5 + ["drop"])) == "drop":
+            cfg.pop(key, None)
+        else:
+            cfg[key] = draw(_ANY | st.lists(_ANY, min_size=1, max_size=3))
+    return cfg
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_mutated_configs())
+@example({**_VALID["scdist"], "L": 3.0, "K": True})
+@example({**_VALID["scdist"], "x": 1, "a b": 2})
+@example({**_VALID["scdist"], "seed": 2**64 - 1})
+@example({**_VALID["scdist"], "seed": 2**64})
+@example({**_VALID["identify"], "query": "0\n"})
+@example({**_VALID["bayes"], "p": True, "q": False, "ideal": {"kind": True}})
+@example({**_VALID["sample"], "spec": {**markov1(0.25, 0.5), "transitions": {
+    "0": [0.5, 0.5], "a'b": [1.5], "b\\c": True,
+}}})
+def test_validate_config_refuses_what_jsonschema_refuses(cfg):
+    first = min(_validators()[0].iter_errors(cfg), key=lambda e: e.json_path, default=None)
+    try:
+        assert validate_config(cfg) is cfg
+        refusal = None
+    except ConfigError as exc:
+        refusal = str(exc)
+    assert refusal == (None if first is None else f"{first.json_path}: {first.message}")
+
+
+def test_enum_and_const_tell_true_from_1():
+    # the shipped schema's enum and const values are strings, so the
+    # differential test above cannot see this
+    for schema in ({"const": 1}, {"enum": [0.0, [1], {"a": [False]}]}):
+        oracle = jsonschema.Draft202012Validator(schema)
+        for value in (True, False, 1, 1.0, 0, [True], [1.0], {"a": [0]}, {"a": [False]}):
+            errors = [(e.json_path, e.message) for e in oracle.iter_errors(value)]
+            assert list(_SchemaWalk(schema).iter_errors(value)) == errors, (schema, value)

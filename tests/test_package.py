@@ -289,8 +289,9 @@ def test_validate_config_reads_no_field_of_its_config():
 
 
 def test_a_monte_carlo_run_imports_no_numpy(tmp_path):
-    # numpy is installed here but is no runtime dependency; a fresh
-    # interpreter shows what a run really imports
+    # numpy and jsonschema (with the packages it pulls in) are installed
+    # here but are no runtime dependency; a fresh interpreter shows what a
+    # run really imports
     cfg = tmp_path / "bayes.json"
     cfg.write_text(json.dumps({
         "kind": "bayes", "ideal": [0.5, 0.5],
@@ -302,7 +303,8 @@ def test_a_monte_carlo_run_imports_no_numpy(tmp_path):
         "import sys\n"
         "from samplex.cli import main\n"
         f"code = main(['run', '--config', {str(cfg)!r}, '--out', {str(out)!r}])\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        "print(code, *(name in sys.modules for name in\n"
+        "    ('numpy', 'jsonschema', 'referencing', 'attrs', 'rpds')))\n"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -310,6 +312,6 @@ def test_a_monte_carlo_run_imports_no_numpy(tmp_path):
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=120, check=True,
     )
-    assert done.stdout.split() == ["0", "False"]
+    assert done.stdout.split() == ["0"] + ["False"] * 5
     method = json.loads(out.read_text())["payload"]["analytic_expected_t"]["method"]
     assert method == "monte-carlo"
