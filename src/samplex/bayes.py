@@ -699,19 +699,19 @@ def mc_sample_complexity(
         trial = (_count_loop if counted else _trial_loop)(ideal, hset, decide, budget)
         results = [trial(f"{seed}:{i}") for i in range(trials)]
 
+    # list.count compares statuses by identity; a dict tally would call
+    # the pure-Python Enum.__hash__ twice per trial
+    statuses, steps, bits, weighed = zip(*results)
     counts: dict[int, int] = {}
-    drawn = fair_bits = decides = 0
-    tally = dict.fromkeys(DecisionStatus, 0)
-    for status, t, bits, weighed in results:
-        tally[status] += 1
-        drawn += t
-        fair_bits += bits
-        decides += weighed
+    for status, t in zip(statuses, steps):
         if status is not DecisionStatus.UNDETERMINED:
             counts[t] = counts.get(t, 0) + 1
-    decisions = {s.value: n for s, n in tally.items()}
-    dist = EmpiricalSCDist(counts, trials, tally[DecisionStatus.UNDETERMINED])
-    return MCStoppingReport(dist, decisions, trials, drawn, fair_bits, decides)
+    decisions = {s.value: statuses.count(s) for s in DecisionStatus}
+    censored = decisions[DecisionStatus.UNDETERMINED.value]
+    dist = EmpiricalSCDist(counts, trials, censored)
+    return MCStoppingReport(
+        dist, decisions, trials, sum(steps), sum(bits), sum(weighed)
+    )
 
 
 def posterior_trace(

@@ -26,6 +26,7 @@ from enum import Enum
 from typing import Iterable
 
 _ALPHABET = frozenset("01")
+_DROP_BITS = str.maketrans("", "", "01")
 
 
 class IdStatus(Enum):
@@ -77,6 +78,25 @@ def resolution_cap(r: float) -> float:
     return math.ceil(-math.log2(r))
 
 
+def _check_members(members: tuple[str, ...]) -> None:
+    """Raise ValueError naming the first member that is not a non-empty
+    bit string, or that repeats or breaks the sorted order of the one
+    before it.  The set's C-level checks call this only once one of them
+    has failed, so that the refusal names the offender."""
+    for m in members:
+        _check_bits(m, "member")
+        if not m:
+            raise ValueError("members must be non-empty")
+    for idx in range(1, len(members)):
+        prev, cur = members[idx - 1], members[idx]
+        if cur == prev:
+            raise ValueError(f"duplicate member {cur!r} at index {idx}")
+        if cur < prev:
+            raise ValueError(
+                f"member {cur!r} at index {idx} breaks sorted order"
+            )
+
+
 @dataclass(frozen=True)
 class SortedHypothesisSet:
     """Duplicate-free members in lexicographic order (prefixes first).
@@ -88,27 +108,30 @@ class SortedHypothesisSet:
     members: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        for m in self.members:
-            _check_bits(m, "member")
-            if not m:
-                raise ValueError("members must be non-empty")
-        for idx in range(1, len(self.members)):
-            prev, cur = self.members[idx - 1], self.members[idx]
-            if cur == prev:
-                raise ValueError(f"duplicate member {cur!r} at index {idx}")
-            if cur < prev:
-                raise ValueError(
-                    f"member {cur!r} at index {idx} breaks sorted order"
-                )
+        ms = self.members
+        try:
+            valid = (
+                not "".join(ms).translate(_DROP_BITS)
+                and "" not in ms
+                and list(ms) == sorted(ms)
+                and len(set(ms)) == len(ms)
+            )
+        except TypeError:  # join met a member that is not a str
+            valid = False
+        if not valid:
+            _check_members(ms)
 
     @staticmethod
     def from_unsorted(members: Iterable[str]) -> "SortedHypothesisSet":
         members = tuple(members)
-        for m in members:
-            if not isinstance(m, str):
-                # refuse it here, before set() or sorted() raise TypeError
+        try:
+            "".join(members)
+        except TypeError:
+            # name the first member that is not a str before sorted()
+            # raises TypeError on it, or sorts it elsewhere
+            for m in members:
                 _check_bits(m, "member")
-        return SortedHypothesisSet(tuple(sorted(set(members))))
+        return SortedHypothesisSet(tuple(dict.fromkeys(sorted(members))))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -229,28 +252,25 @@ def identify_depth_first(
     extensions: list[int] = []
     consistent: list[int] = []
     for j, member in enumerate(hset.members, start=1):
-        window = min(len(member), horizon)
-        dead = False
-        for k in range(window):
-            if i_deep == 0:
-                i_deep = 1
-            if k + 1 > i_deep:
-                i_deep = k + 1
-                h_deep = j
-            if member[k] != prefix[k]:
-                dead = True
+        k = 0
+        for a, c in zip(member, prefix):
+            k += 1
+            if k > i_deep:
+                if i_deep:  # the first comparison anywhere names no member
+                    h_deep = j
+                i_deep = k
+            if a != c:
                 break
-        if dead:
-            continue
-        if complete:
-            # prefix is the entire query
-            if len(member) == horizon:
-                return IdOutcome(IdStatus.VERIFIED, j, i_deep, (j,))
-            if len(member) > horizon:
-                extensions.append(j)
-            # shorter members are dead: the query outlived them
         else:
-            consistent.append(j)
+            if complete:
+                # prefix is the entire query
+                if len(member) == horizon:
+                    return IdOutcome(IdStatus.VERIFIED, j, i_deep, (j,))
+                if len(member) > horizon:
+                    extensions.append(j)
+                # shorter members are dead: the query outlived them
+            else:
+                consistent.append(j)
 
     if complete:
         return IdOutcome(

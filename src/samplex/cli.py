@@ -683,15 +683,84 @@ def _sanitize(node: object) -> object:
     return node
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_ROWS = frozenset({list, tuple})
+
+
+@functools.cache
+def _c_encode(sep: str):
+    """CPython's C encoder with item separator ``sep``.  ``json.dumps``
+    with ``indent`` runs the pure-Python encoder instead, so
+    ``_json_parts`` lays out the indentation itself and hands each
+    container of scalars to this one."""
+    return json.JSONEncoder(
+        sort_keys=True, allow_nan=False, separators=(sep, ": ")
+    ).encode
+
+
+def _json_parts(node: object, out: list[str], outer: str = "") -> list[str]:
+    """Append to ``out``, and return it, the pieces of the text of
+    ``json.dumps(node, sort_keys=True, indent=2, allow_nan=False)`` for a
+    node whose closing bracket is indented by ``outer``.
+
+    A container of scalars is one C call, and so is a list of non-empty
+    lists of scalars (table rows): it is encoded with a NUL item
+    separator, which no encoded string holds (``ensure_ascii`` escapes
+    every control character), and two ``str.replace`` calls lay it out.
+    Containers of containers recurse, keeping the Python encoder's order
+    of keys and of errors.  The pieces are written out as they are, so
+    a 10^6-row table is copied once per replace and not once per level.
+    """
+    inner = outer + "  "
+    sep = ",\n" + inner
+    if isinstance(node, dict):
+        brackets = "{}"
+        flat = _SCALARS.issuperset(map(type, node.values()))
+        # a key is written as the encoder writes {key: 0}, less ": 0}"
+        items = (
+            (_c_encode(sep)({key: 0})[1:-4] + ": ", value)
+            for key, value in sorted(node.items())
+        )
+    elif isinstance(node, (list, tuple)):
+        brackets = "[]"
+        flat = _SCALARS.issuperset(map(type, node))
+        items = (("", item) for item in node)
+    else:
+        out.append(_c_encode(sep)(node))
+        return out
+    if not node:
+        out.append(brackets)
+        return out
+    out.append(brackets[0] + "\n" + inner)
+    if flat:
+        out.append(_c_encode(sep)(node)[1:-1])
+    elif (
+        brackets == "[]"
+        and _ROWS.issuperset(map(type, node))
+        and all(node)
+        and _SCALARS.issuperset(map(type, itertools.chain.from_iterable(node)))
+    ):
+        deeper = inner + "  "
+        rows = _c_encode("\0")(node)[2:-2]
+        rows = rows.replace("]\0[", f"\n{inner}]{sep}[\n{deeper}")
+        out += ("[\n" + deeper, rows.replace("\0", ",\n" + deeper), "\n" + inner + "]")
+    else:
+        for k, (key, value) in enumerate(items):
+            out.append(sep + key if k else key)
+            _json_parts(value, out, inner)
+    out.append("\n" + outer + brackets[1])
+    return out
+
+
 def _write_output(record: dict, fmt: str, out: str | None) -> None:
     if fmt == "csv":
-        text = _csv_text(record["payload"]["table"])
+        parts = [_csv_text(record["payload"]["table"])]
     else:
         try:
-            text = json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
+            parts = _json_parts(record, [])
         except ValueError:
-            text = json.dumps(_sanitize(record), sort_keys=True, indent=2)
-        text += "\n"
+            parts = _json_parts(_sanitize(record), [])
+        parts.append("\n")
     if out is None:
         out_dir = os.environ.get(_OUT_DIR_VAR)
         if out_dir:
@@ -700,10 +769,10 @@ def _write_output(record: dict, fmt: str, out: str | None) -> None:
                 out_dir, f"{record['config']['kind']}.{fmt}"
             )
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         print(f"wrote {out}", file=sys.stderr)
 
 

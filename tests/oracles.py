@@ -88,6 +88,66 @@ def brute_force_identify(
     return "Falsified", ()
 
 
+def check_members_reference(members: Sequence[object]) -> None:
+    """The member checks of a ``SortedHypothesisSet`` one member at a
+    time: raise ValueError naming the first member that is not a
+    non-empty string over 0/1, then the first that repeats or breaks
+    the sorted order of the one before it."""
+    for m in members:
+        if not isinstance(m, str) or not set(m) <= {"0", "1"}:
+            raise ValueError(f"member must be a string over 0/1, got {m!r}")
+        if not m:
+            raise ValueError("members must be non-empty")
+    for idx in range(1, len(members)):
+        prev, cur = members[idx - 1], members[idx]
+        if cur == prev:
+            raise ValueError(f"duplicate member {cur!r} at index {idx}")
+        if cur < prev:
+            raise ValueError(
+                f"member {cur!r} at index {idx} breaks sorted order"
+            )
+
+
+def identify_depth_first_reference(
+    members: Sequence[str], query: str, r: float
+) -> IdOutcome:
+    """The depth-first decider's outcome from an indexed walk of each
+    member's symbols: ``i`` is the deepest comparison made (1 at the
+    first one) and ``h`` the member that pushed it past 1 or a later
+    record."""
+    cap = oracle_cap(r)
+    complete = len(query) <= cap
+    prefix = query if complete else query[: int(cap)]
+    horizon = len(prefix)
+    i_deep = h_deep = 0
+    extensions: list[int] = []
+    consistent: list[int] = []
+    for j, member in enumerate(members, start=1):
+        dead = False
+        for k in range(min(len(member), horizon)):
+            if i_deep == 0:
+                i_deep = 1
+            if k + 1 > i_deep:
+                i_deep = k + 1
+                h_deep = j
+            if member[k] != prefix[k]:
+                dead = True
+                break
+        if dead:
+            continue
+        if complete:
+            if len(member) == horizon:
+                return IdOutcome(IdStatus.VERIFIED, j, i_deep, (j,))
+            if len(member) > horizon:
+                extensions.append(j)
+        else:
+            consistent.append(j)
+    if complete:
+        return IdOutcome(IdStatus.FALSIFIED, h_deep, i_deep, tuple(extensions))
+    status = IdStatus.UNDETERMINED if consistent else IdStatus.FALSIFIED
+    return IdOutcome(status, h_deep, i_deep, tuple(consistent))
+
+
 _END = ""  # nested-dict tree key of the member ending there; no symbol is empty
 
 

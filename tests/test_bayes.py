@@ -979,7 +979,8 @@ class TestMCSampleComplexity:
                 ideal, hset, prior, cfg, trials=40, seed=31, max_steps=budget
             )
             assert dict(got.dist.counts) == counts, n
-            assert got.decisions == decisions, n
+            # equal, and in the same key order
+            assert list(got.decisions.items()) == list(decisions.items()), n
             assert got.dist.censored == decisions["Undetermined"], n
             decides.append(got.decides)
         return decides

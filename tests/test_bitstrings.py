@@ -23,7 +23,9 @@ from samplex import (
 
 from oracles import (
     brute_force_identify,
+    check_members_reference,
     context_tree_reference,
+    identify_depth_first_reference,
     identify_tree_reference,
 )
 
@@ -260,3 +262,59 @@ def test_long_members_build_one_node_per_distinct_prefix():
         assert identify_tree(tree, m) == IdOutcome(
             IdStatus.VERIFIED, idx, len(m), (idx,)
         )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_sets_and_queries())
+def test_depth_first_matches_the_indexed_walk(case):
+    members, query, r = case
+    got = identify_depth_first(SortedHypothesisSet(members), query, r)
+    assert got == identify_depth_first_reference(members, query, r)
+
+
+def _refusal(build, members):
+    """None when ``build(members)`` accepts, else its ValueError text."""
+    try:
+        build(members)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# a valid member, a str that is not one, or no str at all
+_MEMBERS = (
+    _BITS
+    | st.sampled_from(["", "012", "0\n", "2", " 1", "01 "])
+    | st.sampled_from([0, 1, None, 1.5, b"01", ("0",)])
+)
+
+
+@st.composite
+def _member_tuples(draw):
+    """Tuples that are sorted and duplicate-free or not, sometimes with
+    a repeated member or an invalid one spliced in."""
+    members = draw(st.lists(_BITS, max_size=8))
+    if draw(st.booleans()):
+        members = sorted(set(members))
+    if members and draw(st.booleans()):
+        at = draw(st.integers(0, len(members)))
+        members.insert(at, draw(st.sampled_from(members)))
+    if draw(st.booleans()):
+        members.insert(draw(st.integers(0, len(members))), draw(_MEMBERS))
+    return tuple(members)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_member_tuples())
+def test_member_checks_refuse_what_the_member_loop_refuses(members):
+    assert _refusal(SortedHypothesisSet, members) == _refusal(
+        check_members_reference, members
+    )
+    # from_unsorted names the first member that is no str, else checks
+    # the sorted distinct members
+    odd = [m for m in members if not isinstance(m, str)]
+    expected = _refusal(check_members_reference, odd[:1] or sorted(set(members)))
+    assert _refusal(SortedHypothesisSet.from_unsorted, members) == expected
+    if expected is None:
+        hset = SortedHypothesisSet.from_unsorted(list(members))
+        assert hset.members == tuple(sorted(set(members)))

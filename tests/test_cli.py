@@ -35,6 +35,7 @@ from samplex.cli import (
     ConfigError,
     _CHECKS,
     _SchemaWalk,
+    _json_parts,
     _sanitize,
     _write_output,
     main,
@@ -846,6 +847,39 @@ class TestPosteriorTrace:
         assert payload["analytic_expected_t"] is None
 
 
+# JSON values for the record writer: bools, None, -0.0, 1e16, ints past
+# 64 bits, non-finite floats, strings with brackets, quotes, control and
+# non-ASCII characters, tables of rows, and keys of every kind json takes
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e16, 1e-300, 2.5, math.inf])
+    | st.text(st.sampled_from('[]"\\\x00\n\x7fé中😀 a0,:'))
+)
+_JSON_RECORDS = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.lists(
+            st.lists(_JSON_SCALARS, min_size=1, max_size=3), min_size=1, max_size=3
+        )
+        | st.dictionaries(
+            st.text(st.sampled_from('[]"\x00é a:'), max_size=3), children, max_size=4
+        )
+        # int, float and bool keys sort together; None sorts with no other key
+        | st.dictionaries(
+            st.integers(-3, 3) | st.floats() | st.booleans(), children, max_size=3
+        )
+        | st.dictionaries(st.none(), children, max_size=1)
+    ),
+    max_leaves=20,
+)
+
+
 class TestOutputs:
     def test_stdout_by_default(self, tmp_path, capsys):
         path = write_config(
@@ -1060,6 +1094,29 @@ class TestOutputs:
         _write_output(record, "json", str(out))
         expected = json.dumps(_sanitize(record), sort_keys=True, indent=2) + "\n"
         assert out.read_text() == expected
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+    def test_every_bundled_record_is_its_indent_2_text(self, tmp_path, name):
+        # novelty's record holds infinite bounds, so it is the sanitized one
+        out = tmp_path / "out.json"
+        config = str(CONFIG_DIR / f"{name}.json")
+        assert main(["run", "--config", config, "--out", str(out)]) == EXIT_OK
+        text = out.read_text()
+        expected = json.dumps(
+            json.loads(text), sort_keys=True, indent=2, allow_nan=False
+        )
+        assert text == expected + "\n"
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(_JSON_RECORDS)
+    def test_the_writer_is_json_dumps_indent_2(self, record):
+        try:
+            expected = json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _json_parts(record, [])
+        else:
+            assert "".join(_json_parts(record, [])) == expected
 
     def test_csv_table(self, tmp_path):
         out = tmp_path / "table.csv"
