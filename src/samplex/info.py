@@ -19,10 +19,17 @@ MASS_TOL = 1e-12  # probability vectors must sum to 1 within this
 
 
 class ComputationRefused(RuntimeError):
-    """Raised when an exact computation would exceed a hard size limit.
+    """Raised when a computation would pass a hard size or work limit;
+    the CLI reports it with exit 3.
 
-    Callers that want an estimate anyway should use a Monte Carlo
-    route instead of catching and retrying this.
+    Raised today for: runs past ``STEP_BUDGET`` symbols (the trials of
+    sample, spread, bayes and novelty runs, and coin-bits); figure3 and
+    scdist tables past the row limit; the reveal-order oracle past
+    ``scdist.ORACLE_MAX_L``; an exact posterior-surprisal horizon past
+    ``bayes._CLASS_LIMIT`` sequence classes; and a crossing of chain
+    members past the last exact horizon.  ``bayes._surprisal_curve``
+    catches the class-limit refusal and hands the curve to Monte Carlo
+    from that horizon; a caller with no such fallback lets it propagate.
     """
 
 

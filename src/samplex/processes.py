@@ -18,10 +18,9 @@ from fractions import Fraction
 from itertools import islice, product
 from typing import ClassVar, Iterator, Mapping, Sequence
 
-from .info import ComputationRefused, ProbVector, as_probvector, logsumexp2, safe_log2
+from .info import ProbVector, as_probvector, logsumexp2, safe_log2
 
 _MAX_DYADIC_BITS = 53  # resolution used when rounding non-dyadic weights
-_STATIONARY_STEPS = 1_000_000  # damped power-iteration steps before refusing
 
 
 class NonErgodicError(ValueError):
@@ -253,8 +252,9 @@ class MarkovSpec(_Chain):
     The contexts are the map's keys in sorted order, which must be every
     tuple of ``memory`` symbols: keys that are not contexts are refused
     first, then a map that misses some.  ``init`` is one of
-    ``("context", ctx)``, ``("distribution", probs)`` over sorted
-    contexts, or ``("stationary", None)``.
+    ``("context", ctx)``, ``("stationary", None)`` or
+    ``("distribution", probs)`` over sorted contexts, where probs must be
+    the chain's stationary law within 1e-9 in every context.
     """
 
     memory: int
@@ -307,7 +307,12 @@ class MarkovSpec(_Chain):
                     f"initial distribution over {len(pv)} contexts, "
                     f"expected {len(self.transitions)}"
                 )
-            self._check_stationary(pv)
+            worst = max(abs(a - b) for a, b in zip(pv.probs, self._stationary))
+            if worst > 1e-9:
+                raise ValueError(
+                    f"initial context distribution is {worst:.3e} from the "
+                    "stationary law in max norm (at most 1e-9)"
+                )
         elif mode == "stationary":
             self.stationary_distribution()
         else:
@@ -360,45 +365,40 @@ class MarkovSpec(_Chain):
             )
 
     def stationary_distribution(self) -> tuple[float, ...]:
-        """Stationary context weights via damped power iteration.
-
-        Damping (pi <- pi/2 + pi.P/2) removes periodicity, so the
-        iteration converges for every irreducible chain; one that needs
-        more than ``_STATIONARY_STEPS`` steps is refused.
-        """
+        """Stationary context weights, by Grassmann-Taksar-Heyman
+        elimination (Operations Research 33(5), 1985).  It only adds and
+        scales nonnegative rates, so each weight keeps a small relative
+        error however slowly the chain mixes."""
         return self._stationary
 
     @cached_property
     def _stationary(self) -> tuple[float, ...]:
         self._check_ergodic()
+        # Off-diagonal rates, exits[c] to contexts below c and entries[c]
+        # into c from below (a context's successors are distinct).  Censoring
+        # c out, last first, folds its exits into the rows that reach it;
+        # entries[c] then keeps the share of lower visits that pass to c.
         rows = self._rows()
-        pi = [1.0 / len(rows)] * len(rows)
-        for _ in range(_STATIONARY_STEPS):
-            nxt = [0.5 * w for w in pi]
-            for i, w in enumerate(pi):
-                if w > 0.0:
-                    for j, p in rows[i]:
-                        nxt[j] += 0.5 * w * p
-            total = math.fsum(nxt)
-            nxt = [w / total for w in nxt]
-            if max(abs(a - b) for a, b in zip(nxt, pi)) < 1e-12:
-                return tuple(nxt)
-            pi = nxt
-        raise ComputationRefused(
-            f"the stationary law did not converge in {_STATIONARY_STEPS} steps"
-        )
-
-    def _check_stationary(self, pv: ProbVector) -> None:
-        out = [0.0] * len(pv)
-        for i, row in enumerate(self._rows()):
+        exits = [{j: p for j, p in row if j < i} for i, row in enumerate(rows)]
+        entries: list[dict[int, float]] = [{} for _ in rows]
+        for i, row in enumerate(rows):
             for j, p in row:
-                out[j] += pv[i] * p
-        worst = max(abs(a - b) for a, b in zip(out, pv.probs))
-        if worst > 1e-9:
-            raise ValueError(
-                f"initial context distribution is not stationary "
-                f"(max |pi.P - pi| = {worst:.3e})"
-            )
+                if j > i:
+                    entries[j][i] = p
+        for c in range(len(rows) - 1, 0, -1):
+            leave = math.fsum(exits[c].values())  # > 0: the chain is irreducible
+            for i in entries[c]:
+                w = entries[c][i] = entries[c][i] / leave
+                for j, p in exits[c].items():
+                    if j < i:
+                        exits[i][j] = exits[i].get(j, 0.0) + w * p
+                    elif j > i:
+                        entries[j][i] = entries[j].get(i, 0.0) + w * p
+        weights = [1.0]
+        for into in entries[1:]:
+            weights.append(math.fsum(weights[i] * w for i, w in into.items()))
+        total = math.fsum(weights)
+        return tuple(w / total for w in weights)
 
     def initial_mixture(self) -> dict[int, float]:
         """The numbered contexts ``init`` starts in, with their weights."""

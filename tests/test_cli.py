@@ -11,6 +11,7 @@ import math
 import os
 import tempfile
 import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from samplex import (
     HypothesisSet,
     IidSpec,
     StoppingConfig,
+    entropy,
     spec_from_json,
     typical_set_bounds,
 )
@@ -42,7 +44,7 @@ from samplex.cli import (
     validate_config,
 )
 
-from oracles import mc_stopping_reference, schema_with_process_oneof
+from oracles import exact_stationary, mc_stopping_reference, schema_with_process_oneof
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -422,30 +424,29 @@ class TestExitCodes:
         assert f"config invalid: $.spec.kind: {kind!r} is not one of ['iid', 'markov']" in err
         assert "Traceback" not in err
 
-    def test_a_stationary_law_that_does_not_converge_is_refused(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        import samplex.processes
-
-        # the full step count leaves this chain at (0.6295, 0.3705), not
-        # its (2/3, 1/3); 50 steps show the same refusal at once
-        monkeypatch.setattr(samplex.processes, "_STATIONARY_STEPS", 50)
+    def test_a_slowly_mixing_chain_runs_at_its_exact_rate(self, tmp_path, capsys):
+        # leaves each state with probability about 1e-6, so its second
+        # eigenvalue is 1 - 3e-6; its law is (2/3, 1/3)
         slow = {"kind": "markov", "memory": 1, "alphabet": 2, "transitions": {
             "0": [0.999999, 0.000001], "1": [0.000002, 0.999998],
         }}
-        cfg = {**SAMPLE_CFG, "spec": slow}
-        assert main(["run", "--config", write_config(tmp_path, cfg)]) == EXIT_REFUSED
-        err = capsys.readouterr().err
-        assert err.startswith("refused: the stationary law did not converge")
-        assert "Traceback" not in err
+        payload = run_to_file(tmp_path, {**SAMPLE_CFG, "spec": slow})["payload"]
+        assert "Traceback" not in capsys.readouterr().err
+        # the rows as the spec holds them: each last cell is 1 minus the rest
+        rows = [law.dist.probs for law in spec_from_json(slow).transitions.values()]
+        law = exact_stationary([[Fraction(p) for p in row] for row in rows])
+        want = math.fsum(float(w) * entropy(row) for w, row in zip(law, rows))
+        assert math.isclose(payload["entropy_rate_bits"], want, rel_tol=1e-12, abs_tol=0.0)
 
     def test_a_curve_past_the_step_budget_does_not_converge(
         self, tmp_path, capsys, monkeypatch
     ):
         import samplex.bayes
 
-        # 50 horizons of the evaluator's 10 000 sequences; members this
-        # close cross only near t = 5 000, past the real budget too
+        # 50 horizons of the evaluator's 10 000 sequences; these members
+        # cross exactly at t = 30 295.666, and under the real budget the
+        # Monte Carlo curve still reads 0.707 bits at t = 5 016, against
+        # a 0.152-bit target, so it ends not converged there too
         monkeypatch.setattr(samplex.bayes, "STEP_BUDGET", 50 * 10_000)
         cfg = {"kind": "bayes", "ideal": [0.5, 0.5], "hypotheses": [[0.5, 0.5], [0.49, 0.51]],
                "prior": [0.5, 0.5], "p": 0.9, "trials": 1, "max_steps": 10, "seed": 1}
@@ -631,6 +632,15 @@ class TestExitCodes:
         ),
         "novelty: every hypothesis gives each symbol the ideal emits positive probability": (
             {**NOVELTY_CFG, "hypotheses": [[1.0, 0.0]]}, "$.hypotheses[0]"
+        ),
+        "markov: the context graph is irreducible": (
+            {**SAMPLE_CFG, "spec": markov1(1.0, 0.0)}, "$.spec"
+        ),
+        # the chain of law (2/3, 1/3) that leaves 0 w.p. 1e-10: the residual
+        # |pi P - pi| of (1/2, 1/2) is 5e-11, far inside 1e-9
+        "markov: a distribution init is the chain's stationary law (max-norm distance at most 1e-9)": (
+            {**SAMPLE_CFG, "spec": {**markov1(1 - 1e-10, 2e-10), "init": {"distribution": [0.5, 0.5]}}},
+            "$.spec",
         ),
     }
 
@@ -1017,10 +1027,10 @@ class TestOutputs:
                 json.loads((CONFIG_DIR / "figure3.json").read_text()),
                 "311bc77efca37d09d4d372776252e428e53a0f0c51ee2835520550963cd04385",
             ),
-            (
+            (  # the start draw follows the chain's exact stationary law
                 {"kind": "sample", "spec": markov2_three_symbols(), "t": 40,
                  "trials": 50, "seed": 4},
-                "237a19c2a409f3a12c13c6da95fc7bea7b6366a6818318a063d1ce2ef15ffc41",
+                "1dcdeda88ed4326dd2a11a08038d48103a395cbe8f1d7cce69e8145957aca7b0",
             ),
             (  # crosses by enumeration at t = 5
                 {**markov_bayes_cfg(markov1(0.875, 0.125), markov1(0.125, 0.875)),

@@ -380,6 +380,45 @@ def _random_codes(n: int, components: int, seed: int) -> list[tuple[SpreadCode, 
     return codes
 
 
+def _random_irreducible(rng: random.Random, memory: int, k: int) -> MarkovSpec:
+    """A seeded irreducible chain whose rows come from ``_random_law``."""
+    while True:
+        rows = {
+            ctx: _random_law(rng, k)
+            for ctx in itertools.product(range(k), repeat=memory)
+        }
+        try:
+            return MarkovSpec(memory, rows, ("stationary", None))
+        except NonErgodicError:
+            continue
+
+
+def _leave_rates(a: float, init=("stationary", None)) -> MarkovSpec:
+    """The two-state chain that leaves 0 w.p. a and 1 w.p. 2a; its
+    law is (2/3, 1/3) and its second eigenvalue 1 - 3a."""
+    rows = {(0,): IidSpec.from_probs([1 - a, a]), (1,): IidSpec.from_probs([2 * a, 1 - 2 * a])}
+    return MarkovSpec(1, rows, init)
+
+
+def _context_matrix(chain: MarkovSpec) -> list[list[Fraction]]:
+    """The chain's exact context-to-context transition matrix, over its
+    sorted contexts."""
+    ctxs = chain.contexts()
+    index = {ctx: i for i, ctx in enumerate(ctxs)}
+    matrix = [[Fraction(0)] * len(ctxs) for _ in ctxs]
+    for ctx in ctxs:
+        for sym, p in enumerate(chain.conditional(ctx).probs):
+            matrix[index[ctx]][index[ctx[1:] + (sym,)]] += Fraction(p)
+    return matrix
+
+
+def _assert_exact_law(chain: MarkovSpec) -> None:
+    """Every stationary weight is within 1e-14 relative of the exact law."""
+    law = exact_stationary(_context_matrix(chain))
+    for got, want in zip(chain.stationary_distribution(), law, strict=True):
+        assert abs(Fraction(got) - want) <= Fraction(1e-14) * want, chain
+
+
 STREAM_SPECS = {
     "iid-zero-cells": TRIE_SPECS["zero-cells"],
     "iid-one-symbol": [IidSpec.from_probs([1.0]), IidSpec.from_probs([0.0, 1.0])],
@@ -687,6 +726,34 @@ class TestMarkovSpec:
                 },
                 init=("stationary", None),
             )
+
+    # memory 1-3 over 2-4 symbols, at most 27 contexts
+    @pytest.mark.parametrize(
+        "memory, k", [(m, k) for m in (1, 2, 3) for k in (2, 3, 4) if k**m <= 27]
+    )
+    def test_random_chain_laws_are_exact(self, memory, k):
+        rng = random.Random(f"{memory}:{k}")
+        for _ in range(3):
+            _assert_exact_law(_random_irreducible(rng, memory, k))
+
+    @pytest.mark.parametrize("a", [10.0**-e for e in range(3, 10)])
+    def test_slowly_mixing_laws_are_exact(self, a):
+        _assert_exact_law(_leave_rates(a))
+
+    def test_periodic_chain_laws_are_exact(self):
+        alternator = {(0,): [0.0, 1.0], (1,): [1.0, 0.0]}
+        period_two = {
+            (0,): [0.0, 0.0, 0.25, 0.75], (1,): [0.0, 0.0, 0.5, 0.5],
+            (2,): [0.125, 0.875, 0.0, 0.0], (3,): [0.5, 0.5, 0.0, 0.0],
+        }
+        for rows in (alternator, period_two):
+            laws = {ctx: IidSpec.from_probs(probs) for ctx, probs in rows.items()}
+            _assert_exact_law(MarkovSpec(1, laws, ("stationary", None)))
+
+    def test_a_distribution_start_far_from_a_slow_chain_law_is_refused(self):
+        # pi P - pi is 5e-11 at (1/2, 1/2), but the law is (2/3, 1/3)
+        with pytest.raises(ValueError, match="1.667e-01 from the stationary law"):
+            _leave_rates(1e-10, ("distribution", ProbVector((0.5, 0.5))))
 
     def test_fixed_context_init_mixture(self):
         spec = MarkovSpec(
