@@ -64,6 +64,7 @@ import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -90,7 +91,6 @@ from .processes import (
 )
 from .scdist import EmpiricalSCDist
 
-_FLOOR_TOL = 1e-12
 _DEFAULT_MC_SEQUENCES = 10_000
 _DEFAULT_BUDGET = 100_000
 # sequence classes one horizon of the exact surprisal walk may hold; on
@@ -1067,6 +1067,20 @@ def _surprisal_curve(
 _UNREACHABLE = SCEstimate(math.inf, "unreachable-threshold", None, None)
 
 
+def _never_ruled_out(ideal: ProcessSpec, member: ProcessSpec) -> bool:
+    """Whether ``member`` keeps a positive likelihood at every horizon on
+    some sequences the ideal emits, read off the two laws.  Exact for
+    memoryless members: one that gives mass to a symbol the ideal emits
+    survives that symbol's constant run, and one that gives none is
+    ruled out by the first symbol.  Sufficient for chains: one with no
+    zero transition gives every sequence positive likelihood."""
+    if member.memory:
+        laws = (member.conditional(c).probs for c in member.contexts())
+        return all(q > 0.0 for law in laws for q in law)
+    pairs = zip(ideal.conditional(()).probs, member.conditional(()).probs)
+    return any(min(a, b) > 0.0 for a, b in pairs)
+
+
 def expected_sc_evaluator(
     ideal: ProcessSpec,
     hset: HypothesisSet,
@@ -1089,10 +1103,17 @@ def expected_sc_evaluator(
     horizon raise ComputationRefused.  The population steps at most
     STEP_BUDGET // sequences horizons; a curve still above the target
     there is reported as not converged.
-    At p = 1 memoryless members cross at t = 1 or never (the Monte
-    Carlo curve would only see rounding).  A prior already at the
-    threshold answers 0; a posterior ceiling below the threshold
-    (duplicate of the ideal, zero prior) is reported as unreachable.
+
+    A prior already at the threshold answers 0.  Otherwise the ideal's
+    posterior ceiling, its prior over the summed prior of the members
+    equal to it (they share its likelihood on every sequence), is
+    compared with p exactly, as fractions.  Below p the threshold is
+    unreachable; above p the curve is walked.  At p (always so at p = 1
+    with no live duplicate) the target is met only on sequences that
+    rule out every other live member.  It is unreachable when some such
+    member never is ruled out (``_never_ruled_out``); otherwise a
+    memoryless set is ruled out by its first symbol and crosses at
+    exactly t = 1, and a chain set takes the walk.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"verification level must be in (0, 1], got {p!r}")
@@ -1107,18 +1128,17 @@ def expected_sc_evaluator(
     target = -math.log2(p)
     if pv[idx] >= p:
         return SCEstimate(0.0, "prior-threshold", None, 0)
-    mass = math.fsum(w for m, w in zip(hset.members, pv.probs) if m == ideal)
-    if pv[idx] == 0.0 or -math.log2(pv[idx] / mass) > target + _FLOOR_TOL:
+    twin = [m == ideal for m in hset.members]
+    mass = sum(Fraction(w) for w, same in zip(pv.probs, twin) if same)
+    ceiling = Fraction(pv[idx]) / mass if mass else 0
+    if ceiling < p:
         return _UNREACHABLE
-
-    if p == 1.0 and not hset.memory:
-        # horizon 1 is final, and the Monte Carlo curve is never asked for
-        # a 0-bit target: a live member that gives mass to a symbol another
-        # live member emits keeps positive likelihood on that symbol's
-        # constant run forever, so a surprisal not at 0 by t = 1 never is
-        curve = _surprisal_curve(hset, log_prior, idx, 1, sequences, seed)
-        found = _scan_crossing(0.0, itertools.islice(curve, 2))
-        return _UNREACHABLE if found.smallest_t is None else found
+    if ceiling == p:
+        rows = zip(hset.members, pv.probs, twin)
+        if any(_never_ruled_out(ideal, m) for m, w, same in rows if w and not same):
+            return _UNREACHABLE
+        if not hset.memory:
+            return SCEstimate(1.0, "enumeration", None, 1)
     curve = _surprisal_curve(hset, log_prior, idx, exact_t_max, sequences, seed)
     return _scan_crossing(target, curve)
 

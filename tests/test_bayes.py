@@ -1421,11 +1421,21 @@ class TestExpectedSampleComplexity:
         else:
             assert (est.value, est.smallest_t) == (math.inf, None)
 
-    def test_chains_at_certainty_keep_the_exact_walk(self):
+    def test_a_chain_with_no_zero_transition_makes_certainty_unreachable(self):
+        # every sequence keeps a positive likelihood under the other chain
         sticky, flip = m1(0.125, 0.875), m1(0.75, 0.25)
+        est = expected_sc_evaluator(sticky, HypothesisSet((sticky, flip)), UNIFORM, 1.0)
+        assert (est.value, est.method, est.smallest_t) == (
+            math.inf, "unreachable-threshold", None
+        )
+
+    def test_chains_at_certainty_keep_the_exact_walk(self):
+        # the other chain forbids "00", so no law test decides and the
+        # walk, still above 0 at horizon 4, refuses past it
+        sticky, no_00 = m1(0.125, 0.875), m1(0.0, 0.5)
         with pytest.raises(ComputationRefused):
             expected_sc_evaluator(
-                sticky, HypothesisSet((sticky, flip)), UNIFORM, 1.0, exact_t_max=4
+                sticky, HypothesisSet((sticky, no_00)), UNIFORM, 1.0, exact_t_max=4
             )
 
     def test_estimate_serializes(self):
@@ -1553,3 +1563,126 @@ class TestExpectedSampleComplexity:
         slack = 0.5
         assert lo - slack <= 13.905391109770717 <= hi + slack
 
+
+def _eighths(rng: random.Random, n: int) -> list[Fraction]:
+    """n multiples of 1/8, zeros allowed, that sum to 1."""
+    cuts = sorted(rng.randint(0, 8) for _ in range(n - 1))
+    return [Fraction(b - a, 8) for a, b in zip([0, *cuts], [*cuts, 8])]
+
+
+def _ceiling_cases() -> list[tuple]:
+    """Seeded memoryless sets of 2 or 3 symbols, with zero cells, twins
+    of the ideal and priors in eighths, each at a level p below, at and
+    above the ideal's posterior ceiling, where such a level lies above
+    the ideal's prior (a prior at p takes the prior-threshold exit)."""
+
+    def law(rng, k, free):
+        """A law in eighths on the symbols ``free``, zero elsewhere."""
+        spread = dict(zip(free, _eighths(rng, len(free))))
+        return IidSpec.from_probs([spread.get(s, 0) for s in range(k)])
+
+    cases = []
+    for seed in range(16):
+        rng = random.Random(f"ceiling:{seed}")
+        k = 2 + seed % 2
+        ideal = law(rng, k, rng.sample(range(k), k - seed // 2 % 2))
+        free = [s for s, q in enumerate(ideal.dist.probs) if q == 0.0] or list(range(k))
+        # a twin in every fourth set, then each a twin, a law on the
+        # symbols the ideal never emits, or any law
+        members = [ideal] * (1 + (seed % 4 == 3)) + [
+            rng.choice((ideal, law(rng, k, free), law(rng, k, range(k))))
+            for _ in range(1 + seed % 3)
+        ]
+        rng.shuffle(members)
+        weights = _eighths(rng, len(members))
+        floor = weights[members.index(ideal)]
+        twins = sum(w for m, w in zip(members, weights) if m == ideal)
+        ceiling = floor / twins if twins else Fraction(0)
+        levels = [
+            ("above", (floor + ceiling) / 2),
+            ("below", (ceiling + 1) / 2),
+            ("below", Fraction(1)),
+        ]
+        if ceiling.denominator & (ceiling.denominator - 1) == 0:
+            levels.append(("at", ceiling))  # a float exactly
+        prior = tuple(float(w) for w in weights)
+        for where, level in levels:
+            if (where == "below") == (ceiling < level) and level > floor:
+                case = (where, ideal, HypothesisSet(tuple(members)), prior, float(level))
+                cases.append(case)
+    return cases
+
+
+CEILING_CASES = _ceiling_cases()
+
+
+class TestPosteriorCeiling:
+    """``expected_sc_evaluator`` compares the ideal's posterior ceiling
+    with p exactly; each verdict is checked against the brute-force
+    expected surprisal E_t of ``posterior_surprisal_reference`` for
+    t <= 8, as its excess over -log2 p (a sum of terms that are 0 on
+    sequences at the ceiling)."""
+
+    @staticmethod
+    def excess(ideal, hset, prior, p, t):
+        idx = hset.members.index(ideal)
+        target = -math.log2(p)
+        return posterior_surprisal_reference(hset, prior, idx, t, lambda s: s - target)
+
+    def check(self, where, ideal, hset, prior, p):
+        est = expected_sc_evaluator(ideal, hset, prior, p, sequences=200, exact_t_max=8)
+        if where == "above":
+            # the curve is walked as before the ceiling rule
+            idx = hset.members.index(ideal)
+            curve = samplex.bayes._surprisal_curve(
+                hset, hset.log_prior(prior), idx, 8, 200, 7
+            )
+            walked = samplex.bayes._scan_crossing(-math.log2(p), curve)
+            assert est == walked
+            if est.method == "enumeration":
+                t = est.smallest_t
+                assert self.excess(ideal, hset, prior, p, t - 1) > 0.0
+                assert self.excess(ideal, hset, prior, p, t) <= 0.0
+            return est
+        # E_0 = -log2 prior exceeds -log2 p, or the prior-threshold exit
+        # would have answered; the reference may round it to -log2 p
+        assert prior[hset.members.index(ideal)] < p
+        if est.method == "unreachable-threshold":
+            assert (est.value, est.ci, est.smallest_t) == (math.inf, None, None)
+            for t in range(1, 9):
+                assert self.excess(ideal, hset, prior, p, t) > 0.0, t
+        else:
+            assert where == "at"
+            assert est == samplex.bayes.SCEstimate(1.0, "enumeration", None, 1)
+            assert self.excess(ideal, hset, prior, p, 1) == pytest.approx(0.0, abs=1e-15)
+        return est
+
+    @pytest.mark.parametrize("case", CEILING_CASES)
+    def test_seeded_sets(self, case):
+        self.check(*case)
+
+    def test_the_seeded_sets_reach_every_verdict(self):
+        seen = {
+            (where, p == 1.0, expected_sc_evaluator(ideal, hset, prior, p).method)
+            for where, ideal, hset, prior, p in CEILING_CASES
+            if where != "above"
+        }
+        assert {
+            ("below", True, "unreachable-threshold"),
+            ("at", True, "unreachable-threshold"),
+            ("at", True, "enumeration"),
+            ("at", False, "unreachable-threshold"),
+            ("at", False, "enumeration"),
+        } <= seen
+
+    def test_a_prior_one_ulp_short_of_certainty(self):
+        # B9 stays live on every sequence, though its posterior rounds
+        # to 0 at t = 0: the ceiling is 1 = p, not the prior-threshold
+        est = self.check("at", B5, PAIR, (1 - 2**-53, 2**-53), 1.0)
+        assert est.method == "unreachable-threshold"
+
+    def test_a_twin_at_the_boundary(self):
+        # member 0's posterior 0.25 L5 / (0.5 L5 + 0.5 L9) stays below 1/2
+        trio = HypothesisSet((B5, B5, B9))
+        est = self.check("at", B5, trio, (0.25, 0.25, 0.5), 0.5)
+        assert est.method == "unreachable-threshold"

@@ -498,6 +498,30 @@ class TestExitCodes:
         assert main(["run", "--config", path]) == EXIT_REFUSED
         assert "refused:" in capsys.readouterr().err
 
+    def test_a_twin_at_the_boundary_is_unreachable(self, tmp_path):
+        # member 0's posterior 0.25 L5 / (0.5 L5 + 0.5 L9) stays below
+        # p = 1/2 on every sequence, its ceiling
+        cfg = {
+            **BAYES_CFG,
+            "hypotheses": [[0.5, 0.5], [0.5, 0.5], [0.1, 0.9]],
+            "prior": [0.25, 0.25, 0.5],
+            "p": 0.5,
+            "trials": 50,
+            "seed": 3,
+        }
+        analytic = run_to_file(tmp_path, cfg)["payload"]["analytic_expected_t"]
+        assert analytic["method"] == "unreachable-threshold"
+
+    def test_certainty_past_a_chain_with_no_zero_transition_runs(self, tmp_path):
+        # the fair chain is never ruled out, so p = 1 is unreachable and
+        # every trial runs to max_steps
+        cfg = {**markov_bayes_cfg(markov1(0.3, 0.6), markov1(0.5, 0.5)), "p": 1.0}
+        payload = run_to_file(tmp_path, cfg)["payload"]
+        assert payload["analytic_expected_t"]["method"] == "unreachable-threshold"
+        assert payload["decision_histogram"] == {
+            "Falsified": 0, "PartiallyIdentified": 0, "Undetermined": 20, "Verified": 0
+        }
+
     @pytest.mark.parametrize(
         "cfg, path",
         [
