@@ -1069,16 +1069,40 @@ _UNREACHABLE = SCEstimate(math.inf, "unreachable-threshold", None, None)
 
 def _never_ruled_out(ideal: ProcessSpec, member: ProcessSpec) -> bool:
     """Whether ``member`` keeps a positive likelihood at every horizon on
-    some sequences the ideal emits, read off the two laws.  Exact for
-    memoryless members: one that gives mass to a symbol the ideal emits
-    survives that symbol's constant run, and one that gives none is
-    ruled out by the first symbol.  Sufficient for chains: one with no
-    zero transition gives every sequence positive likelihood."""
-    if member.memory:
-        laws = (member.conditional(c).probs for c in member.contexts())
-        return all(q > 0.0 for law in laws for q in law)
-    pairs = zip(ideal.conditional(()).probs, member.conditional(()).probs)
-    return any(min(a, b) > 0.0 for a, b in pairs)
+    some sequence the ideal emits, that is, whether some endless sequence
+    has positive mass under both.  After ``memory`` symbols the window is
+    both chains' context, so that holds exactly when a window both reach
+    in ``memory`` positive steps from their starts leads to a cycle of
+    steps (context, symbol) that both laws give positive mass.  A
+    memoryless pair has one context, a cycle when some symbol has mass
+    under both."""
+    k, n = ideal.alphabet_size, len(ideal.contexts())
+    laws = [[spec.conditional(c).probs for c in spec.contexts()] for spec in (ideal, member)]
+    shared = [
+        [(c * k + s) % n for s, (a, b) in enumerate(zip(*pair)) if min(a, b) > 0.0]
+        for c, pair in enumerate(zip(*laws))
+    ]
+    # strip contexts whose every shared step leads to a stripped one: a
+    # context left keeps a shared step to another left, so starts a cycle
+    into: list[list[int]] = [[] for _ in shared]
+    for c, row in enumerate(shared):
+        for j in row:
+            into[j].append(c)
+    out = [len(row) for row in shared]
+    stuck = [c for c, steps in enumerate(out) if not steps]
+    for j in stuck:
+        for c in into[j]:
+            out[c] -= 1
+            if not out[c]:
+                stuck.append(c)
+    # each chain's windows: the contexts its start reaches in memory steps
+    ends = [set(spec.initial_mixture()) for spec in (ideal, member)]
+    for _ in range(ideal.memory):
+        ends = [
+            {(c * k + s) % n for c in reached for s, q in enumerate(rows[c]) if q > 0.0}
+            for reached, rows in zip(ends, laws)
+        ]
+    return any(out[c] for c in ends[0] & ends[1])
 
 
 def expected_sc_evaluator(

@@ -160,18 +160,6 @@ def _min_items(walk, bound, value, schema, path):
         yield path, f"{value!r} {'should be non-empty' if bound == 1 else 'is too short'}"
 
 
-def _min_properties(walk, bound, value, schema, path):
-    if isinstance(value, dict) and len(value) < bound:
-        text = "should be non-empty" if bound == 1 else "does not have enough properties"
-        yield path, f"{value!r} {text}"
-
-
-def _max_properties(walk, bound, value, schema, path):
-    if isinstance(value, dict) and len(value) > bound:
-        text = "is expected to be empty" if bound == 0 else "has too many properties"
-        yield path, f"{value!r} {text}"
-
-
 def _required(walk, names, value, schema, path):
     if isinstance(value, dict):
         for name in names:
@@ -239,8 +227,6 @@ _CHECKS = {
     "maximum": _bound(lambda v, b: v > b, "greater than the maximum of"),
     "exclusiveMinimum": _bound(lambda v, b: v <= b, "less than or equal to the minimum of"),
     "minItems": _min_items,
-    "minProperties": _min_properties,
-    "maxProperties": _max_properties,
     "required": _required,
     "properties": _properties,
     "additionalProperties": _additional,

@@ -27,10 +27,10 @@ class ComputationRefused(RuntimeError):
     scdist tables past the row limit; the reveal-order oracle past
     ``scdist.ORACLE_MAX_L``; an exact posterior-surprisal horizon past
     ``bayes._CLASS_LIMIT`` sequence classes; and a crossing of chain
-    members past the last exact horizon.  A target that a chain member
-    with no zero transition keeps out of reach (p = 1, or p at the
-    ideal's posterior ceiling) raises nothing: the evaluator answers it
-    as unreachable before any walk.  ``bayes._surprisal_curve`` catches
+    members past the last exact horizon.  A target that a member never
+    ruled out keeps out of reach (p = 1, or p at the ideal's posterior
+    ceiling) raises nothing: the evaluator answers it as unreachable
+    before any walk.  ``bayes._surprisal_curve`` catches
     the class-limit refusal and hands the curve to Monte Carlo from that
     horizon; a caller with no such fallback lets it propagate.
     """

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import islice, product
 from typing import ClassVar, Iterator, Mapping, Sequence
 
-from .info import ProbVector, as_probvector, logsumexp2, safe_log2
+from .info import ProbVector, logsumexp2, safe_log2
 
 _MAX_DYADIC_BITS = 53  # resolution used when rounding non-dyadic weights
 
@@ -251,10 +251,9 @@ class MarkovSpec(_Chain):
 
     The contexts are the map's keys in sorted order, which must be every
     tuple of ``memory`` symbols: keys that are not contexts are refused
-    first, then a map that misses some.  ``init`` is one of
-    ``("context", ctx)``, ``("stationary", None)`` or
-    ``("distribution", probs)`` over sorted contexts, where probs must be
-    the chain's stationary law within 1e-9 in every context.
+    first, then a map that misses some.  ``init`` is either
+    ``("context", ctx)`` or ``("stationary", None)``, the chain's exact
+    stationary law over its contexts.
     """
 
     memory: int
@@ -299,19 +298,6 @@ class MarkovSpec(_Chain):
             if payload not in self.transitions:
                 raise ValueError(
                     f"initial context {_context_str(payload)} not in map"
-                )
-        elif mode == "distribution":
-            pv = as_probvector(payload)  # type: ignore[arg-type]
-            if len(pv) != len(self.transitions):
-                raise ValueError(
-                    f"initial distribution over {len(pv)} contexts, "
-                    f"expected {len(self.transitions)}"
-                )
-            worst = max(abs(a - b) for a, b in zip(pv.probs, self._stationary))
-            if worst > 1e-9:
-                raise ValueError(
-                    f"initial context distribution is {worst:.3e} from the "
-                    "stationary law in max norm (at most 1e-9)"
                 )
         elif mode == "stationary":
             self.stationary_distribution()
@@ -405,11 +391,7 @@ class MarkovSpec(_Chain):
         mode, payload = self.init
         if mode == "context":
             return {self.contexts().index(payload): 1.0}  # type: ignore[arg-type]
-        if mode == "distribution":
-            weights = as_probvector(payload).probs  # type: ignore[arg-type]
-        else:
-            weights = self.stationary_distribution()
-        return {c: w for c, w in enumerate(weights) if w > 0.0}
+        return {c: w for c, w in enumerate(self.stationary_distribution()) if w > 0.0}
 
 
 def _walk(
@@ -605,8 +587,6 @@ def spec_from_json(data: Mapping) -> IidSpec | MarkovSpec:
         init = ("stationary", None)
     elif isinstance(raw_init, Mapping) and "context" in raw_init:
         init = ("context", tuple(int(c) for c in raw_init["context"]))
-    elif isinstance(raw_init, Mapping) and "distribution" in raw_init:
-        init = ("distribution", ProbVector(tuple(raw_init["distribution"])))
     else:
         raise ValueError(f"unknown init form {raw_init!r}")
     spec = MarkovSpec(memory, transitions, init)

@@ -428,12 +428,8 @@ def _start_weights(spec) -> dict[tuple[int, ...], float]:
     mode, payload = spec.init
     if mode == "context":
         return {payload: 1.0}
-    if mode == "distribution":
-        weights = as_probvector(payload).probs
-    else:
-        weights = spec.stationary_distribution()
     contexts = itertools.product(range(spec.alphabet_size), repeat=spec.memory)
-    return dict(zip(contexts, weights))
+    return dict(zip(contexts, spec.stationary_distribution()))
 
 
 def draw_start_reference(spec, source: BitSource) -> tuple[int, ...]:
@@ -958,13 +954,7 @@ PROCESS_ONEOF = {
                             "required": ["context"],
                             "additionalProperties": False,
                             "properties": {"context": {"type": "string", "pattern": "^[0-9]*$"}},
-                        },
-                        {
-                            "type": "object",
-                            "required": ["distribution"],
-                            "additionalProperties": False,
-                            "properties": {"distribution": {"$ref": "#/$defs/probs"}},
-                        },
+                        }
                     ]
                 },
             },

@@ -20,6 +20,7 @@ from samplex import (
     HypothesisSet,
     IidSpec,
     MarkovSpec,
+    NonErgodicError,
     PosteriorState,
     StoppingConfig,
     check_stop,
@@ -824,9 +825,8 @@ def stopping_scenarios():
     no_11 = m1(0.5, 1.0)  # never emits 1 right after a 1
     m2a = chain(2, (0.125, 0.625, 0.5, 0.875), ("context", (0, 1)))
     m2b = chain(2, (0.75, 0.25, 0.5, 0.125))
-    # flip as a memory-2 chain, started from its stationary law as given
+    # flip as a memory-2 chain, started from its stationary law
     lag2 = chain(2, (0.75, 0.25, 0.75, 0.25))
-    given = chain(2, (0.75, 0.25, 0.75, 0.25), ("distribution", lag2.stationary_distribution()))
     return [
         (B5, PAIR, UNIFORM, StoppingConfig(p=0.9)),
         (B5, HypothesisSet((B9, B95)), UNIFORM, StoppingConfig(p=1.0, q=0.5)),
@@ -876,9 +876,9 @@ def stopping_scenarios():
         (m2b, HypothesisSet((m2a, m2b)), (0.3, 0.7), StoppingConfig(p=0.95, r=0.01)),
         # three symbols, memory 1: the hidden start mixes three contexts
         (K3_PAIR.members[0], K3_PAIR, UNIFORM, StoppingConfig(p=0.9, q=0.2)),
-        # an ideal started from a given distribution, which it draws
+        # an ideal started from its stationary law (0.25, 0.75), which it draws
         (
-            m1(0.625, 0.125, ("distribution", (0.25, 0.75))),
+            m1(0.625, 0.125),
             HypothesisSet((sticky, flip)),
             UNIFORM,
             StoppingConfig(p=0.9, q=0.2),
@@ -890,8 +890,8 @@ def stopping_scenarios():
             UNIFORM,
             StoppingConfig(p=0.9, q=0.2),
         ),
-        # memory 2, an ideal started from a given distribution
-        (given, HypothesisSet((m2a, m2b)), UNIFORM, StoppingConfig(p=0.9, q=0.2)),
+        # memory 2, an ideal started from its stationary law
+        (lag2, HypothesisSet((m2a, m2b)), UNIFORM, StoppingConfig(p=0.9, q=0.2)),
         # every member rules out the ideal's only symbol at t = 1
         (
             IidSpec.from_probs([0.0, 0.0, 1.0]),
@@ -1294,6 +1294,26 @@ def _walk(hset, prior, target, transform, t_max):
     return [next(walk) for _ in range(t_max + 1)]
 
 
+def _zero_cell_chain(rng, memory, k):
+    """A seeded chain whose laws have zero cells, started from a random
+    context (it may be reducible) or from its stationary law."""
+    while True:
+        laws = []
+        for _ in range(k**memory):
+            weights = [rng.choice((0, 0, 0, 1, 2)) for _ in range(k)]
+            weights[rng.randrange(k)] += 1
+            laws.append(IidSpec.from_probs([w / sum(weights) for w in weights]))
+        if not memory:
+            return laws[0]
+        rows = dict(zip(itertools.product(range(k), repeat=memory), laws))
+        if rng.random() < 0.5:
+            return MarkovSpec(memory, rows, ("context", rng.choice(list(rows))))
+        try:
+            return MarkovSpec(memory, rows, ("stationary", None))
+        except NonErgodicError:
+            continue
+
+
 def _crossing(curve, target):
     """Interpolated first crossing of a nonincreasing curve."""
     for t in range(1, len(curve)):
@@ -1336,7 +1356,7 @@ class TestPosteriorSurprisalWalk:
             (
                 m1(0.2, 0.9),
                 m1(0.0, 0.6, ("context", (1,))),  # never a 0 after a 0
-                m1(0.5, 0.5, ("distribution", (0.5, 0.5))),
+                m1(0.5, 0.5),
             )
         )
         for target in range(3):
@@ -1429,14 +1449,49 @@ class TestExpectedSampleComplexity:
             math.inf, "unreachable-threshold", None
         )
 
-    def test_chains_at_certainty_keep_the_exact_walk(self):
-        # the other chain forbids "00", so no law test decides and the
-        # walk, still above 0 at horizon 4, refuses past it
+    def test_a_chain_sharing_a_cycle_makes_certainty_unreachable(self):
+        # the other chain forbids "00", but both give the all-ones run
+        # positive mass (P(1|1) = 0.875 and 0.5), so it is never ruled out
         sticky, no_00 = m1(0.125, 0.875), m1(0.0, 0.5)
-        with pytest.raises(ComputationRefused):
-            expected_sc_evaluator(
-                sticky, HypothesisSet((sticky, no_00)), UNIFORM, 1.0, exact_t_max=4
+        est = expected_sc_evaluator(sticky, HypothesisSet((sticky, no_00)), UNIFORM, 1.0)
+        assert (est.value, est.method, est.smallest_t) == (
+            math.inf, "unreachable-threshold", None
+        )
+
+    def test_chains_ruled_out_at_certainty_take_the_exact_walk(self):
+        # the rotations 0->1->2->0 and 0->2->1->0 share no step, so the
+        # second symbol rules the other out; past the exact horizon the
+        # chain curve is refused
+        rotations = [
+            MarkovSpec(
+                1,
+                {(c,): IidSpec.from_probs([float(s == (c + d) % 3) for s in range(3)])
+                 for c in range(3)},
+                ("stationary", None),
             )
+            for d in (1, 2)
+        ]
+        hset = HypothesisSet(tuple(rotations))
+        est = expected_sc_evaluator(rotations[0], hset, UNIFORM, 1.0)
+        assert (est.value, est.method) == (2.0, "enumeration")
+        with pytest.raises(ComputationRefused):
+            expected_sc_evaluator(rotations[0], hset, UNIFORM, 1.0, exact_t_max=1)
+
+    @pytest.mark.parametrize("memory, k", [(m, k) for m in (0, 1, 2) for k in (2, 3)])
+    def test_never_ruled_out_is_a_shared_long_block(self, memory, k):
+        # past its first memory symbols a block of memory + contexts + 1
+        # symbols visits some context twice, so one that both laws give
+        # mass closes a shared cycle, and a shared cycle gives such blocks
+        rng = random.Random(f"never:{memory}:{k}")
+        length = memory + k**memory + 1
+        seen = set()
+        for _ in range(60):
+            ideal, member = _zero_cell_chain(rng, memory, k), _zero_cell_chain(rng, memory, k)
+            shared = block_distribution(ideal, length).keys() & block_distribution(member, length).keys()
+            never = samplex.bayes._never_ruled_out(ideal, member)
+            assert never == bool(shared), (ideal, member)
+            seen.add(never)
+        assert seen == {False, True}
 
     def test_estimate_serializes(self):
         est = expected_sc_evaluator(B5, PAIR, UNIFORM, 0.9)

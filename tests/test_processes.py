@@ -344,8 +344,8 @@ def _random_law(rng: random.Random, k: int) -> IidSpec:
 
 
 def _random_chains(n: int, memory: int, mode: str, seed: int) -> list[MarkovSpec]:
-    """Seeded irreducible chains over 2 or 3 symbols, started by ``mode``;
-    a "distribution" start is the chain's own stationary law."""
+    """Seeded irreducible chains over 2 or 3 symbols, started by ``mode``,
+    "context" (a random one) or "stationary"."""
     rng = random.Random(seed)
     chains = []
     while len(chains) < n:
@@ -360,9 +360,6 @@ def _random_chains(n: int, memory: int, mode: str, seed: int) -> list[MarkovSpec
             continue
         if mode == "context":
             chain = MarkovSpec(memory, rows, ("context", rng.choice(list(rows))))
-        elif mode == "distribution":
-            pi = ProbVector(chain.stationary_distribution())
-            chain = MarkovSpec(memory, rows, ("distribution", pi))
         chains.append(chain)
     return chains
 
@@ -393,11 +390,11 @@ def _random_irreducible(rng: random.Random, memory: int, k: int) -> MarkovSpec:
             continue
 
 
-def _leave_rates(a: float, init=("stationary", None)) -> MarkovSpec:
+def _leave_rates(a: float) -> MarkovSpec:
     """The two-state chain that leaves 0 w.p. a and 1 w.p. 2a; its
     law is (2/3, 1/3) and its second eigenvalue 1 - 3a."""
     rows = {(0,): IidSpec.from_probs([1 - a, a]), (1,): IidSpec.from_probs([2 * a, 1 - 2 * a])}
-    return MarkovSpec(1, rows, init)
+    return MarkovSpec(1, rows, ("stationary", None))
 
 
 def _context_matrix(chain: MarkovSpec) -> list[list[Fraction]]:
@@ -425,9 +422,11 @@ STREAM_SPECS = {
     "iid-rounded": TRIE_SPECS["thirds"] + [IidSpec.from_probs([0.2, 0.8])],
     "iid-random": TRIE_SPECS["random"],
     **{
-        f"memory-{memory}-{mode}": _random_chains(4, memory, mode, 10 * memory + i)
+        f"memory-{memory}-{group}": _random_chains(4, memory, mode, 10 * memory + i)
         for memory in (1, 2)
-        for i, mode in enumerate(("context", "distribution", "stationary"))
+        for i, (group, mode) in enumerate(
+            (("context", "context"), ("stationary-alt", "stationary"), ("stationary", "stationary"))
+        )
     },
 }
 LENGTHS = [0, 1, 7, 300]
@@ -750,11 +749,6 @@ class TestMarkovSpec:
             laws = {ctx: IidSpec.from_probs(probs) for ctx, probs in rows.items()}
             _assert_exact_law(MarkovSpec(1, laws, ("stationary", None)))
 
-    def test_a_distribution_start_far_from_a_slow_chain_law_is_refused(self):
-        # pi P - pi is 5e-11 at (1/2, 1/2), but the law is (2/3, 1/3)
-        with pytest.raises(ValueError, match="1.667e-01 from the stationary law"):
-            _leave_rates(1e-10, ("distribution", ProbVector((0.5, 0.5))))
-
     def test_fixed_context_init_mixture(self):
         spec = MarkovSpec(
             memory=1,
@@ -914,19 +908,21 @@ class TestSpecJson:
 
     def test_markov_init_forms(self):
         rows = sticky_chain(0.875).transitions
+        data = {
+            "kind": "markov",
+            "memory": 1,
+            "alphabet": 2,
+            "transitions": {"0": [0.875, 0.125], "1": [0.125, 0.875]},
+        }
         for init_json, init in (
             ({"context": "1"}, ("context", (1,))),
-            ({"distribution": [0.5, 0.5]}, ("distribution", ProbVector((0.5, 0.5)))),
             ("stationary", ("stationary", None)),
         ):
-            data = {
-                "kind": "markov",
-                "memory": 1,
-                "alphabet": 2,
-                "transitions": {"0": [0.875, 0.125], "1": [0.125, 0.875]},
-                "init": init_json,
-            }
-            assert spec_from_json(data) == MarkovSpec(1, rows, init), init_json
+            spec = spec_from_json({**data, "init": init_json})
+            assert spec == MarkovSpec(1, rows, init), init_json
+        # the stationary law is the one start that is not a context
+        with pytest.raises(ValueError, match="unknown init form"):
+            spec_from_json({**data, "init": {"distribution": [0.5, 0.5]}})
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
