@@ -450,7 +450,12 @@ def _stopping_rule(
     monotone, so fsum(w_g) / total <= ``largest`` / total as floats, with
     no margin.  With singleton groups 1 / total is the heaviest mass.
     With p = 1 a group verifies only when every member outside it is at
-    likelihood zero; it then holds mass 1, so it is the top member's.
+    likelihood zero; it then holds mass 1, so it is the top member's.  A
+    live member with no zero in its log table (``lasting``) keeps a finite
+    likelihood on every sequence, its start score included, since every
+    prefix has positive mass from any start.  So when no group holds every
+    lasting member, no step can verify, nor can every member be falsified,
+    and ``decide`` never weighs the scores: that is fixed once, at set-up.
     """
     members = range(len(hset))
     rates = hset.rates
@@ -465,15 +470,8 @@ def _stopping_rule(
     )
     cap = resolution_cap(cfg.r)
     live = {i for i in members if log_prior[i] > -math.inf}
-    logtab = hset._log_table
-    # with p = 1 and every live member at full support no live likelihood
-    # ever reaches 0, so structural certainty is the prior's alone: it
-    # holds at every t exactly when the live members share one group.
-    # ``certain`` is then that group, or () when it never holds; None
-    # means the posterior must be weighed at every step.
-    certain: tuple[int, ...] | None = None
-    if p == 1.0 and all(v > -math.inf for i in live for v in logtab[i]):
-        certain = next((g for g in groups if live <= set(g)), ())
+    lasting = {i for i in live if -math.inf not in hset._log_table[i]}
+    weigh = p < 1.0 or any(lasting <= set(g) for g in groups)
 
     def verdict(group: tuple[int, ...]) -> _Verdict:
         if len(group) == 1:
@@ -481,9 +479,7 @@ def _stopping_rule(
         return DecisionStatus.PARTIALLY_IDENTIFIED, group
 
     def decide(loglik: Sequence[float], t: int) -> _Verdict | None:
-        if certain:
-            return verdict(certain)
-        if certain is None:
+        if weigh:
             scores = list(map(operator.add, log_prior, loglik))
             top = max(scores)
             if top == -math.inf:

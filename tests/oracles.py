@@ -770,11 +770,13 @@ def check_stop_reference(state: PosteriorState, cfg: StoppingConfig) -> Decision
 def stopping_rule_reference(
     hset: HypothesisSet, cfg: StoppingConfig, log_prior: Sequence[float]
 ) -> Callable[[Sequence[float], int], _Verdict | None]:
-    """The stopping rule weighing the posterior at every step, where the
-    library's ``_stopping_rule`` weighs its groups only when the largest
-    group size over the summed weights reaches p, and at p = 1 reads
-    certainty off the scores.  The library must return the same verdict
-    for every input.
+    """The stopping rule computing every group's mass whenever it weighs
+    the scores, where the library's ``_stopping_rule`` computes them only
+    when the largest group size over the summed weights reaches p, and at
+    p = 1 only checks the top member's group.  Both decide once, at
+    set-up, whether to weigh at all: at p = 1 they do not when no group
+    holds every live member with no zero in its log table.  The library
+    must return the same verdict for every input.
 
     The stopping rule for one set, config and prior, as a function of
     the per-member log2 likelihoods at time t: a terminal (status,
@@ -799,15 +801,8 @@ def stopping_rule_reference(
     )
     cap = resolution_cap(cfg.r)
     live = {i for i in members if log_prior[i] > -math.inf}
-    logtab = hset._log_table
-    # with p = 1 and every live member at full support no live likelihood
-    # ever reaches 0, so structural certainty is the prior's alone: it
-    # holds at every t exactly when the live members share one group.
-    # ``certain`` is then that group, or () when it never holds; None
-    # means the posterior must be weighed at every step.
-    certain: tuple[int, ...] | None = None
-    if cfg.p == 1.0 and all(v > -math.inf for i in live for v in logtab[i]):
-        certain = next((g for g in groups if live <= set(g)), ())
+    lasting = {i for i in live if -math.inf not in hset._log_table[i]}
+    weigh = cfg.p < 1.0 or any(lasting <= set(g) for g in groups)
 
     def verdict(group: tuple[int, ...]) -> _Verdict:
         if len(group) == 1:
@@ -815,9 +810,7 @@ def stopping_rule_reference(
         return DecisionStatus.PARTIALLY_IDENTIFIED, group
 
     def decide(loglik: Sequence[float], t: int) -> _Verdict | None:
-        if certain:
-            return verdict(certain)
-        if certain is None:
+        if weigh:
             scores = [log_prior[i] + loglik[i] for i in members]
             top = max(scores)
             if top == -math.inf:

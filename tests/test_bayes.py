@@ -65,6 +65,14 @@ UNIFORM = (0.5, 0.5)
 THIRDS = (1 / 3, 1 / 3, 1 / 3)
 T3 = IidSpec.from_probs([0.25, 0.25, 0.5])
 THREE = HypothesisSet((T3, IidSpec.from_probs([0.625, 0.25, 0.125])))
+# two full-support members in different groups beside one with a zero: at
+# p = 1 neither full-support member is ever ruled out, so no step verifies
+APART = HypothesisSet(
+    tuple(
+        IidSpec.from_probs(probs)
+        for probs in ([0.2, 0.3, 0.5], [0.3, 0.3, 0.4], [0.0, 0.4, 0.6])
+    )
+)
 
 
 def chain(memory, zeros, init=("stationary", None)):
@@ -552,6 +560,20 @@ class TestStoppingRules:
         assert decision.group == (0,)
         assert decision.terminal
 
+    def test_certainty_out_of_reach_reads_no_likelihood(self):
+        # certainty is out of reach from set-up on, so the rule keeps
+        # observing without a look at the scores
+        def unread(*_):
+            raise AssertionError("likelihoods read")
+
+        class Unread:
+            __iter__ = __getitem__ = unread
+
+        decide = samplex.bayes._stopping_rule(
+            APART, StoppingConfig(p=1.0), APART.log_prior(THIRDS)
+        )
+        assert [decide(Unread(), t) for t in (1, 2, 1000)] == [None, None, None]
+
     def test_agrees_with_the_reference_rule_off_floating_ties(self):
         # random iid sets on a 1/8 grid (zeros and duplicates included),
         # priors, configs and observations; a state whose group mass or
@@ -679,29 +701,27 @@ def _near(c):
 class TestMassBound:
     """The library's stopping rule weighs the groups only when
     ``largest`` / total reaches p, with ``largest`` the largest group
-    size and total the summed weights, and at p = 1 reads certainty off
-    the scores; the reference weighs every step.  The grid puts the
-    summed weights at ``largest`` / p and within 4 ulps of it, puts the
-    score gap second - top within ulps of where the top group's mass
-    meets p, and has members trail the top by so little (1e-300 and
-    5e-324 bits under a top score of 0) that their weight rounds to
-    exactly 1."""
+    size and total the summed weights, and at p = 1 checks only the top
+    member's group; the reference computes every group's mass whenever
+    it weighs.  Both skip the weighing at p = 1 when no group holds
+    every live member at full support, so vectors no sequence produces
+    (such a member at -inf) get that set-up's verdict on both sides.
+    The grid puts the summed weights at ``largest`` / p and within 4
+    ulps of it, puts the score gap second - top within ulps of where the
+    top group's mass meets p, and has members trail the top by so little
+    (1e-300 and 5e-324 bits under a top score of 0) that their weight
+    rounds to exactly 1."""
 
     # groups (equal members, eps_d = 0) of 1, 2 and 3 members; a member
-    # with a zero-probability symbol makes p = 1 weigh the posterior, in
-    # the 3-symbol set beside two full-support members in different groups
+    # with a zero-probability symbol beside one group of full-support
+    # members, where p = 1 weighs, and beside two groups, where it never does
     SETS = [
         HypothesisSet((B5, B9)),
         HypothesisSet((B5, B9, B95)),
         HypothesisSet((B5, B5, B9)),
         HypothesisSet((B9, B5, B5, B5)),
         HypothesisSet((B5, B5, IidSpec.from_probs([0.0, 1.0]))),
-        HypothesisSet(
-            tuple(
-                IidSpec.from_probs(probs)
-                for probs in ([0.2, 0.3, 0.5], [0.3, 0.3, 0.4], [0.0, 0.4, 0.6])
-            )
-        ),
+        APART,
     ]
     LEVELS = [0.5, math.nextafter(0.5, 1.0), 2 / 3, 0.9, 0.999, 1.0]
     # lags far below an ulp of 1, which leave a weight of exactly 1
@@ -908,9 +928,10 @@ def stopping_scenarios():
         (B9, HypothesisSet((B5, close, B9)), THIRDS, StoppingConfig(p=0.9, eps_d=0.05)),
         # a zero-prior member
         (B9, HypothesisSet((B5, B9, B95)), (0.5, 0.5, 0.0), StoppingConfig(p=0.9)),
-        # p = 1 with a zero-probability entry, so ``certain`` is None and
-        # every step asks whether a live member is left outside the top group
+        # p = 1 with a zero-probability entry beside full-support members
+        # in different groups: neither is ever ruled out, so no step weighs
         (B9, HypothesisSet((B5, B9, ones_only)), THIRDS, StoppingConfig(p=1.0, q=0.3)),
+        (APART.members[0], APART, THIRDS, StoppingConfig(p=1.0, q=0.3)),
     ]
 
 
