@@ -979,29 +979,30 @@ def _scan_crossing(
     """Find the first t where a nonincreasing curve drops to the target.
 
     ``curve`` yields (value, se) for t = 0, 1, 2, ...: exact values carry
-    se None, Monte Carlo values their standard error.  The scan stops at
-    the first horizon whose upper bound value + 1.96 se reaches the
-    target, or where the curve ends.  The estimate and both ends of its
-    confidence interval are first crossings of value + offset x se, an
-    exact value counting as se 0; a crossing at an exact horizon is
-    reported as enumeration (prior-threshold at t = 0), with no interval.
+    se None, Monte Carlo values their standard error.  The caller decides
+    t = 0 exactly; its value, raised to the target, only anchors the
+    first interpolation.  The scan stops at the first later horizon whose
+    upper bound value + 1.96 se reaches the target, or where the curve
+    ends.  The estimate and both ends of its confidence interval are
+    first crossings of value + offset x se, an exact value counting as se
+    0; one at an exact horizon is reported as enumeration, with no interval.
     """
     points: list[tuple[float, float]] = []
     exact = 0  # how many values are exact; they come first
     for value, se in curve:
         exact += se is None
         points.append((value, se or 0.0))
-        if value + 1.96 * (se or 0.0) <= target:
+        if len(points) > 1 and value + 1.96 * (se or 0.0) <= target:
             break
 
     def crossing(offset: float) -> tuple[float, int] | None:
-        """The interpolated crossing and the first horizon at or past it;
-        one at t = 0 is at 0."""
-        last_v = -math.inf
-        for t, (mean, se) in enumerate(points):
+        """The interpolated crossing and the first horizon at or past it."""
+        (mean, se), *rest = points
+        last_v = max(mean + offset * se, target)
+        for t, (mean, se) in enumerate(rest, 1):
             v = mean + offset * se
             if v <= target:
-                frac = (last_v - target) / (last_v - v) if last_v > v else 1.0
+                frac = (last_v - target) / (last_v - v) if last_v > v else 0.0
                 return (t - 1) + frac, t
             last_v = v
         return None
@@ -1014,7 +1015,7 @@ def _scan_crossing(
         )
     value, t = found
     if t < exact:
-        return SCEstimate(value, "enumeration" if t else "prior-threshold", None, t)
+        return SCEstimate(value, "enumeration", None, t)
     lo, hi = crossing(-1.96), crossing(1.96)
     ci = (lo[0] if lo else 0.0, hi[0] if hi else math.inf)
     return SCEstimate(value, "monte-carlo", ci, t)
@@ -1124,16 +1125,17 @@ def expected_sc_evaluator(
     STEP_BUDGET // sequences horizons; a curve still above the target
     there is reported as not converged.
 
-    A prior already at the threshold answers 0.  Otherwise the ideal's
-    posterior ceiling, its prior over the summed prior of the members
-    equal to it (they share its likelihood on every sequence), is
-    compared with p exactly, as fractions.  Below p the threshold is
-    unreachable; above p the curve is walked.  At p (always so at p = 1
-    with no live duplicate) the target is met only on sequences that
-    rule out every other live member.  It is unreachable when some such
-    member never is ruled out (``_never_ruled_out``); otherwise a
-    memoryless set is ruled out by its first symbol and crosses at
-    exactly t = 1, and a chain set takes the walk.
+    A prior whose normalized mass on the ideal reaches p answers 0.
+    Otherwise the ideal's posterior ceiling, its prior over the summed
+    prior of the members equal to it (they share its likelihood on every
+    sequence), is compared with p.  Both comparisons are exact, as
+    fractions.  Below p the threshold is unreachable; above p the curve
+    is walked.  At p (always so at p = 1 with no live duplicate) the
+    target is met only on sequences that rule out every other live
+    member.  It is unreachable when some such member never is ruled out
+    (``_never_ruled_out``); otherwise a memoryless set is ruled out by
+    its first symbol and crosses at exactly t = 1, and a chain set takes
+    the walk.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"verification level must be in (0, 1], got {p!r}")
@@ -1146,7 +1148,7 @@ def expected_sc_evaluator(
     log_prior = hset.log_prior(pv)
     idx = _member_index(ideal, hset)
     target = -math.log2(p)
-    if pv[idx] >= p:
+    if Fraction(pv[idx]) >= Fraction(p) * sum(map(Fraction, pv.probs)):
         return SCEstimate(0.0, "prior-threshold", None, 0)
     twin = [m == ideal for m in hset.members]
     mass = sum(Fraction(w) for w, same in zip(pv.probs, twin) if same)

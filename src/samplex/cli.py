@@ -62,7 +62,6 @@ from .processes import (
     symbols,
 )
 from .scdist import (
-    EXACT_MAX_L,
     ORACLE_MAX_L,
     PairwiseSCDist,
     enumerate_orderings_oracle,
@@ -371,7 +370,7 @@ def _run_scdist(cfg: dict, seed: int, meta: dict) -> dict:
         dist = pairwise_verification(L) if K == 0 else PairwiseSCDist(L, K)
     if L > _ROW_LIMIT:
         raise ComputationRefused(f"length {L} beyond the row limit {_ROW_LIMIT}")
-    meta["arithmetic"] = "float" if K and L > EXACT_MAX_L else "rational"
+    meta["arithmetic"] = "float" if isinstance(dist.pmf(1), float) else "rational"
     highest = cfg.get("moments", 2)
     rows = []
     for i in dist.support():
@@ -870,10 +869,11 @@ def _spec_option(text: str | None) -> IidSpec:
         probs = _read_json(text)
     except ValueError as exc:
         raise ConfigError(f"--spec: not JSON ({exc})") from exc
-    if not isinstance(probs, list) or not all(
-        isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs
-    ):
-        raise ConfigError(f"--spec: expected a list of probabilities, got {text!r}")
+    walk = _validator()
+    errors = walk.errors(walk.root["$defs"]["probs"], probs, "--spec")
+    first = min(errors, key=lambda e: e[0], default=None)
+    if first is not None:
+        raise ConfigError(": ".join(first))
     return _process(probs, "--spec")  # type: ignore[return-value]
 
 

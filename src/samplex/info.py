@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .processes import IidSpec, MarkovSpec
 
-MASS_TOL = 1e-12  # probability vectors must sum to 1 within this
+MASS_TOL = 1e-12  # the library's one unit-mass tolerance, read by ProbVector
 
 
 class ComputationRefused(RuntimeError):

@@ -58,6 +58,7 @@ from oracles import (
 
 B5 = IidSpec.from_probs([0.5, 0.5])
 B9 = IidSpec.from_probs([0.1, 0.9])  # emits 1 with probability 0.9
+B3 = IidSpec.from_probs([0.3, 0.7])
 B95 = IidSpec.from_probs([0.05, 0.95])
 MIRROR = IidSpec.from_probs([0.9, 0.1])
 PAIR = HypothesisSet((B5, B9))
@@ -1575,7 +1576,10 @@ class TestExpectedSampleComplexity:
 
         scan = samplex.bayes._scan_crossing
         exact = [(1.0, None), (0.5, None), (0.05, None)]
-        assert scan(1.0, curve(exact[:1])).method == "prior-threshold"
+        # the caller decides t = 0: a curve that ends there has not
+        # crossed, and a t = 0 value at the target anchors a crossing at 0
+        assert scan(1.0, iter(exact[:1])).method.startswith("not-converged")
+        assert scan(1.0, curve(exact[:2])) == samplex.bayes.SCEstimate(0.0, "enumeration", None, 1)
         est = scan(0.1, curve(exact))
         assert (est.value, est.method, est.smallest_t) == (1 + 0.4 / 0.45, "enumeration", 2)
         # Monte Carlo from t = 1 on with se 0.1: the mean crosses 0.1 at
@@ -1586,6 +1590,41 @@ class TestExpectedSampleComplexity:
         assert est.value == pytest.approx(1 + 0.4 / 0.45)
         assert est.ci == pytest.approx((1 + 0.204 / 0.45, 3 + 0.096 / 0.2))
         assert scan(0.1, iter(mc[:3])).ci[1] == math.inf  # the curve ended
+
+    @pytest.mark.parametrize(
+        "members, prior, p, expected",
+        [
+            # exactly normalized, the prior lies 1.1e-16 below p; its
+            # rounded t = 0 value reaches the target
+            (
+                (B5, B9, B3),
+                (0.4999999999999999, 0.2618937853250653, 0.2381062146749348),
+                0.5,
+                (0.0, "enumeration", 1),
+            ),
+            (
+                (B5, B9, B3),
+                (0.3333333333333332, 0.1790799614937789, 0.4875867051728878),
+                0.3333333333333333,
+                (0.0, "enumeration", 1),
+            ),
+            # the raw prior reaches p; normalized by its sum it does not
+            ((B5, B9), (0.9000000000001, 0.1000000000004), 0.9, (None, "enumeration", 1)),
+            # the raw prior lies below p; normalized by its sum it reaches p
+            ((B5, B9), (0.8999999999999, 0.0999999999995), 0.9, (0.0, "prior-threshold", 0)),
+        ],
+        ids=["halves", "thirds", "raw-above", "raw-below"],
+    )
+    def test_t_zero_is_decided_exactly(self, members, prior, p, expected):
+        est = expected_sc_evaluator(B5, HypothesisSet(members), prior, p)
+        value, method, t = expected
+        assert (est.method, est.ci, est.smallest_t) == (method, None, t)
+        if value is None:
+            assert 0.0 < est.value <= 1.0
+        else:
+            assert est.value == value
+        normalized = Fraction(prior[0]) / sum(map(Fraction, prior))
+        assert (normalized >= Fraction(p)) == (t == 0)
 
     def test_the_first_monte_carlo_horizon_is_not_exact(self):
         # exact values to t = 1, Monte Carlo from t = 2 on: a crossing at

@@ -666,6 +666,9 @@ class TestExitCodes:
         "markov: the context graph is irreducible": (
             {**SAMPLE_CFG, "spec": markov1(1.0, 0.0)}, "$.spec"
         ),
+        "every probability list sums to 1 within 1e-12": (
+            {**SAMPLE_CFG, "spec": [0.5, 0.6]}, "$.spec"
+        ),
     }
 
     def test_every_documented_constraint_is_refused_at_its_field(self, tmp_path, capsys):
@@ -673,6 +676,25 @@ class TestExitCodes:
         for cfg, path in self.CONSTRAINTS.values():
             assert validate_config(cfg) is cfg
             assert_invalid_at(tmp_path, capsys, cfg, path)
+
+    def test_a_prior_and_a_hypothesis_meet_one_mass_rule(self, tmp_path, capsys):
+        # off by 9.5e-13, past 2**-40 but within 1e-12: runs as either
+        short = [0.5, 0.49999999999905]
+        for cfg in ({"prior": short}, {"hypotheses": [short, [0.1, 0.9]]}):
+            run_to_file(tmp_path, {**BAYES_CFG, **cfg, "trials": 5})
+        # off by 1.2e-12: refused as either, with one message
+        over = [0.5, 0.5000000000012]
+        messages = []
+        for cfg, path in (
+            ({"prior": over}, "$.prior"),
+            ({"hypotheses": [over, [0.1, 0.9]]}, "$.hypotheses[0]"),
+        ):
+            cfg = write_config(tmp_path, {**BAYES_CFG, **cfg})
+            assert main(["run", "--config", cfg]) == EXIT_INVALID
+            err = capsys.readouterr().err
+            assert f"config invalid: {path}: " in err
+            messages.append(err.split(f"{path}: ", 1)[1])
+        assert messages[0] == messages[1]
 
     @pytest.mark.parametrize(
         "pair, flag, value",
@@ -755,6 +777,11 @@ class TestVerifyPairs:
         code = main(["verify", "--pair", "coin-bits", "--spec", spec])
         assert code == EXIT_INVALID
         assert "--spec" in capsys.readouterr().err
+
+    def test_coin_bits_spec_meets_the_schema_rule(self, capsys):
+        code = main(["verify", "--pair", "coin-bits", "--spec", '["a"]'])
+        assert code == EXIT_INVALID
+        assert "--spec[0]: 'a' is not of type 'number'" in capsys.readouterr().err
 
     def test_expected_sc_mc(self, capsys):
         code = main(["verify", "--pair", "expected-sc-mc", "--tolerance", "0.6"])

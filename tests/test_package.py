@@ -261,6 +261,24 @@ def test_only_the_likelihood_scorers_read_the_log_table():
     }
 
 
+def test_one_rule_checks_the_mass_of_a_probability_list():
+    # a prior and a process's weights meet one unit-mass tolerance: no
+    # top-level definition but info.ProbVector reads MASS_TOL, nothing
+    # imports it, and processes keeps no 2**-40 check of its own
+    readers = {
+        f"{path.stem}.{getattr(scope, 'name', '<module>')}"
+        for path in SRC.glob("*.py")
+        for scope in ast.parse(path.read_text()).body
+        for node in ast.walk(scope)
+        if (isinstance(node, ast.Name) and node.id == "MASS_TOL"
+            and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == "MASS_TOL")
+        or (isinstance(node, ast.alias) and node.name == "MASS_TOL")
+    }
+    assert readers == {"info.ProbVector"}
+    assert "1 << 40" not in (SRC / "processes.py").read_text()
+
+
 def test_validate_config_reads_no_field_of_its_config():
     # each cross-field constraint is refused by the library object that
     # owns it, so validate_config only hands its argument to the schema

@@ -127,6 +127,31 @@ class TestIidSpec:
         with pytest.raises(ValueError):
             IidSpec.from_probs([])
 
+    def test_refuses_exactly_what_a_prob_vector_refuses(self):
+        # a process's weights and a prior meet one rule: seeded lists
+        # whose last cell is off by up to 1e-9, some with a negative cell
+        rng = random.Random("one-mass-rule")
+        offsets = (0.0, 1e-13, -1e-13, 9.5e-13, -9.5e-13, 1.2e-12, -1.2e-12, 1e-9)
+        lists = []
+        for offset in offsets:
+            for _ in range(40):
+                raw = [rng.random() for _ in range(rng.randint(2, 6))]
+                weights = [w / math.fsum(raw) for w in raw]
+                weights[-1] += offset
+                lists.append(weights)
+        for _ in range(20):
+            weights = [rng.random() for _ in range(rng.randint(2, 4))]
+            weights[rng.randrange(len(weights))] = -rng.choice((1e-13, 0.1))
+            lists.append(weights)
+        for weights in lists:
+            try:
+                ProbVector(tuple(weights))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    IidSpec.from_probs(weights)
+            else:
+                IidSpec.from_probs(weights)
+
     def test_rounding_past_unit_mass_is_absorbed(self):
         # each weight rounds onto the 2**-53 grid; these three round up
         # to a head 2**-53 past 1 although the floats sum to 1
